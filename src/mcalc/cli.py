@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .errors import EngineError, ParseError
@@ -26,19 +25,6 @@ from .multiplicity import (VERIFIED, _jsonable, multiplicity_data, ord_check,
 from .parsing import parse_polynomial, parse_polynomial_list
 from .scenarios import registry, run_all, run_scenario
 from .session import parse_session, serialize_session
-
-
-def _threads_hint():
-    """MCALC_THREADS is accepted as a hint; execution stays single-process
-    so that output is deterministic."""
-    value = os.environ.get("MCALC_THREADS")
-    if value is None:
-        return
-    try:
-        int(value)
-    except ValueError:
-        print(f"warning: ignoring non-integer MCALC_THREADS={value!r}",
-              file=sys.stderr)
 
 
 def _record(command, session_text, inputs, result, certificate, verdict):
@@ -290,9 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mcalc",
         description="Exact multiplicities, Koszul homology, and Groebner "
-                    "bases over polynomial quotient rings.",
-        epilog="MCALC_THREADS is accepted as a parallelism hint and "
-               "currently ignored; execution is single-process.")
+                    "bases over polynomial quotient rings.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gb", help="reduced Groebner basis of the quotient "
@@ -397,7 +381,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _threads_hint()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -91,6 +91,20 @@ class UnknownScenario(EngineError):
     code = "UNKNOWN_SCENARIO"
 
 
+# Invalid-argument errors stay ValueErrors for library callers.
+
+class OutOfRange(EngineError, ValueError):
+    code = "OUT_OF_RANGE"
+
+
+class BadOrder(EngineError, ValueError):
+    code = "BAD_ORDER"
+
+
+class QuotientNotAtOrigin(EngineError, ValueError):
+    code = "QUOTIENT_NOT_AT_ORIGIN"
+
+
 class ParseError(EngineError):
     code = "PARSE_ERROR"
 

@@ -6,11 +6,15 @@ position-over-term order (position primary, earlier positions larger). The
 module Buchberger loop skips no pairs: with every S-pair processed, the
 zero-reduction bookkeeping yields generators of the full syzygy module of the
 inputs (each tracked element carries its expression on the inputs, so a
-reduction to zero is literally a syzygy).
+reduction to zero is literally a syzygy). Pending pairs wait in a heap keyed
+once per pair by (lcm degree, order key of the lcm, index pair); the index
+pair breaks ties, which makes the syzygies that come out, and so every
+presentation built from them, deterministic.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass
 
@@ -134,6 +138,10 @@ def _mv_reduce(v, reducers, meta, order, with_cofactors=False):
 def _module_buchberger(ring: RingSpec, vectors, rank, track=False):
     """Buchberger over R^rank, processing every same-position pair.
 
+    Pairs wait in a heap keyed once, when the pair is formed, by
+    (lcm degree, order key of the lcm, a, b): the next pair has the smallest
+    lcm by degree then order, ties broken by the index pair. That order
+    decides which syzygies come out, so it is part of the output contract.
     With track=True each basis element carries its expression on the inputs;
     reductions to zero then hand back syzygies of the inputs directly, and
     together they generate the whole syzygy module because no pair is skipped.
@@ -142,32 +150,34 @@ def _module_buchberger(ring: RingSpec, vectors, rank, track=False):
     field, nvars = ring.field, ring.nvars
     s = len(vectors)
     G, meta, reps, syz = [], [], [], []
-    for i, v in enumerate(vectors):
-        if v.rank != rank:
-            raise RingMismatch("vector of wrong rank")
-        if v.is_zero():
-            if track:
-                syz.append(ModuleVector.unit(field, nvars, s, i))
-            continue
+    queue = []  # heap of (lcm degree, order key, a, b, lcm)
+
+    def add_element(v, rep):
+        new = len(G)
         G.append(v)
         meta.append(v.lead(order))
         if track:
-            reps.append(ModuleVector.unit(field, nvars, s, i))
+            reps.append(rep)
+        pos, mon, _ = meta[new]
+        for k in range(new):
+            if meta[k][0] == pos:
+                lcm = meta[k][1].lcm(mon)
+                heapq.heappush(queue, (lcm.degree, order.key(lcm), k, new, lcm))
 
-    pairs = {(a, b) for a in range(len(G)) for b in range(a + 1, len(G))
-             if meta[a][0] == meta[b][0]}
+    for i, v in enumerate(vectors):
+        if v.rank != rank:
+            raise RingMismatch("vector of wrong rank")
+        unit = ModuleVector.unit(field, nvars, s, i) if track else None
+        if v.is_zero():
+            if track:
+                syz.append(unit)
+            continue
+        add_element(v, unit)
 
-    def pair_key(ab):
-        a, b = ab
-        lcm = meta[a][1].lcm(meta[b][1])
-        return (lcm.degree, order.key(lcm), a, b)
-
-    while pairs:
-        a, b = min(pairs, key=pair_key)
-        pairs.discard((a, b))
-        pa, ma, ca = meta[a]
+    while queue:
+        _, _, a, b, lcm = heapq.heappop(queue)
+        _, ma, ca = meta[a]
         _, mb, cb = meta[b]
-        lcm = ma.lcm(mb)
         ua, ub = lcm.div(ma), lcm.div(mb)
         sv = G[a].mul_term(ua, ca.inverse()) - G[b].mul_term(ub, cb.inverse())
         r, cofs = _mv_reduce(sv, G, meta, order, with_cofactors=track)
@@ -181,12 +191,7 @@ def _module_buchberger(ring: RingSpec, vectors, rank, track=False):
             if track and not combo.is_zero():
                 syz.append(combo)
         else:
-            G.append(r)
-            meta.append(r.lead(order))
-            if track:
-                reps.append(combo)
-            new = len(G) - 1
-            pairs.update((k, new) for k in range(new) if meta[k][0] == meta[new][0])
+            add_element(r, combo)
     return G, syz
 
 

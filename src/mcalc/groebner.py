@@ -6,6 +6,7 @@ generators folded into the input, so callers work over A = R/J transparently.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass
 
@@ -67,10 +68,12 @@ def _divide(f, reducers, leads, order, with_witness=False):
     return Polynomial(field, nvars, rem_terms), witness
 
 
-def spolynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
+def spolynomial(f: Polynomial, g: Polynomial, order: MonomialOrder, lcm=None) -> Polynomial:
+    """S-polynomial of f and g; lcm, when given, is that of their leading monomials."""
     mf, cf = f.lead(order)
     mg, cg = g.lead(order)
-    lcm = mf.lcm(mg)
+    if lcm is None:
+        lcm = mf.lcm(mg)
     return f.mul_term(lcm.div(mf), cf.inverse()) - g.mul_term(lcm.div(mg), cg.inverse())
 
 
@@ -100,31 +103,39 @@ def _interreduce(basis, order):
 def buchberger(ring: RingSpec, gens) -> GroebnerBasis:
     """Reduced Groebner basis of (gens) + (ring.quotient).
 
-    Normal-pair selection (smallest lcm by degree then order), with both
-    classical pair-skipping criteria; afterwards every S-polynomial of the
-    final basis is checked to reduce to zero.
+    Normal-pair selection from a heap: each pair (i, j) is keyed once, when
+    it is formed, by (lcm degree, order key of the lcm, i, j), so the pair
+    popped next has the smallest lcm by degree then order, with ties broken
+    by the index pair. Both classical pair-skipping criteria apply; the
+    chain criterion reads the set of pending pairs. Afterwards every
+    S-polynomial of the final basis is checked to reduce to zero.
     """
     order = ring.order
     work = [ring.check_member(g) for g in gens]
     work.extend(ring.quotient)
-    G = []
+    G, leads = [], []
+    pairs = set()  # pending (i, j), for the chain criterion
+    queue = []     # heap of (lcm degree, order key, i, j, lcm)
+
+    def add_element(g):
+        new = len(G)
+        G.append(g)
+        leads.append(g.lead(order))
+        for k in range(new):
+            lcm = leads[k][0].lcm(leads[new][0])
+            heapq.heappush(queue, (lcm.degree, order.key(lcm), k, new, lcm))
+            pairs.add((k, new))
+
     for g in sorted((g for g in work if not g.is_zero()),
                     key=lambda p: order.key(p.lead(order)[0])):
         if g not in G:
-            G.append(g)
+            add_element(g)
     if not G:
         return GroebnerBasis(ring, ())
 
-    leads = [g.lead(order) for g in G]
-    pairs = {(i, j) for i in range(len(G)) for j in range(i + 1, len(G))}
-
-    def lcm_of(i, j):
-        return leads[i][0].lcm(leads[j][0])
-
-    while pairs:
-        i, j = min(pairs, key=lambda p: (lcm_of(*p).degree, order.key(lcm_of(*p)), p))
+    while queue:
+        _, _, i, j, lcm = heapq.heappop(queue)
         pairs.discard((i, j))
-        lcm = lcm_of(i, j)
         # product criterion: coprime leading monomials
         if lcm.degree == leads[i][0].degree + leads[j][0].degree:
             continue
@@ -142,13 +153,10 @@ def buchberger(ring: RingSpec, gens) -> GroebnerBasis:
                     break
         if skip:
             continue
-        s = spolynomial(G[i], G[j], order)
+        s = spolynomial(G[i], G[j], order, lcm)
         r, _ = _divide(s, G, leads, order)
         if not r.is_zero():
-            G.append(r)
-            leads.append(r.lead(order))
-            new = len(G) - 1
-            pairs.update((k, new) for k in range(new))
+            add_element(r)
 
     basis = _interreduce(G, order)
     gb = GroebnerBasis(ring, basis)

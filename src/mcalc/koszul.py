@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import DimensionDropViolated, RingMismatch
+from .errors import DimensionDropViolated, OutOfRange, RingMismatch
 from .fpmodules import (FPModule, ModuleMap, ModuleVector, gamma_saturation,
                         subquotient, unit_vectors)
 from .polyring import INFINITE, Polynomial, RingSpec
@@ -72,7 +72,7 @@ def _differential_columns(x, M: FPModule, i: int):
 def koszul_differential(x, M: FPModule, i: int) -> ModuleMap:
     x = _check_sequence(x, M.ring)
     if not 1 <= i <= len(x):
-        raise ValueError("differential index out of range")
+        raise OutOfRange("differential index out of range")
     return ModuleMap(_koszul_term(x, M, i), _koszul_term(x, M, i - 1),
                      _differential_columns(x, M, i))
 
@@ -113,7 +113,7 @@ def koszul_homology(x, M: FPModule, i: int) -> FPModule:
     if not x:
         raise RingMismatch("koszul_homology needs a nonempty sequence")
     if not 0 <= i <= n:
-        raise ValueError(f"homology degree {i} out of range 0..{n}")
+        raise OutOfRange(f"homology degree {i} out of range 0..{n}")
     C_i = _koszul_term(x, M, i)
     if i == 0:
         ker_gens = unit_vectors(M.ring, C_i.rank)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .errors import (HypothesisFails, InfiniteHomology, NoStabilization,
                      NotDimensionOne, NotFiniteColength, NotParameter,
-                     SupportNotAtOrigin)
+                     OutOfRange, SupportNotAtOrigin)
 from .fpmodules import FPModule, ModuleVector, module_origin_support
 from .groebner import buchberger, krull_dimension, origin_support_check, standard_monomials
 from .koszul import VirtualModule, koszul_homology, phi_apply
@@ -96,7 +96,7 @@ def _warn_if_inhomogeneous(ring: RingSpec, gens):
         warnings.warn(
             "non-homogeneous defining polynomials: length counts are local "
             "lengths only because the origin-support check passes",
-            stacklevel=3)
+            stacklevel=4)
 
 
 def _check_colength(M: FPModule, gens):
@@ -109,21 +109,32 @@ def _check_colength(M: FPModule, gens):
     return Q
 
 
-def hilbert_samuel_lengths(M: FPModule, gens, N: int) -> LengthSequence:
-    """The sequence ℓ(M/I^n M) for n = 1..N, exactly."""
-    gens = list(gens)
+def _power_quotient_length(M: FPModule, gens, n: int) -> int:
+    Q = M.quotient_by_polys(ideal_power(gens, n)) if gens else M
+    v = Q.length()
+    if v is INFINITE:
+        raise NotFiniteColength(f"M/I^{n}M has infinite length")
+    return v
+
+
+def _length_table(M: FPModule, gens):
+    """Iterator over ℓ(M/I^n M) for n = 1, 2, .., computed on demand.
+
+    The checks every table needs run at once: ring membership, the
+    homogeneity warning, and finite colength with origin support of M/IM.
+    """
     for g in gens:
         M.ring.check_member(g)
     _warn_if_inhomogeneous(M.ring, gens)
     _check_colength(M, gens)
-    values = []
-    for n in range(1, N + 1):
-        Q = M.quotient_by_polys(ideal_power(gens, n)) if gens else M
-        v = Q.length()
-        if v is INFINITE:
-            raise NotFiniteColength(f"M/I^{n}M has infinite length")
-        values.append(v)
-    return LengthSequence(tuple(gens), M, tuple(values))
+    return (_power_quotient_length(M, gens, n) for n in itertools.count(1))
+
+
+def hilbert_samuel_lengths(M: FPModule, gens, N: int) -> LengthSequence:
+    """The sequence ℓ(M/I^n M) for n = 1..N, exactly."""
+    gens = list(gens)
+    values = tuple(itertools.islice(_length_table(M, gens), max(N, 0)))
+    return LengthSequence(tuple(gens), M, values)
 
 
 def _differences(values, r: int):
@@ -141,18 +152,10 @@ def multiplicity_data(M: FPModule, gens, r: int):
     the support dimension, and the r = 0 value of the empty ideal is ℓ(M).
     """
     gens = list(gens)
-    for g in gens:
-        M.ring.check_member(g)
     if r < 0:
-        raise ValueError("difference order must be nonnegative")
-    _warn_if_inhomogeneous(M.ring, gens)
-    _check_colength(M, gens)
+        raise OutOfRange("difference order must be nonnegative")
     values = []
-    for n in range(1, STABILIZATION_CAP + 1):
-        Q = M.quotient_by_polys(ideal_power(gens, n)) if gens else M
-        v = Q.length()
-        if v is INFINITE:
-            raise NotFiniteColength(f"M/I^{n}M has infinite length")
+    for v in itertools.islice(_length_table(M, gens), STABILIZATION_CAP):
         values.append(v)
         diffs = _differences(values, r)
         if len(diffs) >= 3 and diffs[-1] == diffs[-2] == diffs[-3]:
@@ -247,9 +250,9 @@ def verify_vanish(M: FPModule, x, i: int, k: int) -> Report:
     """If x_i^k kills M, the alternating sum must vanish."""
     x = list(x)
     if not 1 <= i <= len(x):
-        raise ValueError(f"index {i} out of range 1..{len(x)}")
+        raise OutOfRange(f"index {i} out of range 1..{len(x)}")
     if k < 1:
-        raise ValueError("exponent must be positive")
+        raise OutOfRange("exponent must be positive")
     p = x[i - 1] ** k
     for a in range(M.rank):
         v = ModuleVector.unit(M.ring.field, M.ring.nvars, M.rank, a, p)

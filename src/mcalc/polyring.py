@@ -10,8 +10,8 @@ import keyword
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import RingMismatch
-from .scalars import FieldKind, FieldSpec, Scalar
+from .errors import BadOrder, QuotientNotAtOrigin, RingMismatch
+from .scalars import FieldKind, FieldSpec, Scalar, power_by_squaring
 
 
 class _Infinite:
@@ -286,10 +286,10 @@ class Polynomial:
     def __pow__(self, e: int):
         if e < 0:
             raise ValueError("negative polynomial powers are not defined")
-        out = Polynomial.one(self.field, self.nvars)
-        for _ in range(e):
-            out = out * self
-        return out
+        if len(self.terms) == 1:
+            (m, c), = self.terms.items()
+            return Polynomial(self.field, self.nvars, {m.pow(e): c ** e})
+        return power_by_squaring(Polynomial.one(self.field, self.nvars), self, e)
 
     def monic(self, order: MonomialOrder) -> "Polynomial":
         if self.is_zero():
@@ -377,7 +377,7 @@ class RingSpec:
             if v == "t" and self.field.kind is FieldKind.RATIONAL_FUNCTIONS:
                 raise ValueError("variable name t collides with the field transcendental")
         if self.order.kind is OrderKind.BLOCK and not (1 <= self.order.split < len(names)):
-            raise ValueError("block split must fall strictly inside the variable list")
+            raise BadOrder("block split must fall strictly inside the variable list")
         gens = []
         for g in self.quotient:
             if g.field != self.field or g.nvars != len(names):
@@ -385,7 +385,7 @@ class RingSpec:
             if g.is_zero():
                 continue
             if not g.constant_coefficient().is_zero():
-                raise ValueError("quotient generators must vanish at the origin")
+                raise QuotientNotAtOrigin("quotient generators must vanish at the origin")
             gens.append(g)
         object.__setattr__(self, "quotient", tuple(gens))
 

@@ -202,6 +202,18 @@ class FieldSpec:
         return f"F{self.characteristic}(t)"
 
 
+def power_by_squaring(one, base, e: int):
+    """base**e for e >= 0 with O(log e) multiplications, starting from one."""
+    out = one
+    while e:
+        if e & 1:
+            out = out * base
+        e >>= 1
+        if e:
+            base = base * base
+    return out
+
+
 class Scalar:
     """An element of a FieldSpec, in canonical form."""
 
@@ -318,10 +330,7 @@ class Scalar:
     def __pow__(self, e: int):
         if e < 0:
             return self.inverse() ** (-e)
-        out = self.field.one
-        for _ in range(e):
-            out = out * self
-        return out
+        return power_by_squaring(self.field.one, self, e)
 
     def __eq__(self, other):
         if isinstance(other, int):

@@ -225,13 +225,37 @@ def test_usage_error_exits_two(capsys):
     capsys.readouterr()
 
 
-def test_threads_hint_is_validated(conic, capsys, monkeypatch):
-    monkeypatch.setenv("MCALC_THREADS", "4")
-    assert main(["dim", conic]) == 0
-    clean = capsys.readouterr()
-    assert clean.err == ""
-    monkeypatch.setenv("MCALC_THREADS", "lots")
-    assert main(["dim", conic]) == 0
-    noisy = capsys.readouterr()
-    assert "MCALC_THREADS" in noisy.err
-    assert noisy.out == clean.out
+def _coded_exit(capsys, argv, code):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {code}: ")
+    assert "Traceback" not in err
+
+
+def test_koszul_degree_out_of_range_exits_two(plane, capsys):
+    _coded_exit(capsys, ["koszul", plane, "--seq", "x, y", "--degree", "5"],
+                "OUT_OF_RANGE")
+
+
+def test_negative_difference_order_exits_two(plane, capsys):
+    _coded_exit(capsys, ["mult", plane, "--params", "x, y", "--r", "-1"],
+                "OUT_OF_RANGE")
+
+
+def test_vanish_index_out_of_range_exits_two(tmp_path, capsys):
+    p = tmp_path / "nilpotent.ring"
+    p.write_text("field = Q\nvars = x, y\nquotient = [x^2]\n", encoding="utf-8")
+    _coded_exit(capsys, ["verify", "vanish", str(p), "--seq", "x",
+                         "--index", "3", "--power", "2"], "OUT_OF_RANGE")
+
+
+def test_block_split_outside_variables_exits_two(tmp_path, capsys):
+    p = tmp_path / "block.ring"
+    p.write_text("field = Q\nvars = x, y\norder = block(5)\n", encoding="utf-8")
+    _coded_exit(capsys, ["dim", str(p)], "BAD_ORDER")
+
+
+def test_quotient_with_constant_term_exits_two(tmp_path, capsys):
+    p = tmp_path / "unit.ring"
+    p.write_text("field = Q\nvars = x, y\nquotient = [x + 1]\n", encoding="utf-8")
+    _coded_exit(capsys, ["dim", str(p)], "QUOTIENT_NOT_AT_ORIGIN")

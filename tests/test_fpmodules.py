@@ -9,6 +9,7 @@ from mcalc.fpmodules import (FPModule, ModuleMap, ModuleVector,
                              gamma_saturation, kernel_of_map, module_gb,
                              module_origin_support, preimage_submodule,
                              subquotient, syzygies, unit_vectors)
+from mcalc.parsing import parse_polynomial
 from mcalc.polyring import INFINITE, Polynomial, RingSpec
 from mcalc.scalars import FieldSpec
 
@@ -257,3 +258,55 @@ def test_length_additive_over_kernel_sequence(entries):
     K, _ = kernel_of_map(phi)
     image = subquotient(list(phi.matrix), [], source)
     assert K.length() + image.length() == source.length()
+
+
+# Frozen outputs of the syzygy-tracking loop. The S-pair processing order
+# decides which syzygies come out (and so the presentations printed by the
+# CLI), so these pin that order: lcm degree, then monomial order, then the
+# index pair.
+
+def _parsed_vec(ring, *texts):
+    return ModuleVector(tuple(parse_polynomial(ring, t) for t in texts))
+
+
+def test_syzygies_frozen_pair_order():
+    family = [_parsed_vec(R, "x^2", "y"), _parsed_vec(R, "x*y", "x"),
+              _parsed_vec(R, "y^2", "x + y"), _parsed_vec(R, "x", "y^2")]
+    assert [c.to_str(R) for c in syzygies(R, family)] == [
+        "[-x*y^2, x^2*y + x*y^2 - x - y, -x^2*y + x, x*y]",
+        "[-x^2*y + y^3 - x, x^3 + x^2*y - x*y^2 - y^3 + y, -x^3 + x*y^2, x^2 - y^2]",
+        "[-x*y^3, x^2*y^2 + x*y^3 - x*y - y^2, -x^2*y^2 + x*y, x*y^2]",
+        "[-y^4 + x*y, x*y^3 + y^4 - x^2 - x*y - y^2, -x*y^3 + x^2, y^3]",
+        "[-x^2*y^2, x^3*y + x^2*y^2 - x^2 - x*y, -x^3*y + x^2, x^2*y]",
+        "[-x^3*y - x^2, x^4 + x^3*y - y^2, -x^4 + x*y, x^3]",
+        "[-y^5, x*y^4 + y^5 - y^3 - x - y, -x*y^4 + x, y^4 + x*y]",
+        "[y^3 - x, -x*y^2 + y, 0, x^2 - y^2]",
+        "[-x^2*y, x^3 + x^2*y - y^3, -x^3 + x*y^2, 0]",
+        "[0, y^4 - x^2 - x*y, -x*y^3 + x^2, x^2*y]",
+    ]
+    family = [_parsed_vec(R, "x", "0"), _parsed_vec(R, "y", "0"),
+              _parsed_vec(R, "x*y", "x"), _parsed_vec(R, "y^2", "y"),
+              _parsed_vec(R, "0", "x*y")]
+    assert [c.to_str(R) for c in syzygies(R, family)] == [
+        "[y, -x, 0, 0, 0]",
+        "[-y, x, 0, 0, 0]",
+        "[0, x*y, 0, -x, 1]",
+        "[y^2, 0, -y, 0, 1]",
+        "[y^2, -x*y, -y, x, 0]",
+        "[y^2, 0, 0, -x, 1]",
+        "[0, 0, y, -x, 0]",
+    ]
+
+
+def test_kernel_of_map_frozen_pair_order():
+    A = RingSpec(F2, ("x", "y"), quotient=(AX * AX, AY * AY))
+    free = FPModule.free(A, 2)
+    phi = ModuleMap(free, free, [_parsed_vec(A, "x", "y"),
+                                 _parsed_vec(A, "y", "x + y")])
+    K, embedding = kernel_of_map(phi)
+    assert [v.to_str(A) for v in embedding] == [
+        "[y, x + y]", "[x, y]", "[y^2, 0]", "[0, y^2]", "[0, x^2]", "[0, x*y]"]
+    assert K.describe() == {"rank": 6, "relations": [
+        "[0, 0, 0, 0, 0, y]", "[0, 0, 0, 0, 0, x]", "[0, 0, 0, 0, 1, 0]",
+        "[0, 0, 0, 1, 0, 0]", "[0, 0, 1, 0, 0, 0]", "[0, x, 0, 0, 0, 1]",
+        "[0, y^2, 0, 0, 0, 0]", "[y, 0, 0, 0, 0, 1]", "[x, y, 0, 0, 0, 1]"]}

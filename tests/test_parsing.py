@@ -1,11 +1,13 @@
 """Expression grammar: explicit products, constant division, unary minus."""
 
+import time
+
 import pytest
 
 from mcalc.errors import BadCharacteristic, ParseError, UnknownFieldKind
 from mcalc.parsing import (parse_field, parse_polynomial,
                            parse_polynomial_list)
-from mcalc.polyring import RingSpec
+from mcalc.polyring import Polynomial, RingSpec
 from mcalc.scalars import FieldSpec
 
 Q = FieldSpec.rationals()
@@ -39,6 +41,13 @@ def test_unary_minus_binds_looser_than_power():
     assert parse_polynomial(R, "-x^2") == -(X * X)
     assert parse_polynomial(R, "(-x)^2") == X * X
     assert parse_polynomial(R, "--x") == X
+
+
+def test_huge_exponent_parses_at_once():
+    start = time.perf_counter()
+    p = parse_polynomial(R, "x^20000000")
+    assert time.perf_counter() - start < 2.0
+    assert p == Polynomial.variable(Q, 2, 0, 20_000_000)
 
 
 def test_power_requires_integer():

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 from mcalc.errors import RingMismatch
 from mcalc.polyring import (INFINITE, Monomial, MonomialOrder, Polynomial,
                             RingSpec, monomial_compare, poly_arithmetic)
-from mcalc.scalars import FieldSpec
+from mcalc.scalars import FieldKind, FieldSpec
 
 Q = FieldSpec.rationals()
 F2 = FieldSpec.prime_field(2)
@@ -173,3 +173,31 @@ def test_infinite_marker_is_a_singleton():
     assert INFINITE is INFINITE
     assert INFINITE != 7
     assert str(INFINITE) == "INFINITE"
+
+
+def _repeated_product(p, e):
+    out = Polynomial.one(p.field, p.nvars)
+    for _ in range(e):
+        out = out * p
+    return out
+
+
+@pytest.mark.parametrize("field", [Q, FieldSpec.prime_field(7),
+                                   FieldSpec.rational_functions(3)])
+def test_power_matches_repeated_multiplication(field):
+    R = _ring(field=field)
+    x, y = R.variable("x"), R.variable("y")
+    c = field.t() if field.kind is FieldKind.RATIONAL_FUNCTIONS else field.from_int(2)
+    polys = [R.zero(), R.one(), x, y * c, x * x * c + y, x - y * c + R.one(),
+             x * y + x * c - R.constant(3)]
+    for p in polys:
+        for e in range(7):
+            assert p ** e == _repeated_product(p, e)
+
+
+def test_power_of_single_term_is_immediate():
+    R = _ring(field=FieldSpec.prime_field(32003))
+    p = (R.variable("x") * R.constant(5)) ** 20_000_000
+    (m, c), = p.terms.items()
+    assert m.exps == (20_000_000, 0)
+    assert c == R.field.from_int(pow(5, 20_000_000, 32003))
