@@ -68,12 +68,10 @@ def _divide(f, reducers, leads, order, with_witness=False):
     return Polynomial(field, nvars, rem_terms), witness
 
 
-def spolynomial(f: Polynomial, g: Polynomial, order: MonomialOrder, lcm=None) -> Polynomial:
-    """S-polynomial of f and g; lcm, when given, is that of their leading monomials."""
+def spolynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
     mf, cf = f.lead(order)
     mg, cg = g.lead(order)
-    if lcm is None:
-        lcm = mf.lcm(mg)
+    lcm = mf.lcm(mg)
     return f.mul_term(lcm.div(mf), cf.inverse()) - g.mul_term(lcm.div(mg), cg.inverse())
 
 
@@ -153,7 +151,7 @@ def buchberger(ring: RingSpec, gens) -> GroebnerBasis:
                     break
         if skip:
             continue
-        s = spolynomial(G[i], G[j], order, lcm)
+        s = spolynomial(G[i], G[j], order)
         r, _ = _divide(s, G, leads, order)
         if not r.is_zero():
             add_element(r)

@@ -286,9 +286,6 @@ class Polynomial:
     def __pow__(self, e: int):
         if e < 0:
             raise ValueError("negative polynomial powers are not defined")
-        if len(self.terms) == 1:
-            (m, c), = self.terms.items()
-            return Polynomial(self.field, self.nvars, {m.pow(e): c ** e})
         return power_by_squaring(Polynomial.one(self.field, self.nvars), self, e)
 
     def monic(self, order: MonomialOrder) -> "Polynomial":
