@@ -101,6 +101,10 @@ class BadOrder(EngineError, ValueError):
     code = "BAD_ORDER"
 
 
+class BadVariables(EngineError, ValueError):
+    code = "BAD_VARIABLES"
+
+
 class QuotientNotAtOrigin(EngineError, ValueError):
     code = "QUOTIENT_NOT_AT_ORIGIN"
 

@@ -10,6 +10,11 @@ reduction to zero is literally a syzygy). Pending pairs wait in a heap keyed
 once per pair by (lcm degree, order key of the lcm, index pair); the index
 pair breaks ties, which makes the syzygies that come out, and so every
 presentation built from them, deterministic.
+
+Division and basis reduction are the ideal engine's: `groebner._reduce` and
+`groebner._reduce_basis` work on raw terms at any rank, an ideal being the
+rank-1 case. The loop keeps basis elements, S-vectors and tracked
+expressions as raw vectors, and `ModuleGB` builds its reducer forms once.
 """
 
 from __future__ import annotations
@@ -20,7 +25,9 @@ from dataclasses import dataclass
 
 from .errors import (ImageNotInKernel, MapNotWellDefined, NotZeroDimensional,
                      RingMismatch, SaturationCapExceeded)
-from .groebner import GroebnerBasis, buchberger, krull_dimension
+from .groebner import (_raw_components, _raw_polynomial, _raw_vector, _reduce,
+                       _reduce_basis, _reducer_form, _submul, buchberger,
+                       krull_dimension)
 from .polyring import INFINITE, Monomial, Polynomial, RingSpec
 
 SATURATION_CAP = 64
@@ -76,17 +83,6 @@ class ModuleVector:
     def scale(self, poly: Polynomial) -> "ModuleVector":
         return ModuleVector(tuple(poly * a for a in self.components))
 
-    def mul_term(self, mon: Monomial, coeff) -> "ModuleVector":
-        return ModuleVector(tuple(a.mul_term(mon, coeff) for a in self.components))
-
-    def lead(self, order):
-        """Leading (position, monomial, coefficient) under position-over-term."""
-        for i, c in enumerate(self.components):
-            if not c.is_zero():
-                m, s = c.lead(order)
-                return i, m, s
-        raise ValueError("the zero vector has no leading term")
-
     def __eq__(self, other):
         return isinstance(other, ModuleVector) and self.components == other.components
 
@@ -104,37 +100,6 @@ def unit_vectors(ring: RingSpec, rank: int):
     return [ModuleVector.unit(ring.field, ring.nvars, rank, i) for i in range(rank)]
 
 
-def _single(field, nvars, rank, pos, mon, coeff):
-    return ModuleVector.unit(field, nvars, rank, pos,
-                             Polynomial.term(field, nvars, mon, coeff))
-
-
-def _mv_reduce(v, reducers, meta, order, with_cofactors=False):
-    """Full normal form of a vector against reducers (vector, pos, lm, lc).
-
-    Returns (remainder, cofactors) with v = sum(cof[i]*reducers[i]) + remainder.
-    """
-    field, nvars, rank = v.field, v.nvars, v.rank
-    cof = [Polynomial.zero(field, nvars) for _ in reducers] if with_cofactors else None
-    rem = ModuleVector.zero(field, nvars, rank)
-    work = v
-    while not work.is_zero():
-        p, m, c = work.lead(order)
-        for j, g in enumerate(reducers):
-            gp, gm, gc = meta[j]
-            if gp == p and gm.divides(m):
-                q, qc = m.div(gm), c / gc
-                work = work - g.mul_term(q, qc)
-                if with_cofactors:
-                    cof[j] = cof[j] + Polynomial.term(field, nvars, q, qc)
-                break
-        else:
-            t = _single(field, nvars, rank, p, m, c)
-            rem = rem + t
-            work = work - t
-    return rem, cof
-
-
 def _module_buchberger(ring: RingSpec, vectors, rank, track=False):
     """Buchberger over R^rank, processing every same-position pair.
 
@@ -145,103 +110,93 @@ def _module_buchberger(ring: RingSpec, vectors, rank, track=False):
     With track=True each basis element carries its expression on the inputs;
     reductions to zero then hand back syzygies of the inputs directly, and
     together they generate the whole syzygy module because no pair is skipped.
+    Basis elements, S-vectors and expressions stay raw vectors throughout;
+    returns (the basis as raw vectors, the syzygies as ModuleVectors).
     """
     order = ring.order
-    field, nvars = ring.field, ring.nvars
+    field, nvars, ops = ring.field, ring.nvars, ring.field.raw
     s = len(vectors)
-    G, meta, reps, syz = [], [], [], []
+    raws, forms, leads, reps, syz = [], [], [], [], []
     queue = []  # heap of (lcm degree, order key, a, b, lcm)
 
-    def add_element(v, rep):
-        new = len(G)
-        G.append(v)
-        meta.append(v.lead(order))
+    def add_element(raw, rep):
+        new = len(raws)
+        raws.append(raw)
+        forms.append(_reducer_form(raw, order))
+        leads.append(Monomial(forms[new][1]))
         if track:
-            reps.append(rep)
-        pos, mon, _ = meta[new]
+            reps.append(tuple((p, e, c) for (p, e), c in rep.items()))
+        pos = forms[new][0]
         for k in range(new):
-            if meta[k][0] == pos:
-                lcm = meta[k][1].lcm(mon)
+            if forms[k][0] == pos:
+                lcm = leads[k].lcm(leads[new])
                 heapq.heappush(queue, (lcm.degree, order.key(lcm), k, new, lcm))
 
+    exps_one = (0,) * nvars
     for i, v in enumerate(vectors):
         if v.rank != rank:
             raise RingMismatch("vector of wrong rank")
-        unit = ModuleVector.unit(field, nvars, s, i) if track else None
         if v.is_zero():
             if track:
-                syz.append(unit)
+                syz.append(ModuleVector.unit(field, nvars, s, i))
             continue
-        add_element(v, unit)
+        add_element(_raw_vector(v.components), {(i, exps_one): ops.one})
 
     while queue:
         _, _, a, b, lcm = heapq.heappop(queue)
-        _, ma, ca = meta[a]
-        _, mb, cb = meta[b]
-        ua, ub = lcm.div(ma), lcm.div(mb)
-        sv = G[a].mul_term(ua, ca.inverse()) - G[b].mul_term(ub, cb.inverse())
-        r, cofs = _mv_reduce(sv, G, meta, order, with_cofactors=track)
+        ua, ub = lcm.div(leads[a]).exps, lcm.div(leads[b]).exps
+        # S = x^ua * a / ca - x^ub * b / cb, as work -= k * x^u * tail steps;
+        # the leads cancel exactly, so only the tails enter
+        ka = ops.sub(ops.zero, ops.div(ops.one, forms[a][2]))
+        kb = ops.div(ops.one, forms[b][2])
+        sv = {}
+        _submul(sv, forms[a][3], ua, ka, ops)
+        _submul(sv, forms[b][3], ub, kb, ops)
+        r, quot = _reduce(sv, forms, order, ops, with_witness=track)
         combo = None
         if track:
-            combo = reps[a].mul_term(ua, ca.inverse()) - reps[b].mul_term(ub, cb.inverse())
-            for j, q in enumerate(cofs):
-                if not q.is_zero():
-                    combo = combo - reps[j].scale(q)
-        if r.is_zero():
-            if track and not combo.is_zero():
-                syz.append(combo)
+            combo = {}
+            _submul(combo, reps[a], ua, ka, ops)
+            _submul(combo, reps[b], ub, kb, ops)
+            for j, q in enumerate(quot):
+                for qe, qc in q.items():
+                    _submul(combo, reps[j], qe, qc, ops)
+        if not r:
+            if combo:
+                syz.append(ModuleVector(_raw_components(field, nvars, s, combo)))
         else:
             add_element(r, combo)
-    return G, syz
-
-
-def _pot_key(order, pos, mon):
-    return (-pos, order.key(mon))
-
-
-def _reduce_module_basis(G, order):
-    if not G:
-        return ()
-    basis = []
-    for g in sorted(G, key=lambda v: _pot_key(order, *v.lead(order)[:2])):
-        _, _, c = g.lead(order)
-        g = g.mul_term(Monomial.one(g.nvars), c.inverse())
-        p, m, _ = g.lead(order)
-        if not any(hp == p and hm.divides(m)
-                   for hp, hm in (h.lead(order)[:2] for h in basis)):
-            basis.append(g)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(basis)):
-            others = basis[:i] + basis[i + 1:]
-            meta = [h.lead(order) for h in others]
-            r, _ = _mv_reduce(basis[i], others, meta, order)
-            _, _, c = r.lead(order)
-            r = r.mul_term(Monomial.one(r.nvars), c.inverse())
-            if r != basis[i]:
-                basis[i] = r
-                changed = True
-    basis.sort(key=lambda v: _pot_key(order, *v.lead(order)[:2]))
-    return tuple(basis)
+    return raws, syz
 
 
 @dataclass(frozen=True)
 class ModuleGB:
-    """Reduced module Groebner basis inside R^rank."""
+    """Reduced module Groebner basis inside R^rank.
+
+    Holds each generator's reducer form, built once here, for the division
+    kernel.
+    """
 
     ring: RingSpec
     rank: int
     generators: tuple
 
+    def __post_init__(self):
+        order = self.ring.order
+        object.__setattr__(self, "_forms", tuple(
+            _reducer_form(_raw_vector(g.components), order) for g in self.generators))
+
     def normal_form(self, v: ModuleVector, with_cofactors=False):
         if self.rank == 0:
             return (v, []) if with_cofactors else v
-        order = self.ring.order
-        meta = [g.lead(order) for g in self.generators]
-        r, cof = _mv_reduce(v, list(self.generators), meta, order,
-                            with_cofactors=with_cofactors)
-        return (r, cof) if with_cofactors else r
+        ring = self.ring
+        field, nvars = ring.field, ring.nvars
+        rem, quot = _reduce(_raw_vector(v.components), self._forms, ring.order,
+                            field.raw, with_witness=with_cofactors)
+        r = ModuleVector(_raw_components(field, nvars, self.rank, rem))
+        if with_cofactors:
+            return r, [_raw_polynomial(field, nvars, q) for q in quot]
+        return r
 
     def contains(self, v: ModuleVector) -> bool:
         return self.normal_form(v).is_zero()
@@ -254,7 +209,9 @@ def module_gb(ring: RingSpec, vectors, rank: int) -> ModuleGB:
         for i in range(rank):
             vecs.append(ModuleVector.unit(ring.field, ring.nvars, rank, i, q))
     G, _ = _module_buchberger(ring, vecs, rank)
-    return ModuleGB(ring, rank, _reduce_module_basis(G, ring.order))
+    basis = _reduce_basis(G, ring.order, ring.field.raw)
+    return ModuleGB(ring, rank, tuple(
+        ModuleVector(_raw_components(ring.field, ring.nvars, rank, v)) for v in basis))
 
 
 def syzygies(ring: RingSpec, vectors):
@@ -377,7 +334,7 @@ class FPModule:
             return []
         n = self.ring.nvars
         order = self.ring.order
-        leads = [g.lead(order)[:2] for g in self.relations]
+        leads = [(f[0], Monomial(f[1])) for f in self._gb._forms]
         out = []
         for p in range(self.rank):
             lms = [m for q, m in leads if q == p]
@@ -396,7 +353,7 @@ class FPModule:
                 m = Monomial(exps)
                 if not any(lm.divides(m) for lm in lms):
                     out.append((p, m))
-        out.sort(key=lambda pm: _pot_key(order, pm[0], pm[1]))
+        out.sort(key=lambda pm: (-pm[0], order.key(pm[1])))
         return out
 
     def length(self):

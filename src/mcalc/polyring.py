@@ -10,7 +10,7 @@ import keyword
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import BadOrder, QuotientNotAtOrigin, RingMismatch
+from .errors import BadOrder, BadVariables, QuotientNotAtOrigin, RingMismatch
 from .scalars import FieldKind, FieldSpec, Scalar, power_by_squaring
 
 
@@ -103,6 +103,10 @@ def _grevlex_key(exps):
     return (sum(exps), tuple(-e for e in reversed(exps)))
 
 
+def _grevlex_descending_key(exps):
+    return (-sum(exps), exps[::-1])
+
+
 @dataclass(frozen=True)
 class MonomialOrder:
     """A global monomial order; larger key means larger monomial."""
@@ -137,6 +141,17 @@ class MonomialOrder:
         s = self.split
         return (_grevlex_key(m.exps[:s]), _grevlex_key(m.exps[s:]))
 
+    def descending_key(self, exps: tuple):
+        """Sort key on a raw exponent tuple that puts larger monomials first:
+        every entry of `key` negated, so it ascends exactly where `key`
+        descends."""
+        if self.kind is OrderKind.GREVLEX:
+            return _grevlex_descending_key(exps)
+        if self.kind is OrderKind.LEX:
+            return tuple(-e for e in exps)
+        s = self.split
+        return (_grevlex_descending_key(exps[:s]), _grevlex_descending_key(exps[s:]))
+
     def compare(self, m1: Monomial, m2: Monomial) -> int:
         """-1, 0, or 1 as m1 <, =, > m2."""
         if m1.nvars != m2.nvars:
@@ -148,10 +163,6 @@ class MonomialOrder:
         if self.kind is OrderKind.BLOCK:
             return f"block({self.split})"
         return self.kind.value
-
-
-def monomial_compare(order: MonomialOrder, m1: Monomial, m2: Monomial) -> int:
-    return order.compare(m1, m2)
 
 
 class Polynomial:
@@ -288,12 +299,6 @@ class Polynomial:
             raise ValueError("negative polynomial powers are not defined")
         return power_by_squaring(Polynomial.one(self.field, self.nvars), self, e)
 
-    def monic(self, order: MonomialOrder) -> "Polynomial":
-        if self.is_zero():
-            return self
-        _, c = self.lead(order)
-        return self * c.inverse()
-
     def __eq__(self, other):
         if isinstance(other, int):
             other = Polynomial.constant(self.field, self.nvars, self.field.from_int(other))
@@ -337,17 +342,6 @@ class Polynomial:
         return f"Polynomial({len(self.terms)} terms in {self.nvars} vars over {self.field})"
 
 
-def poly_arithmetic(f: Polynomial, g: Polynomial, op: str) -> Polynomial:
-    """Apply one of +, -, * to two polynomials of the same ring."""
-    if op == "+":
-        return f + g
-    if op == "-":
-        return f - g
-    if op == "*":
-        return f * g
-    raise ValueError(f"unknown operation {op!r}")
-
-
 @dataclass(frozen=True)
 class RingSpec:
     """k[x_1..x_n]/J with a global monomial order.
@@ -365,14 +359,14 @@ class RingSpec:
         names = tuple(self.variables)
         object.__setattr__(self, "variables", names)
         if not names:
-            raise ValueError("a ring needs at least one variable")
+            raise BadVariables("a ring needs at least one variable")
         if len(set(names)) != len(names):
-            raise ValueError("variable names must be distinct")
+            raise BadVariables("variable names must be distinct")
         for v in names:
             if not v.isidentifier() or keyword.iskeyword(v):
-                raise ValueError(f"bad variable name {v!r}")
+                raise BadVariables(f"bad variable name {v!r}")
             if v == "t" and self.field.kind is FieldKind.RATIONAL_FUNCTIONS:
-                raise ValueError("variable name t collides with the field transcendental")
+                raise BadVariables("variable name t collides with the field transcendental")
         if self.order.kind is OrderKind.BLOCK and not (1 <= self.order.split < len(names)):
             raise BadOrder("block split must fall strictly inside the variable list")
         gens = []

@@ -7,9 +7,12 @@ reduced fractions of univariate polynomials with a monic denominator.
 
 from __future__ import annotations
 
+import operator
+from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import BadCharacteristic, DivisionByZero, FieldMismatch
 
@@ -133,6 +136,34 @@ def _ffrac_normalize(num, den, p):
     return num, den
 
 
+class RawArithmetic(namedtuple("RawArithmetic", "zero one is_zero sub mul div")):
+    """A field's constants and operations on raw ``Scalar.value`` payloads.
+
+    Results are in the canonical form Scalar keeps, so each equals the value
+    of the matching Scalar operator; Scalar delegates to these, and inner
+    loops call them directly to skip the Scalar wrapper.
+    """
+
+    __slots__ = ()
+
+
+def _rational_function_arithmetic(p: int) -> RawArithmetic:
+    def sub(a, b):
+        (an, ad), (bn, bd) = a, b
+        return _ffrac_normalize(_pt_sub(_pt_mul(an, bd, p), _pt_mul(bn, ad, p), p),
+                                _pt_mul(ad, bd, p), p)
+
+    def mul(a, b):
+        (an, ad), (bn, bd) = a, b
+        return _ffrac_normalize(_pt_mul(an, bn, p), _pt_mul(ad, bd, p), p)
+
+    def div(a, b):
+        (an, ad), (bn, bd) = a, b
+        return _ffrac_normalize(_pt_mul(an, bd, p), _pt_mul(ad, bn, p), p)
+
+    return RawArithmetic(((), (1,)), ((1,), (1,)), lambda a: not a[0], sub, mul, div)
+
+
 @dataclass(frozen=True)
 class FieldSpec:
     """A coefficient field: Q, F_p, or F_p(t)."""
@@ -190,6 +221,20 @@ class FieldSpec:
     def zero(self) -> "Scalar":
         return self.from_int(0)
 
+    @cached_property
+    def raw(self) -> RawArithmetic:
+        """Arithmetic on raw values: Fraction for Q, int residues for F_p,
+        (numerator, denominator) coefficient tuples for F_p(t)."""
+        if self.kind is FieldKind.RATIONALS:
+            return RawArithmetic(Fraction(0), Fraction(1), operator.not_, operator.sub,
+                                 operator.mul, operator.truediv)
+        p = self.characteristic
+        if self.kind is FieldKind.PRIME_FIELD:
+            return RawArithmetic(0, 1, operator.not_, lambda a, b: (a - b) % p,
+                                 lambda a, b: a * b % p,
+                                 lambda a, b: a * pow(b, p - 2, p) % p)
+        return _rational_function_arithmetic(p)
+
     @property
     def one(self) -> "Scalar":
         return self.from_int(1)
@@ -233,12 +278,7 @@ class Scalar:
         return NotImplemented
 
     def is_zero(self) -> bool:
-        k = self.field.kind
-        if k is FieldKind.RATIONALS:
-            return self.value == 0
-        if k is FieldKind.PRIME_FIELD:
-            return self.value == 0
-        return self.value[0] == ()
+        return self.field.raw.is_zero(self.value)
 
     def is_one(self) -> bool:
         return self == self.field.one
@@ -277,7 +317,7 @@ class Scalar:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        return Scalar(self.field, self.field.raw.sub(self.value, other.value))
 
     def __rsub__(self, other):
         other = self._coerce(other)
@@ -289,15 +329,7 @@ class Scalar:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        f = self.field
-        k = f.kind
-        if k is FieldKind.RATIONALS:
-            return Scalar(f, self.value * other.value)
-        if k is FieldKind.PRIME_FIELD:
-            return Scalar(f, (self.value * other.value) % f.characteristic)
-        p = f.characteristic
-        (an, ad), (bn, bd) = self.value, other.value
-        return Scalar(f, _ffrac_normalize(_pt_mul(an, bn, p), _pt_mul(ad, bd, p), p))
+        return Scalar(self.field, self.field.raw.mul(self.value, other.value))
 
     __rmul__ = __mul__
 
@@ -319,7 +351,7 @@ class Scalar:
             return NotImplemented
         if other.is_zero():
             raise DivisionByZero("division by zero")
-        return self * other.inverse()
+        return Scalar(self.field, self.field.raw.div(self.value, other.value))
 
     def __rtruediv__(self, other):
         other = self._coerce(other)
@@ -354,15 +386,3 @@ class Scalar:
     def __repr__(self):
         return f"Scalar({self.field}, {self})"
 
-
-def field_arithmetic(a: Scalar, b: Scalar, op: str) -> Scalar:
-    """Apply one of +, -, *, / to two scalars of the same field."""
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    if op == "/":
-        return a / b
-    raise ValueError(f"unknown operation {op!r}")

@@ -19,7 +19,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .errors import ParseError
+from .errors import BadVariables, ParseError
 from .fpmodules import FPModule, ModuleVector
 from .parsing import (ExpressionParser, parse_bracketed_list, parse_field,
                       tokenize)
@@ -97,7 +97,10 @@ def parse_session_text(text: str) -> SessionData:
     if "order" in headers:
         order = _parse_order(headers["order"][1], headers["order"][0])
 
-    bare = RingSpec(fspec, names, order=order)
+    try:
+        bare = RingSpec(fspec, names, order=order)
+    except BadVariables as exc:
+        raise ParseError(str(exc), line=var_line, column=1) from None
     quotient = ()
     if "quotient" in headers:
         line_no, value = headers["quotient"]

@@ -104,3 +104,36 @@ def standard_monomial_count(ring, gens, cap=6):
                      if sum(e) < level]
             return sum(1 for e in below if e not in leads)
     return None
+
+
+def first_divisor_division(f, reducers, key):
+    """Plain multivariate division of f by an ordered list of nonzero reducers.
+
+    `key` sorts exponent tuples in the monomial order. Every step re-scans
+    the working terms for the largest one with max, and the first reducer
+    whose leading monomial divides it cancels it; a leading term no reducer
+    divides moves to the remainder. Returns (remainder, quotients) as dicts
+    from exponent tuples to scalars, quotients[j] belonging to reducers[j].
+    """
+    rows = [_poly_as_row(g) for g in reducers]
+    leads = [max(row, key=key) for row in rows]
+    work = _poly_as_row(f)
+    rem, quotients = {}, [{} for _ in reducers]
+    while work:
+        lead = max(work, key=key)
+        for j, (lm, row) in enumerate(zip(leads, rows)):
+            if all(a <= b for a, b in zip(lm, lead)):
+                q = tuple(b - a for a, b in zip(lm, lead))
+                qc = work[lead] / row[lm]
+                quotients[j][q] = qc
+                for e, c in _shift_row(row, q).items():
+                    s = work.get(e)
+                    s = -(qc * c) if s is None else s - qc * c
+                    if s.is_zero():
+                        work.pop(e, None)
+                    else:
+                        work[e] = s
+                break
+        else:
+            rem[lead] = work.pop(lead)
+    return rem, quotients

@@ -1,7 +1,10 @@
 """End-to-end CLI behavior: output shapes, exit codes, determinism."""
 
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import jsonschema
 import pytest
@@ -230,6 +233,7 @@ def _coded_exit(capsys, argv, code):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {code}: ")
     assert "Traceback" not in err
+    return err
 
 
 def test_koszul_degree_out_of_range_exits_two(plane, capsys):
@@ -255,7 +259,27 @@ def test_block_split_outside_variables_exits_two(tmp_path, capsys):
     _coded_exit(capsys, ["dim", str(p)], "BAD_ORDER")
 
 
+@pytest.mark.parametrize("header", ["field = F5(t)\nvars = t, y\n",
+                                    "field = Q\nvars = x, x\n",
+                                    "field = Q\nvars = x, if\n"])
+def test_bad_variable_list_exits_two(tmp_path, capsys, header):
+    p = tmp_path / "vars.ring"
+    p.write_text(header, encoding="utf-8")
+    err = _coded_exit(capsys, ["dim", str(p)], "PARSE_ERROR")
+    assert "(line 2, column 1)" in err
+
+
 def test_quotient_with_constant_term_exits_two(tmp_path, capsys):
     p = tmp_path / "unit.ring"
     p.write_text("field = Q\nvars = x, y\nquotient = [x + 1]\n", encoding="utf-8")
     _coded_exit(capsys, ["dim", str(p)], "QUOTIENT_NOT_AT_ORIGIN")
+
+
+def test_python_dash_m_runs_the_cli():
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", "mcalc", "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: mcalc")

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from mcalc.errors import (ImageNotInKernel, MapNotWellDefined,
                           NotZeroDimensional, RingMismatch)
-from mcalc.fpmodules import (FPModule, ModuleMap, ModuleVector,
+from mcalc.fpmodules import (FPModule, ModuleGB, ModuleMap, ModuleVector,
                              gamma_saturation, kernel_of_map, module_gb,
                              module_origin_support, preimage_submodule,
                              subquotient, syzygies, unit_vectors)
@@ -310,3 +310,22 @@ def test_kernel_of_map_frozen_pair_order():
         "[0, 0, 0, 0, 0, y]", "[0, 0, 0, 0, 0, x]", "[0, 0, 0, 0, 1, 0]",
         "[0, 0, 0, 1, 0, 0]", "[0, 0, 1, 0, 0, 0]", "[0, x, 0, 0, 0, 1]",
         "[0, y^2, 0, 0, 0, 0]", "[y, 0, 0, 0, 0, 1]", "[x, y, 0, 0, 0, 1]"]}
+
+
+def test_module_normal_form_on_unreduced_reducers_frozen():
+    """Position-over-term division with cofactors, first divisor in list
+    order, against reducers that are not a reduced basis (frozen from the
+    code before division worked on raw terms)."""
+    reducers = [_parsed_vec(R, "x*y + y", "x"), _parsed_vec(R, "x^2", "y^2 - 1"),
+                _parsed_vec(R, "0", "x*y - y^2"), _parsed_vec(R, "y^2", "x"),
+                _parsed_vec(R, "0", "y^3 + x")]
+    v = _parsed_vec(R, "3*x^3*y^2 + x^2*y - 2*y^3", "x^4 + 5*x*y^3 - y + 7")
+    r, cof = ModuleGB(R, 2, tuple(reducers)).normal_form(v, with_cofactors=True)
+    assert r.to_str(R) == "[y, x^4 - x^2 - 3*y^2 + x - y + 7]"
+    assert [R.poly_to_str(c) for c in cof] == [
+        "3*x^2*y - 3*x*y + x + 3*y - 1", "0", "-3*x^2 - 3*x*y + 2*y^2 + 3*x + 3*y - 3",
+        "-2*y - 3", "2*y + 3"]
+    acc = r
+    for c, g in zip(cof, reducers):
+        acc = acc + g.scale(c)
+    assert acc == v

@@ -7,10 +7,12 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from mcalc.errors import UnitIdeal, NotZeroDimensional
-from mcalc.groebner import (buchberger, krull_dimension, normal_form,
-                            origin_support_check, spolynomial,
+from mcalc.groebner import (GroebnerBasis, buchberger, krull_dimension,
+                            normal_form, origin_support_check, spolynomial,
                             standard_monomials)
-from mcalc.polyring import INFINITE, Monomial, MonomialOrder, Polynomial, RingSpec
+from mcalc.parsing import parse_polynomial
+from mcalc.polyring import (INFINITE, Monomial, MonomialOrder, OrderKind, Polynomial,
+                            RingSpec)
 from mcalc.scalars import FieldSpec
 
 Q = FieldSpec.rationals()
@@ -187,3 +189,82 @@ def test_standard_count_matches_enumeration(gens):
         assert count is None
     else:
         assert count == len(sms)
+
+
+# Frozen outputs of the division kernel, taken from the code before it
+# worked on raw terms: F_p(t) arithmetic, and a block order's descending key.
+
+def test_katsura_three_over_rational_functions_frozen():
+    R = RingSpec(FieldSpec.rational_functions(5), ("x0", "x1", "x2", "x3"))
+    gens = ["x0 + 2*x1 + 2*x2 + 2*x3 - t",
+            "x0^2 + 2*x1^2 + 2*x2^2 + 2*x3^2 - x0",
+            "2*x0*x1 + 2*x1*x2 + 2*x2*x3 - x1",
+            "2*x0*x2 + x1^2 + 2*x1*x3 - x2"]
+    gb = buchberger(R, [parse_polynomial(R, g) for g in gens])
+    assert [R.poly_to_str(g) for g in gb.generators] == [
+        "x0 + 2*x1 + 2*x2 + 2*x3 + 4*t",
+        "x2^2 + 2*x1*x3 + x2*x3 + x3^2 + (4*t+3)*x1 + (t+2)*x2 + (t+2)*x3 + t^2+4*t",
+        "x1*x2 + 3*x1*x3 + x2*x3 + 3*x3^2 + (3*t+1)*x1 + (2*t+4)*x2 + (3*t+1)*x3"
+        " + 3*t^2+2*t",
+        "x1^2 + 2*x1*x3 + 4*x2*x3 + x3^2 + (3*t+1)*x1 + (4*t+3)*x2 + (t+2)*x3 + t^2+4*t",
+        "x2*x3^2 + (t+2)*x1*x3 + (t+2)*x2*x3 + (2*t+4)*x3^2 + (4*t^2+t+4)*x1"
+        " + (t^2+4*t)*x2 + (2*t^2+3*t+3)*x3 + 2*t^3+2*t^2+t",
+        "x1*x3^2 + 3*x3^3 + (2*t+4)*x1*x3 + (3*t+1)*x2*x3 + (3*t+1)*x3^2 + 4*x1"
+        " + (2*t^2+3*t+2)*x2 + (3*t^2+2*t)*x3",
+        "x3^4 + (t+2)*x3^3 + (4*t^2+t+2)*x1*x3 + (3*t^2+2*t+2)*x2*x3"
+        " + (3*t^2+2*t+2)*x3^2 + (2*t+4)*x1 + (2*t^3+2*t^2+3*t+4)*x2"
+        " + (2*t^3+2*t^2+3*t+4)*x3 + 2*t^4+t^3+4*t^2+3*t",
+    ]
+
+
+def test_block_order_basis_frozen():
+    R = RingSpec(Q, ("x", "y", "z", "w"), MonomialOrder.block(2))
+    gens = ["x*y - z^2", "x^2 - y*w + z", "y^2 - x*w"]
+    gb = buchberger(R, [parse_polynomial(R, g) for g in gens])
+    assert [R.poly_to_str(g) for g in gb.generators] == [
+        "z^8 - 3*z^6*w^2 + 3*z^4*w^4 - z^2*w^6 + z^3*w^2",
+        "y*z^2 - y*w^2 + z*w",
+        "y*w^3 - z^6 + 2*z^4*w^2 - z^2*w^4 - z*w^2",
+        "x*z*w + z^4 - z^2*w^2",
+        "x*z^2 - x*w^2 + y*z",
+        "x*w^3 - y*z*w + z^5 - z^3*w^2",
+        "y^2 - x*w",
+        "x*y - z^2",
+        "x^2 - y*w + z",
+    ]
+
+
+def _small_polys(field, nvars):
+    mono = st.tuples(*(st.integers(0, 2) for _ in range(nvars))).map(Monomial)
+    term = st.tuples(mono, st.integers(-3, 3))
+    return st.lists(term, max_size=4).map(
+        lambda ts: sum((Polynomial.term(field, nvars, m, field.from_int(c))
+                        for m, c in ts), Polynomial.zero(field, nvars)))
+
+
+_ORACLE_KEYS = {"grevlex": oracles._grevlex_key, "lex": lambda e: e}
+
+
+@st.composite
+def _division_problems(draw):
+    field = draw(st.sampled_from([FieldSpec.prime_field(7), Q]))
+    nvars = draw(st.integers(2, 3))
+    order = draw(st.sampled_from(sorted(_ORACLE_KEYS)))
+    polys = _small_polys(field, nvars)
+    reducers = draw(st.lists(polys.filter(lambda g: not g.is_zero()),
+                             min_size=1, max_size=3))
+    return order, draw(polys), reducers
+
+
+@settings(max_examples=60, deadline=None)
+@given(_division_problems())
+def test_division_matches_first_divisor_oracle(problem):
+    """Against reducer lists that need not be Groebner bases, the kernel's
+    remainder and witness are those of plain first-divisor division."""
+    order, f, reducers = problem
+    names = ("x", "y", "z")[:f.nvars]
+    R = RingSpec(f.field, names, MonomialOrder(OrderKind(order)))
+    r, witness = normal_form(f, GroebnerBasis(R, reducers), with_witness=True)
+    rem, quotients = oracles.first_divisor_division(f, reducers, _ORACLE_KEYS[order])
+    assert {m.exps: c for m, c in r.terms.items()} == rem
+    assert [{m.exps: c for m, c in w.terms.items()} for w in witness] == quotients

@@ -4,8 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mcalc.errors import RingMismatch
-from mcalc.polyring import (INFINITE, Monomial, MonomialOrder, Polynomial,
-                            RingSpec, monomial_compare, poly_arithmetic)
+from mcalc.polyring import INFINITE, Monomial, MonomialOrder, Polynomial, RingSpec
 from mcalc.scalars import FieldKind, FieldSpec
 
 Q = FieldSpec.rationals()
@@ -24,7 +23,7 @@ def _ring(field=Q, names=("x", "y"), **kw):
 
 
 def test_grevlex_tie_break():
-    assert monomial_compare(GREVLEX, _mon(2, 1), _mon(1, 2)) == 1
+    assert GREVLEX.compare(_mon(2, 1), _mon(1, 2)) == 1
 
 
 def test_grevlex_chain_degree_first():
@@ -34,19 +33,19 @@ def test_grevlex_chain_degree_first():
 
 
 def test_lex_ignores_degree():
-    assert monomial_compare(LEX, _mon(1, 0), _mon(0, 5)) == 1
+    assert LEX.compare(_mon(1, 0), _mon(0, 5)) == 1
 
 
 def test_compare_equal():
     for order in (GREVLEX, LEX, MonomialOrder.block(1)):
-        assert monomial_compare(order, _mon(3, 4), _mon(3, 4)) == 0
+        assert order.compare(_mon(3, 4), _mon(3, 4)) == 0
 
 
 def test_block_order_groups_first_block():
     block = MonomialOrder.block(1)
     # x beats any power of y, but within the x-block degree decides
-    assert monomial_compare(block, _mon(1, 0), _mon(0, 7)) == 1
-    assert monomial_compare(block, _mon(1, 3), _mon(1, 0)) == 1
+    assert block.compare(_mon(1, 0), _mon(0, 7)) == 1
+    assert block.compare(_mon(1, 3), _mon(1, 0)) == 1
 
 
 def test_order_names():
@@ -71,7 +70,7 @@ def test_frobenius_square_char_two():
 def test_multiplicative_identity():
     R = _ring()
     f = R.variable("x") ** 3 - 2 * R.variable("y") + R.one()
-    assert poly_arithmetic(f, R.one(), "*") == f
+    assert f * R.one() == f
 
 
 def test_difference_of_squares():
@@ -92,9 +91,9 @@ def test_mismatched_rings_rejected():
     g = Polynomial.variable(Q, 3, 0)
     h = Polynomial.variable(F2, 2, 0)
     with pytest.raises(RingMismatch):
-        poly_arithmetic(f, g, "+")
+        f + g
     with pytest.raises(RingMismatch):
-        poly_arithmetic(f, h, "*")
+        f * h
 
 
 def _monomials(nvars=2, max_exp=4):
@@ -105,9 +104,17 @@ def _monomials(nvars=2, max_exp=4):
 @given(st.sampled_from([GREVLEX, LEX, MonomialOrder.block(1)]),
        _monomials(), _monomials(), _monomials())
 def test_orders_are_multiplicative_and_global(order, m, m1, m2):
-    c = monomial_compare(order, m1, m2)
-    assert monomial_compare(order, m.mul(m1), m.mul(m2)) == c
-    assert monomial_compare(order, m, Monomial.one(2)) >= 0
+    c = order.compare(m1, m2)
+    assert order.compare(m.mul(m1), m.mul(m2)) == c
+    assert order.compare(m, Monomial.one(2)) >= 0
+
+
+@given(st.sampled_from([GREVLEX, LEX, MonomialOrder.block(1)]),
+       _monomials(), _monomials())
+def test_descending_key_reverses_key(order, m1, m2):
+    d1, d2 = order.descending_key(m1.exps), order.descending_key(m2.exps)
+    assert (d1 < d2) == (order.key(m1) > order.key(m2))
+    assert (d1 == d2) == (m1 == m2)
 
 
 def _polys(field):
