@@ -11,7 +11,7 @@ from .fpmodules import (FPModule, ModuleGB, ModuleMap, ModuleVector,
                         module_origin_support, preimage_submodule,
                         subquotient, syzygies, unit_vectors)
 from .groebner import (GroebnerBasis, buchberger, krull_dimension,
-                       normal_form, origin_support_check, spolynomial,
+                       normal_form, origin_support_check,
                        standard_monomials)
 from .koszul import (KoszulComplex, VirtualModule, koszul_complex,
                      koszul_differential, koszul_homology, phi_apply,
@@ -32,7 +32,7 @@ __version__ = "0.1.0"
 __all__ = [
     "EngineError", "ParseError", "FieldKind", "FieldSpec", "Scalar",
     "INFINITE", "Monomial", "MonomialOrder", "OrderKind", "Polynomial",
-    "RingSpec", "GroebnerBasis", "buchberger", "normal_form", "spolynomial",
+    "RingSpec", "GroebnerBasis", "buchberger", "normal_form",
     "standard_monomials", "krull_dimension", "origin_support_check",
     "ModuleVector", "ModuleGB", "ModuleMap", "FPModule", "module_gb",
     "syzygies", "preimage_submodule", "subquotient", "kernel_of_map",

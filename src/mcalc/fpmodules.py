@@ -2,33 +2,32 @@
 
 A module is R^g modulo a relation submodule that always contains J*e_i for
 every generator, so A-linearity is explicit. Module Groebner bases use a
-position-over-term order (position primary, earlier positions larger). The
-module Buchberger loop skips no pairs: with every S-pair processed, the
-zero-reduction bookkeeping yields generators of the full syzygy module of the
-inputs (each tracked element carries its expression on the inputs, so a
-reduction to zero is literally a syzygy). Pending pairs wait in a heap keyed
-once per pair by (lcm degree, order key of the lcm, index pair); the index
-pair breaks ties, which makes the syzygies that come out, and so every
-presentation built from them, deterministic.
+position-over-term order (position primary, earlier positions larger).
 
-Division and basis reduction are the ideal engine's: `groebner._reduce` and
-`groebner._reduce_basis` work on raw terms at any rank, an ideal being the
-rank-1 case. The loop keeps basis elements, S-vectors and tracked
-expressions as raw vectors, and `ModuleGB` builds its reducer forms once.
+The engine parts are the ideal engine's, an ideal being the rank-1 case:
+`groebner._buchberger` builds module bases and syzygies, and division, basis
+reduction, standard terms and the origin-support check are `groebner`'s raw-
+term routines too. For `syzygies` the loop skips no pairs: with every S-pair
+processed, each element carries its expression on the inputs, so a reduction
+to zero is literally a syzygy and together they generate the full syzygy
+module. Pending pairs wait in a heap keyed once per pair by (lcm degree,
+order key of the lcm, index pair); the index pair breaks ties, which makes
+the syzygies that come out, and so every presentation built from them,
+deterministic. For `module_gb` the loop skips pairs by the chain criterion
+and pairs of two single terms, never by the product criterion (which holds
+at rank 1 only), and every basis is then certified by `groebner._self_check`.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
 from dataclasses import dataclass
 
 from .errors import (ImageNotInKernel, MapNotWellDefined, NotZeroDimensional,
                      RingMismatch, SaturationCapExceeded)
-from .groebner import (_raw_components, _raw_polynomial, _raw_vector, _reduce,
-                       _reduce_basis, _reducer_form, _submul, buchberger,
-                       krull_dimension)
-from .polyring import INFINITE, Monomial, Polynomial, RingSpec
+from .groebner import (_buchberger, _origin_support, _raw_components,
+                       _raw_polynomial, _raw_vector, _reduce, _reducer_form,
+                       _standard_terms, buchberger, krull_dimension)
+from .polyring import INFINITE, Polynomial, RingSpec
 
 SATURATION_CAP = 64
 
@@ -100,73 +99,11 @@ def unit_vectors(ring: RingSpec, rank: int):
     return [ModuleVector.unit(ring.field, ring.nvars, rank, i) for i in range(rank)]
 
 
-def _module_buchberger(ring: RingSpec, vectors, rank, track=False):
-    """Buchberger over R^rank, processing every same-position pair.
-
-    Pairs wait in a heap keyed once, when the pair is formed, by
-    (lcm degree, order key of the lcm, a, b): the next pair has the smallest
-    lcm by degree then order, ties broken by the index pair. That order
-    decides which syzygies come out, so it is part of the output contract.
-    With track=True each basis element carries its expression on the inputs;
-    reductions to zero then hand back syzygies of the inputs directly, and
-    together they generate the whole syzygy module because no pair is skipped.
-    Basis elements, S-vectors and expressions stay raw vectors throughout;
-    returns (the basis as raw vectors, the syzygies as ModuleVectors).
-    """
-    order = ring.order
-    field, nvars, ops = ring.field, ring.nvars, ring.field.raw
-    s = len(vectors)
-    raws, forms, leads, reps, syz = [], [], [], [], []
-    queue = []  # heap of (lcm degree, order key, a, b, lcm)
-
-    def add_element(raw, rep):
-        new = len(raws)
-        raws.append(raw)
-        forms.append(_reducer_form(raw, order))
-        leads.append(Monomial(forms[new][1]))
-        if track:
-            reps.append(tuple((p, e, c) for (p, e), c in rep.items()))
-        pos = forms[new][0]
-        for k in range(new):
-            if forms[k][0] == pos:
-                lcm = leads[k].lcm(leads[new])
-                heapq.heappush(queue, (lcm.degree, order.key(lcm), k, new, lcm))
-
-    exps_one = (0,) * nvars
-    for i, v in enumerate(vectors):
-        if v.rank != rank:
-            raise RingMismatch("vector of wrong rank")
-        if v.is_zero():
-            if track:
-                syz.append(ModuleVector.unit(field, nvars, s, i))
-            continue
-        add_element(_raw_vector(v.components), {(i, exps_one): ops.one})
-
-    while queue:
-        _, _, a, b, lcm = heapq.heappop(queue)
-        ua, ub = lcm.div(leads[a]).exps, lcm.div(leads[b]).exps
-        # S = x^ua * a / ca - x^ub * b / cb, as work -= k * x^u * tail steps;
-        # the leads cancel exactly, so only the tails enter
-        ka = ops.sub(ops.zero, ops.div(ops.one, forms[a][2]))
-        kb = ops.div(ops.one, forms[b][2])
-        sv = {}
-        _submul(sv, forms[a][3], ua, ka, ops)
-        _submul(sv, forms[b][3], ub, kb, ops)
-        r, quot = _reduce(sv, forms, order, ops, with_witness=track)
-        combo = None
-        if track:
-            combo = {}
-            _submul(combo, reps[a], ua, ka, ops)
-            _submul(combo, reps[b], ub, kb, ops)
-            for j, q in enumerate(quot):
-                for qe, qc in q.items():
-                    _submul(combo, reps[j], qe, qc, ops)
-        if not r:
-            if combo:
-                syz.append(ModuleVector(_raw_components(field, nvars, s, combo)))
-        else:
-            add_element(r, combo)
-    return raws, syz
+def _raw_vectors(vectors, rank):
+    """Raw vectors of ModuleVectors that must all have the given rank."""
+    if any(v.rank != rank for v in vectors):
+        raise RingMismatch("vector of wrong rank")
+    return [_raw_vector(v.components) for v in vectors]
 
 
 @dataclass(frozen=True)
@@ -208,8 +145,7 @@ def module_gb(ring: RingSpec, vectors, rank: int) -> ModuleGB:
     for q in ring.quotient:
         for i in range(rank):
             vecs.append(ModuleVector.unit(ring.field, ring.nvars, rank, i, q))
-    G, _ = _module_buchberger(ring, vecs, rank)
-    basis = _reduce_basis(G, ring.order, ring.field.raw)
+    basis, _ = _buchberger(ring, _raw_vectors(vecs, rank), rank)
     return ModuleGB(ring, rank, tuple(
         ModuleVector(_raw_components(ring.field, ring.nvars, rank, v)) for v in basis))
 
@@ -225,10 +161,11 @@ def syzygies(ring: RingSpec, vectors):
     if not vecs:
         return []
     rank = vecs[0].rank
-    _, syz = _module_buchberger(ring, vecs, rank, track=True)
+    _, syz = _buchberger(ring, _raw_vectors(vecs, rank), rank, track=True)
     out = []
     seen = set()
-    for c in syz:
+    for raw in syz:
+        c = ModuleVector(_raw_components(ring.field, ring.nvars, len(vecs), raw))
         if c.is_zero() or c in seen:
             continue
         seen.add(c)
@@ -330,31 +267,7 @@ class FPModule:
 
     def standard_pairs(self):
         """(position, monomial) pairs spanning the quotient over k, or INFINITE."""
-        if self.rank == 0:
-            return []
-        n = self.ring.nvars
-        order = self.ring.order
-        leads = [(f[0], Monomial(f[1])) for f in self._gb._forms]
-        out = []
-        for p in range(self.rank):
-            lms = [m for q, m in leads if q == p]
-            if any(m.is_one() for m in lms):
-                continue
-            bounds = [None] * n
-            for lm in lms:
-                sup = lm.support()
-                if len(sup) == 1:
-                    i = sup[0]
-                    if bounds[i] is None or lm.exps[i] < bounds[i]:
-                        bounds[i] = lm.exps[i]
-            if any(b is None for b in bounds):
-                return INFINITE
-            for exps in itertools.product(*(range(b) for b in bounds)):
-                m = Monomial(exps)
-                if not any(lm.divides(m) for lm in lms):
-                    out.append((p, m))
-        out.sort(key=lambda pm: (-pm[0], order.key(pm[1])))
-        return out
+        return _standard_terms(self._gb._forms, self.rank, self.ring.nvars, self.ring.order)
 
     def length(self):
         sp = self.standard_pairs()
@@ -481,24 +394,11 @@ def kernel_of_map(phi: ModuleMap):
 
 
 def module_origin_support(M: FPModule) -> bool:
-    """True when Supp M is at most the origin; requires finite length.
-
-    Each variable acts nilpotently iff its D-th power kills every generator,
-    where D = length(M) bounds the nilpotency index.
-    """
-    d = M.length()
-    if d is INFINITE:
+    """True when Supp M is at most the origin; requires finite length."""
+    supported = _origin_support(M.gb._forms, M.rank, M.ring)
+    if supported is None:
         raise NotZeroDimensional("module_origin_support needs finite length")
-    if d == 0:
-        return True
-    n = M.ring.nvars
-    for i in range(n):
-        p = Polynomial.term(M.ring.field, n, Monomial.variable(i, n, d), M.ring.field.one)
-        for a in range(M.rank):
-            v = ModuleVector.unit(M.ring.field, n, M.rank, a, p)
-            if not M.gb.contains(v):
-                return False
-    return True
+    return supported
 
 
 def gamma_saturation(M: FPModule, f: Polynomial):

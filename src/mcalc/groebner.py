@@ -1,13 +1,15 @@
-"""Buchberger engine: reduced Groebner bases, normal forms, standard monomials.
+"""Groebner engine: reduced Groebner bases, normal forms, standard monomials.
 
 All ideal computations happen in k[x_1..x_n] with the ring's quotient
 generators folded into the input, so callers work over A = R/J transparently.
 
-This module also holds the one division kernel, `_reduce`, and the one
-basis reduction, `_reduce_basis`, for ideals and modules alike: both work on
-raw terms, an ideal being a rank-1 module, and `fpmodules` imports them.
-Each basis element's reducer form is built once, when the element joins a
-basis, never once per division.
+An ideal is a rank-1 module, so this module holds one of each engine part
+for ideals and modules alike, all on raw terms, and `fpmodules` imports
+them: the Buchberger loop `_buchberger`, its certificate `_self_check`, the
+division kernel `_reduce`, the basis reduction `_reduce_basis`, the
+standard-term enumerator `_standard_terms` and the origin-support check
+`_origin_support`. Each basis element's reducer form is built once, when
+the element joins a basis, never once per division.
 """
 
 from __future__ import annotations
@@ -151,18 +153,12 @@ def _reduce(work, forms, order, ops, with_witness=False):
     return rem, witness
 
 
-def spolynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
-    mf, cf = f.lead(order)
-    mg, cg = g.lead(order)
-    lcm = mf.lcm(mg)
-    return f.mul_term(lcm.div(mf), cf.inverse()) - g.mul_term(lcm.div(mg), cg.inverse())
+def _reduce_basis(forms, order, ops):
+    """Minimalize, make monic and tail-reduce; raw vectors ascending by lead.
 
-
-def _reduce_basis(elements, order, ops):
-    """Minimalize, make monic and tail-reduce raw vectors; ascending by lead.
-
-    On a Groebner basis of a submodule (an ideal is the rank-1 case) the
-    result is its unique reduced Groebner basis.
+    Takes the reducer forms of the elements. On a Groebner basis of a
+    submodule (an ideal is the rank-1 case) the result is its unique reduced
+    Groebner basis.
     """
     dkey = order.descending_key
 
@@ -170,116 +166,166 @@ def _reduce_basis(elements, order, ops):
         return (f[0], dkey(f[1]))
 
     div = ops.div
-    vecs, forms = [], []
+    vecs, kept = [], []
     # ascending by lead; reverse=True keeps the sort stable, so of equal
     # leads the first in input order stays
-    for f in sorted((_reducer_form(v, order) for v in elements), key=lead_key, reverse=True):
-        if any(h[0] == f[0] and all(map(le, h[1], f[1])) for h in forms):
+    for f in sorted(forms, key=lead_key, reverse=True):
+        if any(h[0] == f[0] and all(map(le, h[1], f[1])) for h in kept):
             continue
         pos, exps, lc, tail = f
         tail = tuple((p, e, div(c, lc)) for p, e, c in tail)
         v = {(pos, exps): ops.one}
         v.update(((p, e), c) for p, e, c in tail)
         vecs.append(v)
-        forms.append((pos, exps, ops.one, tail))
+        kept.append((pos, exps, ops.one, tail))
     changed = True
     while changed:
         changed = False
         for i in range(len(vecs)):
             # no other lead divides this lead, so it stays, monic
-            r, _ = _reduce(dict(vecs[i]), forms[:i] + forms[i + 1:], order, ops)
+            r, _ = _reduce(dict(vecs[i]), kept[:i] + kept[i + 1:], order, ops)
             if r != vecs[i]:
                 vecs[i] = r
-                forms[i] = _reducer_form(r, order)
+                kept[i] = _reducer_form(r, order)
                 changed = True
-    return [v for _, v in sorted(zip(forms, vecs), key=lambda fv: lead_key(fv[0]), reverse=True)]
+    return [v for _, v in sorted(zip(kept, vecs), key=lambda fv: lead_key(fv[0]), reverse=True)]
+
+
+def _s_vector(fa, fb, lcm, ops):
+    """S-vector x^ua*a/ca - x^ub*b/cb of two reducer forms at one position,
+    x^lcm being the lcm of their leads, as a raw vector.
+
+    The leads cancel exactly, so only the tails enter. Also returns the two
+    steps ((ua, ka), (ub, kb)) that built it, each a `work -= k * x^u * tail`
+    step of `_submul`, so a tracked expression can take the same steps.
+    """
+    steps = ((tuple(map(sub, lcm, fa[1])), ops.sub(ops.zero, ops.div(ops.one, fa[2]))),
+             (tuple(map(sub, lcm, fb[1])), ops.div(ops.one, fb[2])))
+    sv = {}
+    for f, (u, k) in zip((fa, fb), steps):
+        _submul(sv, f[3], u, k, ops)
+    return sv, steps
+
+
+def _buchberger(ring: RingSpec, raws, rank, track=False):
+    """Buchberger's algorithm on raw vectors in R^rank (an ideal is rank 1).
+
+    Pairs are formed only at the same position. They wait in a heap keyed
+    once, when the pair is formed, by (lcm degree, order key of the lcm,
+    a, b): the next pair has the smallest lcm by degree then order, ties
+    broken by the index pair. That order decides which syzygies come out,
+    so it is part of the output contract.
+
+    Returns (basis, syzygies), the basis as raw vectors. With track=True
+    no pair is skipped and each element carries its expression on the
+    inputs, so every reduction to zero is a syzygy of the inputs and
+    together they generate the whole syzygy module; the syzygies are raw
+    vectors of rank len(raws), a zero input giving its unit vector, and the
+    basis is the loop's, unreduced. With track=False a pair is skipped when
+    both elements are single terms (the S-vector is zero), by the product
+    criterion at rank 1 only (coprime leads; at higher rank the S-vector
+    need not reduce to zero), or by the chain criterion (a third lead at the
+    same position divides the lcm and both side pairs were already popped);
+    the basis is reduced, ascending by lead, and certified by `_self_check`,
+    and there are no syzygies.
+    """
+    order = ring.order
+    ops = ring.field.raw
+    elems, forms, reps, syz = [], [], [], []
+    pending = set()  # (a, b) formed and not yet popped, for the chain criterion
+    queue = []       # heap of (lcm degree, order key, a, b, lcm exponents)
+
+    def add_element(raw, rep):
+        new = len(forms)
+        form = _reducer_form(raw, order)
+        elems.append(raw)
+        forms.append(form)
+        if track:
+            reps.append(tuple((p, e, c) for (p, e), c in rep.items()))
+        for k in range(new):
+            if forms[k][0] == form[0]:
+                lcm = tuple(map(max, forms[k][1], form[1]))
+                heapq.heappush(queue, (sum(lcm), order.key(Monomial(lcm)), k, new, lcm))
+                pending.add((k, new))
+
+    one = (0,) * ring.nvars
+    for i, raw in enumerate(raws):
+        if raw:
+            add_element(raw, {(i, one): ops.one})
+        elif track:
+            syz.append({(i, one): ops.one})
+
+    while queue:
+        degree, _, a, b, lcm = heapq.heappop(queue)
+        fa, fb = forms[a], forms[b]
+        pending.discard((a, b))
+        if not track:
+            if not fa[3] and not fb[3]:
+                continue
+            if rank == 1 and degree == sum(fa[1]) + sum(fb[1]):
+                continue
+            if any(k != a and k != b and f[0] == fa[0] and all(map(le, f[1], lcm))
+                   and (min(a, k), max(a, k)) not in pending
+                   and (min(b, k), max(b, k)) not in pending
+                   for k, f in enumerate(forms)):
+                continue
+        sv, steps = _s_vector(fa, fb, lcm, ops)
+        r, quot = _reduce(sv, forms, order, ops, with_witness=track)
+        rep = None
+        if track:
+            rep = {}
+            for j, (u, k) in zip((a, b), steps):
+                _submul(rep, reps[j], u, k, ops)
+            for j, q in enumerate(quot):
+                for qe, qc in q.items():
+                    _submul(rep, reps[j], qe, qc, ops)
+            if not r and rep:
+                syz.append(rep)
+        if r:
+            add_element(r, rep)
+    if track:
+        return elems, syz
+    basis = _reduce_basis(forms, order, ops)
+    _self_check(basis, raws, order, ops)
+    return basis, syz
 
 
 def buchberger(ring: RingSpec, gens) -> GroebnerBasis:
     """Reduced Groebner basis of (gens) + (ring.quotient).
 
-    Normal-pair selection from a heap: each pair (i, j) is keyed once, when
-    it is formed, by (lcm degree, order key of the lcm, i, j), so the pair
-    popped next has the smallest lcm by degree then order, with ties broken
-    by the index pair. Both classical pair-skipping criteria apply; the
-    chain criterion reads the set of pending pairs. Afterwards every
-    S-polynomial of the final basis is checked to reduce to zero.
+    The distinct nonzero inputs enter `_buchberger` ascending by leading
+    monomial, as a rank-1 module.
     """
     order = ring.order
-    field, nvars, ops = ring.field, ring.nvars, ring.field.raw
     work = [ring.check_member(g) for g in gens]
     work.extend(ring.quotient)
-    G, forms, leads = [], [], []
-    pairs = set()  # pending (i, j), for the chain criterion
-    queue = []     # heap of (lcm degree, order key, i, j, lcm)
-
-    def add_element(g):
-        new = len(G)
-        G.append(g)
-        forms.append(_reducer_form(_raw_vector((g,)), order))
-        leads.append(Monomial(forms[new][1]))
-        for k in range(new):
-            lcm = leads[k].lcm(leads[new])
-            heapq.heappush(queue, (lcm.degree, order.key(lcm), k, new, lcm))
-            pairs.add((k, new))
-
+    raws = []
     for g in sorted((g for g in work if not g.is_zero()),
                     key=lambda p: order.key(p.lead(order)[0])):
-        if g not in G:
-            add_element(g)
-    if not G:
-        return GroebnerBasis(ring, ())
-
-    while queue:
-        _, _, i, j, lcm = heapq.heappop(queue)
-        pairs.discard((i, j))
-        # product criterion: coprime leading monomials
-        if lcm.degree == leads[i].degree + leads[j].degree:
-            continue
-        # chain criterion: a third element divides the lcm and both side
-        # pairs were already treated
-        skip = False
-        for k in range(len(G)):
-            if k in (i, j):
-                continue
-            if leads[k].divides(lcm):
-                p1 = (min(i, k), max(i, k))
-                p2 = (min(j, k), max(j, k))
-                if p1 not in pairs and p2 not in pairs:
-                    skip = True
-                    break
-        if skip:
-            continue
-        s = spolynomial(G[i], G[j], order)
-        r, _ = _reduce(_raw_vector((s,)), forms, order, ops)
-        if r:
-            add_element(_raw_components(field, nvars, 1, r)[0])
-
-    basis = _reduce_basis([_raw_vector((g,)) for g in G], order, ops)
-    gb = GroebnerBasis(ring, (_raw_components(field, nvars, 1, v)[0] for v in basis))
-    _self_check(gb, work)
-    return gb
+        raw = _raw_vector((g,))
+        if raw not in raws:
+            raws.append(raw)
+    basis, _ = _buchberger(ring, raws, 1)
+    return GroebnerBasis(ring, (_raw_components(ring.field, ring.nvars, 1, v)[0]
+                                for v in basis))
 
 
-def _self_check(gb: GroebnerBasis, inputs):
-    """Complete correctness certificate for a computed basis.
+def _self_check(basis, inputs, order, ops):
+    """Complete correctness certificate for a computed basis at any rank.
 
-    All S-polynomials of the final basis reduce to zero (Buchberger's
-    criterion) and every input generator reduces to zero, so the final basis
-    generates exactly the input ideal.
+    Every S-vector of two basis elements at the same position reduces to
+    zero (Buchberger's criterion, with no pair skipped) and every input
+    reduces to zero, so the basis generates exactly the input submodule.
     """
-    order = gb.order
-    ops = gb.ring.field.raw
-    G = gb.generators
-    for i, j in itertools.combinations(range(len(G)), 2):
-        s = spolynomial(G[i], G[j], order)
-        r, _ = _reduce(_raw_vector((s,)), gb._forms, order, ops)
-        if r:
-            raise AssertionError("S-polynomial self-check failed: not a Groebner basis")
-    for f in inputs:
-        r, _ = _reduce(_raw_vector((f,)), gb._forms, order, ops)
-        if r:
-            raise AssertionError("input generator does not reduce to zero")
+    forms = [_reducer_form(v, order) for v in basis]
+    for fa, fb in itertools.combinations(forms, 2):
+        if fa[0] == fb[0]:
+            sv, _ = _s_vector(fa, fb, tuple(map(max, fa[1], fb[1])), ops)
+            if _reduce(sv, forms, order, ops)[0]:
+                raise AssertionError("S-vector self-check failed: not a Groebner basis")
+    for v in inputs:
+        if _reduce(dict(v), forms, order, ops)[0]:
+            raise AssertionError("input does not reduce to zero")
 
 
 def normal_form(f: Polynomial, gb: GroebnerBasis, with_witness: bool = False):
@@ -303,33 +349,36 @@ def normal_form(f: Polynomial, gb: GroebnerBasis, with_witness: bool = False):
     return r
 
 
-def standard_monomials(gb: GroebnerBasis):
-    """Monomial basis of R/(ideal) as a k-vector space, or INFINITE.
+def _standard_terms(forms, rank, nvars, order):
+    """Standard terms of R^rank modulo a submodule, given the reducer forms
+    of a Groebner basis of it: (position, Monomial) pairs spanning the
+    quotient over k, earlier positions first and ascending by order within
+    one; or INFINITE.
 
-    Finite exactly when every variable has a pure power among the leading
-    monomials; then all candidates below those bounds are enumerated.
+    A position whose leads include a unit contributes nothing. Otherwise the
+    count is finite exactly when every variable has a pure power among the
+    position's leads; then all exponents below those bounds are enumerated.
     """
-    n = gb.ring.nvars
-    leads = gb.lead_monomials
-    if any(m.is_one() for m in leads):
-        return []
-    bounds = [None] * n
-    for lm in leads:
-        sup = lm.support()
-        if len(sup) == 1:
-            i = sup[0]
-            e = lm.exps[i]
-            if bounds[i] is None or e < bounds[i]:
-                bounds[i] = e
-    if any(b is None for b in bounds):
-        return INFINITE
     out = []
-    for exps in itertools.product(*(range(b) for b in bounds)):
-        m = Monomial(exps)
-        if not any(lm.divides(m) for lm in leads):
-            out.append(m)
-    out.sort(key=gb.order.key)
+    for p in range(rank):
+        leads = [f[1] for f in forms if f[0] == p]
+        if any(not any(e) for e in leads):
+            continue
+        bounds = [min((e[i] for e in leads if e[i] and sum(e) == e[i]), default=None)
+                  for i in range(nvars)]
+        if None in bounds:
+            return INFINITE
+        for exps in itertools.product(*(range(b) for b in bounds)):
+            if not any(all(map(le, e, exps)) for e in leads):
+                out.append((p, Monomial(exps)))
+    out.sort(key=lambda pm: (-pm[0], order.key(pm[1])))
     return out
+
+
+def standard_monomials(gb: GroebnerBasis):
+    """Monomial basis of R/(ideal) as a k-vector space, or INFINITE."""
+    terms = _standard_terms(gb._forms, 1, gb.ring.nvars, gb.order)
+    return terms if terms is INFINITE else [m for _, m in terms]
 
 
 def krull_dimension(gb: GroebnerBasis) -> int:
@@ -347,22 +396,30 @@ def krull_dimension(gb: GroebnerBasis) -> int:
     return 0
 
 
-def origin_support_check(gb: GroebnerBasis) -> bool:
-    """True when V(ideal) is at most the origin.
+def _origin_support(forms, rank, ring: RingSpec):
+    """True when R^rank modulo the submodule with these Groebner reducer
+    forms is supported at most at the origin; None when it has infinite
+    length.
 
-    Requires a finite standard-monomial basis. Each variable is nilpotent
-    modulo the ideal iff its D-th power reduces to zero, where D is the
-    vector-space dimension (the dimension bounds the nilpotency index).
+    Each variable acts nilpotently iff x_i^D * e_p reduces to zero for every
+    position p, where D is the length (the length bounds the nilpotency
+    index).
     """
-    sms = standard_monomials(gb)
-    if sms is INFINITE:
-        raise NotZeroDimensional("origin support needs a finite quotient")
-    d = len(sms)
-    if d == 0:
-        return True
-    n = gb.ring.nvars
+    terms = _standard_terms(forms, rank, ring.nvars, ring.order)
+    if terms is INFINITE:
+        return None
+    d, n, ops = len(terms), ring.nvars, ring.field.raw
     for i in range(n):
-        p = Polynomial.term(gb.ring.field, n, Monomial.variable(i, n, d), gb.ring.field.one)
-        if not normal_form(p, gb).is_zero():
-            return False
+        power = tuple(d if j == i else 0 for j in range(n))
+        for p in range(rank):
+            if _reduce({(p, power): ops.one}, forms, ring.order, ops)[0]:
+                return False
     return True
+
+
+def origin_support_check(gb: GroebnerBasis) -> bool:
+    """True when V(ideal) is at most the origin; needs a finite quotient."""
+    supported = _origin_support(gb._forms, 1, gb.ring)
+    if supported is None:
+        raise NotZeroDimensional("origin support needs a finite quotient")
+    return supported

@@ -150,6 +150,9 @@ def multiplicity_data(M: FPModule, gens, r: int):
     The table grows one entry at a time until three consecutive r-th
     differences agree; that common value is e. e(M, r) = 0 when r exceeds
     the support dimension, and the r = 0 value of the empty ideal is ℓ(M).
+    Three equal differences can stop short of the limit (k[x]/(x^10) with
+    I = (x) gives 1, 1, 1 before the lengths level off), so a nonzero e is
+    replaced by 0 when r exceeds dim Supp M.
     """
     gens = list(gens)
     if r < 0:
@@ -161,6 +164,8 @@ def multiplicity_data(M: FPModule, gens, r: int):
         if len(diffs) >= 3 and diffs[-1] == diffs[-2] == diffs[-3]:
             e = diffs[-1]
             assert e >= 0, "negative stabilized difference"
+            if e and r > M.support_dimension():
+                e = 0
             return e, tuple(values)
     raise NoStabilization(
         f"no three equal order-{r} differences within {STABILIZATION_CAP} steps",

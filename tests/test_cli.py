@@ -109,6 +109,16 @@ def test_verify_serre_plane(plane, capsys):
     assert "verdict: VERIFIED" in out
 
 
+def test_verify_serre_above_support_dimension(tmp_path, capsys):
+    # k[x]/(x^10) has dimension 0, so e((x), M, 1) = 0 = 1 - 1
+    p = tmp_path / "x10.ring"
+    p.write_text("field = Q\nvars = x\nquotient = [x^10]\n", encoding="utf-8")
+    code, record = _json_run(capsys, ["verify", "serre", str(p), "--seq", "x"])
+    assert code == 0
+    assert record["verdict"] == "VERIFIED"
+    assert record["result"] == {"left": 0, "right": 0}
+
+
 def test_verify_factor(conic, capsys):
     code, record = _json_run(capsys, ["verify", "factor", conic,
                                       "--seq", "x", "--seq2", "y"])

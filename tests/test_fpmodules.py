@@ -52,6 +52,14 @@ def test_module_gb_folds_ring_quotient():
     assert set(gb.generators) == {ModuleVector((fx,)), ModuleVector((fy * fy,))}
 
 
+def test_module_gb_rank_two_skips_no_coprime_pair():
+    # the leads x*e_0 and y*e_0 are coprime, yet the S-vector
+    # y*(x, 1) - x*(y, 0) = (0, y) reduces to itself: the product
+    # criterion holds for ideals only
+    gb = module_gb(R, [_vec(X, R.one()), _vec(Y, _zero())], 2)
+    assert _vec(_zero(), Y) in gb.generators
+
+
 def test_syzygy_of_regular_pair():
     out = syzygies(R, [_ideal_vec(X), _ideal_vec(Y)])
     assert out == [_vec(Y, -X)]

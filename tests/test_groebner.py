@@ -7,8 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from mcalc.errors import UnitIdeal, NotZeroDimensional
-from mcalc.groebner import (GroebnerBasis, buchberger, krull_dimension,
-                            normal_form, origin_support_check, spolynomial,
+from mcalc.groebner import (GroebnerBasis, _buchberger, _reduce_basis,
+                            _reducer_form, buchberger, krull_dimension,
+                            normal_form, origin_support_check,
                             standard_monomials)
 from mcalc.parsing import parse_polynomial
 from mcalc.polyring import (INFINITE, Monomial, MonomialOrder, OrderKind, Polynomial,
@@ -73,13 +74,6 @@ def test_empty_input_keeps_free_ring():
     assert gb.generators == ()
     assert krull_dimension(gb) == 2
     assert standard_monomials(gb) is INFINITE
-
-
-def test_spolynomial_cancels_leads():
-    R = _plane()
-    x, y = R.variable("x"), R.variable("y")
-    s = spolynomial(x * x, x * y + y * y, R.order)
-    assert s == -(x * y * y)
 
 
 def test_normal_form_with_witness():
@@ -268,3 +262,34 @@ def test_division_matches_first_divisor_oracle(problem):
     rem, quotients = oracles.first_divisor_division(f, reducers, _ORACLE_KEYS[order])
     assert {m.exps: c for m, c in r.terms.items()} == rem
     assert [{m.exps: c for m, c in w.terms.items()} for w in witness] == quotients
+
+
+F7 = FieldSpec.prime_field(7)
+
+
+@st.composite
+def _f7_families(draw):
+    """A rank and a list of raw vectors over F_7[x, y] of that rank."""
+    rank = draw(st.integers(1, 2))
+    term = st.tuples(st.integers(0, rank - 1), st.integers(0, 2),
+                     st.integers(0, 2), st.integers(1, 6))
+    raws = []
+    for terms in draw(st.lists(st.lists(term, max_size=3), min_size=1, max_size=4)):
+        raw = {}
+        for p, a, b, c in terms:
+            raw[(p, (a, b))] = (raw.get((p, (a, b)), 0) + c) % 7
+        raws.append({k: F7.from_int(c).value for k, c in raw.items() if c})
+    return rank, raws
+
+
+@settings(max_examples=60, deadline=None)
+@given(_f7_families())
+def test_untracked_loop_matches_tracked_loop(family):
+    """The untracked loop skips pairs by its criteria and the tracked loop
+    skips none, so reducing the tracked basis must give the same basis."""
+    rank, raws = family
+    R = _plane(F7)
+    basis, _ = _buchberger(R, raws, rank)
+    tracked, _ = _buchberger(R, raws, rank, track=True)
+    forms = [_reducer_form(v, R.order) for v in tracked]
+    assert basis == _reduce_basis(forms, R.order, F7.raw)

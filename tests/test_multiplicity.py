@@ -66,6 +66,16 @@ def test_multiplicity_of_thick_line():
     assert multiplicity(M, [X, Y], 2) == 0
 
 
+def test_multiplicity_above_support_dimension_is_zero():
+    # three equal differences come before the lengths level off: 1, 2, 3, ..
+    # up to 10 for k[x]/(x^10), and 1, 3, 6, .. up to the 6th entry for
+    # k[x,y]/(x^6), whose support is a line
+    line = RingSpec(Q, ("x",))
+    x = line.variable("x")
+    assert multiplicity(FPModule.cyclic(line, [x ** 10]), [x], 1) == 0
+    assert multiplicity(FPModule.cyclic(R, [X ** 6]), [X, Y], 2) == 0
+
+
 def test_multiplicity_conic():
     A = _conic()
     free = FPModule.free(A, 1)
