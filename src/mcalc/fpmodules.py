@@ -16,6 +16,13 @@ the syzygies that come out, and so every presentation built from them,
 deterministic. For `module_gb` the loop skips pairs by the chain criterion
 and pairs of two single terms, never by the product criterion (which holds
 at rank 1 only), and every basis is then certified by `groebner._self_check`.
+
+Kernels, subquotient presentations, annihilators and saturations all come
+from `preimage_submodule`, the preimage of a submodule under a map of free
+modules ("modulo" in Greuel-Pfister, *A Singular Introduction to Commutative
+Algebra*, 2.8): the first coordinates of one syzygy computation. `syzygies`
+checks and deduplicates on the raw vectors the loop returns, and builds a
+`ModuleVector` only for each syzygy it keeps.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from .errors import (ImageNotInKernel, MapNotWellDefined, NotZeroDimensional,
                      RingMismatch, SaturationCapExceeded)
 from .groebner import (_buchberger, _origin_support, _raw_components,
                        _raw_polynomial, _raw_vector, _reduce, _reducer_form,
-                       _standard_terms, buchberger, krull_dimension)
+                       _standard_terms, _submul, buchberger, krull_dimension)
 from .polyring import INFINITE, Polynomial, RingSpec
 
 SATURATION_CAP = 64
@@ -72,12 +79,6 @@ class ModuleVector:
 
     def __add__(self, other):
         return ModuleVector(tuple(a + b for a, b in zip(self.components, other.components)))
-
-    def __sub__(self, other):
-        return ModuleVector(tuple(a - b for a, b in zip(self.components, other.components)))
-
-    def __neg__(self):
-        return ModuleVector(tuple(-a for a in self.components))
 
     def scale(self, poly: Polynomial) -> "ModuleVector":
         return ModuleVector(tuple(poly * a for a in self.components))
@@ -155,67 +156,51 @@ def syzygies(ring: RingSpec, vectors):
 
     This is an exact computation over R; quotient relations are NOT folded in,
     so callers wanting syzygies over A include the relation vectors
-    explicitly. Every returned syzygy is verified against the inputs.
+    explicitly. Every returned syzygy is verified against the inputs, on the
+    raw vectors the loop returns.
     """
     vecs = list(vectors)
     if not vecs:
         return []
     rank = vecs[0].rank
-    _, syz = _buchberger(ring, _raw_vectors(vecs, rank), rank, track=True)
+    raws = _raw_vectors(vecs, rank)
+    _, syz = _buchberger(ring, raws, rank, track=True)
+    ops = ring.field.raw
+    terms = [tuple((p, e, c) for (p, e), c in raw.items()) for raw in raws]
     out = []
     seen = set()
     for raw in syz:
-        c = ModuleVector(_raw_components(ring.field, ring.nvars, len(vecs), raw))
-        if c.is_zero() or c in seen:
+        key = frozenset(raw.items())
+        if not raw or key in seen:
             continue
-        seen.add(c)
-        acc = ModuleVector.zero(ring.field, ring.nvars, rank)
-        for ci, v in zip(c.components, vecs):
-            if not ci.is_zero():
-                acc = acc + v.scale(ci)
-        assert acc.is_zero(), "syzygy identity failed"
-        out.append(c)
+        seen.add(key)
+        acc = {}
+        for (i, e), c in raw.items():
+            _submul(acc, terms[i], e, c, ops)
+        assert not acc, "syzygy identity failed"
+        out.append(ModuleVector(_raw_components(ring.field, ring.nvars, len(vecs), raw)))
     return out
 
 
-def _apply_columns(columns, vec: ModuleVector, target_rank, field, nvars):
-    """Image of vec under the map whose i-th column is columns[i]."""
-    if target_rank == 0:
-        return ModuleVector(())
-    out = ModuleVector.zero(field, nvars, target_rank)
-    for ci, col in zip(vec.components, columns):
-        if not ci.is_zero():
-            out = out + col.scale(ci)
-    return out
+def preimage_submodule(ring: RingSpec, L, phi_columns):
+    """Generators of {u in R^a : phi(u) in span(L)}.
 
-
-def preimage_submodule(ring: RingSpec, K, L, phi_columns):
-    """Generators of {u in span(K) : phi(u) in span(L)}.
-
-    K lives in R^a, L in R^b, phi_columns are the a columns of phi in R^b.
-    Computed as syzygies of the family [phi*K | L] projected to the
-    K-coordinates and pushed back through K.
+    phi_columns are the a columns of phi in R^b and L lives in R^b. The
+    generators are the first a coordinates of the syzygies of the family
+    [phi_columns | L], zero and repeated ones dropped.
     """
-    K = list(K)
-    L = list(L)
-    if not K:
+    a = len(phi_columns)
+    if a == 0:
         return []
-    a = K[0].rank
-    b = L[0].rank if L else (phi_columns[0].rank if phi_columns else 0)
-    if b == 0:
-        return [k for k in K if not k.is_zero()]
-    phiK = [_apply_columns(phi_columns, k, b, ring.field, ring.nvars) for k in K]
-    family = phiK + L
+    if phi_columns[0].rank == 0:
+        return unit_vectors(ring, a)
     out = []
     seen = set()
-    for c in syzygies(ring, family):
-        u = ModuleVector.zero(ring.field, ring.nvars, a)
-        for ci, k in zip(c.components[:len(K)], K):
-            if not ci.is_zero():
-                u = u + k.scale(ci)
-        if not u.is_zero() and u not in seen:
+    for c in syzygies(ring, list(phi_columns) + list(L)):
+        u = c.components[:a]
+        if any(not ci.is_zero() for ci in u) and u not in seen:
             seen.add(u)
-            out.append(u)
+            out.append(ModuleVector(u))
     return out
 
 
@@ -282,9 +267,8 @@ class FPModule:
 
     def annihilator_of_generator(self, i: int):
         """Generators of the ideal {f in R : f*e_i lies in the relations}."""
-        one_vec = ModuleVector((self.ring.one(),))
         col = ModuleVector.unit(self.ring.field, self.ring.nvars, self.rank, i)
-        gens = preimage_submodule(self.ring, [one_vec], list(self.relations), [col])
+        gens = preimage_submodule(self.ring, list(self.relations), [col])
         return [v.components[0] for v in gens]
 
     def support_dimension(self) -> int:
@@ -349,13 +333,17 @@ class ModuleMap:
     @classmethod
     def zero_map(cls, source: FPModule, target: FPModule) -> "ModuleMap":
         cols = [ModuleVector.zero(source.ring.field, source.ring.nvars, target.rank)
-                if target.rank else ModuleVector(())
                 for _ in range(source.rank)]
         return cls(source, target, cols)
 
     def apply_vec(self, v: ModuleVector) -> ModuleVector:
-        return _apply_columns(self.matrix, v, self.target.rank,
-                              self.source.ring.field, self.source.ring.nvars)
+        """Image of v: the sum of v_i times the i-th column."""
+        ring = self.source.ring
+        out = ModuleVector.zero(ring.field, ring.nvars, self.target.rank)
+        for ci, col in zip(v.components, self.matrix):
+            if not ci.is_zero():
+                out = out + col.scale(ci)
+        return out
 
 
 def subquotient(ker_gens, img_gens, ambient: FPModule) -> FPModule:
@@ -363,15 +351,17 @@ def subquotient(ker_gens, img_gens, ambient: FPModule) -> FPModule:
     ring = ambient.ring
     ker_gens = list(ker_gens)
     img_gens = list(img_gens)
-    check = module_gb(ring, ker_gens + list(ambient.relations), ambient.rank)
-    for v in img_gens:
-        if not check.contains(v):
-            raise ImageNotInKernel("image generator outside the kernel span")
+    if any(v.rank != ambient.rank for v in ker_gens):
+        raise RingMismatch("vector of wrong rank")
+    if img_gens:
+        check = module_gb(ring, ker_gens + list(ambient.relations), ambient.rank)
+        for v in img_gens:
+            if not check.contains(v):
+                raise ImageNotInKernel("image generator outside the kernel span")
     r = len(ker_gens)
     if r == 0:
         return FPModule.zero_module(ring)
-    units = unit_vectors(ring, r)
-    rels = preimage_submodule(ring, units, img_gens + list(ambient.relations), ker_gens)
+    rels = preimage_submodule(ring, img_gens + list(ambient.relations), ker_gens)
     return FPModule(ring, r, rels)
 
 
@@ -385,8 +375,7 @@ def kernel_of_map(phi: ModuleMap):
     ring = src.ring
     if src.rank == 0:
         return FPModule.zero_module(ring), []
-    units = unit_vectors(ring, src.rank)
-    K = preimage_submodule(ring, units, list(phi.target.relations), list(phi.matrix))
+    K = preimage_submodule(ring, list(phi.target.relations), list(phi.matrix))
     for v in K:
         assert phi.target.gb.contains(phi.apply_vec(v)), "kernel generator misses target relations"
     kernel = subquotient(K, [], src)
@@ -412,7 +401,6 @@ def gamma_saturation(M: FPModule, f: Polynomial):
     ring.check_member(f)
     if M.rank == 0:
         return M, M
-    units = unit_vectors(ring, M.rank)
     rel = list(M.relations)
     prev_gb = None
     prev_gens = None
@@ -422,7 +410,7 @@ def gamma_saturation(M: FPModule, f: Polynomial):
         fk = fk * f
         cols = [ModuleVector.unit(ring.field, ring.nvars, M.rank, i, fk)
                 for i in range(M.rank)]
-        gens = preimage_submodule(ring, units, rel, cols)
+        gens = preimage_submodule(ring, rel, cols)
         gb = module_gb(ring, gens + rel, M.rank)
         if prev_gb is not None and gb.generators == prev_gb.generators:
             gamma_gens = prev_gens
@@ -435,7 +423,7 @@ def gamma_saturation(M: FPModule, f: Polynomial):
     # contract: f is a nonzerodivisor on the quotient
     fcols = [ModuleVector.unit(ring.field, ring.nvars, M.rank, i, f)
              for i in range(M.rank)]
-    residual = preimage_submodule(ring, units, list(quotient.relations), fcols)
+    residual = preimage_submodule(ring, list(quotient.relations), fcols)
     for v in residual:
         assert quotient.gb.contains(v), "saturation left f-torsion behind"
     return gamma, quotient

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .errors import DimensionDropViolated, OutOfRange, RingMismatch
 from .fpmodules import (FPModule, ModuleMap, ModuleVector, gamma_saturation,
-                        subquotient, unit_vectors)
+                        preimage_submodule, subquotient, unit_vectors)
 from .polyring import INFINITE, Polynomial, RingSpec
 
 
@@ -119,9 +119,7 @@ def koszul_homology(x, M: FPModule, i: int) -> FPModule:
         ker_gens = unit_vectors(M.ring, C_i.rank)
     else:
         d_i = ModuleMap(C_i, _koszul_term(x, M, i - 1), _differential_columns(x, M, i))
-        from .fpmodules import preimage_submodule
-        ker_gens = preimage_submodule(M.ring, unit_vectors(M.ring, C_i.rank),
-                                      list(d_i.target.relations), list(d_i.matrix))
+        ker_gens = preimage_submodule(M.ring, list(d_i.target.relations), list(d_i.matrix))
     img_gens = [] if i == n else _differential_columns(x, M, i + 1)
     return subquotient(ker_gens, img_gens, C_i)
 

@@ -72,8 +72,6 @@ class LengthSequence:
     ideal: tuple
     module: FPModule
     values: tuple
-    stabilized_difference_order: int = None
-    stabilized_value: int = None
 
 
 def ideal_power(gens, n: int):
@@ -199,9 +197,12 @@ def homology_lengths(x, M: FPModule):
     return out
 
 
-def serre_alternating_sum(x, M: FPModule) -> int:
-    lengths = homology_lengths(x, M)
+def _alternating_sum(lengths) -> int:
     return sum(l if i % 2 == 0 else -l for i, l in enumerate(lengths))
+
+
+def serre_alternating_sum(x, M: FPModule) -> int:
+    return _alternating_sum(homology_lengths(x, M))
 
 
 def _verdict(equal: bool) -> str:
@@ -214,7 +215,7 @@ def verify_serre(M: FPModule, x) -> Report:
     r = len(x)
     e, table = multiplicity_data(M, x, r)
     lengths = homology_lengths(x, M)
-    chi = sum(l if i % 2 == 0 else -l for i, l in enumerate(lengths))
+    chi = _alternating_sum(lengths)
     names = [M.ring.poly_to_str(f) for f in x]
     return Report(
         claim=f"e((" + ", ".join(names) + f"), M, {r}) equals the Koszul alternating sum",
@@ -228,7 +229,7 @@ def verify_factorization(M: FPModule, x, y) -> Report:
     """Concatenated alternating sum vs the iterated double sum (y inside)."""
     x, y = list(x), list(y)
     left_lengths = homology_lengths(x + y, M)
-    left = sum(l if i % 2 == 0 else -l for i, l in enumerate(left_lengths))
+    left = _alternating_sum(left_lengths)
     right = 0
     rows = []
     for q in range(len(y) + 1) if y else [0]:
@@ -237,7 +238,7 @@ def verify_factorization(M: FPModule, x, y) -> Report:
             rows.append({"q": q, "outer_lengths": []})
             continue
         outer = homology_lengths(x, Hq)
-        chi_x = sum(l if p % 2 == 0 else -l for p, l in enumerate(outer))
+        chi_x = _alternating_sum(outer)
         right += chi_x if q % 2 == 0 else -chi_x
         rows.append({"q": q, "outer_lengths": outer})
     xs = [M.ring.poly_to_str(f) for f in x]
@@ -266,7 +267,7 @@ def verify_vanish(M: FPModule, x, i: int, k: int) -> Report:
                 f"element {i} to the power {k} does not annihilate the module",
                 index=i, exponent=k)
     lengths = homology_lengths(x, M)
-    chi = sum(l if j % 2 == 0 else -l for j, l in enumerate(lengths))
+    chi = _alternating_sum(lengths)
     return Report(
         claim=f"sequence element {i} is nilpotent on M, so the alternating sum is 0",
         left=chi, right=0, verdict=_verdict(chi == 0),

@@ -58,19 +58,6 @@ class Monomial:
     def mul(self, other: "Monomial") -> "Monomial":
         return Monomial(tuple(a + b for a, b in zip(self.exps, other.exps)))
 
-    def divides(self, other: "Monomial") -> bool:
-        return all(a <= b for a, b in zip(self.exps, other.exps))
-
-    def div(self, other: "Monomial") -> "Monomial":
-        # caller guarantees other.divides(self)
-        return Monomial(tuple(a - b for a, b in zip(self.exps, other.exps)))
-
-    def lcm(self, other: "Monomial") -> "Monomial":
-        return Monomial(tuple(max(a, b) for a, b in zip(self.exps, other.exps)))
-
-    def pow(self, e: int) -> "Monomial":
-        return Monomial(tuple(a * e for a in self.exps))
-
     def support(self):
         return tuple(i for i, e in enumerate(self.exps) if e)
 
@@ -208,9 +195,6 @@ class Polynomial:
     def constant_coefficient(self) -> Scalar:
         return self.terms.get(Monomial.one(self.nvars), self.field.zero)
 
-    def total_degree(self) -> int:
-        return max((m.degree for m in self.terms), default=0)
-
     def is_homogeneous(self) -> bool:
         degs = {m.degree for m in self.terms}
         return len(degs) <= 1
@@ -287,12 +271,6 @@ class Polynomial:
         return Polynomial(self.field, self.nvars, out)
 
     __rmul__ = __mul__
-
-    def mul_term(self, mon: Monomial, coeff: Scalar) -> "Polynomial":
-        if coeff.is_zero():
-            return Polynomial.zero(self.field, self.nvars)
-        return Polynomial(self.field, self.nvars,
-                          {m.mul(mon): c * coeff for m, c in self.terms.items()})
 
     def __pow__(self, e: int):
         if e < 0:

@@ -372,7 +372,8 @@ class Scalar:
         return self.field == other.field and self.value == other.value
 
     def __hash__(self):
-        return hash((self.field, self.value))
+        # __eq__ also compares fields; equal scalars have equal values
+        return hash(self.value)
 
     def __str__(self):
         k = self.field.kind

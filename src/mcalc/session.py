@@ -179,14 +179,10 @@ def parse_session(path: str) -> SessionData:
         return parse_session_text(fh.read())
 
 
-def _field_name(fspec) -> str:
-    return str(fspec)
-
-
 def serialize_session(session: SessionData) -> str:
     ring = session.ring
     lines = [
-        f"field = {_field_name(ring.field)}",
+        f"field = {ring.field}",
         f"vars = {', '.join(ring.variables)}",
         f"order = {ring.order}",
         "quotient = [" + ", ".join(ring.poly_to_str(q)
@@ -194,9 +190,7 @@ def serialize_session(session: SessionData) -> str:
     ]
     for name in sorted(session.modules):
         mod = session.modules[name]
-        rels = ", ".join(
-            "[" + ", ".join(ring.poly_to_str(c) for c in r.components) + "]"
-            for r in mod.relations)
+        rels = ", ".join(r.to_str(ring) for r in mod.relations)
         lines.append(f"module {name} = rank {mod.rank} relations [{rels}]")
     for name in sorted(session.sequences):
         seq = session.sequences[name]

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mcalc import fpmodules
 from mcalc.errors import (ImageNotInKernel, MapNotWellDefined,
                           NotZeroDimensional, RingMismatch)
 from mcalc.fpmodules import (FPModule, ModuleGB, ModuleMap, ModuleVector,
@@ -83,9 +84,21 @@ def test_syzygies_satisfy_relation_externally():
         assert total.is_zero()
 
 
+def test_syzygy_identity_check_runs_on_raw_vectors(monkeypatch):
+    real = fpmodules._buchberger
+
+    def corrupted(ring, raws, rank, track=False):
+        basis, _ = real(ring, raws, rank, track=track)
+        # c = (1, 0) claims x * 1 + y * 0 = 0
+        return basis, [{(0, (0, 0)): ring.field.raw.one}]
+
+    monkeypatch.setattr(fpmodules, "_buchberger", corrupted)
+    with pytest.raises(AssertionError, match="syzygy identity failed"):
+        syzygies(R, [_ideal_vec(X), _ideal_vec(Y)])
+
+
 def test_preimage_of_ideal_under_multiplication():
-    units = unit_vectors(R, 1)
-    out = preimage_submodule(R, units, [_ideal_vec(X * X)], [_ideal_vec(X)])
+    out = preimage_submodule(R, [_ideal_vec(X * X)], [_ideal_vec(X)])
     gb = module_gb(R, out, 1)
     assert gb.generators == (_ideal_vec(X),)
 
@@ -93,7 +106,7 @@ def test_preimage_of_ideal_under_multiplication():
 def test_preimage_under_zero_map_is_everything():
     units = unit_vectors(R, 2)
     zero_cols = [ModuleVector.zero(Q, 2, 1) for _ in range(2)]
-    out = preimage_submodule(R, units, [], zero_cols)
+    out = preimage_submodule(R, [], zero_cols)
     gb = module_gb(R, out, 2)
     assert all(gb.contains(u) for u in units)
 
@@ -101,7 +114,7 @@ def test_preimage_under_zero_map_is_everything():
 def test_preimage_of_full_target_is_everything():
     units = unit_vectors(R, 1)
     target_units = unit_vectors(R, 1)
-    out = preimage_submodule(R, units, target_units, [_ideal_vec(X)])
+    out = preimage_submodule(R, target_units, [_ideal_vec(X)])
     gb = module_gb(R, out, 1)
     assert gb.contains(units[0])
 
@@ -151,6 +164,13 @@ def test_subquotient_rejects_outside_image():
     free = FPModule.free(R, 1)
     with pytest.raises(ImageNotInKernel):
         subquotient([_ideal_vec(X)], [_ideal_vec(Y)], free)
+
+
+@pytest.mark.parametrize("img", [[], [_ideal_vec(X)]])
+def test_subquotient_rejects_kernel_generators_of_wrong_rank(img):
+    free = FPModule.free(R, 1)
+    with pytest.raises(RingMismatch):
+        subquotient([_vec(X, Y)], img, free)
 
 
 def test_length_values():
