@@ -15,15 +15,16 @@ import argparse
 import json
 import sys
 
-from .errors import EngineError, ParseError
-from .fpmodules import FPModule
+from .errors import EngineError, ParseError, SupportNotAtOrigin
+from .fpmodules import FPModule, module_origin_support
 from .groebner import buchberger, krull_dimension
 from .koszul import koszul_homology
 from .multiplicity import (VERIFIED, _jsonable, multiplicity_data, ord_check,
                            search_parameters, verify_factorization,
                            verify_serre, verify_serre2, verify_vanish)
 from .parsing import parse_polynomial, parse_polynomial_list
-from .scenarios import registry, run_all, run_scenario
+from .polyring import INFINITE
+from .scenarios import run_all, run_scenario
 from .session import parse_session, serialize_session
 
 
@@ -117,6 +118,8 @@ def cmd_length(args):
     session, text = _load(args)
     M = _resolve_module(session, args.module)
     l = M.length()
+    if l is not INFINITE and not module_origin_support(M):
+        raise SupportNotAtOrigin("the module is supported away from the origin")
     record = _record("length", text, {"module": args.module}, l, {}, None)
     return _emit(args, record, [f"length: {_jsonable(l)}"], 0)
 

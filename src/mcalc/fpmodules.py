@@ -4,6 +4,11 @@ A module is R^g modulo a relation submodule that always contains J*e_i for
 every generator, so A-linearity is explicit. Module Groebner bases use a
 position-over-term order (position primary, earlier positions larger).
 
+Every routine here reads and writes one vector format, the division
+kernel's raw vector, which a `ModuleVector` holds; polynomial components are
+built only at the boundary. Rank 0 needs no special case: its only vector is
+the empty raw vector.
+
 The engine parts are the ideal engine's, an ideal being the rank-1 case:
 `groebner._buchberger` builds module bases and syzygies, and division, basis
 reduction, standard terms and the origin-support check are `groebner`'s raw-
@@ -20,9 +25,8 @@ at rank 1 only), and every basis is then certified by `groebner._self_check`.
 Kernels, subquotient presentations, annihilators and saturations all come
 from `preimage_submodule`, the preimage of a submodule under a map of free
 modules ("modulo" in Greuel-Pfister, *A Singular Introduction to Commutative
-Algebra*, 2.8): the first coordinates of one syzygy computation. `syzygies`
-checks and deduplicates on the raw vectors the loop returns, and builds a
-`ModuleVector` only for each syzygy it keeps.
+Algebra*, 2.8): the first coordinates of one syzygy computation, sliced
+and deduplicated on raw keys.
 """
 
 from __future__ import annotations
@@ -40,42 +44,48 @@ SATURATION_CAP = 64
 
 
 class ModuleVector:
-    """Element of a free module R^g, stored as a tuple of polynomials."""
+    """Element of a free module R^rank. `raw` is the division kernel's raw
+    vector (see the comment above `groebner._raw_vector`), never mutated; the
+    constructor takes polynomials by position, and `_from_raw` a raw vector.
+    """
 
-    __slots__ = ("components",)
+    __slots__ = ("field", "nvars", "rank", "raw")
 
     def __init__(self, components):
         comps = tuple(components)
         for c in comps[1:]:
             if c.field != comps[0].field or c.nvars != comps[0].nvars:
                 raise RingMismatch("vector components from different rings")
-        self.components = comps
+        # a vector of rank 0 has no component to take its ring from
+        self.field, self.nvars = (comps[0].field, comps[0].nvars) if comps else (None, None)
+        self.rank = len(comps)
+        self.raw = _raw_vector(comps)
+
+    @classmethod
+    def _from_raw(cls, field, nvars, rank, raw):
+        v = cls.__new__(cls)
+        v.field, v.nvars, v.rank, v.raw = field, nvars, rank, raw
+        return v
 
     @classmethod
     def zero(cls, field, nvars, rank):
-        return cls(tuple(Polynomial.zero(field, nvars) for _ in range(rank)))
+        return cls._from_raw(field, nvars, rank, {})
 
     @classmethod
     def unit(cls, field, nvars, rank, i, poly=None):
         if poly is None:
-            poly = Polynomial.one(field, nvars)
-        return cls(tuple(poly if j == i else Polynomial.zero(field, nvars)
-                         for j in range(rank)))
+            return cls._from_raw(field, nvars, rank, {(i, (0,) * nvars): field.raw.one})
+        if poly.field != field or poly.nvars != nvars:
+            raise RingMismatch("vector components from different rings")
+        return cls._from_raw(field, nvars, rank,
+                             {(i, m.exps): c.value for m, c in poly.terms.items()})
 
     @property
-    def rank(self) -> int:
-        return len(self.components)
-
-    @property
-    def field(self):
-        return self.components[0].field
-
-    @property
-    def nvars(self):
-        return self.components[0].nvars
+    def components(self):
+        return _raw_components(self.field, self.nvars, self.rank, self.raw)
 
     def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.components)
+        return not self.raw
 
     def __add__(self, other):
         return ModuleVector(tuple(a + b for a, b in zip(self.components, other.components)))
@@ -84,10 +94,13 @@ class ModuleVector:
         return ModuleVector(tuple(poly * a for a in self.components))
 
     def __eq__(self, other):
-        return isinstance(other, ModuleVector) and self.components == other.components
+        # the ring must match too: Fraction(1) == 1, so Q and F_p raws can agree
+        return (isinstance(other, ModuleVector) and self.raw == other.raw
+                and self.rank == other.rank and self.field == other.field
+                and self.nvars == other.nvars)
 
     def __hash__(self):
-        return hash(self.components)
+        return hash(frozenset(self.raw.items()))
 
     def to_str(self, ring: RingSpec) -> str:
         return "[" + ", ".join(ring.poly_to_str(c) for c in self.components) + "]"
@@ -100,11 +113,21 @@ def unit_vectors(ring: RingSpec, rank: int):
     return [ModuleVector.unit(ring.field, ring.nvars, rank, i) for i in range(rank)]
 
 
-def _raw_vectors(vectors, rank):
+def _raws(vectors, rank):
     """Raw vectors of ModuleVectors that must all have the given rank."""
     if any(v.rank != rank for v in vectors):
         raise RingMismatch("vector of wrong rank")
-    return [_raw_vector(v.components) for v in vectors]
+    return [v.raw for v in vectors]
+
+
+def _combination(ring: RingSpec, rank: int, cols, v: ModuleVector) -> ModuleVector:
+    """The sum of v_i * cols[i] in R^rank, accumulated on raw terms."""
+    ops = ring.field.raw
+    out = {}
+    for (i, e), c in v.raw.items():
+        col = ((p, ce, cc) for (p, ce), cc in cols[i].raw.items())
+        _submul(out, col, e, ops.sub(ops.zero, c), ops)
+    return ModuleVector._from_raw(ring.field, ring.nvars, rank, out)
 
 
 @dataclass(frozen=True)
@@ -122,16 +145,14 @@ class ModuleGB:
     def __post_init__(self):
         order = self.ring.order
         object.__setattr__(self, "_forms", tuple(
-            _reducer_form(_raw_vector(g.components), order) for g in self.generators))
+            _reducer_form(g.raw, order) for g in self.generators))
 
     def normal_form(self, v: ModuleVector, with_cofactors=False):
-        if self.rank == 0:
-            return (v, []) if with_cofactors else v
         ring = self.ring
         field, nvars = ring.field, ring.nvars
-        rem, quot = _reduce(_raw_vector(v.components), self._forms, ring.order,
-                            field.raw, with_witness=with_cofactors)
-        r = ModuleVector(_raw_components(field, nvars, self.rank, rem))
+        rem, quot = _reduce(dict(v.raw), self._forms, ring.order, field.raw,
+                            with_witness=with_cofactors)
+        r = ModuleVector._from_raw(field, nvars, self.rank, rem)
         if with_cofactors:
             return r, [_raw_polynomial(field, nvars, q) for q in quot]
         return r
@@ -146,9 +167,9 @@ def module_gb(ring: RingSpec, vectors, rank: int) -> ModuleGB:
     for q in ring.quotient:
         for i in range(rank):
             vecs.append(ModuleVector.unit(ring.field, ring.nvars, rank, i, q))
-    basis, _ = _buchberger(ring, _raw_vectors(vecs, rank), rank)
+    basis, _ = _buchberger(ring, _raws(vecs, rank), rank)
     return ModuleGB(ring, rank, tuple(
-        ModuleVector(_raw_components(ring.field, ring.nvars, rank, v)) for v in basis))
+        ModuleVector._from_raw(ring.field, ring.nvars, rank, v) for v in basis))
 
 
 def syzygies(ring: RingSpec, vectors):
@@ -163,10 +184,7 @@ def syzygies(ring: RingSpec, vectors):
     if not vecs:
         return []
     rank = vecs[0].rank
-    raws = _raw_vectors(vecs, rank)
-    _, syz = _buchberger(ring, raws, rank, track=True)
-    ops = ring.field.raw
-    terms = [tuple((p, e, c) for (p, e), c in raw.items()) for raw in raws]
+    _, syz = _buchberger(ring, _raws(vecs, rank), rank, track=True)
     out = []
     seen = set()
     for raw in syz:
@@ -174,11 +192,9 @@ def syzygies(ring: RingSpec, vectors):
         if not raw or key in seen:
             continue
         seen.add(key)
-        acc = {}
-        for (i, e), c in raw.items():
-            _submul(acc, terms[i], e, c, ops)
-        assert not acc, "syzygy identity failed"
-        out.append(ModuleVector(_raw_components(ring.field, ring.nvars, len(vecs), raw)))
+        c = ModuleVector._from_raw(ring.field, ring.nvars, len(vecs), raw)
+        assert _combination(ring, rank, vecs, c).is_zero(), "syzygy identity failed"
+        out.append(c)
     return out
 
 
@@ -192,15 +208,14 @@ def preimage_submodule(ring: RingSpec, L, phi_columns):
     a = len(phi_columns)
     if a == 0:
         return []
-    if phi_columns[0].rank == 0:
-        return unit_vectors(ring, a)
     out = []
     seen = set()
     for c in syzygies(ring, list(phi_columns) + list(L)):
-        u = c.components[:a]
-        if any(not ci.is_zero() for ci in u) and u not in seen:
-            seen.add(u)
-            out.append(ModuleVector(u))
+        u = {k: v for k, v in c.raw.items() if k[0] < a}
+        key = frozenset(u.items())
+        if u and key not in seen:
+            seen.add(key)
+            out.append(ModuleVector._from_raw(ring.field, ring.nvars, a, u))
     return out
 
 
@@ -214,10 +229,7 @@ class FPModule:
             raise ValueError("rank must be nonnegative")
         self.ring = ring
         self.rank = rank
-        if rank == 0:
-            self._gb = ModuleGB(ring, 0, ())
-        else:
-            self._gb = module_gb(ring, list(relations), rank)
+        self._gb = module_gb(ring, list(relations), rank)
 
     @classmethod
     def free(cls, ring: RingSpec, rank: int) -> "FPModule":
@@ -261,8 +273,6 @@ class FPModule:
         return len(sp)
 
     def is_zero(self) -> bool:
-        if self.rank == 0:
-            return True
         return all(self._gb.contains(u) for u in unit_vectors(self.ring, self.rank))
 
     def annihilator_of_generator(self, i: int):
@@ -338,12 +348,7 @@ class ModuleMap:
 
     def apply_vec(self, v: ModuleVector) -> ModuleVector:
         """Image of v: the sum of v_i times the i-th column."""
-        ring = self.source.ring
-        out = ModuleVector.zero(ring.field, ring.nvars, self.target.rank)
-        for ci, col in zip(v.components, self.matrix):
-            if not ci.is_zero():
-                out = out + col.scale(ci)
-        return out
+        return _combination(self.source.ring, self.target.rank, self.matrix, v)
 
 
 def subquotient(ker_gens, img_gens, ambient: FPModule) -> FPModule:
@@ -358,11 +363,8 @@ def subquotient(ker_gens, img_gens, ambient: FPModule) -> FPModule:
         for v in img_gens:
             if not check.contains(v):
                 raise ImageNotInKernel("image generator outside the kernel span")
-    r = len(ker_gens)
-    if r == 0:
-        return FPModule.zero_module(ring)
     rels = preimage_submodule(ring, img_gens + list(ambient.relations), ker_gens)
-    return FPModule(ring, r, rels)
+    return FPModule(ring, len(ker_gens), rels)
 
 
 def kernel_of_map(phi: ModuleMap):
@@ -372,10 +374,7 @@ def kernel_of_map(phi: ModuleMap):
     the i-th kernel generator.
     """
     src = phi.source
-    ring = src.ring
-    if src.rank == 0:
-        return FPModule.zero_module(ring), []
-    K = preimage_submodule(ring, list(phi.target.relations), list(phi.matrix))
+    K = preimage_submodule(src.ring, list(phi.target.relations), list(phi.matrix))
     for v in K:
         assert phi.target.gb.contains(phi.apply_vec(v)), "kernel generator misses target relations"
     kernel = subquotient(K, [], src)
@@ -399,17 +398,15 @@ def gamma_saturation(M: FPModule, f: Polynomial):
     """
     ring = M.ring
     ring.check_member(f)
-    if M.rank == 0:
-        return M, M
     rel = list(M.relations)
     prev_gb = None
     prev_gens = None
     gamma_gens = None
-    fk = ring.one()
+    fcols = [ModuleVector.unit(ring.field, ring.nvars, M.rank, i, f)
+             for i in range(M.rank)]
+    cols = unit_vectors(ring, M.rank)
     for _ in range(SATURATION_CAP):
-        fk = fk * f
-        cols = [ModuleVector.unit(ring.field, ring.nvars, M.rank, i, fk)
-                for i in range(M.rank)]
+        cols = [_combination(ring, M.rank, fcols, c) for c in cols]  # f^k * e_i
         gens = preimage_submodule(ring, rel, cols)
         gb = module_gb(ring, gens + rel, M.rank)
         if prev_gb is not None and gb.generators == prev_gb.generators:
@@ -421,8 +418,6 @@ def gamma_saturation(M: FPModule, f: Polynomial):
     gamma = subquotient(gamma_gens, [], M)
     quotient = FPModule(ring, M.rank, rel + gamma_gens)
     # contract: f is a nonzerodivisor on the quotient
-    fcols = [ModuleVector.unit(ring.field, ring.nvars, M.rank, i, f)
-             for i in range(M.rank)]
     residual = preimage_submodule(ring, list(quotient.relations), fcols)
     for v in residual:
         assert quotient.gb.contains(v), "saturation left f-torsion behind"

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .errors import DimensionDropViolated, OutOfRange, RingMismatch
 from .fpmodules import (FPModule, ModuleMap, ModuleVector, gamma_saturation,
                         preimage_submodule, subquotient, unit_vectors)
-from .polyring import INFINITE, Polynomial, RingSpec
+from .polyring import INFINITE, RingSpec
 
 
 def _check_sequence(x, ring: RingSpec):
@@ -36,13 +36,9 @@ def _koszul_term(x, M: FPModule, i: int) -> FPModule:
     g = M.rank
     rank = len(slots) * g
     ring = M.ring
-    rels = []
-    for s in range(len(slots)):
-        for r in M.relations:
-            comps = [Polynomial.zero(ring.field, ring.nvars)] * rank
-            for a, c in enumerate(r.components):
-                comps[s * g + a] = c
-            rels.append(ModuleVector(comps))
+    rels = [ModuleVector._from_raw(ring.field, ring.nvars, rank,
+                                   {(s * g + p, e): c for (p, e), c in r.raw.items()})
+            for s in range(len(slots)) for r in M.relations]
     return FPModule(ring, rank, rels)
 
 
@@ -55,17 +51,18 @@ def _differential_columns(x, M: FPModule, i: int):
     tgt_slots = _subsets(n, i - 1)
     tgt_index = {S: k for k, S in enumerate(tgt_slots)}
     rank_tgt = len(tgt_slots) * g
+    ops = ring.field.raw
+    signed = [([(m.exps, c.value) for m, c in f.terms.items()],
+               [(m.exps, ops.sub(ops.zero, c.value)) for m, c in f.terms.items()])
+              for f in x]
     cols = []
     for S in src_slots:
         for a in range(g):
-            comps = [Polynomial.zero(ring.field, ring.nvars)] * rank_tgt
+            raw = {}  # S minus S[t] differs for each t: no entry is written twice
             for t, j in enumerate(S):
-                rest = tuple(v for v in S if v != j)
-                sgn = 1 if t % 2 == 0 else -1
-                entry = x[j] * sgn
-                slot = tgt_index[rest]
-                comps[slot * g + a] = comps[slot * g + a] + entry
-            cols.append(ModuleVector(comps))
+                pos = tgt_index[S[:t] + S[t + 1:]] * g + a
+                raw.update(((pos, e), c) for e, c in signed[j][t % 2])
+            cols.append(ModuleVector._from_raw(ring.field, ring.nvars, rank_tgt, raw))
     return cols
 
 

@@ -15,12 +15,11 @@ from dataclasses import dataclass
 from .errors import UnknownScenario
 from .fpmodules import FPModule
 from .koszul import VirtualModule, phi_apply, reduce_class
-from .multiplicity import (REFUTED, VERIFIED, Report, multiplicity,
-                           multiplicity_data, ord_check, parameter_colength,
-                           search_parameters, serre_alternating_sum,
-                           verify_factorization, verify_serre, verify_serre2,
-                           verify_vanish)
-from .polyring import Monomial, MonomialOrder, Polynomial, RingSpec
+from .multiplicity import (REFUTED, VERIFIED, Report, multiplicity_data,
+                           ord_check, parameter_colength, search_parameters,
+                           serre_alternating_sum, verify_factorization,
+                           verify_serre, verify_serre2, verify_vanish)
+from .polyring import Monomial, Polynomial, RingSpec
 from .scalars import FieldSpec
 
 ALLOWED_TAGS = frozenset({"lemma", "theorem", "example", "property"})

@@ -285,6 +285,16 @@ def test_quotient_with_constant_term_exits_two(tmp_path, capsys):
     _coded_exit(capsys, ["dim", str(p)], "QUOTIENT_NOT_AT_ORIGIN")
 
 
+def test_length_supported_away_from_the_origin_exits_two(tmp_path, capsys):
+    # k[x]/(x^2 - x) is k x k: length 2 globally, 1 at the origin
+    p = tmp_path / "idempotent.ring"
+    p.write_text("field = Q\nvars = x\nquotient = [x^2 - x]\n", encoding="utf-8")
+    _coded_exit(capsys, ["length", str(p)], "SUPPORT_NOT_AT_ORIGIN")
+    assert main(["length", str(p), "--json"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: SUPPORT_NOT_AT_ORIGIN: ")
+
+
 def test_python_dash_m_runs_the_cli():
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ)

@@ -357,3 +357,107 @@ def test_module_normal_form_on_unreduced_reducers_frozen():
     for c, g in zip(cof, reducers):
         acc = acc + g.scale(c)
     assert acc == v
+
+
+# The vector type holds the division kernel's raw vector; its polynomial
+# components are built on request.
+
+F7 = FieldSpec.prime_field(7)
+
+
+@st.composite
+def _raw_module_vectors(draw):
+    field = draw(st.sampled_from([F7, Q]))
+    rank = draw(st.integers(0, 3))
+    if not rank:
+        return ModuleVector.zero(field, 2, 0)
+    coeffs = (st.integers(1, 6) if field == F7 else
+              st.fractions(min_value=-5, max_value=5, max_denominator=4).filter(bool))
+    keys = st.tuples(st.integers(0, rank - 1),
+                     st.tuples(st.integers(0, 3), st.integers(0, 3)))
+    raw = draw(st.dictionaries(keys, coeffs, max_size=6))
+    return ModuleVector._from_raw(field, 2, rank, raw)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_raw_module_vectors())
+def test_vector_round_trips_through_components(v):
+    ring = RingSpec(v.field, ("x", "y"))
+    comps = v.components
+    w = ModuleVector(comps)
+    assert len(comps) == v.rank
+    assert w.to_str(ring) == v.to_str(ring)
+    assert v.to_str(ring) == "[" + ", ".join(ring.poly_to_str(c) for c in comps) + "]"
+    assert w.raw == v.raw and hash(w) == hash(v)
+    if v.rank:
+        assert w == v
+    else:
+        # no component to take the ring from
+        assert w.field is None and w.rank == 0
+
+
+def test_vectors_over_different_rings_differ():
+    over_q = ModuleVector((Polynomial.one(Q, 2), Polynomial.variable(Q, 2, 0)))
+    over_f7 = ModuleVector((Polynomial.one(F7, 2), Polynomial.variable(F7, 2, 0)))
+    assert over_q.raw == over_f7.raw  # Fraction(1) == 1
+    assert over_q != over_f7
+    assert ModuleVector.zero(Q, 2, 2) != ModuleVector.zero(F7, 2, 2)
+    assert ModuleVector.zero(Q, 2, 1) != ModuleVector.zero(Q, 3, 1)
+    assert ModuleVector.zero(Q, 2, 1) != ModuleVector.zero(Q, 2, 2)
+
+
+_SMALL_Q_POLYS = [R.zero(), R.one(), X, -Y, X * 2 + Y, X * Y - R.one() * 3,
+                  X * X + Y * 5]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_apply_vec_matches_component_arithmetic(data):
+    ring, polys = data.draw(st.sampled_from([(A2, _SMALL_POLYS), (R, _SMALL_Q_POLYS)]))
+    entries = data.draw(st.lists(st.sampled_from(polys), min_size=8, max_size=8))
+    free = FPModule.free(ring, 2)
+    cols = [ModuleVector(entries[0:2]), ModuleVector(entries[2:4]), ModuleVector(entries[4:6])]
+    v = ModuleVector(entries[6:8] + [entries[0]])
+    expected = ModuleVector.zero(ring.field, ring.nvars, 2)
+    for c, col in zip(v.components, cols):
+        expected = expected + col.scale(c)
+    assert ModuleMap(FPModule.free(ring, 3), free, cols).apply_vec(v) == expected
+
+
+def test_rank_zero_modules_frozen():
+    """Rank 0 takes the general path; outputs frozen from the code that
+    still had a shortcut for it in each of these routines."""
+    from mcalc.koszul import VirtualModule, koszul_homology, phi_apply, reduce_class
+    A = RingSpec(F7, ("x", "y"), quotient=(parse_polynomial(RingSpec(F7, ("x", "y")), "x^3"),))
+    x, y = A.variable("x"), A.variable("y")
+    zero, free = FPModule.zero_module(A), FPModule.free(A, 2)
+    empty = {"rank": 0, "relations": []}
+
+    K, embedding = kernel_of_map(ModuleMap.zero_map(zero, free))
+    assert (K.describe(), embedding) == (empty, [])
+    K, embedding = kernel_of_map(ModuleMap.zero_map(free, zero))
+    assert K.describe() == {"rank": 2, "relations": ["[0, x^3]", "[x^3, 0]"]}
+    assert [v.to_str(A) for v in embedding] == ["[1, 0]", "[0, 1]"]
+
+    cols = [ModuleVector.zero(F7, 2, 0)] * 3
+    assert [v.to_str(A) for v in preimage_submodule(A, [], cols)] == [
+        "[1, 0, 0]", "[0, 1, 0]", "[0, 0, 1]"]
+
+    assert [koszul_homology((x, y), zero, i).describe() for i in range(3)] == [empty] * 3
+
+    gamma, quotient = gamma_saturation(zero, x)
+    assert (gamma.describe(), quotient.describe()) == (empty, empty)
+    assert gamma.is_zero() and quotient.is_zero()
+
+    gb = ModuleGB(A, 0, ())
+    r, cofactors = gb.normal_form(ModuleVector.zero(F7, 2, 0), with_cofactors=True)
+    assert (r.to_str(A), cofactors, r.is_zero()) == ("[]", [], True)
+    assert gb.contains(ModuleVector.zero(F7, 2, 0))
+
+    assert zero.is_zero() and zero.length() == 0 and zero.standard_pairs() == []
+    assert zero.support_dimension() == -1
+    assert reduce_class((x, y), zero).describe() == empty
+    assert phi_apply((x,), VirtualModule.of_module(zero)).terms == ()
+
+    assert subquotient([], [], zero).describe() == empty
+    assert subquotient([], [], free).describe() == empty
