@@ -15,15 +15,14 @@ import argparse
 import json
 import sys
 
-from .errors import EngineError, ParseError, SupportNotAtOrigin
-from .fpmodules import FPModule, module_origin_support
+from .errors import EngineError, ParseError
+from .fpmodules import FPModule
 from .groebner import buchberger, krull_dimension
 from .koszul import koszul_homology
 from .multiplicity import (VERIFIED, _jsonable, multiplicity_data, ord_check,
                            search_parameters, verify_factorization,
                            verify_serre, verify_serre2, verify_vanish)
 from .parsing import parse_polynomial, parse_polynomial_list
-from .polyring import INFINITE
 from .scenarios import run_all, run_scenario
 from .session import parse_session, serialize_session
 
@@ -117,9 +116,7 @@ def cmd_dim(args):
 def cmd_length(args):
     session, text = _load(args)
     M = _resolve_module(session, args.module)
-    l = M.length()
-    if l is not INFINITE and not module_origin_support(M):
-        raise SupportNotAtOrigin("the module is supported away from the origin")
+    l = M.local_length()
     record = _record("length", text, {"module": args.module}, l, {}, None)
     return _emit(args, record, [f"length: {_jsonable(l)}"], 0)
 
@@ -150,15 +147,16 @@ def cmd_koszul(args):
     inputs = {"seq": args.seq, "module": args.module, "degree": args.degree}
     if args.degree is not None:
         H = koszul_homology(seq, M, args.degree)
-        result = {"degree": args.degree, "length": H.length()}
+        l = H.local_length()
+        result = {"degree": args.degree, "length": l}
         cert = {"presentation": H.describe()}
-        lines = [f"H_{args.degree}: length {_jsonable(H.length())}"]
+        lines = [f"H_{args.degree}: length {_jsonable(l)}"]
         record = _record("koszul", text, inputs, result, cert, None)
         return _emit(args, record, lines, 0)
     degrees = []
     for i in range(len(seq) + 1):
         H = koszul_homology(seq, M, i)
-        degrees.append({"degree": i, "length": H.length(),
+        degrees.append({"degree": i, "length": H.local_length(),
                         "presentation": H.describe()})
     record = _record("koszul", text, inputs,
                      {"lengths": [d["length"] for d in degrees]},

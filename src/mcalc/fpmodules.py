@@ -10,17 +10,19 @@ built only at the boundary. Rank 0 needs no special case: its only vector is
 the empty raw vector.
 
 The engine parts are the ideal engine's, an ideal being the rank-1 case:
-`groebner._buchberger` builds module bases and syzygies, and division, basis
-reduction, standard terms and the origin-support check are `groebner`'s raw-
-term routines too. For `syzygies` the loop skips no pairs: with every S-pair
-processed, each element carries its expression on the inputs, so a reduction
-to zero is literally a syzygy and together they generate the full syzygy
-module. Pending pairs wait in a heap keyed once per pair by (lcm degree,
-order key of the lcm, index pair); the index pair breaks ties, which makes
-the syzygies that come out, and so every presentation built from them,
-deterministic. For `module_gb` the loop skips pairs by the chain criterion
-and pairs of two single terms, never by the product criterion (which holds
-at rank 1 only), and every basis is then certified by `groebner._self_check`.
+`groebner._buchberger` builds module bases and syzygies; division, basis
+reduction, standard terms, the origin-support check and the dimension count
+are `groebner`'s raw-term routines too, and `support_dimension` reads each
+annihilator's dimension off a rank-1 module basis. For `syzygies` the loop
+skips no pairs: with every S-pair processed, each element carries its
+expression on the inputs, so a reduction to zero is literally a syzygy and
+together they generate the full syzygy module. Pending pairs wait in a heap
+keyed once per pair by (lcm degree, order key of the lcm, index pair); the
+index pair breaks ties, which makes the syzygies that come out, and so every
+presentation built from them, deterministic. For `module_gb` the loop skips
+pairs by the chain criterion and pairs of two single terms, never by the
+product criterion (which holds at rank 1 only), and every basis is then
+certified by `groebner._self_check`.
 
 Kernels, subquotient presentations, annihilators and saturations all come
 from `preimage_submodule`, the preimage of a submodule under a map of free
@@ -34,10 +36,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import (ImageNotInKernel, MapNotWellDefined, NotZeroDimensional,
-                     RingMismatch, SaturationCapExceeded)
-from .groebner import (_buchberger, _origin_support, _raw_components,
+                     RingMismatch, SaturationCapExceeded, SupportNotAtOrigin)
+from .groebner import (_buchberger, _dimension, _origin_support, _raw_components,
                        _raw_polynomial, _raw_vector, _reduce, _reducer_form,
-                       _standard_terms, _submul, buchberger, krull_dimension)
+                       _standard_terms, _submul)
 from .polyring import INFINITE, Polynomial, RingSpec
 
 SATURATION_CAP = 64
@@ -272,28 +274,29 @@ class FPModule:
             return INFINITE
         return len(sp)
 
+    def local_length(self):
+        """Length at the origin, or INFINITE; SupportNotAtOrigin when the
+        length is finite but counts points away from the origin too."""
+        l = self.length()
+        if l is not INFINITE and not module_origin_support(self):
+            raise SupportNotAtOrigin("the module is supported away from the origin")
+        return l
+
     def is_zero(self) -> bool:
         return all(self._gb.contains(u) for u in unit_vectors(self.ring, self.rank))
-
-    def annihilator_of_generator(self, i: int):
-        """Generators of the ideal {f in R : f*e_i lies in the relations}."""
-        col = ModuleVector.unit(self.ring.field, self.ring.nvars, self.rank, i)
-        gens = preimage_submodule(self.ring, list(self.relations), [col])
-        return [v.components[0] for v in gens]
 
     def support_dimension(self) -> int:
         """Dimension of Supp M; -1 for the zero module (empty support).
 
         Supp M is the union over generators of V(relations : e_i), so the
-        dimension is the max of the generator-wise quotient ideal dimensions.
+        dimension is the max of the generator-wise quotient ideal dimensions,
+        each read off a rank-1 module basis of the annihilator of e_i.
         """
+        ring, rels = self.ring, list(self.relations)
         best = -1
-        for i in range(self.rank):
-            gens = self.annihilator_of_generator(i)
-            gb = buchberger(self.ring, gens)
-            if gb.is_unit_ideal():
-                continue
-            best = max(best, krull_dimension(gb))
+        for e in unit_vectors(ring, self.rank):
+            ann = module_gb(ring, preimage_submodule(ring, rels, [e]), 1)
+            best = max(best, _dimension(ann._forms, ring.nvars))
         return best
 
     def __eq__(self, other):

@@ -7,9 +7,12 @@ An ideal is a rank-1 module, so this module holds one of each engine part
 for ideals and modules alike, all on raw terms, and `fpmodules` imports
 them: the Buchberger loop `_buchberger`, its certificate `_self_check`, the
 division kernel `_reduce`, the basis reduction `_reduce_basis`, the
-standard-term enumerator `_standard_terms` and the origin-support check
-`_origin_support`. Each basis element's reducer form is built once, when
-the element joins a basis, never once per division.
+standard-term enumerator `_standard_terms`, the origin-support check
+`_origin_support` and the dimension count `_dimension`. A `GroebnerBasis`
+holds the raw vectors `_buchberger` returns, so polynomials are converted
+only at the boundary: `buchberger`'s inputs, `GroebnerBasis.generators` and
+`normal_form`'s results. Each basis element's reducer form is built once,
+when the element joins a basis, never once per division.
 """
 
 from __future__ import annotations
@@ -26,32 +29,30 @@ from .scalars import Scalar
 
 @dataclass(frozen=True)
 class GroebnerBasis:
-    """A reduced, monic Groebner basis, sorted ascending by leading monomial.
-
-    Holds each generator's reducer form, built once here, for the division
-    kernel.
+    """A reduced, monic Groebner basis of an ideal: rank-1 raw vectors (see
+    `_raw_vector`), ascending by lead, never mutated. Builds each one's
+    reducer form once; `generators` builds the polynomials on request.
     """
 
     ring: RingSpec
-    generators: tuple
+    raws: tuple
 
     def __post_init__(self):
-        order = self.ring.order
-        object.__setattr__(self, "generators", tuple(self.generators))
-        forms = tuple(_reducer_form(_raw_vector((g,)), order) for g in self.generators)
-        object.__setattr__(self, "_forms", forms)
-        object.__setattr__(self, "_leads", tuple(Monomial(f[1]) for f in forms))
+        object.__setattr__(self, "raws", tuple(self.raws))
+        object.__setattr__(self, "_forms", tuple(
+            _reducer_form(v, self.ring.order) for v in self.raws))
 
     @property
     def order(self) -> MonomialOrder:
         return self.ring.order
 
     @property
-    def lead_monomials(self):
-        return self._leads
+    def generators(self):
+        ring = self.ring
+        return tuple(_raw_components(ring.field, ring.nvars, 1, v)[0] for v in self.raws)
 
     def is_unit_ideal(self) -> bool:
-        return any(m.is_one() for m in self._leads)
+        return any(not any(f[1]) for f in self._forms)
 
     def contains(self, f: Polynomial) -> bool:
         return normal_form(f, self).is_zero()
@@ -293,21 +294,19 @@ def _buchberger(ring: RingSpec, raws, rank, track=False):
 def buchberger(ring: RingSpec, gens) -> GroebnerBasis:
     """Reduced Groebner basis of (gens) + (ring.quotient).
 
-    The distinct nonzero inputs enter `_buchberger` ascending by leading
-    monomial, as a rank-1 module.
+    The distinct nonzero inputs enter `_buchberger` as raw vectors ascending
+    by lead, equal leads in input order, as a rank-1 module.
     """
-    order = ring.order
+    dkey = ring.order.descending_key
     work = [ring.check_member(g) for g in gens]
     work.extend(ring.quotient)
     raws = []
-    for g in sorted((g for g in work if not g.is_zero()),
-                    key=lambda p: order.key(p.lead(order)[0])):
-        raw = _raw_vector((g,))
+    for raw in sorted((_raw_vector((g,)) for g in work if not g.is_zero()),
+                      key=lambda r: min(dkey(e) for _, e in r), reverse=True):
         if raw not in raws:
             raws.append(raw)
     basis, _ = _buchberger(ring, raws, 1)
-    return GroebnerBasis(ring, (_raw_components(ring.field, ring.nvars, 1, v)[0]
-                                for v in basis))
+    return GroebnerBasis(ring, basis)
 
 
 def _self_check(basis, inputs, order, ops):
@@ -381,19 +380,23 @@ def standard_monomials(gb: GroebnerBasis):
     return terms if terms is INFINITE else [m for _, m in terms]
 
 
-def krull_dimension(gb: GroebnerBasis) -> int:
-    """Dimension of R/(ideal): the largest variable subset that no leading
-    monomial is supported inside."""
-    if gb.is_unit_ideal():
-        raise UnitIdeal("the unit ideal has no dimension")
-    n = gb.ring.nvars
-    supports = [set(m.support()) for m in gb.lead_monomials]
-    for size in range(n, 0, -1):
-        for combo in itertools.combinations(range(n), size):
+def _dimension(forms, nvars) -> int:
+    """Dimension of R/(ideal) from the reducer forms of a Groebner basis:
+    the largest variable subset that no lead is supported inside; -1 for (1)."""
+    supports = [{i for i, e in enumerate(f[1]) if e} for f in forms]
+    for size in range(nvars, -1, -1):
+        for combo in itertools.combinations(range(nvars), size):
             s = set(combo)
             if not any(sup <= s for sup in supports):
                 return size
-    return 0
+    return -1
+
+
+def krull_dimension(gb: GroebnerBasis) -> int:
+    """Dimension of R/(ideal), read off the leading monomials."""
+    if gb.is_unit_ideal():
+        raise UnitIdeal("the unit ideal has no dimension")
+    return _dimension(gb._forms, gb.ring.nvars)
 
 
 def _origin_support(forms, rank, ring: RingSpec):

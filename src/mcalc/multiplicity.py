@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 from .errors import (HypothesisFails, InfiniteHomology, NoStabilization,
                      NotDimensionOne, NotFiniteColength, NotParameter,
-                     OutOfRange, SupportNotAtOrigin)
-from .fpmodules import FPModule, ModuleVector, module_origin_support
+                     OutOfRange)
+from .fpmodules import FPModule, ModuleVector
 from .groebner import buchberger, krull_dimension, origin_support_check, standard_monomials
 from .koszul import VirtualModule, koszul_homology, phi_apply
 from .polyring import INFINITE, Monomial, Polynomial, RingSpec
@@ -100,10 +100,8 @@ def _warn_if_inhomogeneous(ring: RingSpec, gens):
 def _check_colength(M: FPModule, gens):
     """Finite colength and origin support for M/IM; returns the quotient."""
     Q = M.quotient_by_polys(gens) if gens else M
-    if Q.length() is INFINITE:
+    if Q.local_length() is INFINITE:
         raise NotFiniteColength("M/IM has infinite length")
-    if not module_origin_support(Q):
-        raise SupportNotAtOrigin("M/IM is supported away from the origin")
     return Q
 
 
@@ -184,13 +182,13 @@ def homology_lengths(x, M: FPModule):
     """[ℓ H_0, .., ℓ H_n] for the sequence x; [ℓ(M)] when x is empty."""
     x = list(x)
     if not x:
-        l = M.length()
+        l = M.local_length()
         if l is INFINITE:
             raise InfiniteHomology("module itself has infinite length")
         return [l]
     out = []
     for i in range(len(x) + 1):
-        l = koszul_homology(x, M, i).length()
+        l = koszul_homology(x, M, i).local_length()
         if l is INFINITE:
             raise InfiniteHomology(f"H_{i} has infinite length", degree=i)
         out.append(l)

@@ -58,9 +58,6 @@ class Monomial:
     def mul(self, other: "Monomial") -> "Monomial":
         return Monomial(tuple(a + b for a, b in zip(self.exps, other.exps)))
 
-    def support(self):
-        return tuple(i for i, e in enumerate(self.exps) if e)
-
     def __eq__(self, other):
         return isinstance(other, Monomial) and self.exps == other.exps
 
@@ -198,13 +195,6 @@ class Polynomial:
     def is_homogeneous(self) -> bool:
         degs = {m.degree for m in self.terms}
         return len(degs) <= 1
-
-    def lead(self, order: MonomialOrder):
-        """Leading (monomial, coefficient) under the order; error on zero."""
-        if not self.terms:
-            raise ValueError("the zero polynomial has no leading term")
-        m = max(self.terms, key=order.key)
-        return m, self.terms[m]
 
     def sorted_terms(self, order: MonomialOrder):
         return sorted(self.terms.items(), key=lambda mc: order.key(mc[0]), reverse=True)

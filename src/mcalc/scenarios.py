@@ -304,10 +304,6 @@ def _xy_sum(ring):
     return ring.variable("x") + ring.variable("y")
 
 
-def _x_sq_plus_y(ring):
-    return ring.variable("x") ** 2 + ring.variable("y")
-
-
 def _x_sq(ring):
     return ring.variable("x") ** 2
 

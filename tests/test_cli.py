@@ -295,6 +295,30 @@ def test_length_supported_away_from_the_origin_exits_two(tmp_path, capsys):
     assert out == "" and err.startswith("error: SUPPORT_NOT_AT_ORIGIN: ")
 
 
+IDEMPOTENT_PLANE = "field = Q\nvars = x, y\nquotient = [x^2 - x]\n"
+LINE = "field = Q\nvars = x\n"
+
+
+# Each homology length is finite but counts a point away from the origin:
+# k[x,y]/(x^2 - x, y) is k x k with one point at x = 1, and x - 1 is a unit
+# at the origin of k[x], where k[x]/(x - 1) has its one point at x = 1.
+@pytest.mark.parametrize("session, command, options", [
+    (IDEMPOTENT_PLANE, ["koszul"], ["--seq", "y"]),
+    (IDEMPOTENT_PLANE, ["koszul"], ["--seq", "y", "--degree", "0", "--json"]),
+    (LINE, ["koszul"], ["--seq", "x - 1", "--json"]),
+    (LINE, ["koszul"], ["--seq", "x - 1", "--degree", "0"]),
+    (IDEMPOTENT_PLANE, ["verify", "factor"], ["--seq", "y", "--seq2", "x - 1"]),
+], ids=["koszul", "koszul-degree-json", "koszul-unit-json", "koszul-unit-degree",
+        "verify-factor"])
+def test_homology_supported_away_from_the_origin_exits_two(tmp_path, capsys, session,
+                                                            command, options):
+    p = tmp_path / "away.ring"
+    p.write_text(session, encoding="utf-8")
+    assert main(command + [str(p)] + options) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: SUPPORT_NOT_AT_ORIGIN: ")
+
+
 def test_python_dash_m_runs_the_cli():
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ)

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from mcalc import fpmodules
 from mcalc.errors import (ImageNotInKernel, MapNotWellDefined,
-                          NotZeroDimensional, RingMismatch)
+                          NotZeroDimensional, RingMismatch, SupportNotAtOrigin)
 from mcalc.fpmodules import (FPModule, ModuleGB, ModuleMap, ModuleVector,
                              gamma_saturation, kernel_of_map, module_gb,
                              module_origin_support, preimage_submodule,
@@ -200,6 +200,15 @@ def test_origin_support():
     assert not module_origin_support(off)
     with pytest.raises(NotZeroDimensional):
         module_origin_support(FPModule.cyclic(R, [X]))
+
+
+def test_local_length():
+    assert FPModule.cyclic(R, [X, Y * Y]).local_length() == 2
+    assert FPModule.cyclic(R, [X]).local_length() is INFINITE
+    assert FPModule.zero_module(R).local_length() == 0
+    # k[x,y]/(x^2 - x, y) is k x k, one point at the origin and one at x = 1
+    with pytest.raises(SupportNotAtOrigin):
+        FPModule.cyclic(R, [X * X - X, Y]).local_length()
 
 
 def test_gamma_saturation_splits_torsion():

@@ -7,8 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from mcalc.errors import UnitIdeal, NotZeroDimensional
-from mcalc.groebner import (GroebnerBasis, _buchberger, _reduce_basis,
-                            _reducer_form, buchberger, krull_dimension,
+from mcalc.fpmodules import FPModule, ModuleVector, module_gb
+from mcalc.groebner import (GroebnerBasis, _buchberger, _raw_vector, _reduce_basis,
+                            _reducer_form, _self_check, buchberger, krull_dimension,
                             normal_form, origin_support_check,
                             standard_monomials)
 from mcalc.parsing import parse_polynomial
@@ -258,13 +259,74 @@ def test_division_matches_first_divisor_oracle(problem):
     order, f, reducers = problem
     names = ("x", "y", "z")[:f.nvars]
     R = RingSpec(f.field, names, MonomialOrder(OrderKind(order)))
-    r, witness = normal_form(f, GroebnerBasis(R, reducers), with_witness=True)
+    r, witness = normal_form(f, GroebnerBasis(R, [_raw_vector((g,)) for g in reducers]),
+                              with_witness=True)
     rem, quotients = oracles.first_divisor_division(f, reducers, _ORACLE_KEYS[order])
     assert {m.exps: c for m, c in r.terms.items()} == rem
     assert [{m.exps: c for m, c in w.terms.items()} for w in witness] == quotients
 
 
 F7 = FieldSpec.prime_field(7)
+
+
+@st.composite
+def _ideal_problems(draw):
+    field = draw(st.sampled_from([F7, Q]))
+    nvars = draw(st.integers(2, 3))
+    order = draw(st.sampled_from([MonomialOrder.grevlex(), MonomialOrder.lex()]))
+    polys = _small_polys(field, nvars)
+    return order, draw(st.lists(polys, max_size=3)), draw(polys)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_ideal_problems())
+def test_ideal_path_is_the_rank_one_module_path(problem):
+    """An ideal is a rank-1 module: the same basis, the same normal forms,
+    and the support dimension of R/I is the Krull dimension of I."""
+    order, gens, f = problem
+    R = RingSpec(f.field, ("x", "y", "z")[:f.nvars], order)
+    gb = buchberger(R, gens)
+    mgb = module_gb(R, [ModuleVector((g,)) for g in gens], 1)
+    assert gb.raws == tuple(v.raw for v in mgb.generators)
+    assert ModuleVector((normal_form(f, gb),)) == mgb.normal_form(ModuleVector((f,)))
+    dim = FPModule.cyclic(R, gens).support_dimension()
+    assert dim == (-1 if gb.is_unit_ideal() else krull_dimension(gb))
+
+
+R3 = RingSpec(F7, ("x", "y", "z"))
+
+
+def _certificate_basis(rank):
+    """Reduced basis over F_7[x, y, z], of an ideal at rank 1 and of a
+    submodule of R^2 at rank 2, whose first element the rest cannot spare:
+    without it they are not a Groebner basis."""
+    x, y, z = (R3.variable(v) for v in "xyz")
+    if rank == 1:
+        return list(buchberger(R3, [x * x + y * z, x * y - z * z, y ** 3 + x]).raws)
+    vecs = [ModuleVector((x, y)), ModuleVector((y, z)), ModuleVector((z * z, x))]
+    return [v.raw for v in module_gb(R3, vecs, 2).generators]
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+def test_self_check_passes_the_basis(rank):
+    basis = _certificate_basis(rank)
+    _self_check(basis, basis, R3.order, F7.raw)
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+def test_self_check_catches_a_missing_element(rank):
+    truncated = _certificate_basis(rank)[1:]
+    # the inputs are the basis itself, so only the S-vector half can fail
+    with pytest.raises(AssertionError, match="S-vector self-check failed"):
+        _self_check(truncated, truncated, R3.order, F7.raw)
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+def test_self_check_catches_an_input_outside_the_span(rank):
+    basis = _certificate_basis(rank)
+    x_e0 = {(0, (1, 0, 0)): F7.raw.one}
+    with pytest.raises(AssertionError, match="input does not reduce to zero"):
+        _self_check(basis, basis + [x_e0], R3.order, F7.raw)
 
 
 @st.composite

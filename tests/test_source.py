@@ -1,4 +1,5 @@
-"""Source hygiene: no module of the package imports a name it never uses."""
+"""Source hygiene: no module of the package imports a name it never uses,
+and no private module-level function or class goes unreferenced."""
 
 import ast
 import pathlib
@@ -43,3 +44,43 @@ def test_no_unused_imports_in_the_package():
              for path in sorted(SRC.glob("*.py"))
              for line, name in unused_imports(path.read_text(encoding="utf-8"), str(path))]
     assert not found, "unused imports:\n" + "\n".join(found)
+
+
+def unreferenced_private_definitions(texts):
+    """(file, name) of each module-level `_private` function or class that
+    no module among texts (file -> source) reads by name, as an attribute or
+    in an import."""
+    defined = []
+    used = set()
+    for filename, text in texts.items():
+        tree = ast.parse(text, filename=filename)
+        defined += [(filename, node.name) for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and node.name.startswith("_") and not node.name.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    return [(f, name) for f, name in defined if name not in used]
+
+
+def test_unreferenced_private_definitions_are_found():
+    texts = {"a.py": ("def _dead():\n    pass\n"
+                      "def _called():\n    pass\n"
+                      "def _by_attribute():\n    pass\n"
+                      "class _Imported:\n    pass\n"
+                      "def __getattr__(name):\n    pass\n"
+                      "_called()\n"),
+             "b.py": ("import a\n"
+                      "from a import _Imported\n"
+                      "print(a._by_attribute)\n")}
+    assert unreferenced_private_definitions(texts) == [("a.py", "_dead")]
+
+
+def test_no_unreferenced_private_definitions_in_the_package():
+    texts = {path.name: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    found = [f"{f}: {name}" for f, name in unreferenced_private_definitions(texts)]
+    assert not found, "unreferenced private definitions:\n" + "\n".join(found)
