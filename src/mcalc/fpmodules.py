@@ -20,9 +20,9 @@ together they generate the full syzygy module. Pending pairs wait in a heap
 keyed once per pair by (lcm degree, order key of the lcm, index pair); the
 index pair breaks ties, which makes the syzygies that come out, and so every
 presentation built from them, deterministic. For `module_gb` the loop skips
-pairs by the chain criterion and pairs of two single terms, never by the
-product criterion (which holds at rank 1 only), and every basis is then
-certified by `groebner._self_check`.
+pairs by the chain criterion, pairs of two single terms and, at rank 1 only,
+by the product criterion, and every basis is then certified by
+`groebner._self_check`, whose criteria need no pair order.
 
 Kernels, subquotient presentations, annihilators and saturations all come
 from `preimage_submodule`, the preimage of a submodule under a map of free
@@ -278,7 +278,7 @@ class FPModule:
         """Length at the origin, or INFINITE; SupportNotAtOrigin when the
         length is finite but counts points away from the origin too."""
         l = self.length()
-        if l is not INFINITE and not module_origin_support(self):
+        if l is not INFINITE and not _origin_support(self._gb._forms, self.rank, self.ring, l):
             raise SupportNotAtOrigin("the module is supported away from the origin")
         return l
 
@@ -386,10 +386,10 @@ def kernel_of_map(phi: ModuleMap):
 
 def module_origin_support(M: FPModule) -> bool:
     """True when Supp M is at most the origin; requires finite length."""
-    supported = _origin_support(M.gb._forms, M.rank, M.ring)
-    if supported is None:
+    length = M.length()
+    if length is INFINITE:
         raise NotZeroDimensional("module_origin_support needs finite length")
-    return supported
+    return _origin_support(M.gb._forms, M.rank, M.ring, length)
 
 
 def gamma_saturation(M: FPModule, f: Polynomial):

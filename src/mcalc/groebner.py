@@ -227,8 +227,10 @@ def _buchberger(ring: RingSpec, raws, rank, track=False):
     criterion at rank 1 only (coprime leads; at higher rank the S-vector
     need not reduce to zero), or by the chain criterion (a third lead at the
     same position divides the lcm and both side pairs were already popped);
-    the basis is reduced, ascending by lead, and certified by `_self_check`,
-    and there are no syzygies.
+    the basis is reduced, ascending by lead, and there are no syzygies. The
+    reduced basis is then certified by `_self_check`, whose pair skips need
+    no pair order: its chain criterion is the strict form, not this loop's
+    popped-pairs one.
     """
     order = ring.order
     ops = ring.field.raw
@@ -312,16 +314,35 @@ def buchberger(ring: RingSpec, gens) -> GroebnerBasis:
 def _self_check(basis, inputs, order, ops):
     """Complete correctness certificate for a computed basis at any rank.
 
-    Every S-vector of two basis elements at the same position reduces to
-    zero (Buchberger's criterion, with no pair skipped) and every input
-    reduces to zero, so the basis generates exactly the input submodule.
+    Every S-vector of two basis elements at the same position has a standard
+    representation, and every input reduces to zero, so the basis is a
+    Groebner basis of exactly the input submodule. A pair is divided out
+    unless a theorem gives its representation: both elements are single
+    terms (the S-vector is zero); every basis term is at position 0, so the
+    elements are polynomials, and their leads are coprime (the product
+    criterion; at higher rank the S-vector need not reduce to zero); or a
+    third lead at the same position divides lcm(a, b) and its lcms with both
+    leads are proper divisors of lcm(a, b) (the chain criterion in its
+    strict form). By induction on the lcm in the well-ordered term order,
+    the two smaller pairs of a chain have representations, so the skipped
+    one does too; no pair order is needed.
     """
     forms = [_reducer_form(v, order) for v in basis]
+    polys = all(p == 0 for v in basis for p, _ in v)
     for fa, fb in itertools.combinations(forms, 2):
-        if fa[0] == fb[0]:
-            sv, _ = _s_vector(fa, fb, tuple(map(max, fa[1], fb[1])), ops)
-            if _reduce(sv, forms, order, ops)[0]:
-                raise AssertionError("S-vector self-check failed: not a Groebner basis")
+        if fa[0] != fb[0] or not fa[3] and not fb[3]:
+            continue
+        lcm = tuple(map(max, fa[1], fb[1]))
+        if polys and sum(lcm) == sum(fa[1]) + sum(fb[1]):
+            continue
+        # a and b themselves fail the proper-divisor test
+        if any(f[0] == fa[0] and all(map(le, f[1], lcm))
+               and tuple(map(max, f[1], fa[1])) != lcm
+               and tuple(map(max, f[1], fb[1])) != lcm for f in forms):
+            continue
+        sv, _ = _s_vector(fa, fb, lcm, ops)
+        if _reduce(sv, forms, order, ops)[0]:
+            raise AssertionError("S-vector self-check failed: not a Groebner basis")
     for v in inputs:
         if _reduce(dict(v), forms, order, ops)[0]:
             raise AssertionError("input does not reduce to zero")
@@ -399,21 +420,16 @@ def krull_dimension(gb: GroebnerBasis) -> int:
     return _dimension(gb._forms, gb.ring.nvars)
 
 
-def _origin_support(forms, rank, ring: RingSpec):
+def _origin_support(forms, rank, ring: RingSpec, length):
     """True when R^rank modulo the submodule with these Groebner reducer
-    forms is supported at most at the origin; None when it has infinite
-    length.
+    forms, of finite length `length`, is supported at most at the origin.
 
-    Each variable acts nilpotently iff x_i^D * e_p reduces to zero for every
-    position p, where D is the length (the length bounds the nilpotency
-    index).
+    Each variable acts nilpotently iff x_i^length * e_p reduces to zero for
+    every position p (the length bounds the nilpotency index).
     """
-    terms = _standard_terms(forms, rank, ring.nvars, ring.order)
-    if terms is INFINITE:
-        return None
-    d, n, ops = len(terms), ring.nvars, ring.field.raw
+    n, ops = ring.nvars, ring.field.raw
     for i in range(n):
-        power = tuple(d if j == i else 0 for j in range(n))
+        power = tuple(length if j == i else 0 for j in range(n))
         for p in range(rank):
             if _reduce({(p, power): ops.one}, forms, ring.order, ops)[0]:
                 return False
@@ -422,7 +438,7 @@ def _origin_support(forms, rank, ring: RingSpec):
 
 def origin_support_check(gb: GroebnerBasis) -> bool:
     """True when V(ideal) is at most the origin; needs a finite quotient."""
-    supported = _origin_support(gb._forms, 1, gb.ring)
-    if supported is None:
+    terms = standard_monomials(gb)
+    if terms is INFINITE:
         raise NotZeroDimensional("origin support needs a finite quotient")
-    return supported
+    return _origin_support(gb._forms, 1, gb.ring, len(terms))

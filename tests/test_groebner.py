@@ -8,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from mcalc.errors import UnitIdeal, NotZeroDimensional
 from mcalc.fpmodules import FPModule, ModuleVector, module_gb
-from mcalc.groebner import (GroebnerBasis, _buchberger, _raw_vector, _reduce_basis,
-                            _reducer_form, _self_check, buchberger, krull_dimension,
+from mcalc.groebner import (GroebnerBasis, _buchberger, _raw_vector, _reduce,
+                            _reduce_basis, _reducer_form, _s_vector, _self_check,
+                            buchberger, krull_dimension,
                             normal_form, origin_support_check,
                             standard_monomials)
 from mcalc.parsing import parse_polynomial
@@ -329,6 +330,28 @@ def test_self_check_catches_an_input_outside_the_span(rank):
         _self_check(basis, basis + [x_e0], R3.order, F7.raw)
 
 
+def test_self_check_uses_no_product_criterion_on_vectors():
+    """The leads x*e0 and y*e0 are coprime, but the S-vector (0, y) of
+    (x, 1) and (y, 0) is irreducible."""
+    R = _plane(F7)
+    x, y = R.variable("x"), R.variable("y")
+    basis = [_raw_vector((x, R.one())), _raw_vector((y, R.zero()))]
+    with pytest.raises(AssertionError, match="S-vector self-check failed"):
+        _self_check(basis, basis, R.order, F7.raw)
+
+
+def test_self_check_uses_only_the_strict_chain_criterion():
+    """All three pairwise lcms of the leads xy, yz, xz are xyz, so each
+    third lead divides the lcm but with no proper side lcm; the reduced
+    basis of this ideal has six elements."""
+    x, y, z = (R3.variable(v) for v in "xyz")
+    gens = [x * y - z * z, y * z + x, x * z + y]
+    assert len(buchberger(R3, gens).raws) == 6
+    basis = [_raw_vector((g,)) for g in gens]
+    with pytest.raises(AssertionError, match="S-vector self-check failed"):
+        _self_check(basis, basis, R3.order, F7.raw)
+
+
 @st.composite
 def _f7_families(draw):
     """A rank and a list of raw vectors over F_7[x, y] of that rank."""
@@ -355,3 +378,34 @@ def test_untracked_loop_matches_tracked_loop(family):
     tracked, _ = _buchberger(R, raws, rank, track=True)
     forms = [_reducer_form(v, R.order) for v in tracked]
     assert basis == _reduce_basis(forms, R.order, F7.raw)
+
+
+def _divides_every_pair(basis, order, ops):
+    """Reference certificate: True when the S-vector of every same-position
+    pair reduces to zero, with no pair skipped."""
+    forms = [_reducer_form(v, order) for v in basis]
+    for fa, fb in itertools.combinations(forms, 2):
+        if fa[0] == fb[0]:
+            sv, _ = _s_vector(fa, fb, tuple(map(max, fa[1], fb[1])), ops)
+            if _reduce(sv, forms, order, ops)[0]:
+                return False
+    return True
+
+
+@settings(max_examples=60, deadline=None)
+@given(_f7_families())
+def test_self_check_agrees_with_dividing_every_pair(family):
+    """The certificate's skips are theorems: it fails exactly when some
+    same-position S-vector has a nonzero remainder. Checked on the nonzero
+    vectors of the family and on its reduced basis."""
+    rank, raws = family
+    R = _plane(F7)
+    basis, _ = _buchberger(R, raws, rank)
+    for vecs in ([v for v in raws if v], basis):
+        full = _divides_every_pair(vecs, R.order, F7.raw)
+        try:
+            _self_check(vecs, [], R.order, F7.raw)
+        except AssertionError:
+            assert not full
+        else:
+            assert full
