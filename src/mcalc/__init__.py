@@ -6,13 +6,11 @@ plus verifiers for the length/multiplicity identities they satisfy.
 """
 
 from .errors import EngineError, ParseError
-from .fpmodules import (FPModule, ModuleGB, ModuleMap, ModuleVector,
-                        gamma_saturation, kernel_of_map, module_gb,
-                        module_origin_support, preimage_submodule,
+from .fpmodules import (FPModule, ModuleMap, ModuleVector, gamma_saturation,
+                        kernel_of_map, module_gb, preimage_submodule,
                         subquotient, syzygies, unit_vectors)
 from .groebner import (GroebnerBasis, buchberger, krull_dimension,
-                       normal_form, origin_support_check,
-                       standard_monomials)
+                       normal_form, standard_monomials)
 from .koszul import (KoszulComplex, VirtualModule, koszul_complex,
                      koszul_differential, koszul_homology, phi_apply,
                      reduce_class)
@@ -33,10 +31,10 @@ __all__ = [
     "EngineError", "ParseError", "FieldKind", "FieldSpec", "Scalar",
     "INFINITE", "Monomial", "MonomialOrder", "OrderKind", "Polynomial",
     "RingSpec", "GroebnerBasis", "buchberger", "normal_form",
-    "standard_monomials", "krull_dimension", "origin_support_check",
-    "ModuleVector", "ModuleGB", "ModuleMap", "FPModule", "module_gb",
+    "standard_monomials", "krull_dimension",
+    "ModuleVector", "ModuleMap", "FPModule", "module_gb",
     "syzygies", "preimage_submodule", "subquotient", "kernel_of_map",
-    "unit_vectors", "module_origin_support", "gamma_saturation",
+    "unit_vectors", "gamma_saturation",
     "KoszulComplex", "koszul_complex", "koszul_differential",
     "koszul_homology", "VirtualModule", "phi_apply", "reduce_class",
     "LengthSequence", "Report", "SearchResult", "ideal_power",

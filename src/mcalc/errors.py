@@ -39,10 +39,6 @@ class UnitIdeal(EngineError):
     code = "UNIT_IDEAL"
 
 
-class NotZeroDimensional(EngineError):
-    code = "NOT_ZERO_DIMENSIONAL"
-
-
 class ImageNotInKernel(EngineError):
     code = "IMAGE_NOT_IN_KERNEL"
 

@@ -9,16 +9,17 @@ kernel's raw vector, which a `ModuleVector` holds; polynomial components are
 built only at the boundary. Rank 0 needs no special case: its only vector is
 the empty raw vector.
 
-The engine parts are the ideal engine's, an ideal being the rank-1 case:
-`groebner._buchberger` builds module bases and syzygies; division, basis
-reduction, standard terms, the origin-support check and the dimension count
-are `groebner`'s raw-term routines too, and `support_dimension` reads each
-annihilator's dimension off a rank-1 module basis. For `syzygies` the loop
-skips no pairs: with every S-pair processed, each element carries its
-expression on the inputs, so a reduction to zero is literally a syzygy and
-together they generate the full syzygy module. Pending pairs wait in a heap
-keyed once per pair by (lcm degree, order key of the lcm, index pair); the
-index pair breaks ties, which makes the syzygies that come out, and so every
+The engine parts are the ideal engine's, an ideal being the rank-1 case. A
+module basis is a `groebner.GroebnerBasis` of rank `rank`, built by the
+same input path as an ideal's, and it answers every quotient query:
+division, standard terms, dimension and local length. `support_dimension`
+reads each annihilator's dimension off a rank-1 module basis.
+`groebner._buchberger` also computes syzygies. For `syzygies` the loop skips
+no pairs: with every S-pair processed, each element carries its expression
+on the inputs, so a reduction to zero is literally a syzygy and together
+they generate the full syzygy module. Pending pairs wait in a heap keyed
+once per pair by (lcm degree, order key of the lcm, index pair); the index
+pair breaks ties, which makes the syzygies that come out, and so every
 presentation built from them, deterministic. For `module_gb` the loop skips
 pairs by the chain criterion, pairs of two single terms and, at rank 1 only,
 by the product criterion, and every basis is then certified by
@@ -33,13 +34,9 @@ and deduplicated on raw keys.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .errors import (ImageNotInKernel, MapNotWellDefined, NotZeroDimensional,
-                     RingMismatch, SaturationCapExceeded, SupportNotAtOrigin)
-from .groebner import (_buchberger, _dimension, _origin_support, _raw_components,
-                       _raw_polynomial, _raw_vector, _reduce, _reducer_form,
-                       _standard_terms, _submul)
+from .errors import ImageNotInKernel, MapNotWellDefined, RingMismatch, SaturationCapExceeded
+from .groebner import (GroebnerBasis, _basis, _buchberger, _raw_components, _raw_vector,
+                       _submul)
 from .polyring import INFINITE, Polynomial, RingSpec
 
 SATURATION_CAP = 64
@@ -132,46 +129,9 @@ def _combination(ring: RingSpec, rank: int, cols, v: ModuleVector) -> ModuleVect
     return ModuleVector._from_raw(ring.field, ring.nvars, rank, out)
 
 
-@dataclass(frozen=True)
-class ModuleGB:
-    """Reduced module Groebner basis inside R^rank.
-
-    Holds each generator's reducer form, built once here, for the division
-    kernel.
-    """
-
-    ring: RingSpec
-    rank: int
-    generators: tuple
-
-    def __post_init__(self):
-        order = self.ring.order
-        object.__setattr__(self, "_forms", tuple(
-            _reducer_form(g.raw, order) for g in self.generators))
-
-    def normal_form(self, v: ModuleVector, with_cofactors=False):
-        ring = self.ring
-        field, nvars = ring.field, ring.nvars
-        rem, quot = _reduce(dict(v.raw), self._forms, ring.order, field.raw,
-                            with_witness=with_cofactors)
-        r = ModuleVector._from_raw(field, nvars, self.rank, rem)
-        if with_cofactors:
-            return r, [_raw_polynomial(field, nvars, q) for q in quot]
-        return r
-
-    def contains(self, v: ModuleVector) -> bool:
-        return self.normal_form(v).is_zero()
-
-
-def module_gb(ring: RingSpec, vectors, rank: int) -> ModuleGB:
-    """Reduced module GB of the given vectors plus J*e_i for every position."""
-    vecs = list(vectors)
-    for q in ring.quotient:
-        for i in range(rank):
-            vecs.append(ModuleVector.unit(ring.field, ring.nvars, rank, i, q))
-    basis, _ = _buchberger(ring, _raws(vecs, rank), rank)
-    return ModuleGB(ring, rank, tuple(
-        ModuleVector._from_raw(ring.field, ring.nvars, rank, v) for v in basis))
+def module_gb(ring: RingSpec, vectors, rank: int) -> GroebnerBasis:
+    """Reduced Groebner basis of the given vectors plus J*e_i for every position."""
+    return _basis(ring, _raws(vectors, rank), rank)
 
 
 def syzygies(ring: RingSpec, vectors):
@@ -222,16 +182,19 @@ def preimage_submodule(ring: RingSpec, L, phi_columns):
 
 
 class FPModule:
-    """R^rank modulo a relation submodule, held as its reduced module GB."""
+    """R^rank modulo a relation submodule, held as its reduced Groebner basis
+    `gb`; `relations` are that basis's vectors."""
 
-    __slots__ = ("ring", "rank", "_gb")
+    __slots__ = ("ring", "rank", "gb", "relations")
 
     def __init__(self, ring: RingSpec, rank: int, relations=()):
         if rank < 0:
             raise ValueError("rank must be nonnegative")
         self.ring = ring
         self.rank = rank
-        self._gb = module_gb(ring, list(relations), rank)
+        self.gb = module_gb(ring, list(relations), rank)
+        self.relations = tuple(ModuleVector._from_raw(ring.field, ring.nvars, rank, v)
+                               for v in self.gb.raws)
 
     @classmethod
     def free(cls, ring: RingSpec, rank: int) -> "FPModule":
@@ -246,14 +209,6 @@ class FPModule:
     def zero_module(cls, ring: RingSpec) -> "FPModule":
         return cls(ring, 0)
 
-    @property
-    def relations(self):
-        return self._gb.generators
-
-    @property
-    def gb(self) -> ModuleGB:
-        return self._gb
-
     def quotient_by_polys(self, polys) -> "FPModule":
         """M / (f_1, .., f_k)M."""
         rels = list(self.relations)
@@ -264,26 +219,21 @@ class FPModule:
                                               self.rank, i, f))
         return FPModule(self.ring, self.rank, rels)
 
-    def standard_pairs(self):
-        """(position, monomial) pairs spanning the quotient over k, or INFINITE."""
-        return _standard_terms(self._gb._forms, self.rank, self.ring.nvars, self.ring.order)
+    def contains(self, v: ModuleVector) -> bool:
+        """True when the vector v of R^rank lies in the relation submodule."""
+        return not self.gb.reduce(v.raw)[0]
 
     def length(self):
-        sp = self.standard_pairs()
-        if sp is INFINITE:
-            return INFINITE
-        return len(sp)
+        terms = self.gb.standard_terms()
+        return terms if terms is INFINITE else len(terms)
 
     def local_length(self):
         """Length at the origin, or INFINITE; SupportNotAtOrigin when the
         length is finite but counts points away from the origin too."""
-        l = self.length()
-        if l is not INFINITE and not _origin_support(self._gb._forms, self.rank, self.ring, l):
-            raise SupportNotAtOrigin("the module is supported away from the origin")
-        return l
+        return self.gb.local_length()
 
     def is_zero(self) -> bool:
-        return all(self._gb.contains(u) for u in unit_vectors(self.ring, self.rank))
+        return self.gb.is_unit_ideal()
 
     def support_dimension(self) -> int:
         """Dimension of Supp M; -1 for the zero module (empty support).
@@ -295,8 +245,7 @@ class FPModule:
         ring, rels = self.ring, list(self.relations)
         best = -1
         for e in unit_vectors(ring, self.rank):
-            ann = module_gb(ring, preimage_submodule(ring, rels, [e]), 1)
-            best = max(best, _dimension(ann._forms, ring.nvars))
+            best = max(best, module_gb(ring, preimage_submodule(ring, rels, [e]), 1).dimension())
         return best
 
     def __eq__(self, other):
@@ -334,7 +283,7 @@ class ModuleMap:
         self.target = target
         self.matrix = matrix
         for rel in source.relations:
-            if not target.gb.contains(self.apply_vec(rel)):
+            if not target.contains(self.apply_vec(rel)):
                 raise MapNotWellDefined("source relation does not map into target relations")
 
     @classmethod
@@ -362,7 +311,7 @@ def subquotient(ker_gens, img_gens, ambient: FPModule) -> FPModule:
     if any(v.rank != ambient.rank for v in ker_gens):
         raise RingMismatch("vector of wrong rank")
     if img_gens:
-        check = module_gb(ring, ker_gens + list(ambient.relations), ambient.rank)
+        check = FPModule(ring, ambient.rank, ker_gens + list(ambient.relations))
         for v in img_gens:
             if not check.contains(v):
                 raise ImageNotInKernel("image generator outside the kernel span")
@@ -379,17 +328,9 @@ def kernel_of_map(phi: ModuleMap):
     src = phi.source
     K = preimage_submodule(src.ring, list(phi.target.relations), list(phi.matrix))
     for v in K:
-        assert phi.target.gb.contains(phi.apply_vec(v)), "kernel generator misses target relations"
+        assert phi.target.contains(phi.apply_vec(v)), "kernel generator misses target relations"
     kernel = subquotient(K, [], src)
     return kernel, K
-
-
-def module_origin_support(M: FPModule) -> bool:
-    """True when Supp M is at most the origin; requires finite length."""
-    length = M.length()
-    if length is INFINITE:
-        raise NotZeroDimensional("module_origin_support needs finite length")
-    return _origin_support(M.gb._forms, M.rank, M.ring, length)
 
 
 def gamma_saturation(M: FPModule, f: Polynomial):
@@ -412,7 +353,7 @@ def gamma_saturation(M: FPModule, f: Polynomial):
         cols = [_combination(ring, M.rank, fcols, c) for c in cols]  # f^k * e_i
         gens = preimage_submodule(ring, rel, cols)
         gb = module_gb(ring, gens + rel, M.rank)
-        if prev_gb is not None and gb.generators == prev_gb.generators:
+        if prev_gb is not None and gb.raws == prev_gb.raws:
             gamma_gens = prev_gens
             break
         prev_gb, prev_gens = gb, gens
@@ -423,5 +364,5 @@ def gamma_saturation(M: FPModule, f: Polynomial):
     # contract: f is a nonzerodivisor on the quotient
     residual = preimage_submodule(ring, list(quotient.relations), fcols)
     for v in residual:
-        assert quotient.gb.contains(v), "saturation left f-torsion behind"
+        assert quotient.contains(v), "saturation left f-torsion behind"
     return gamma, quotient

@@ -1,18 +1,20 @@
 """Groebner engine: reduced Groebner bases, normal forms, standard monomials.
 
-All ideal computations happen in k[x_1..x_n] with the ring's quotient
-generators folded into the input, so callers work over A = R/J transparently.
+All computations happen in k[x_1..x_n] with the ring's quotient generators
+folded into the input, so callers work over A = R/J transparently.
 
 An ideal is a rank-1 module, so this module holds one of each engine part
-for ideals and modules alike, all on raw terms, and `fpmodules` imports
-them: the Buchberger loop `_buchberger`, its certificate `_self_check`, the
-division kernel `_reduce`, the basis reduction `_reduce_basis`, the
-standard-term enumerator `_standard_terms`, the origin-support check
-`_origin_support` and the dimension count `_dimension`. A `GroebnerBasis`
-holds the raw vectors `_buchberger` returns, so polynomials are converted
-only at the boundary: `buchberger`'s inputs, `GroebnerBasis.generators` and
-`normal_form`'s results. Each basis element's reducer form is built once,
-when the element joins a basis, never once per division.
+for ideals and submodules of R^rank alike, all on raw terms: the Buchberger
+loop `_buchberger`, its certificate `_self_check`, the division kernel
+`_reduce`, the basis reduction `_reduce_basis`, the one input path `_basis`
+and the one basis object `GroebnerBasis`, which answers every quotient
+query (division, standard terms, dimension, local length). `fpmodules`
+builds its bases through `_basis` and its syzygies through `_buchberger`,
+and reads no reducer form. A `GroebnerBasis` holds the raw vectors
+`_buchberger` returns, so polynomials are converted only at the boundary:
+`buchberger`'s inputs, `GroebnerBasis.generators` and `normal_form`'s
+results. Each basis element's reducer form is built once, when the element
+joins a basis, never once per division.
 """
 
 from __future__ import annotations
@@ -22,20 +24,23 @@ import itertools
 from dataclasses import dataclass
 from operator import add, le, sub
 
-from .errors import NotZeroDimensional, UnitIdeal
-from .polyring import INFINITE, Monomial, MonomialOrder, Polynomial, RingSpec
+from .errors import SupportNotAtOrigin, UnitIdeal
+from .polyring import INFINITE, Monomial, Polynomial, RingSpec
 from .scalars import Scalar
 
 
 @dataclass(frozen=True)
 class GroebnerBasis:
-    """A reduced, monic Groebner basis of an ideal: rank-1 raw vectors (see
-    `_raw_vector`), ascending by lead, never mutated. Builds each one's
-    reducer form once; `generators` builds the polynomials on request.
+    """A Groebner basis of a submodule of R^rank, an ideal being rank 1: raw
+    vectors (see `_raw_vector`), never mutated. `_basis` makes them the
+    reduced, monic basis, ascending by lead. Builds each one's reducer form
+    once. `generators` and `contains` are the polynomial view of a rank-1
+    basis; `generators` builds the polynomials on request.
     """
 
     ring: RingSpec
     raws: tuple
+    rank: int = 1
 
     def __post_init__(self):
         object.__setattr__(self, "raws", tuple(self.raws))
@@ -43,19 +48,61 @@ class GroebnerBasis:
             _reducer_form(v, self.ring.order) for v in self.raws))
 
     @property
-    def order(self) -> MonomialOrder:
-        return self.ring.order
-
-    @property
     def generators(self):
         ring = self.ring
         return tuple(_raw_components(ring.field, ring.nvars, 1, v)[0] for v in self.raws)
 
-    def is_unit_ideal(self) -> bool:
-        return any(not any(f[1]) for f in self._forms)
-
     def contains(self, f: Polynomial) -> bool:
         return normal_form(f, self).is_zero()
+
+    def reduce(self, raw, with_witness=False):
+        """(remainder, witness) of the raw vector divided by the basis; see
+        `_reduce`. raw is left as it is."""
+        return _reduce(dict(raw), self._forms, self.ring.order, self.ring.field.raw,
+                       with_witness=with_witness)
+
+    def standard_terms(self):
+        """(position, Monomial) pairs spanning R^rank modulo the submodule
+        over k, or INFINITE; see `_standard_terms`."""
+        return _standard_terms(self._forms, self.rank, self.ring.nvars, self.ring.order)
+
+    def dimension(self) -> int:
+        """Dimension of R^rank modulo the submodule, read off the leads: the
+        size of the largest variable subset that, at some position, contains
+        the support of no lead there; -1 for the zero quotient."""
+        n = self.ring.nvars
+        best = -1
+        for p in range(self.rank):
+            supports = [{i for i, e in enumerate(f[1]) if e} for f in self._forms if f[0] == p]
+            for size in range(n, best, -1):
+                if any(not any(sup <= set(combo) for sup in supports)
+                       for combo in itertools.combinations(range(n), size)):
+                    best = size
+                    break
+        return best
+
+    def is_unit_ideal(self) -> bool:
+        """True when the quotient is zero: every position has a unit lead."""
+        return len({f[0] for f in self._forms if not any(f[1])}) == self.rank
+
+    def local_length(self):
+        """Length of the quotient at the origin, or INFINITE.
+
+        Raises SupportNotAtOrigin when the length is finite but counts points
+        away from the origin too. Each variable acts nilpotently iff
+        x_i^length * e_p reduces to zero for every position p (the length
+        bounds the nilpotency index).
+        """
+        terms = self.standard_terms()
+        if terms is INFINITE:
+            return INFINITE
+        n, one = self.ring.nvars, self.ring.field.raw.one
+        for i in range(n):
+            power = tuple(len(terms) if j == i else 0 for j in range(n))
+            for p in range(self.rank):
+                if self.reduce({(p, power): one})[0]:
+                    raise SupportNotAtOrigin("the module is supported away from the origin")
+        return len(terms)
 
 
 # -- the division kernel -------------------------------------------------------
@@ -293,22 +340,29 @@ def _buchberger(ring: RingSpec, raws, rank, track=False):
     return basis, syz
 
 
-def buchberger(ring: RingSpec, gens) -> GroebnerBasis:
-    """Reduced Groebner basis of (gens) + (ring.quotient).
+def _basis(ring: RingSpec, raws, rank) -> GroebnerBasis:
+    """Reduced Groebner basis of the submodule of R^rank that the raw vectors
+    and J*e_p for every position p generate, J being ring.quotient.
 
-    The distinct nonzero inputs enter `_buchberger` as raw vectors ascending
-    by lead, equal leads in input order, as a rank-1 module.
+    The distinct nonzero inputs enter `_buchberger` ascending by lead, equal
+    leads in input order.
     """
     dkey = ring.order.descending_key
-    work = [ring.check_member(g) for g in gens]
-    work.extend(ring.quotient)
-    raws = []
-    for raw in sorted((_raw_vector((g,)) for g in work if not g.is_zero()),
-                      key=lambda r: min(dkey(e) for _, e in r), reverse=True):
-        if raw not in raws:
-            raws.append(raw)
-    basis, _ = _buchberger(ring, raws, 1)
-    return GroebnerBasis(ring, basis)
+    work = list(raws)
+    for q in ring.quotient:
+        work.extend({(p, m.exps): c.value for m, c in q.terms.items()} for p in range(rank))
+    inputs = []
+    for raw in sorted((r for r in work if r),
+                      key=lambda r: min((p, dkey(e)) for p, e in r), reverse=True):
+        if raw not in inputs:
+            inputs.append(raw)
+    basis, _ = _buchberger(ring, inputs, rank)
+    return GroebnerBasis(ring, basis, rank)
+
+
+def buchberger(ring: RingSpec, gens) -> GroebnerBasis:
+    """Reduced Groebner basis of (gens) + (ring.quotient)."""
+    return _basis(ring, [_raw_vector((ring.check_member(g),)) for g in gens], 1)
 
 
 def _self_check(basis, inputs, order, ops):
@@ -356,8 +410,7 @@ def normal_form(f: Polynomial, gb: GroebnerBasis, with_witness: bool = False):
     """
     gb.ring.check_member(f)
     field, nvars = f.field, f.nvars
-    rem, quot = _reduce(_raw_vector((f,)), gb._forms, gb.order, field.raw,
-                        with_witness=with_witness)
+    rem, quot = gb.reduce(_raw_vector((f,)), with_witness=with_witness)
     r = _raw_components(field, nvars, 1, rem)[0]
     if with_witness:
         witness = [_raw_polynomial(field, nvars, q) for q in quot]
@@ -397,48 +450,12 @@ def _standard_terms(forms, rank, nvars, order):
 
 def standard_monomials(gb: GroebnerBasis):
     """Monomial basis of R/(ideal) as a k-vector space, or INFINITE."""
-    terms = _standard_terms(gb._forms, 1, gb.ring.nvars, gb.order)
+    terms = gb.standard_terms()
     return terms if terms is INFINITE else [m for _, m in terms]
-
-
-def _dimension(forms, nvars) -> int:
-    """Dimension of R/(ideal) from the reducer forms of a Groebner basis:
-    the largest variable subset that no lead is supported inside; -1 for (1)."""
-    supports = [{i for i, e in enumerate(f[1]) if e} for f in forms]
-    for size in range(nvars, -1, -1):
-        for combo in itertools.combinations(range(nvars), size):
-            s = set(combo)
-            if not any(sup <= s for sup in supports):
-                return size
-    return -1
 
 
 def krull_dimension(gb: GroebnerBasis) -> int:
     """Dimension of R/(ideal), read off the leading monomials."""
     if gb.is_unit_ideal():
         raise UnitIdeal("the unit ideal has no dimension")
-    return _dimension(gb._forms, gb.ring.nvars)
-
-
-def _origin_support(forms, rank, ring: RingSpec, length):
-    """True when R^rank modulo the submodule with these Groebner reducer
-    forms, of finite length `length`, is supported at most at the origin.
-
-    Each variable acts nilpotently iff x_i^length * e_p reduces to zero for
-    every position p (the length bounds the nilpotency index).
-    """
-    n, ops = ring.nvars, ring.field.raw
-    for i in range(n):
-        power = tuple(length if j == i else 0 for j in range(n))
-        for p in range(rank):
-            if _reduce({(p, power): ops.one}, forms, ring.order, ops)[0]:
-                return False
-    return True
-
-
-def origin_support_check(gb: GroebnerBasis) -> bool:
-    """True when V(ideal) is at most the origin; needs a finite quotient."""
-    terms = standard_monomials(gb)
-    if terms is INFINITE:
-        raise NotZeroDimensional("origin support needs a finite quotient")
-    return _origin_support(gb._forms, 1, gb.ring, len(terms))
+    return gb.dimension()

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 from .errors import (HypothesisFails, InfiniteHomology, NoStabilization,
                      NotDimensionOne, NotFiniteColength, NotParameter,
-                     OutOfRange)
+                     OutOfRange, SupportNotAtOrigin)
 from .fpmodules import FPModule, ModuleVector
-from .groebner import buchberger, krull_dimension, origin_support_check, standard_monomials
+from .groebner import buchberger, krull_dimension
 from .koszul import VirtualModule, koszul_homology, phi_apply
 from .polyring import INFINITE, Monomial, Polynomial, RingSpec
 
@@ -260,7 +260,7 @@ def verify_vanish(M: FPModule, x, i: int, k: int) -> Report:
     p = x[i - 1] ** k
     for a in range(M.rank):
         v = ModuleVector.unit(M.ring.field, M.ring.nvars, M.rank, a, p)
-        if not M.gb.contains(v):
+        if not M.contains(v):
             raise HypothesisFails(
                 f"element {i} to the power {k} does not annihilate the module",
                 index=i, exponent=k)
@@ -310,12 +310,14 @@ def parameter_colength(ring: RingSpec, f: Polynomial) -> int:
     if f.constant_coefficient() != 0:
         raise NotParameter(f"{name} has a nonzero constant term")
     gb = buchberger(ring, [f])
-    sm = standard_monomials(gb)
-    if gb.is_unit_ideal() or sm is INFINITE:
+    try:
+        length = gb.local_length()
+    except SupportNotAtOrigin:
+        # raised only on a finite length, which the unit ideal's 0 passes
+        raise NotParameter(f"{name} vanishes somewhere off the origin") from None
+    if gb.is_unit_ideal() or length is INFINITE:
         raise NotParameter(f"{name} does not cut the ring down to finite length")
-    if not origin_support_check(gb):
-        raise NotParameter(f"{name} vanishes somewhere off the origin")
-    return len(sm)
+    return length
 
 
 def ord_check(ring: RingSpec, f: Polynomial, g: Polynomial) -> Report:
@@ -399,8 +401,10 @@ def _validate_candidate(ring: RingSpec, seq, d: int):
             return None
         if krull_dimension(gb) != d - i:
             return None
-    gb = buchberger(ring, list(seq))
-    if standard_monomials(gb) is INFINITE or not origin_support_check(gb):
+    try:
+        if buchberger(ring, list(seq)).local_length() is INFINITE:
+            return None
+    except SupportNotAtOrigin:
         return None
     M = FPModule.free(ring, 1)
     return multiplicity(M, list(seq), d)

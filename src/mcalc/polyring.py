@@ -101,9 +101,9 @@ class MonomialOrder:
     def __post_init__(self):
         if self.kind is OrderKind.BLOCK:
             if self.split is None or self.split < 1:
-                raise ValueError("block order needs a split index >= 1")
+                raise BadOrder("block order needs a split index >= 1")
         elif self.split is not None:
-            raise ValueError(f"{self.kind.value} order takes no split index")
+            raise BadOrder(f"{self.kind.value} order takes no split index")
 
     @classmethod
     def grevlex(cls) -> "MonomialOrder":

@@ -290,28 +290,14 @@ class Scalar:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        f = self.field
-        k = f.kind
-        if k is FieldKind.RATIONALS:
-            return Scalar(f, self.value + other.value)
-        if k is FieldKind.PRIME_FIELD:
-            return Scalar(f, (self.value + other.value) % f.characteristic)
-        p = f.characteristic
-        (an, ad), (bn, bd) = self.value, other.value
-        num = _pt_add(_pt_mul(an, bd, p), _pt_mul(bn, ad, p), p)
-        return Scalar(f, _ffrac_normalize(num, _pt_mul(ad, bd, p), p))
+        ops = self.field.raw
+        return Scalar(self.field, ops.sub(self.value, ops.sub(ops.zero, other.value)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        f = self.field
-        k = f.kind
-        if k is FieldKind.RATIONALS:
-            return Scalar(f, -self.value)
-        if k is FieldKind.PRIME_FIELD:
-            return Scalar(f, (-self.value) % f.characteristic)
-        num, den = self.value
-        return Scalar(f, (_pt_neg(num, f.characteristic), den))
+        ops = self.field.raw
+        return Scalar(self.field, ops.sub(ops.zero, self.value))
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -336,14 +322,8 @@ class Scalar:
     def inverse(self) -> "Scalar":
         if self.is_zero():
             raise DivisionByZero("cannot invert zero")
-        f = self.field
-        k = f.kind
-        if k is FieldKind.RATIONALS:
-            return Scalar(f, 1 / self.value)
-        if k is FieldKind.PRIME_FIELD:
-            return Scalar(f, pow(self.value, f.characteristic - 2, f.characteristic))
-        num, den = self.value
-        return Scalar(f, _ffrac_normalize(den, num, f.characteristic))
+        ops = self.field.raw
+        return Scalar(self.field, ops.div(ops.one, self.value))
 
     def __truediv__(self, other):
         other = self._coerce(other)

@@ -263,9 +263,10 @@ def test_vanish_index_out_of_range_exits_two(tmp_path, capsys):
                          "--index", "3", "--power", "2"], "OUT_OF_RANGE")
 
 
-def test_block_split_outside_variables_exits_two(tmp_path, capsys):
+@pytest.mark.parametrize("split", [5, 0])
+def test_block_split_outside_variables_exits_two(tmp_path, capsys, split):
     p = tmp_path / "block.ring"
-    p.write_text("field = Q\nvars = x, y\norder = block(5)\n", encoding="utf-8")
+    p.write_text(f"field = Q\nvars = x, y\norder = block({split})\n", encoding="utf-8")
     _coded_exit(capsys, ["dim", str(p)], "BAD_ORDER")
 
 

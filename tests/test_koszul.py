@@ -48,7 +48,7 @@ def test_composition_vanishes():
     cx = koszul_complex((X, Y), M)
     d2, d1 = cx.differentials[2], cx.differentials[1]
     for col in d2.matrix:
-        assert d1.target.gb.contains(d1.apply_vec(col))
+        assert d1.target.contains(d1.apply_vec(col))
 
 
 def test_regular_sequence_has_no_higher_homology():

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from mcalc import groebner
 from mcalc.errors import (HypothesisFails, InfiniteHomology, NoStabilization,
                           NotDimensionOne, NotFiniteColength, NotParameter,
                           SupportNotAtOrigin)
@@ -215,11 +216,27 @@ def test_parameter_rejections():
         parameter_colength(B, B.zero())
     with pytest.raises(NotParameter):
         parameter_colength(B, bx - B.one())
-    with pytest.raises(NotParameter):
+    with pytest.raises(NotParameter, match="does not cut the ring down"):
         parameter_colength(R, X)
     # the cusp meets V(x+y) again at (1, -1), off the origin
-    with pytest.raises(NotParameter):
+    with pytest.raises(NotParameter, match="vanishes somewhere off the origin"):
         parameter_colength(B, bx + by)
+
+
+def test_parameter_colength_enumerates_standard_terms_once(monkeypatch):
+    """The length and its origin-support check share one enumeration."""
+    real, calls = groebner._standard_terms, []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(groebner, "_standard_terms", counted)
+    F7 = FieldSpec.prime_field(7)
+    x, y = (RingSpec(F7, ("x", "y")).variable(v) for v in "xy")
+    A = RingSpec(F7, ("x", "y"), quotient=(x ** 3 - y * y,))
+    assert parameter_colength(A, A.variable("y")) == 3
+    assert len(calls) == 1
 
 
 def test_ord_additivity_conic():

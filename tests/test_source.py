@@ -1,5 +1,6 @@
 """Source hygiene: no module of the package imports a name it never uses,
-and no private module-level function or class goes unreferenced."""
+no module but `groebner` reads a Groebner basis's reducer forms, and no
+private module-level function or class goes unreferenced."""
 
 import ast
 import pathlib
@@ -44,6 +45,37 @@ def test_no_unused_imports_in_the_package():
              for path in sorted(SRC.glob("*.py"))
              for line, name in unused_imports(path.read_text(encoding="utf-8"), str(path))]
     assert not found, "unused imports:\n" + "\n".join(found)
+
+
+# The reducer forms a Groebner basis divides by, and the routines that take
+# them, are `groebner`'s own: other modules ask the basis object instead.
+BASIS_INTERNALS = {"_forms", "_reduce", "_reducer_form", "_standard_terms", "_dimension"}
+
+
+def basis_format_reads(text, filename="<source>"):
+    """(line, name) of each read of a name in BASIS_INTERNALS, as an
+    attribute or in an import, in line order."""
+    found = []
+    for node in ast.walk(ast.parse(text, filename=filename)):
+        if isinstance(node, ast.Attribute) and node.attr in BASIS_INTERNALS:
+            found.append((node.lineno, node.attr))
+        elif isinstance(node, ast.ImportFrom):
+            found += [(node.lineno, a.name) for a in node.names if a.name in BASIS_INTERNALS]
+    return sorted(found)
+
+
+def test_basis_format_reads_are_found():
+    text = ("from .groebner import _raw_vector, _reduce\n"
+            "from . import groebner\n"
+            "print(gb.raws, gb._forms, groebner._standard_terms)\n")
+    assert basis_format_reads(text) == [(1, "_reduce"), (3, "_forms"), (3, "_standard_terms")]
+
+
+def test_basis_format_stays_in_groebner():
+    found = [f"{path.name}:{line}: {name}"
+             for path in sorted(SRC.glob("*.py")) if path.name != "groebner.py"
+             for line, name in basis_format_reads(path.read_text(encoding="utf-8"), str(path))]
+    assert not found, "reducer forms read outside groebner:\n" + "\n".join(found)
 
 
 def unreferenced_private_definitions(texts):
