@@ -11,11 +11,8 @@ from .fpmodules import (FPModule, ModuleMap, ModuleVector, gamma_saturation,
                         subquotient, syzygies, unit_vectors)
 from .groebner import (GroebnerBasis, buchberger, krull_dimension,
                        normal_form, standard_monomials)
-from .koszul import (KoszulComplex, VirtualModule, koszul_complex,
-                     koszul_differential, koszul_homology, phi_apply,
-                     reduce_class)
-from .multiplicity import (LengthSequence, Report, SearchResult,
-                           evaluate_multiplicity, hilbert_samuel_lengths,
+from .koszul import VirtualModule, koszul_homology, phi_apply, reduce_class
+from .multiplicity import (Report, SearchResult, evaluate_multiplicity,
                            homology_lengths, ideal_power, multiplicity,
                            multiplicity_data, ord_check, parameter_colength,
                            search_parameters, serre_alternating_sum,
@@ -35,10 +32,8 @@ __all__ = [
     "ModuleVector", "ModuleMap", "FPModule", "module_gb",
     "syzygies", "preimage_submodule", "subquotient", "kernel_of_map",
     "unit_vectors", "gamma_saturation",
-    "KoszulComplex", "koszul_complex", "koszul_differential",
     "koszul_homology", "VirtualModule", "phi_apply", "reduce_class",
-    "LengthSequence", "Report", "SearchResult", "ideal_power",
-    "hilbert_samuel_lengths", "multiplicity", "multiplicity_data",
+    "Report", "SearchResult", "ideal_power", "multiplicity", "multiplicity_data",
     "evaluate_multiplicity", "homology_lengths", "serre_alternating_sum",
     "verify_serre", "verify_factorization", "verify_vanish", "verify_serre2",
     "ord_check", "parameter_colength", "search_parameters", "__version__",

@@ -12,8 +12,7 @@ the empty raw vector.
 The engine parts are the ideal engine's, an ideal being the rank-1 case. A
 module basis is a `groebner.GroebnerBasis` of rank `rank`, built by the
 same input path as an ideal's, and it answers every quotient query:
-division, standard terms, dimension and local length. `support_dimension`
-reads each annihilator's dimension off a rank-1 module basis.
+division, standard terms, dimension and local length.
 `groebner._buchberger` also computes syzygies. For `syzygies` the loop skips
 no pairs: with every S-pair processed, each element carries its expression
 on the inputs, so a reduction to zero is literally a syzygy and together
@@ -25,7 +24,7 @@ pairs by the chain criterion, pairs of two single terms and, at rank 1 only,
 by the product criterion, and every basis is then certified by
 `groebner._self_check`, whose criteria need no pair order.
 
-Kernels, subquotient presentations, annihilators and saturations all come
+Kernels, subquotient presentations and saturations all come
 from `preimage_submodule`, the preimage of a submodule under a map of free
 modules ("modulo" in Greuel-Pfister, *A Singular Introduction to Commutative
 Algebra*, 2.8): the first coordinates of one syzygy computation, sliced
@@ -205,10 +204,6 @@ class FPModule:
         rels = [ModuleVector((ring.check_member(f),)) for f in ideal_gens]
         return cls(ring, 1, rels)
 
-    @classmethod
-    def zero_module(cls, ring: RingSpec) -> "FPModule":
-        return cls(ring, 0)
-
     def quotient_by_polys(self, polys) -> "FPModule":
         """M / (f_1, .., f_k)M."""
         rels = list(self.relations)
@@ -238,15 +233,9 @@ class FPModule:
     def support_dimension(self) -> int:
         """Dimension of Supp M; -1 for the zero module (empty support).
 
-        Supp M is the union over generators of V(relations : e_i), so the
-        dimension is the max of the generator-wise quotient ideal dimensions,
-        each read off a rank-1 module basis of the annihilator of e_i.
-        """
-        ring, rels = self.ring, list(self.relations)
-        best = -1
-        for e in unit_vectors(ring, self.rank):
-            best = max(best, module_gb(ring, preimage_submodule(ring, rels, [e]), 1).dimension())
-        return best
+        The relation basis's leads give it: passing to the initial submodule
+        keeps the dimension (Eisenbud, *Commutative Algebra*, Ch. 15)."""
+        return self.gb.dimension()
 
     def __eq__(self, other):
         return (isinstance(other, FPModule) and self.ring == other.ring

@@ -11,7 +11,6 @@ Homology in one degree touches only the two neighbouring differentials.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .errors import DimensionDropViolated, OutOfRange, RingMismatch
 from .fpmodules import (FPModule, ModuleMap, ModuleVector, gamma_saturation,
@@ -64,43 +63,6 @@ def _differential_columns(x, M: FPModule, i: int):
                 raw.update(((pos, e), c) for e, c in signed[j][t % 2])
             cols.append(ModuleVector._from_raw(ring.field, ring.nvars, rank_tgt, raw))
     return cols
-
-
-def koszul_differential(x, M: FPModule, i: int) -> ModuleMap:
-    x = _check_sequence(x, M.ring)
-    if not 1 <= i <= len(x):
-        raise OutOfRange("differential index out of range")
-    return ModuleMap(_koszul_term(x, M, i), _koszul_term(x, M, i - 1),
-                     _differential_columns(x, M, i))
-
-
-@dataclass(frozen=True)
-class KoszulComplex:
-    sequence: tuple
-    base: FPModule
-    terms: tuple            # C_0 .. C_n
-    differentials: tuple    # entry i is d_i : C_i -> C_{i-1}; entry 0 is None
-
-    @property
-    def length(self) -> int:
-        return len(self.sequence)
-
-
-def koszul_complex(x, M: FPModule) -> KoszulComplex:
-    """The whole complex C_n -> .. -> C_0, with d o d = 0 checked exactly."""
-    x = _check_sequence(x, M.ring)
-    if not x:
-        raise RingMismatch("koszul_complex needs a nonempty sequence")
-    n = len(x)
-    terms = [_koszul_term(x, M, i) for i in range(n + 1)]
-    diffs = [None]
-    for i in range(1, n + 1):
-        diffs.append(ModuleMap(terms[i], terms[i - 1], _differential_columns(x, M, i)))
-    for i in range(2, n + 1):
-        for col in diffs[i].matrix:
-            composite = diffs[i - 1].apply_vec(col)
-            assert composite.is_zero(), "koszul differentials do not compose to zero"
-    return KoszulComplex(tuple(x), M, tuple(terms), tuple(diffs))
 
 
 def koszul_homology(x, M: FPModule, i: int) -> FPModule:
@@ -186,8 +148,8 @@ def reduce_class(x, M: FPModule) -> FPModule:
     """Single-module representative of Phi_x([M]) via torsion splitting.
 
     Iterates N -> (N/Gamma_(f)(N)) / f*(N/Gamma_(f)(N)) over the sequence.
-    Each cut must drop the support dimension by exactly one, checked on the
-    annihilator presentations of N/fN.
+    Each cut must drop the support dimension by exactly one, read off the
+    module bases of N and N/fN.
     """
     x = _check_sequence(x, M.ring)
     N = M

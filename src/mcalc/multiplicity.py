@@ -67,13 +67,6 @@ class Report:
         }
 
 
-@dataclass(frozen=True)
-class LengthSequence:
-    ideal: tuple
-    module: FPModule
-    values: tuple
-
-
 def ideal_power(gens, n: int):
     """Generators of I^n: all n-fold products of the given generators."""
     gens = list(gens)
@@ -124,13 +117,6 @@ def _length_table(M: FPModule, gens):
     _warn_if_inhomogeneous(M.ring, gens)
     _check_colength(M, gens)
     return (_power_quotient_length(M, gens, n) for n in itertools.count(1))
-
-
-def hilbert_samuel_lengths(M: FPModule, gens, N: int) -> LengthSequence:
-    """The sequence ℓ(M/I^n M) for n = 1..N, exactly."""
-    gens = list(gens)
-    values = tuple(itertools.islice(_length_table(M, gens), max(N, 0)))
-    return LengthSequence(tuple(gens), M, values)
 
 
 def _differences(values, r: int):
@@ -443,7 +429,8 @@ def search_parameters(ring: RingSpec, p: int, budget: int, seed: int = 0) -> Sea
         if e is not None:
             return SearchResult("FOUND", tuple(seq), e, tuple(table), tried,
                                 d, p, seed, budget)
-    while tried < budget:
+    # on a zero-dimensional ring phase one has tried the only candidate, ()
+    while d and tried < budget:
         seq = _random_candidate(ring, rng, d)
         e = consider(seq)
         if e is not None:

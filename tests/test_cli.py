@@ -195,6 +195,18 @@ def test_search_found(conic, capsys):
     assert record["result"]["e"] == 2
 
 
+def test_search_on_a_zero_dimensional_ring_tries_the_empty_sequence_once(tmp_path, capsys):
+    p = tmp_path / "point.ring"
+    p.write_text("field = F3\nvars = x, y\nquotient = [x^2, y^2]\n", encoding="utf-8")
+    argv = ["search", str(p), "--prime", "2", "--budget", "3"]
+    code, record = _json_run(capsys, argv)
+    assert code == 0
+    assert record["result"] == {"status": "EXHAUSTED", "ideal": [], "e": 0, "tried": 1}
+    assert record["certificate"]["table"] == [{"ideal": [], "e": 4}]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == "EXHAUSTED after 1 candidates\n  (): e = 4\n"
+
+
 def test_json_output_is_byte_identical(conic, capsys):
     argv = ["search", conic, "--prime", "2", "--budget", "25",
             "--seed", "11", "--json"]

@@ -194,7 +194,7 @@ def test_length_values():
 
 
 def test_zero_module():
-    Z = FPModule.zero_module(R)
+    Z = FPModule(R, 0)
     assert Z.length() == 0
     assert Z.is_zero()
     assert Z.support_dimension() == -1
@@ -206,20 +206,49 @@ def test_support_dimension():
     assert FPModule.free(R, 1).support_dimension() == 2
 
 
+def _annihilator_dimension(M):
+    """Reference for `support_dimension`: Supp M is the union over the
+    generators e_i of V(relations : e_i), so its dimension is the largest
+    dimension of the annihilators, each read off a rank-1 basis."""
+    ring, rels = M.ring, list(M.relations)
+    best = -1
+    for e in unit_vectors(ring, M.rank):
+        best = max(best, module_gb(ring, preimage_submodule(ring, rels, [e]), 1).dimension())
+    return best
+
+
 _DIMENSION_POLYS = [R.zero(), R.one(), X, Y, X * Y, X * X, Y * Y, X - R.one()]
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.integers(1, 2).flatmap(lambda rank: st.lists(
+@given(st.integers(1, 3).flatmap(lambda rank: st.lists(
     st.lists(st.sampled_from(_DIMENSION_POLYS), min_size=rank, max_size=rank),
     max_size=3).map(lambda rows: (rank, rows))))
 def test_basis_dimension_is_the_support_dimension(family):
     """Read off the leads position by position, the dimension of R^rank
-    modulo a submodule is the support dimension of the quotient, which
-    `support_dimension` reads off each generator's annihilator."""
+    modulo a submodule is the largest dimension of a generator's
+    annihilator."""
     rank, rows = family
-    vecs = [_vec(*row) for row in rows]
-    assert module_gb(R, vecs, rank).dimension() == FPModule(R, rank, vecs).support_dimension()
+    M = FPModule(R, rank, [_vec(*row) for row in rows])
+    assert M.support_dimension() == _annihilator_dimension(M)
+
+
+def test_support_dimension_computes_no_syzygies(monkeypatch):
+    """A module whose annihilators take seconds to build: the dimension
+    comes off its own basis."""
+    S = RingSpec(FieldSpec.prime_field(7), ("x", "y", "z"))
+    rows = [["z", "x^2", "x^2"], ["x^2", "1", "z"], ["y", "x*z", "y^2 + x"],
+            ["x + 6", "y*z", "x"]]
+    M = FPModule(S, 3, [_vec(*(parse_polynomial(S, f) for f in row)) for row in rows])
+    real, calls = fpmodules.syzygies, []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(fpmodules, "syzygies", counted)
+    assert M.support_dimension() == 1
+    assert len(calls) == 0
 
 
 def test_origin_support():
@@ -234,7 +263,7 @@ def test_origin_support():
 def test_local_length():
     assert FPModule.cyclic(R, [X, Y * Y]).local_length() == 2
     assert FPModule.cyclic(R, [X]).local_length() is INFINITE
-    assert FPModule.zero_module(R).local_length() == 0
+    assert FPModule(R, 0).local_length() == 0
     # k[x,y]/(x^2 - x, y) is k x k, one point at the origin and one at x = 1
     with pytest.raises(SupportNotAtOrigin):
         FPModule.cyclic(R, [X * X - X, Y]).local_length()
@@ -468,7 +497,7 @@ def test_rank_zero_modules_frozen():
     from mcalc.koszul import VirtualModule, koszul_homology, phi_apply, reduce_class
     A = RingSpec(F7, ("x", "y"), quotient=(parse_polynomial(RingSpec(F7, ("x", "y")), "x^3"),))
     x, y = A.variable("x"), A.variable("y")
-    zero, free = FPModule.zero_module(A), FPModule.free(A, 2)
+    zero, free = FPModule(A, 0), FPModule.free(A, 2)
     empty = {"rank": 0, "relations": []}
 
     K, embedding = kernel_of_map(ModuleMap.zero_map(zero, free))

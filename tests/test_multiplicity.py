@@ -11,11 +11,11 @@ from mcalc.errors import (HypothesisFails, InfiniteHomology, NoStabilization,
 from mcalc.fpmodules import FPModule
 from mcalc.koszul import VirtualModule, phi_apply
 from mcalc.multiplicity import (REFUTED, VERIFIED, Report, evaluate_multiplicity,
-                                hilbert_samuel_lengths, homology_lengths,
-                                ideal_power, multiplicity, multiplicity_data,
-                                ord_check, parameter_colength, search_parameters,
-                                serre_alternating_sum, verify_factorization,
-                                verify_serre, verify_serre2, verify_vanish)
+                                homology_lengths, ideal_power, multiplicity,
+                                multiplicity_data, ord_check, parameter_colength,
+                                search_parameters, serre_alternating_sum,
+                                verify_factorization, verify_serre, verify_serre2,
+                                verify_vanish)
 from mcalc.polyring import INFINITE, RingSpec
 from mcalc.scalars import FieldSpec
 
@@ -45,14 +45,14 @@ def test_ideal_power():
 
 
 def test_hilbert_samuel_table_plane():
-    seq = hilbert_samuel_lengths(FREE, [X, Y], 4)
-    assert seq.values == (1, 3, 6, 10)
+    _, table = multiplicity_data(FREE, [X, Y], 2)
+    assert table == (1, 3, 6, 10, 15)
 
 
 def test_hilbert_samuel_table_double_line():
     M = FPModule.cyclic(R, [Y * Y])
-    seq = hilbert_samuel_lengths(M, [X], 3)
-    assert seq.values == (2, 4, 6)
+    _, table = multiplicity_data(M, [X], 1)
+    assert table == (2, 4, 6, 8)
 
 
 def test_multiplicity_regular_point():

@@ -1,11 +1,17 @@
 """Source hygiene: no module of the package imports a name it never uses,
-no module but `groebner` reads a Groebner basis's reducer forms, and no
-private module-level function or class goes unreferenced."""
+no module but `groebner` reads a Groebner basis's reducer forms, no private
+module-level function or class goes unreferenced, and every public function
+or class has a caller in the package or the benchmark."""
 
 import ast
+import inspect
 import pathlib
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "mcalc"
+import mcalc
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "mcalc"
+BENCH = ROOT / "perfbench"
 
 
 def unused_imports(text, filename="<source>"):
@@ -49,7 +55,7 @@ def test_no_unused_imports_in_the_package():
 
 # The reducer forms a Groebner basis divides by, and the routines that take
 # them, are `groebner`'s own: other modules ask the basis object instead.
-BASIS_INTERNALS = {"_forms", "_reduce", "_reducer_form", "_standard_terms", "_dimension"}
+BASIS_INTERNALS = {"_forms", "_reduce", "_reducer_form", "_standard_terms"}
 
 
 def basis_format_reads(text, filename="<source>"):
@@ -116,3 +122,47 @@ def test_no_unreferenced_private_definitions_in_the_package():
     texts = {path.name: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
     found = [f"{f}: {name}" for f, name in unreferenced_private_definitions(texts)]
     assert not found, "unreferenced private definitions:\n" + "\n".join(found)
+
+
+def unread_public_names(names, texts):
+    """Each of names that no module among texts (file -> source) reads, as a
+    name or an attribute. Reads in `__init__.py` and inside the name's own
+    module-level definition do not count."""
+    used = set()
+    for filename, text in texts.items():
+        if pathlib.PurePath(filename).name == "__init__.py":
+            continue
+        for top in ast.parse(text, filename=filename).body:
+            own = getattr(top, "name", None)
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    read = node.id
+                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    read = node.attr
+                else:
+                    continue
+                if read != own:
+                    used.add(read)
+    return [name for name in names if name not in used]
+
+
+def test_unread_public_names_are_found():
+    texts = {"a.py": ("def called():\n    pass\n"
+                      "def recursive(n):\n    return recursive(n - 1)\n"
+                      "class Builder:\n    def copy(self):\n        return Builder()\n"
+                      "class Result:\n    pass\n"
+                      "def exported():\n    return Result()\n"),
+             "b.py": "import a\nprint(a.called)\n",
+             "__init__.py": "from a import exported\nexported()\n"}
+    assert unread_public_names(["called", "recursive", "Builder", "Result", "exported"],
+                               texts) == ["recursive", "Builder", "exported"]
+
+
+def test_public_api_has_a_caller():
+    public = [name for name in mcalc.__all__
+              if inspect.isfunction(getattr(mcalc, name)) or inspect.isclass(getattr(mcalc, name))]
+    texts = {str(path): path.read_text(encoding="utf-8")
+             for path in sorted(SRC.glob("*.py")) + sorted(BENCH.glob("*.py"))}
+    found = unread_public_names(public, texts)
+    assert not found, "public names that nothing in the package or the benchmark reads:\n" + \
+        "\n".join(found)
