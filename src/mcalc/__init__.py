@@ -18,15 +18,14 @@ from .multiplicity import (Report, SearchResult, evaluate_multiplicity,
                            search_parameters, serre_alternating_sum,
                            verify_factorization, verify_serre,
                            verify_serre2, verify_vanish)
-from .polyring import (INFINITE, Monomial, MonomialOrder, OrderKind,
-                       Polynomial, RingSpec)
+from .polyring import INFINITE, MonomialOrder, OrderKind, Polynomial, RingSpec
 from .scalars import FieldKind, FieldSpec, Scalar
 
 __version__ = "0.1.0"
 
 __all__ = [
     "EngineError", "ParseError", "FieldKind", "FieldSpec", "Scalar",
-    "INFINITE", "Monomial", "MonomialOrder", "OrderKind", "Polynomial",
+    "INFINITE", "MonomialOrder", "OrderKind", "Polynomial",
     "RingSpec", "GroebnerBasis", "buchberger", "normal_form",
     "standard_monomials", "krull_dimension",
     "ModuleVector", "ModuleMap", "FPModule", "module_gb",

@@ -76,7 +76,7 @@ class ModuleVector:
         if poly.field != field or poly.nvars != nvars:
             raise RingMismatch("vector components from different rings")
         return cls._from_raw(field, nvars, rank,
-                             {(i, m.exps): c.value for m, c in poly.terms.items()})
+                             {(i, e): c for e, c in poly.terms.items()})
 
     @property
     def components(self):
@@ -84,12 +84,6 @@ class ModuleVector:
 
     def is_zero(self) -> bool:
         return not self.raw
-
-    def __add__(self, other):
-        return ModuleVector(tuple(a + b for a, b in zip(self.components, other.components)))
-
-    def scale(self, poly: Polynomial) -> "ModuleVector":
-        return ModuleVector(tuple(poly * a for a in self.components))
 
     def __eq__(self, other):
         # the ring must match too: Fraction(1) == 1, so Q and F_p raws can agree
@@ -274,18 +268,6 @@ class ModuleMap:
         for rel in source.relations:
             if not target.contains(self.apply_vec(rel)):
                 raise MapNotWellDefined("source relation does not map into target relations")
-
-    @classmethod
-    def multiplication(cls, M: FPModule, f: Polynomial) -> "ModuleMap":
-        cols = [ModuleVector.unit(M.ring.field, M.ring.nvars, M.rank, i, f)
-                for i in range(M.rank)]
-        return cls(M, M, cols)
-
-    @classmethod
-    def zero_map(cls, source: FPModule, target: FPModule) -> "ModuleMap":
-        cols = [ModuleVector.zero(source.ring.field, source.ring.nvars, target.rank)
-                for _ in range(source.rank)]
-        return cls(source, target, cols)
 
     def apply_vec(self, v: ModuleVector) -> ModuleVector:
         """Image of v: the sum of v_i times the i-th column."""

@@ -11,10 +11,11 @@ and the one basis object `GroebnerBasis`, which answers every quotient
 query (division, standard terms, dimension, local length). `fpmodules`
 builds its bases through `_basis` and its syzygies through `_buchberger`,
 and reads no reducer form. A `GroebnerBasis` holds the raw vectors
-`_buchberger` returns, so polynomials are converted only at the boundary:
+`_buchberger` returns. A polynomial's terms are already raw terms, so
 `buchberger`'s inputs, `GroebnerBasis.generators` and `normal_form`'s
-results. Each basis element's reducer form is built once, when the element
-joins a basis, never once per division.
+results only rekey dicts by position, with no per-coefficient conversion.
+Each basis element's reducer form is built once, when the element joins a
+basis, never once per division.
 """
 
 from __future__ import annotations
@@ -25,8 +26,7 @@ from dataclasses import dataclass
 from operator import add, le, sub
 
 from .errors import SupportNotAtOrigin, UnitIdeal
-from .polyring import INFINITE, Monomial, Polynomial, RingSpec
-from .scalars import Scalar
+from .polyring import INFINITE, Polynomial, RingSpec
 
 
 @dataclass(frozen=True)
@@ -62,7 +62,7 @@ class GroebnerBasis:
                        with_witness=with_witness)
 
     def standard_terms(self):
-        """(position, Monomial) pairs spanning R^rank modulo the submodule
+        """(position, exponent tuple) pairs spanning R^rank modulo the submodule
         over k, or INFINITE; see `_standard_terms`."""
         return _standard_terms(self._forms, self.rank, self.ring.nvars, self.ring.order)
 
@@ -109,20 +109,14 @@ class GroebnerBasis:
 #
 # Division works on raw terms. A raw vector is a dict from (position,
 # exponent tuple) to a raw Scalar.value; a polynomial is the rank-1 case, at
-# position 0. A reducer form is (lead position, lead exponents, lead
-# coefficient, tail), the tail holding a (position, exponents, coefficient)
-# triple for every other term. Vectors are ordered position over term, with
-# earlier positions larger.
+# position 0, and its `terms` are that dict without the position. A reducer
+# form is (lead position, lead exponents, lead coefficient, tail), the tail
+# holding a (position, exponents, coefficient) triple for every other term.
+# Vectors are ordered position over term, with earlier positions larger.
 
 def _raw_vector(components):
     """Raw vector of polynomials given by position."""
-    return {(p, m.exps): c.value
-            for p, f in enumerate(components) for m, c in f.terms.items()}
-
-
-def _raw_polynomial(field, nvars, terms):
-    """Polynomial from a dict of exponent tuple -> raw coefficient."""
-    return Polynomial(field, nvars, {Monomial(e): Scalar(field, c) for e, c in terms.items()})
+    return {(p, e): c for p, f in enumerate(components) for e, c in f.terms.items()}
 
 
 def _raw_components(field, nvars, rank, raw):
@@ -130,7 +124,7 @@ def _raw_components(field, nvars, rank, raw):
     comps = [{} for _ in range(rank)]
     for (p, e), c in raw.items():
         comps[p][e] = c
-    return tuple(_raw_polynomial(field, nvars, t) for t in comps)
+    return tuple(Polynomial(field, nvars, t) for t in comps)
 
 
 def _reducer_form(raw, order):
@@ -295,7 +289,7 @@ def _buchberger(ring: RingSpec, raws, rank, track=False):
         for k in range(new):
             if forms[k][0] == form[0]:
                 lcm = tuple(map(max, forms[k][1], form[1]))
-                heapq.heappush(queue, (sum(lcm), order.key(Monomial(lcm)), k, new, lcm))
+                heapq.heappush(queue, (sum(lcm), order.key(lcm), k, new, lcm))
                 pending.add((k, new))
 
     one = (0,) * ring.nvars
@@ -350,7 +344,7 @@ def _basis(ring: RingSpec, raws, rank) -> GroebnerBasis:
     dkey = ring.order.descending_key
     work = list(raws)
     for q in ring.quotient:
-        work.extend({(p, m.exps): c.value for m, c in q.terms.items()} for p in range(rank))
+        work.extend({(p, e): c for e, c in q.terms.items()} for p in range(rank))
     inputs = []
     for raw in sorted((r for r in work if r),
                       key=lambda r: min((p, dkey(e)) for p, e in r), reverse=True):
@@ -413,7 +407,7 @@ def normal_form(f: Polynomial, gb: GroebnerBasis, with_witness: bool = False):
     rem, quot = gb.reduce(_raw_vector((f,)), with_witness=with_witness)
     r = _raw_components(field, nvars, 1, rem)[0]
     if with_witness:
-        witness = [_raw_polynomial(field, nvars, q) for q in quot]
+        witness = [Polynomial(field, nvars, q) for q in quot]
         acc = Polynomial.zero(field, nvars)
         for w, g in zip(witness, gb.generators):
             acc = acc + w * g
@@ -424,7 +418,7 @@ def normal_form(f: Polynomial, gb: GroebnerBasis, with_witness: bool = False):
 
 def _standard_terms(forms, rank, nvars, order):
     """Standard terms of R^rank modulo a submodule, given the reducer forms
-    of a Groebner basis of it: (position, Monomial) pairs spanning the
+    of a Groebner basis of it: (position, exponent tuple) pairs spanning the
     quotient over k, earlier positions first and ascending by order within
     one; or INFINITE.
 
@@ -443,15 +437,16 @@ def _standard_terms(forms, rank, nvars, order):
             return INFINITE
         for exps in itertools.product(*(range(b) for b in bounds)):
             if not any(all(map(le, e, exps)) for e in leads):
-                out.append((p, Monomial(exps)))
-    out.sort(key=lambda pm: (-pm[0], order.key(pm[1])))
+                out.append((p, exps))
+    out.sort(key=lambda pe: (-pe[0], order.key(pe[1])))
     return out
 
 
 def standard_monomials(gb: GroebnerBasis):
-    """Monomial basis of R/(ideal) as a k-vector space, or INFINITE."""
+    """Exponent tuples of a monomial basis of R/(ideal) as a k-vector space,
+    or INFINITE."""
     terms = gb.standard_terms()
-    return terms if terms is INFINITE else [m for _, m in terms]
+    return terms if terms is INFINITE else [e for _, e in terms]
 
 
 def krull_dimension(gb: GroebnerBasis) -> int:

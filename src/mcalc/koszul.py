@@ -51,8 +51,7 @@ def _differential_columns(x, M: FPModule, i: int):
     tgt_index = {S: k for k, S in enumerate(tgt_slots)}
     rank_tgt = len(tgt_slots) * g
     ops = ring.field.raw
-    signed = [([(m.exps, c.value) for m, c in f.terms.items()],
-               [(m.exps, ops.sub(ops.zero, c.value)) for m, c in f.terms.items()])
+    signed = [(f.terms.items(), [(e, ops.sub(ops.zero, c)) for e, c in f.terms.items()])
               for f in x]
     cols = []
     for S in src_slots:

@@ -21,7 +21,7 @@ from .errors import (HypothesisFails, InfiniteHomology, NoStabilization,
 from .fpmodules import FPModule, ModuleVector
 from .groebner import buchberger, krull_dimension
 from .koszul import VirtualModule, koszul_homology, phi_apply
-from .polyring import INFINITE, Monomial, Polynomial, RingSpec
+from .polyring import INFINITE, Polynomial, RingSpec
 
 VERIFIED = "VERIFIED"
 REFUTED = "REFUTED"
@@ -90,12 +90,13 @@ def _warn_if_inhomogeneous(ring: RingSpec, gens):
             stacklevel=4)
 
 
-def _check_colength(M: FPModule, gens):
-    """Finite colength and origin support for M/IM; returns the quotient."""
+def _checked_colength(M: FPModule, gens) -> int:
+    """ℓ(M/IM), checked finite and supported at the origin."""
     Q = M.quotient_by_polys(gens) if gens else M
-    if Q.local_length() is INFINITE:
+    length = Q.local_length()
+    if length is INFINITE:
         raise NotFiniteColength("M/IM has infinite length")
-    return Q
+    return length
 
 
 def _power_quotient_length(M: FPModule, gens, n: int) -> int:
@@ -110,13 +111,15 @@ def _length_table(M: FPModule, gens):
     """Iterator over ℓ(M/I^n M) for n = 1, 2, .., computed on demand.
 
     The checks every table needs run at once: ring membership, the
-    homogeneity warning, and finite colength with origin support of M/IM.
+    homogeneity warning, and finite colength with origin support of M/IM,
+    whose length is the n = 1 entry.
     """
     for g in gens:
         M.ring.check_member(g)
     _warn_if_inhomogeneous(M.ring, gens)
-    _check_colength(M, gens)
-    return (_power_quotient_length(M, gens, n) for n in itertools.count(1))
+    first = _checked_colength(M, gens)
+    return itertools.chain((first,), (_power_quotient_length(M, gens, n)
+                                      for n in itertools.count(2)))
 
 
 def _differences(values, r: int):
@@ -369,7 +372,7 @@ def _random_candidate(ring: RingSpec, rng: random.Random, d: int):
         if rng.random() < 0.5:
             i, j = rng.randrange(n), rng.randrange(n)
             c = (rng.randrange(1, p) if p and p > 1 else 1) if p else rng.choice([1, -1, 2])
-            mon = Monomial.variable(i, n).mul(Monomial.variable(j, n))
+            mon = tuple((k == i) + (k == j) for k in range(n))
             f = f + Polynomial.term(ring.field, n, mon, ring.field.from_int(c))
         seq.append(f)
     return tuple(seq)
@@ -381,6 +384,8 @@ def _validate_candidate(ring: RingSpec, seq, d: int):
     for f in seq:
         if f.is_zero() or f.constant_coefficient() != 0:
             return None
+    # seq has d elements, so the last step builds the basis of all of seq
+    gb = None if d else buchberger(ring, [])
     for i in range(1, d + 1):
         gb = buchberger(ring, list(seq[:i]))
         if gb.is_unit_ideal():
@@ -388,7 +393,7 @@ def _validate_candidate(ring: RingSpec, seq, d: int):
         if krull_dimension(gb) != d - i:
             return None
     try:
-        if buchberger(ring, list(seq)).local_length() is INFINITE:
+        if gb.local_length() is INFINITE:
             return None
     except SupportNotAtOrigin:
         return None

@@ -1,5 +1,11 @@
 """Sparse multivariate polynomials, global monomial orders, and ring descriptors.
 
+A monomial is its exponent tuple, and a Polynomial's terms map exponent
+tuples to raw coefficients (`Scalar.value`): the division kernel's term
+format, so `groebner` reads a polynomial's terms as they are. Scalar stays
+the element type at the surface: constants, `constant_coefficient` and the
+printed coefficients.
+
 A RingSpec describes A = k[x_1..x_n]/J as the polynomial model of the local
 ring at the origin; every quotient generator must vanish at the origin.
 """
@@ -9,6 +15,7 @@ from __future__ import annotations
 import keyword
 from dataclasses import dataclass
 from enum import Enum
+from operator import add
 
 from .errors import BadOrder, BadVariables, QuotientNotAtOrigin, RingMismatch
 from .scalars import FieldKind, FieldSpec, Scalar, power_by_squaring
@@ -31,50 +38,14 @@ class _Infinite:
 INFINITE = _Infinite()
 
 
-class Monomial:
-    """Exponent vector with cached total degree."""
-
-    __slots__ = ("exps", "degree")
-
-    def __init__(self, exps):
-        self.exps = tuple(exps)
-        self.degree = sum(self.exps)
-
-    @classmethod
-    def one(cls, nvars: int) -> "Monomial":
-        return cls((0,) * nvars)
-
-    @classmethod
-    def variable(cls, i: int, nvars: int, power: int = 1) -> "Monomial":
-        return cls(tuple(power if j == i else 0 for j in range(nvars)))
-
-    @property
-    def nvars(self) -> int:
-        return len(self.exps)
-
-    def is_one(self) -> bool:
-        return self.degree == 0
-
-    def mul(self, other: "Monomial") -> "Monomial":
-        return Monomial(tuple(a + b for a, b in zip(self.exps, other.exps)))
-
-    def __eq__(self, other):
-        return isinstance(other, Monomial) and self.exps == other.exps
-
-    def __hash__(self):
-        return hash(self.exps)
-
-    def to_str(self, names) -> str:
-        parts = []
-        for name, e in zip(names, self.exps):
-            if e == 1:
-                parts.append(name)
-            elif e > 1:
-                parts.append(f"{name}^{e}")
-        return "*".join(parts) if parts else "1"
-
-    def __repr__(self):
-        return f"Monomial{self.exps}"
+def _monomial_str(exps, names) -> str:
+    parts = []
+    for name, e in zip(names, exps):
+        if e == 1:
+            parts.append(name)
+        elif e > 1:
+            parts.append(f"{name}^{e}")
+    return "*".join(parts) if parts else "1"
 
 
 class OrderKind(Enum):
@@ -117,16 +88,17 @@ class MonomialOrder:
     def block(cls, split: int) -> "MonomialOrder":
         return cls(OrderKind.BLOCK, split)
 
-    def key(self, m: Monomial):
+    def key(self, exps: tuple):
+        """Sort key on an exponent tuple: larger monomials have larger keys."""
         if self.kind is OrderKind.GREVLEX:
-            return _grevlex_key(m.exps)
+            return _grevlex_key(exps)
         if self.kind is OrderKind.LEX:
-            return m.exps
+            return exps
         s = self.split
-        return (_grevlex_key(m.exps[:s]), _grevlex_key(m.exps[s:]))
+        return (_grevlex_key(exps[:s]), _grevlex_key(exps[s:]))
 
     def descending_key(self, exps: tuple):
-        """Sort key on a raw exponent tuple that puts larger monomials first:
+        """Sort key on an exponent tuple that puts larger monomials first:
         every entry of `key` negated, so it ascends exactly where `key`
         descends."""
         if self.kind is OrderKind.GREVLEX:
@@ -136,13 +108,6 @@ class MonomialOrder:
         s = self.split
         return (_grevlex_descending_key(exps[:s]), _grevlex_descending_key(exps[s:]))
 
-    def compare(self, m1: Monomial, m2: Monomial) -> int:
-        """-1, 0, or 1 as m1 <, =, > m2."""
-        if m1.nvars != m2.nvars:
-            raise RingMismatch("monomials live in different ambient rings")
-        k1, k2 = self.key(m1), self.key(m2)
-        return (k1 > k2) - (k1 < k2)
-
     def __str__(self):
         if self.kind is OrderKind.BLOCK:
             return f"block({self.split})"
@@ -150,14 +115,17 @@ class MonomialOrder:
 
 
 class Polynomial:
-    """Sparse polynomial: a map from monomials to nonzero scalars."""
+    """Sparse polynomial: `terms` maps exponent tuples to nonzero raw
+    coefficients (`Scalar.value`, see `FieldSpec.raw`), the division
+    kernel's own term format; arithmetic runs on `field.raw`."""
 
     __slots__ = ("field", "nvars", "terms")
 
     def __init__(self, field: FieldSpec, nvars: int, terms=None):
         self.field = field
         self.nvars = nvars
-        self.terms = {m: c for m, c in (terms or {}).items() if not c.is_zero()}
+        is_zero = field.raw.is_zero
+        self.terms = {e: c for e, c in (terms or {}).items() if not is_zero(c)}
 
     # -- constructors ---------------------------------------------------------
 
@@ -167,7 +135,7 @@ class Polynomial:
 
     @classmethod
     def constant(cls, field, nvars, c: Scalar):
-        return cls(field, nvars, {Monomial.one(nvars): c})
+        return cls.term(field, nvars, (0,) * nvars, c)
 
     @classmethod
     def one(cls, field, nvars):
@@ -175,11 +143,12 @@ class Polynomial:
 
     @classmethod
     def variable(cls, field, nvars, i: int, power: int = 1):
-        return cls(field, nvars, {Monomial.variable(i, nvars, power): field.one})
+        exps = tuple(power if j == i else 0 for j in range(nvars))
+        return cls.term(field, nvars, exps, field.one)
 
     @classmethod
-    def term(cls, field, nvars, mon: Monomial, coeff: Scalar):
-        return cls(field, nvars, {mon: coeff})
+    def term(cls, field, nvars, exps: tuple, coeff: Scalar):
+        return cls(field, nvars, {tuple(exps): coeff.value})
 
     # -- queries ---------------------------------------------------------------
 
@@ -187,17 +156,17 @@ class Polynomial:
         return not self.terms
 
     def is_constant(self) -> bool:
-        return all(m.is_one() for m in self.terms)
+        return not any(any(e) for e in self.terms)
 
     def constant_coefficient(self) -> Scalar:
-        return self.terms.get(Monomial.one(self.nvars), self.field.zero)
+        return Scalar(self.field, self.terms.get((0,) * self.nvars, self.field.raw.zero))
 
     def is_homogeneous(self) -> bool:
-        degs = {m.degree for m in self.terms}
-        return len(degs) <= 1
+        return len({sum(e) for e in self.terms}) <= 1
 
     def sorted_terms(self, order: MonomialOrder):
-        return sorted(self.terms.items(), key=lambda mc: order.key(mc[0]), reverse=True)
+        """(exponents, raw coefficient) pairs, largest monomial first."""
+        return sorted(self.terms.items(), key=lambda ec: order.key(ec[0]), reverse=True)
 
     # -- arithmetic -------------------------------------------------------------
 
@@ -211,16 +180,20 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check(other)
+        ops = self.field.raw
+        sub, zero = ops.sub, ops.zero
         out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m)
-            out[m] = c if s is None else s + c
+        for e, c in other.terms.items():
+            s = out.get(e)
+            out[e] = c if s is None else sub(s, sub(zero, c))
         return Polynomial(self.field, self.nvars, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(self.field, self.nvars, {m: -c for m, c in self.terms.items()})
+        ops = self.field.raw
+        return Polynomial(self.field, self.nvars,
+                          {e: ops.sub(ops.zero, c) for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Scalar)):
@@ -242,22 +215,23 @@ class Polynomial:
         raise TypeError(f"cannot interpret {c!r} as a scalar")
 
     def __mul__(self, other):
+        ops = self.field.raw
+        sub, mul, zero = ops.sub, ops.mul, ops.zero
         if isinstance(other, (int, Scalar)):
-            c = self._scalar(other)
-            if c.is_zero():
-                return Polynomial.zero(self.field, self.nvars)
+            c = self._scalar(other).value
             return Polynomial(self.field, self.nvars,
-                              {m: a * c for m, a in self.terms.items()})
+                              {e: mul(a, c) for e, a in self.terms.items()})
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check(other)
         out: dict = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = m1.mul(m2)
-                s = out.get(m)
-                p = c1 * c2
-                out[m] = p if s is None else s + p
+        for e1, c1 in self.terms.items():
+            n1 = sub(zero, c1)
+            for e2, c2 in other.terms.items():
+                e = tuple(map(add, e1, e2))
+                s = out.get(e)
+                # s + c1*c2, written s - (-c1)*c2
+                out[e] = mul(c1, c2) if s is None else sub(s, mul(n1, c2))
         return Polynomial(self.field, self.nvars, out)
 
     __rmul__ = __mul__
@@ -284,21 +258,22 @@ class Polynomial:
         if self.is_zero():
             return "0"
         rational = self.field.kind is FieldKind.RATIONALS
+        one = self.field.raw.one
         parts = []
-        for m, c in self.sorted_terms(order):
+        for e, c in self.sorted_terms(order):
             sign = ""
-            if rational and c.value < 0:
+            if rational and c < 0:
                 sign = "-"
                 c = -c
-            cs = str(c)
-            if m.is_one():
+            cs = str(Scalar(self.field, c))
+            if not any(e):
                 text = cs
-            elif c.is_one():
-                text = m.to_str(names)
+            elif c == one:
+                text = _monomial_str(e, names)
             else:
                 if any(ch in cs for ch in "+-/"):
                     cs = f"({cs})"
-                text = f"{cs}*{m.to_str(names)}"
+                text = f"{cs}*{_monomial_str(e, names)}"
             parts.append((sign, text))
         first_sign, first_text = parts[0]
         out = ("-" if first_sign else "") + first_text

@@ -201,21 +201,10 @@ class FieldSpec:
         r = n % self.characteristic
         return Scalar(self, ((r,) if r else (), (1,)))
 
-    def from_fraction(self, a: int, b: int) -> "Scalar":
-        return self.from_int(a) / self.from_int(b)
-
     def t(self) -> "Scalar":
         if self.kind is not FieldKind.RATIONAL_FUNCTIONS:
             raise FieldMismatch("t is only an element of F_p(t)")
         return Scalar(self, ((0, 1), (1,)))
-
-    def from_t_fraction(self, num, den) -> "Scalar":
-        """Build an element of F_p(t) from coefficient tuples (low degree first)."""
-        if self.kind is not FieldKind.RATIONAL_FUNCTIONS:
-            raise FieldMismatch("t-fractions only exist in F_p(t)")
-        p = self.characteristic
-        return Scalar(self, _ffrac_normalize(tuple(c % p for c in num),
-                                             tuple(c % p for c in den), p))
 
     @property
     def zero(self) -> "Scalar":
@@ -279,9 +268,6 @@ class Scalar:
 
     def is_zero(self) -> bool:
         return self.field.raw.is_zero(self.value)
-
-    def is_one(self) -> bool:
-        return self == self.field.one
 
     def __bool__(self):
         return not self.is_zero()

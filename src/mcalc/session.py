@@ -175,8 +175,15 @@ def _parse_module(ring: RingSpec, value: str, line_no: int) -> FPModule:
 
 
 def parse_session(path: str) -> SessionData:
-    with open(path, encoding="utf-8") as fh:
-        return parse_session_text(fh.read())
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"session file is not UTF-8: byte {data[exc.start]:#04x} "
+                         f"at offset {exc.start}",
+                         line=data.count(b"\n", 0, exc.start) + 1) from None
+    return parse_session_text(text)
 
 
 def serialize_session(session: SessionData) -> str:

@@ -9,13 +9,16 @@ Scalar arithmetic is reused.
 
 import itertools
 
+from mcalc.scalars import Scalar
+
 
 def _grevlex_key(exps):
     return (sum(exps), tuple(-e for e in reversed(exps)))
 
 
 def _poly_as_row(f):
-    return {m.exps: c for m, c in f.terms.items()}
+    """Exponent tuple -> Scalar: the raw coefficients, wrapped."""
+    return {e: Scalar(f.field, c) for e, c in f.terms.items()}
 
 
 def _shift_row(row, mult):

@@ -16,7 +16,7 @@ from mcalc.cli import main
 from mcalc.fpmodules import ModuleVector, syzygies
 from mcalc.groebner import buchberger, normal_form, standard_monomials
 from mcalc.multiplicity import VERIFIED
-from mcalc.polyring import INFINITE, Monomial, Polynomial, RingSpec
+from mcalc.polyring import INFINITE, Polynomial, RingSpec
 from mcalc.scalars import FieldSpec
 from mcalc.scenarios import registry, run_scenario
 
@@ -120,8 +120,7 @@ def test_multiplicity_degenerate_and_regular():
 
 # exhaustive engine sweep --------------------------------------------------
 
-_MONS = [Monomial(e) for e in
-         ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))]
+_MONS = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
 
 
 def _poly_from_coeffs(field, coeffs):

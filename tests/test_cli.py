@@ -237,6 +237,16 @@ def test_parse_error_exits_two(conic, capsys):
     assert "PARSE_ERROR" in capsys.readouterr().err
 
 
+def test_session_that_is_not_utf8_exits_two(tmp_path, capsys):
+    p = tmp_path / "binary.ring"
+    p.write_bytes(b"\x7fELF\x02\x01\x01\x00" + bytes(range(256)))
+    err = _coded_exit(capsys, ["dim", str(p)], "PARSE_ERROR")
+    assert "not UTF-8: byte 0x80 at offset 136 (line 2)" in err
+    p.write_bytes(CONIC.encode() + b"seq u = [x\xff]\n")
+    err = _coded_exit(capsys, ["dim", str(p)], "PARSE_ERROR")
+    assert "(line 7)" in err
+
+
 def test_bad_field_session_exits_two(tmp_path, capsys):
     p = tmp_path / "bad.ring"
     p.write_text("field = F4\nvars = x\n", encoding="utf-8")
@@ -340,3 +350,22 @@ def test_python_dash_m_runs_the_cli():
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("usage: mcalc")
+
+
+def test_output_does_not_depend_on_the_hash_seed(conic):
+    """Each process hashes strings with its own seed, so dict and set order
+    may differ between processes; the printed records must not."""
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    commands = [["koszul", conic, "--seq", "@s", "--json"],
+                ["search", conic, "--prime", "2", "--budget", "15", "--seed", "11", "--json"],
+                ["verify", "scenario", "--json"]]
+    runs = {}
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+        runs[seed] = [subprocess.run([sys.executable, "-m", "mcalc"] + argv, env=env,
+                                     capture_output=True, timeout=120)
+                      for argv in commands]
+    for one, two in zip(runs["1"], runs["2"]):
+        assert one.returncode == two.returncode == 0, one.stderr
+        assert one.stdout and one.stdout == two.stdout

@@ -9,7 +9,7 @@ from mcalc.errors import (ImageNotInKernel, MapNotWellDefined, RingMismatch,
 from mcalc.fpmodules import (FPModule, ModuleMap, ModuleVector, gamma_saturation,
                              kernel_of_map, module_gb, preimage_submodule,
                              subquotient, syzygies, unit_vectors)
-from mcalc.groebner import GroebnerBasis, _raw_polynomial
+from mcalc.groebner import GroebnerBasis
 from mcalc.parsing import parse_polynomial
 from mcalc.polyring import INFINITE, Polynomial, RingSpec
 from mcalc.scalars import FieldSpec
@@ -33,6 +33,15 @@ def _zero():
     return R.zero()
 
 
+def _plus_combination(start, coeffs, vectors):
+    """start + sum(coeffs[i] * vectors[i]), on polynomial components: a
+    reference that does not go through the division kernel."""
+    comps = start.components
+    for c, v in zip(coeffs, vectors):
+        comps = [a + c * b for a, b in zip(comps, v.components)]
+    return ModuleVector(comps)
+
+
 def _basis_vectors(gb):
     ring = gb.ring
     return tuple(ModuleVector._from_raw(ring.field, ring.nvars, gb.rank, v) for v in gb.raws)
@@ -44,7 +53,7 @@ def _divide(gb, v):
     ring = gb.ring
     rem, quot = gb.reduce(v.raw, with_witness=True)
     return (ModuleVector._from_raw(ring.field, ring.nvars, gb.rank, rem),
-            [_raw_polynomial(ring.field, ring.nvars, q) for q in quot])
+            [Polynomial(ring.field, ring.nvars, q) for q in quot])
 
 
 def test_module_gb_ideal_case():
@@ -92,10 +101,7 @@ def test_syzygy_of_single_nonzerodivisor():
 def test_syzygies_satisfy_relation_externally():
     vecs = [_vec(X * Y, Y), _vec(Y * Y, X), _vec(X, R.one())]
     for c in syzygies(R, vecs):
-        total = ModuleVector.zero(Q, 2, 2)
-        for coeff, v in zip(c.components, vecs):
-            total = total + v.scale(coeff)
-        assert total.is_zero()
+        assert _plus_combination(_vec(_zero(), _zero()), c.components, vecs).is_zero()
 
 
 def test_syzygy_identity_check_runs_on_raw_vectors(monkeypatch):
@@ -134,20 +140,20 @@ def test_preimage_of_full_target_is_everything():
 
 def test_kernel_of_multiplication():
     M = FPModule.cyclic(R, [X * X])
-    K, embedding = kernel_of_map(ModuleMap.multiplication(M, X))
+    K, embedding = kernel_of_map(ModuleMap(M, M, [_ideal_vec(X)]))
     assert K == FPModule.cyclic(R, [X])
     assert embedding == [_ideal_vec(X)]
 
 
 def test_kernel_of_identity_is_zero():
     M = FPModule.cyclic(R, [X * X])
-    K, _ = kernel_of_map(ModuleMap.multiplication(M, R.one()))
+    K, _ = kernel_of_map(ModuleMap(M, M, [_ideal_vec(R.one())]))
     assert K.is_zero()
 
 
 def test_kernel_of_zero_map_is_source():
     M = FPModule.cyclic(R, [X * X])
-    K, _ = kernel_of_map(ModuleMap.zero_map(M, M))
+    K, _ = kernel_of_map(ModuleMap(M, M, [ModuleVector.zero(Q, 2, 1)]))
     assert K == M
 
 
@@ -300,10 +306,7 @@ def test_module_nf_cofactor_identity():
     gb = module_gb(R, [_ideal_vec(X), _ideal_vec(Y * Y)], 1)
     v = _ideal_vec(Y ** 3 + X * Y + R.one())
     r, cof = _divide(gb, v)
-    acc = r
-    for c, g in zip(cof, _basis_vectors(gb)):
-        acc = acc + g.scale(c)
-    assert acc == v
+    assert _plus_combination(r, cof, _basis_vectors(gb)) == v
     assert r == _ideal_vec(R.one())
 
 
@@ -332,7 +335,7 @@ _SMALL_POLYS = [A2.zero(), A2.one(), AX, AY, AX + AY, AX * AY,
 @settings(max_examples=30, deadline=None)
 @given(st.sampled_from(_SMALL_POLYS))
 def test_rank_nullity_for_multiplication(p):
-    phi = ModuleMap.multiplication(BASE, p)
+    phi = ModuleMap(BASE, BASE, [ModuleVector((p,))])
     K, _ = kernel_of_map(phi)
     image = subquotient(list(phi.matrix), [], BASE)
     coker = FPModule(A2, BASE.rank, list(BASE.relations) + list(phi.matrix))
@@ -420,10 +423,7 @@ def test_module_normal_form_on_unreduced_reducers_frozen():
     assert [R.poly_to_str(c) for c in cof] == [
         "3*x^2*y - 3*x*y + x + 3*y - 1", "0", "-3*x^2 - 3*x*y + 2*y^2 + 3*x + 3*y - 3",
         "-2*y - 3", "2*y + 3"]
-    acc = r
-    for c, g in zip(cof, reducers):
-        acc = acc + g.scale(c)
-    assert acc == v
+    assert _plus_combination(r, cof, reducers) == v
 
 
 # The vector type holds the division kernel's raw vector; its polynomial
@@ -485,9 +485,7 @@ def test_apply_vec_matches_component_arithmetic(data):
     free = FPModule.free(ring, 2)
     cols = [ModuleVector(entries[0:2]), ModuleVector(entries[2:4]), ModuleVector(entries[4:6])]
     v = ModuleVector(entries[6:8] + [entries[0]])
-    expected = ModuleVector.zero(ring.field, ring.nvars, 2)
-    for c, col in zip(v.components, cols):
-        expected = expected + col.scale(c)
+    expected = _plus_combination(ModuleVector((ring.zero(), ring.zero())), v.components, cols)
     assert ModuleMap(FPModule.free(ring, 3), free, cols).apply_vec(v) == expected
 
 
@@ -500,9 +498,9 @@ def test_rank_zero_modules_frozen():
     zero, free = FPModule(A, 0), FPModule.free(A, 2)
     empty = {"rank": 0, "relations": []}
 
-    K, embedding = kernel_of_map(ModuleMap.zero_map(zero, free))
+    K, embedding = kernel_of_map(ModuleMap(zero, free, []))
     assert (K.describe(), embedding) == (empty, [])
-    K, embedding = kernel_of_map(ModuleMap.zero_map(free, zero))
+    K, embedding = kernel_of_map(ModuleMap(free, zero, [ModuleVector.zero(F7, 2, 0)] * 2))
     assert K.describe() == {"rank": 2, "relations": ["[0, x^3]", "[x^3, 0]"]}
     assert [v.to_str(A) for v in embedding] == ["[1, 0]", "[0, 1]"]
 

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from mcalc import groebner
+from mcalc import fpmodules, groebner
 from mcalc.errors import (HypothesisFails, InfiniteHomology, NoStabilization,
                           NotDimensionOne, NotFiniteColength, NotParameter,
                           SupportNotAtOrigin)
@@ -237,6 +237,32 @@ def test_parameter_colength_enumerates_standard_terms_once(monkeypatch):
     A = RingSpec(F7, ("x", "y"), quotient=(x ** 3 - y * y,))
     assert parameter_colength(A, A.variable("y")) == 3
     assert len(calls) == 1
+
+
+@pytest.mark.filterwarnings("ignore:non-homogeneous defining polynomials")
+def test_search_candidate_builds_each_basis_once(monkeypatch):
+    """One candidate (x) on the cusp over F7: the base ring, (x) once for
+    both the dimension drop and the colength, the free module, M/xM once
+    for the colength check and the first table entry, and x^n M for
+    n = 2, 3, 4 (the table stops at four entries)."""
+    calls = []
+
+    def counting(module):
+        real = module._basis
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+        monkeypatch.setattr(module, "_basis", counted)
+
+    counting(groebner)
+    counting(fpmodules)
+    F7 = FieldSpec.prime_field(7)
+    x, y = (RingSpec(F7, ("x", "y")).variable(v) for v in "xy")
+    A = RingSpec(F7, ("x", "y"), quotient=(y * y - x ** 3,))
+    out = search_parameters(A, 3, 1)
+    assert (out.status, out.tried, out.e) == ("FOUND", 1, 2)
+    assert len(calls) == 7
 
 
 def test_ord_additivity_conic():

@@ -1,9 +1,11 @@
 """Source hygiene: no module of the package imports a name it never uses,
 no module but `groebner` reads a Groebner basis's reducer forms, no private
 module-level function or class goes unreferenced, and every public function
-or class has a caller in the package or the benchmark."""
+or class, and every public method or property of an exported class, has a
+caller in the package or the benchmark."""
 
 import ast
+import functools
 import inspect
 import pathlib
 
@@ -124,26 +126,40 @@ def test_no_unreferenced_private_definitions_in_the_package():
     assert not found, "unreferenced private definitions:\n" + "\n".join(found)
 
 
-def unread_public_names(names, texts):
-    """Each of names that no module among texts (file -> source) reads, as a
-    name or an attribute. Reads in `__init__.py` and inside the name's own
-    module-level definition do not count."""
+def _reads(node, enclosing, attributes_only, used):
+    """Add to used each name node reads, skipping reads inside a definition
+    of the same name; bare names count unless attributes_only."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        enclosing = enclosing | {node.name}
+    read = None
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and not attributes_only:
+        read = node.id
+    elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+        read = node.attr
+    if read is not None and read not in enclosing:
+        used.add(read)
+    for child in ast.iter_child_nodes(node):
+        _reads(child, enclosing, attributes_only, used)
+
+
+def unread_public_names(names, texts, attributes_only=False):
+    """Each of names that no module among texts (file -> source) reads, as an
+    attribute or, unless attributes_only, as a name. Reads in `__init__.py`
+    and inside the name's own definition do not count."""
     used = set()
     for filename, text in texts.items():
-        if pathlib.PurePath(filename).name == "__init__.py":
-            continue
-        for top in ast.parse(text, filename=filename).body:
-            own = getattr(top, "name", None)
-            for node in ast.walk(top):
-                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                    read = node.id
-                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                    read = node.attr
-                else:
-                    continue
-                if read != own:
-                    used.add(read)
+        if pathlib.PurePath(filename).name != "__init__.py":
+            _reads(ast.parse(text, filename=filename), frozenset(), attributes_only, used)
     return [name for name in names if name not in used]
+
+
+def public_members(cls):
+    """Names of the public methods, classmethods, staticmethods and
+    properties that cls itself defines. Operator methods are left out: an
+    attribute read never names them."""
+    kinds = (classmethod, staticmethod, property, functools.cached_property)
+    return [name for name, value in vars(cls).items()
+            if not name.startswith("_") and (inspect.isfunction(value) or isinstance(value, kinds))]
 
 
 def test_unread_public_names_are_found():
@@ -158,11 +174,52 @@ def test_unread_public_names_are_found():
                                texts) == ["recursive", "Builder", "exported"]
 
 
+def test_unread_public_members_are_found():
+    class Shape:
+        def area(self):
+            pass
+
+        def scale(self):
+            return self.scale()
+
+        @classmethod
+        def unit(cls):
+            pass
+
+        @property
+        def size(self):
+            pass
+
+        def _private(self):
+            pass
+
+    texts = {"a.py": ("def measure(shape):\n    return shape.area()\n"
+                      "def grow(shape, scale):\n    return scale * shape.size\n"),
+             "__init__.py": "from a import Shape\nShape.unit()\n"}
+    assert public_members(Shape) == ["area", "scale", "unit", "size"]
+    # a local called scale reads no attribute
+    assert unread_public_names(public_members(Shape), texts, attributes_only=True) == [
+        "scale", "unit"]
+
+
+def _package_and_benchmark_texts():
+    return {str(path): path.read_text(encoding="utf-8")
+            for path in sorted(SRC.glob("*.py")) + sorted(BENCH.glob("*.py"))}
+
+
 def test_public_api_has_a_caller():
     public = [name for name in mcalc.__all__
               if inspect.isfunction(getattr(mcalc, name)) or inspect.isclass(getattr(mcalc, name))]
-    texts = {str(path): path.read_text(encoding="utf-8")
-             for path in sorted(SRC.glob("*.py")) + sorted(BENCH.glob("*.py"))}
-    found = unread_public_names(public, texts)
+    found = unread_public_names(public, _package_and_benchmark_texts())
     assert not found, "public names that nothing in the package or the benchmark reads:\n" + \
         "\n".join(found)
+
+
+def test_public_members_have_a_caller():
+    texts = _package_and_benchmark_texts()
+    found = [f"{name}.{member}" for name in mcalc.__all__
+             if inspect.isclass(getattr(mcalc, name))
+             for member in unread_public_names(public_members(getattr(mcalc, name)), texts,
+                                               attributes_only=True)]
+    assert not found, ("public members of exported classes that nothing in the package or "
+                       "the benchmark reads as an attribute:\n" + "\n".join(found))
