@@ -22,7 +22,9 @@ pair breaks ties, which makes the syzygies that come out, and so every
 presentation built from them, deterministic. For `module_gb` the loop skips
 pairs by the chain criterion, pairs of two single terms and, at rank 1 only,
 by the product criterion, and every basis is then certified by
-`groebner._self_check`, whose criteria need no pair order.
+`groebner._self_check`, whose criteria need no pair order. Over Q a
+`module_gb` basis is computed on primitive integer vectors and syzygies on
+Fractions, as the `groebner` module describes.
 
 Kernels, subquotient presentations and saturations all come
 from `preimage_submodule`, the preimage of a submodule under a map of free
@@ -64,10 +66,6 @@ class ModuleVector:
         v = cls.__new__(cls)
         v.field, v.nvars, v.rank, v.raw = field, nvars, rank, raw
         return v
-
-    @classmethod
-    def zero(cls, field, nvars, rank):
-        return cls._from_raw(field, nvars, rank, {})
 
     @classmethod
     def unit(cls, field, nvars, rank, i, poly=None):

@@ -16,6 +16,21 @@ and reads no reducer form. A `GroebnerBasis` holds the raw vectors
 results only rekey dicts by position, with no per-coefficient conversion.
 Each basis element's reducer form is built once, when the element joins a
 basis, never once per division.
+
+The kernel takes its arithmetic from a `RawArithmetic` table. Over Q an
+untracked basis (the loop, `_reduce_basis` and `_self_check`) runs on
+primitive integer vectors, from `FieldSpec.fraction_free`: inputs enter with
+denominators cleared and content divided out, `_reduce` pseudo-divides,
+S-vectors are fraction-free, and only the last step of `_reduce_basis`
+divides by the leads, so the output is the same unique reduced basis over
+Q. Integers are used because Fraction arithmetic, with a gcd in every
+operation, dominated the Q bases. The certificate still holds: every
+integer vector is a nonzero multiple of a vector over Q spanning the same
+submodule, and a pseudo-remainder is a nonzero multiple of the remainder
+over Q, so an S-vector or input reduces to zero in one exactly when it does
+in the other. Tracked runs, whose syzygies are exact expressions, and
+`GroebnerBasis.reduce` and `normal_form`, whose remainders and witnesses are
+exact, use the field's own table.
 """
 
 from __future__ import annotations
@@ -168,9 +183,16 @@ def _reduce(work, forms, order, ops, with_witness=False):
     vector in descending term order, and witness[j] (None without
     with_witness) maps quotient exponents to raw coefficients, so that
     work == sum(witness[j] * reducer j) + remainder.
+
+    The step on a lead c over a reducer lead a comes from `ops.pseudo`: work
+    and the remainder are multiplied by the scale, then quotient * x^q * tail
+    is subtracted. Over a field the scale is one, so this is plain division.
+    Over the integers it is pseudo-division, and the remainder, made
+    primitive on the way out, is a nonzero multiple of the remainder over
+    Q; the witness ignores the scales, so only a field's table gives one.
     """
     dkey = order.descending_key
-    div = ops.div
+    pseudo, mul, one = ops.pseudo, ops.mul, ops.one
     heap = [(k[0], dkey(k[1]), k) for k in work]
     heapq.heapify(heap)
     rem = {}
@@ -184,7 +206,12 @@ def _reduce(work, forms, order, ops, with_witness=False):
         for j, (gp, ge, gc, tail) in enumerate(forms):
             if gp == p and all(map(le, ge, e)):
                 q = tuple(map(sub, e, ge))
-                qc = div(c, gc)
+                scale, qc = pseudo(c, gc)
+                if scale is not one:
+                    for t, v in work.items():
+                        work[t] = mul(v, scale)
+                    for t, v in rem.items():
+                        rem[t] = mul(v, scale)
                 for f in _submul(work, tail, q, qc, ops):
                     heapq.heappush(heap, (f[0], dkey(f[1]), f))
                 if witness is not None:
@@ -192,57 +219,60 @@ def _reduce(work, forms, order, ops, with_witness=False):
                 break
         else:
             rem[k] = c
-    return rem, witness
+    return ops.primitive(rem), witness
 
 
 def _reduce_basis(forms, order, ops):
-    """Minimalize, make monic and tail-reduce; raw vectors ascending by lead.
+    """Minimalize, tail-reduce and make monic; raw vectors ascending by lead.
 
     Takes the reducer forms of the elements. On a Groebner basis of a
     submodule (an ideal is the rank-1 case) the result is its unique reduced
-    Groebner basis.
+    Groebner basis. Only the last step divides by the leads, through
+    `ops.div`, which over the integers gives the exact quotient in Q.
     """
     dkey = order.descending_key
 
     def lead_key(f):
         return (f[0], dkey(f[1]))
 
-    div = ops.div
     vecs, kept = [], []
     # ascending by lead; reverse=True keeps the sort stable, so of equal
     # leads the first in input order stays
     for f in sorted(forms, key=lead_key, reverse=True):
         if any(h[0] == f[0] and all(map(le, h[1], f[1])) for h in kept):
             continue
-        pos, exps, lc, tail = f
-        tail = tuple((p, e, div(c, lc)) for p, e, c in tail)
-        v = {(pos, exps): ops.one}
-        v.update(((p, e), c) for p, e, c in tail)
+        v = {(f[0], f[1]): f[2]}
+        v.update(((p, e), c) for p, e, c in f[3])
         vecs.append(v)
-        kept.append((pos, exps, ops.one, tail))
+        kept.append(f)
     changed = True
     while changed:
         changed = False
         for i in range(len(vecs)):
-            # no other lead divides this lead, so it stays, monic
+            # no other lead divides this lead, so it stays the lead
             r, _ = _reduce(dict(vecs[i]), kept[:i] + kept[i + 1:], order, ops)
             if r != vecs[i]:
                 vecs[i] = r
                 kept[i] = _reducer_form(r, order)
                 changed = True
-    return [v for _, v in sorted(zip(kept, vecs), key=lambda fv: lead_key(fv[0]), reverse=True)]
+    div = ops.div
+    return [{k: div(c, f[2]) for k, c in v.items()}
+            for f, v in sorted(zip(kept, vecs), key=lambda fv: lead_key(fv[0]), reverse=True)]
 
 
 def _s_vector(fa, fb, lcm, ops):
-    """S-vector x^ua*a/ca - x^ub*b/cb of two reducer forms at one position,
-    x^lcm being the lcm of their leads, as a raw vector.
+    """S-vector ka*x^ua*a - kb*x^ub*b of two reducer forms at one position,
+    x^lcm being the lcm of their leads, as a raw vector: (ka, kb) is
+    `ops.cofactors` of the lead coefficients, so ka = 1/ca and kb = 1/cb
+    over a field, and the fraction-free cb/g and ca/g over the integers.
 
     The leads cancel exactly, so only the tails enter. Also returns the two
-    steps ((ua, ka), (ub, kb)) that built it, each a `work -= k * x^u * tail`
+    steps ((ua, -ka), (ub, kb)) that built it, each a `work -= k * x^u * tail`
     step of `_submul`, so a tracked expression can take the same steps.
     """
-    steps = ((tuple(map(sub, lcm, fa[1])), ops.sub(ops.zero, ops.div(ops.one, fa[2]))),
-             (tuple(map(sub, lcm, fb[1])), ops.div(ops.one, fb[2])))
+    ka, kb = ops.cofactors(fa[2], fb[2])
+    steps = ((tuple(map(sub, lcm, fa[1])), ops.sub(ops.zero, ka)),
+             (tuple(map(sub, lcm, fb[1])), kb))
     sv = {}
     for f, (u, k) in zip((fa, fb), steps):
         _submul(sv, f[3], u, k, ops)
@@ -259,11 +289,15 @@ def _buchberger(ring: RingSpec, raws, rank, track=False):
     so it is part of the output contract.
 
     Returns (basis, syzygies), the basis as raw vectors. With track=True
-    no pair is skipped and each element carries its expression on the
-    inputs, so every reduction to zero is a syzygy of the inputs and
-    together they generate the whole syzygy module; the syzygies are raw
-    vectors of rank len(raws), a zero input giving its unit vector, and the
-    basis is the loop's, unreduced. With track=False a pair is skipped when
+    the loop runs on the field's own arithmetic, no pair is skipped and
+    each element carries its expression on the inputs, so every reduction
+    to zero is a syzygy of the inputs and together they generate the whole
+    syzygy module; the syzygies are raw vectors of rank len(raws), a zero
+    input giving its unit vector, and the basis is the loop's, unreduced.
+
+    With track=False the loop, the basis reduction and the certificate run
+    on `field.fraction_free`, over Q on primitive integer vectors, which
+    span the same submodule over Q as the inputs. A pair is skipped when
     both elements are single terms (the S-vector is zero), by the product
     criterion at rank 1 only (coprime leads; at higher rank the S-vector
     need not reduce to zero), or by the chain criterion (a third lead at the
@@ -274,7 +308,8 @@ def _buchberger(ring: RingSpec, raws, rank, track=False):
     popped-pairs one.
     """
     order = ring.order
-    ops = ring.field.raw
+    ops = ring.field.raw if track else ring.field.fraction_free
+    raws = [ops.primitive(raw) for raw in raws]
     elems, forms, reps, syz = [], [], [], []
     pending = set()  # (a, b) formed and not yet popped, for the chain criterion
     queue = []       # heap of (lcm degree, order key, a, b, lcm exponents)
@@ -360,11 +395,15 @@ def buchberger(ring: RingSpec, gens) -> GroebnerBasis:
 
 
 def _self_check(basis, inputs, order, ops):
-    """Complete correctness certificate for a computed basis at any rank.
+    """Correctness certificate for a computed basis at any rank.
 
     Every S-vector of two basis elements at the same position has a standard
     representation, and every input reduces to zero, so the basis is a
-    Groebner basis of exactly the input submodule. A pair is divided out
+    Groebner basis of a submodule that contains the inputs. It proves no
+    more: the basis {1} passes for any inputs. The reverse inclusion holds
+    for `_buchberger`'s basis by construction, each element being a
+    remainder of a combination of inputs and earlier elements, so there the
+    basis is one of exactly the input submodule. A pair is divided out
     unless a theorem gives its representation: both elements are single
     terms (the S-vector is zero); every basis term is at position 0, so the
     elements are polynomials, and their leads are coprime (the product
@@ -374,8 +413,13 @@ def _self_check(basis, inputs, order, ops):
     strict form). By induction on the lcm in the well-ordered term order,
     the two smaller pairs of a chain have representations, so the skipped
     one does too; no pair order is needed.
+
+    Basis and inputs are checked as `ops.primitive` vectors. Over the
+    integers each is a nonzero multiple of the vector over Q, and so is each
+    S-vector and each pseudo-remainder, so "reduces to zero" means the same
+    as over Q.
     """
-    forms = [_reducer_form(v, order) for v in basis]
+    forms = [_reducer_form(ops.primitive(v), order) for v in basis]
     polys = all(p == 0 for v in basis for p, _ in v)
     for fa, fb in itertools.combinations(forms, 2):
         if fa[0] != fb[0] or not fa[3] and not fb[3]:
@@ -392,7 +436,7 @@ def _self_check(basis, inputs, order, ops):
         if _reduce(sv, forms, order, ops)[0]:
             raise AssertionError("S-vector self-check failed: not a Groebner basis")
     for v in inputs:
-        if _reduce(dict(v), forms, order, ops)[0]:
+        if _reduce(dict(ops.primitive(v)), forms, order, ops)[0]:
             raise AssertionError("input does not reduce to zero")
 
 

@@ -7,6 +7,7 @@ reduced fractions of univariate polynomials with a monic denominator.
 
 from __future__ import annotations
 
+import math
 import operator
 from collections import namedtuple
 from dataclasses import dataclass
@@ -136,15 +137,64 @@ def _ffrac_normalize(num, den, p):
     return num, den
 
 
-class RawArithmetic(namedtuple("RawArithmetic", "zero one is_zero sub mul div")):
-    """A field's constants and operations on raw ``Scalar.value`` payloads.
+class RawArithmetic(namedtuple("RawArithmetic",
+                               "zero one is_zero sub mul div pseudo cofactors primitive")):
+    """A coefficient ring's constants and operations on raw values.
 
-    Results are in the canonical form Scalar keeps, so each equals the value
-    of the matching Scalar operator; Scalar delegates to these, and inner
-    loops call them directly to skip the Scalar wrapper.
+    A field's table works on ``Scalar.value`` payloads, in the canonical form
+    Scalar keeps, so each result equals the value of the matching Scalar
+    operator; Scalar delegates to these, and inner loops call them directly
+    to skip the Scalar wrapper. The three last entries serve the division
+    kernel, which runs unchanged over a field and over the integers:
+
+    * ``pseudo(c, a)`` is (scale, quotient) with scale * c == quotient * a:
+      (one, c / a) over a field, (a/g, c/g) over the integers, g = gcd(c, a)
+      taken with the sign of a, so the scale is positive;
+    * ``cofactors(a, b)`` is (ka, kb) with ka * a == kb * b: (1/a, 1/b) over
+      a field, (b/g, a/g) over the integers, g taken with the sign of b;
+    * ``primitive(v)`` returns the raw vector v as the table's own vector:
+      v itself over a field, over the integers v with its denominators
+      cleared and its content divided out.
     """
 
     __slots__ = ()
+
+
+def _field_arithmetic(zero, one, is_zero, sub, mul, div, pseudo) -> RawArithmetic:
+    """A field's table; pseudo(c, a) must be (one, div(c, a)), passed in
+    whole so the division kernel makes one call per step."""
+    return RawArithmetic(zero, one, is_zero, sub, mul, div, pseudo,
+                         lambda a, b: (div(one, a), div(one, b)),
+                         lambda v: v)
+
+
+def _int_pseudo(c, a):
+    g = math.gcd(c, a)
+    if a < 0:
+        g = -g
+    return a // g, c // g
+
+
+_numerator = operator.attrgetter("numerator")
+_denominator = operator.attrgetter("denominator")
+
+
+def _int_primitive(v):
+    den = math.lcm(*map(_denominator, v.values()))
+    if den == 1:
+        nums = list(map(_numerator, v.values()))
+    else:
+        nums = [c.numerator * (den // c.denominator) for c in v.values()]
+    g = math.gcd(*nums)
+    if g > 1:
+        nums = [c // g for c in nums]
+    return dict(zip(v, nums))
+
+
+# Integer coefficients for fraction-free division over Q. div leaves the
+# integers: it is the exact quotient in Q (int / int would be a float).
+_INTEGER_ARITHMETIC = RawArithmetic(0, 1, operator.not_, operator.sub, operator.mul,
+                                    Fraction, _int_pseudo, _int_pseudo, _int_primitive)
 
 
 def _rational_function_arithmetic(p: int) -> RawArithmetic:
@@ -161,7 +211,9 @@ def _rational_function_arithmetic(p: int) -> RawArithmetic:
         (an, ad), (bn, bd) = a, b
         return _ffrac_normalize(_pt_mul(an, bd, p), _pt_mul(ad, bn, p), p)
 
-    return RawArithmetic(((), (1,)), ((1,), (1,)), lambda a: not a[0], sub, mul, div)
+    one = ((1,), (1,))
+    return _field_arithmetic(((), (1,)), one, lambda a: not a[0], sub, mul, div,
+                             lambda c, a: (one, div(c, a)))
 
 
 @dataclass(frozen=True)
@@ -215,14 +267,23 @@ class FieldSpec:
         """Arithmetic on raw values: Fraction for Q, int residues for F_p,
         (numerator, denominator) coefficient tuples for F_p(t)."""
         if self.kind is FieldKind.RATIONALS:
-            return RawArithmetic(Fraction(0), Fraction(1), operator.not_, operator.sub,
-                                 operator.mul, operator.truediv)
+            one = Fraction(1)
+            return _field_arithmetic(Fraction(0), one, operator.not_, operator.sub,
+                                     operator.mul, operator.truediv, lambda c, a: (one, c / a))
         p = self.characteristic
         if self.kind is FieldKind.PRIME_FIELD:
-            return RawArithmetic(0, 1, operator.not_, lambda a, b: (a - b) % p,
-                                 lambda a, b: a * b % p,
-                                 lambda a, b: a * pow(b, p - 2, p) % p)
+            return _field_arithmetic(0, 1, operator.not_, lambda a, b: (a - b) % p,
+                                     lambda a, b: a * b % p,
+                                     lambda a, b: a * pow(b, p - 2, p) % p,
+                                     lambda c, a: (1, c * pow(a, p - 2, p) % p))
         return _rational_function_arithmetic(p)
+
+    @cached_property
+    def fraction_free(self) -> RawArithmetic:
+        """The table untracked Groebner bases are computed in: over Q the
+        integers, on primitive vectors (see `RawArithmetic`), since integer
+        arithmetic is cheaper than Fraction arithmetic; otherwise `raw`."""
+        return _INTEGER_ARITHMETIC if self.kind is FieldKind.RATIONALS else self.raw
 
     @property
     def one(self) -> "Scalar":

@@ -1,6 +1,7 @@
 """Buchberger, normal forms, standard monomials, dimension."""
 
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -406,3 +407,111 @@ def test_self_check_agrees_with_dividing_every_pair(family):
             assert not full
         else:
             assert full
+
+
+# -- over Q the untracked loop runs on primitive integer vectors ------------------
+
+def _rationals():
+    """Nonzero rationals of either sign, denominators 2, 3, 7 and 11."""
+    return st.builds(Fraction, st.integers(-999, 999).filter(bool), st.sampled_from([2, 3, 7, 11]))
+
+
+def _rational_polys(nvars):
+    mono = st.tuples(*(st.integers(0, 2) for _ in range(nvars)))
+    return st.dictionaries(mono, _rationals(), min_size=1, max_size=3).map(
+        lambda terms: Polynomial(Q, nvars, terms))
+
+
+def _constant(ring, c):
+    return Polynomial(ring.field, ring.nvars, {(0,) * ring.nvars: c})
+
+
+_RATIONAL_PROBLEMS = st.lists(st.tuples(_rational_polys(2), _rationals()), min_size=1, max_size=3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([MonomialOrder.grevlex(), MonomialOrder.lex()]), _RATIONAL_PROBLEMS)
+def test_rational_bases_match_the_field_path(order, problem):
+    """The fraction-free basis is the reduced basis over Q: it equals the
+    reduced tracked basis, which runs on Fractions, and scaling the
+    generators by nonzero rationals changes no byte of it."""
+    R = _plane(Q, order)
+    gens = [f for f, _ in problem]
+    gb = buchberger(R, gens)
+    assert all(type(c) is Fraction for v in gb.raws for c in v.values())
+    tracked, _ = _buchberger(R, [_raw_vector((f,)) for f in gens], 1, track=True)
+    forms = [_reducer_form(v, R.order) for v in tracked]
+    assert list(gb.raws) == _reduce_basis(forms, R.order, Q.raw)
+    scaled = buchberger(R, [f * _constant(R, c) for f, c in problem])
+    assert repr(scaled.raws) == repr(gb.raws)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_RATIONAL_PROBLEMS)
+def test_rational_bases_agree_with_the_membership_oracle(problem):
+    """The oracle puts every basis element in the ideal of the generators
+    and every generator in the ideal of the basis. The order is grevlex: a
+    basis under a degree order represents each generator f with cofactors
+    of degree at most deg f <= 4, inside the oracle's default cap; the
+    other direction has no such bound, and cap 6 has sufficed on these
+    sizes (lex bases of two quadrics can need more)."""
+    R = _plane(Q)
+    gens = [f for f, _ in problem]
+    gb = buchberger(R, gens)
+    in_ideal = oracles.membership_oracle(R, gens, cofactor_cap=6)
+    assert all(in_ideal(g) for g in gb.generators)
+    in_span = oracles.membership_oracle(R, gb.generators)
+    assert all(in_span(f) for f in gens)
+
+
+def test_fractional_inputs_with_negative_leads():
+    R = _plane()
+    x, y = R.variable("x"), R.variable("y")
+    gens = [x * x * _constant(R, Fraction(-1, 2)) + y * _constant(R, Fraction(1, 3)),
+            x * y * _constant(R, Fraction(-2, 7))]
+    gb = buchberger(R, gens)
+    assert [R.poly_to_str(g) for g in gb.generators] == ["y^2", "x*y", "x^2 - (2/3)*y"]
+    assert gb.raws[2] == {(0, (2, 0)): Fraction(1), (0, (0, 1)): Fraction(-2, 3)}
+
+
+def _scaled_cyclic4():
+    """Reduced basis over Q of cyclic-4 under a -> 2a, b -> 3b, c -> 5c, and
+    the generators as raw vectors: the primitive forms of the basis have
+    the leads 2, 9, 75, 15, 3, 125 and 25, so pseudo-division scales."""
+    R = RingSpec(Q, ("a", "b", "c", "d"))
+    texts = ["2*a + 3*b + 5*c + d", "6*a*b + 15*b*c + 5*c*d + 2*d*a",
+             "30*a*b*c + 15*b*c*d + 10*c*d*a + 6*d*a*b", "30*a*b*c*d - 1"]
+    gens = [parse_polynomial(R, t) for t in texts]
+    return R, list(buchberger(R, gens).raws), [_raw_vector((g,)) for g in gens]
+
+
+def test_integer_self_check_passes_the_basis():
+    R, basis, gens = _scaled_cyclic4()
+    _self_check(basis, gens, R.order, Q.fraction_free)
+
+
+def test_integer_self_check_catches_a_missing_element():
+    R, basis, _ = _scaled_cyclic4()
+    truncated = basis[:1] + basis[2:]
+    with pytest.raises(AssertionError, match="S-vector self-check failed"):
+        _self_check(truncated, truncated, R.order, Q.fraction_free)
+
+
+def test_integer_self_check_catches_an_input_outside_the_span():
+    R, basis, gens = _scaled_cyclic4()
+    half_b = {(0, (0, 1, 0, 0)): Fraction(1, 2)}
+    with pytest.raises(AssertionError, match="input does not reduce to zero"):
+        _self_check(basis, gens + [half_b], R.order, Q.fraction_free)
+
+
+def test_normal_form_over_q_is_exact():
+    """Remainders and witnesses over Q come from the field's own table, not
+    the integer one, whose remainder would be the primitive 4y + 9."""
+    R = _plane()
+    x, y = R.variable("x"), R.variable("y")
+    gb = buchberger(R, [x * _constant(R, Fraction(2)) - _constant(R, Fraction(3)), y * y])
+    r, witness = normal_form(x * x + y, gb, with_witness=True)
+    assert r.terms == {(0, 1): Fraction(1), (0, 0): Fraction(9, 4)}
+    assert all(type(c) is Fraction for c in r.terms.values())
+    assert witness == [x + _constant(R, Fraction(3, 2)), Polynomial.zero(Q, 2)]
+    assert gb.reduce({(0, (2, 0)): Fraction(1)})[0] == {(0, (0, 0)): Fraction(9, 4)}

@@ -1,5 +1,8 @@
 """Exact field arithmetic over Q, F_p, and F_p(t)."""
 
+import math
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -153,3 +156,39 @@ def test_add_zero_is_representationally_identical(abc):
 def test_scalar_hash_consistent_with_eq():
     assert hash(_frac(2, 4)) == hash(_frac(1, 2))
     assert len({F5.from_int(7), F5.from_int(2)}) == 1
+
+
+_NONZERO = st.integers(-10 ** 6, 10 ** 6).filter(bool)
+
+
+@given(st.integers(-10 ** 6, 10 ** 6), _NONZERO)
+def test_integer_pseudo_and_cofactors(c, a):
+    """scale * c == quotient * a with the smallest positive scale, for the
+    division step and the S-vector alike; over a field the scale is one."""
+    ints = Q.fraction_free
+    scale, q = ints.pseudo(c, a)
+    assert scale * c == q * a and scale > 0 and scale == abs(a) // math.gcd(c, a)
+    if c:
+        ka, kb = ints.cofactors(c, a)
+        assert ka * c == kb * a and ka > 0
+    one, exact = Q.raw.pseudo(Fraction(c), Fraction(a))
+    assert one is Q.raw.one and exact == Fraction(c, a)
+    assert Q.raw.cofactors(Fraction(a), Fraction(a)) == (Fraction(1, a),) * 2
+
+
+@given(st.dictionaries(st.integers(0, 5), st.fractions(max_denominator=50).filter(bool),
+                       max_size=5),
+       st.fractions(min_value=-20, max_value=20, max_denominator=20).filter(bool))
+def test_primitive_vectors(v, k):
+    """Integers with content one and the sign of v, the same for every
+    positive multiple of v; a field's table leaves v as it is."""
+    prim = Q.fraction_free.primitive(v)
+    assert all(type(c) is int for c in prim.values())
+    assert math.gcd(*prim.values()) == (1 if v else 0)
+    if v:
+        key = next(iter(v))
+        ratio = prim[key] / v[key]
+        assert ratio > 0 and prim == {key: c * ratio for key, c in v.items()}
+    scaled = Q.fraction_free.primitive({key: c * abs(k) for key, c in v.items()})
+    assert scaled == prim
+    assert Q.raw.primitive(v) is v

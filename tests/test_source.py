@@ -223,3 +223,55 @@ def test_public_members_have_a_caller():
                                                attributes_only=True)]
     assert not found, ("public members of exported classes that nothing in the package or "
                        "the benchmark reads as an attribute:\n" + "\n".join(found))
+
+
+# The division kernel and the Buchberger loop are the only heap users: a
+# second division kernel (say one for integer coefficients) would need one.
+HEAP_USERS = {"_reduce", "_buchberger"}
+
+
+def heappop_callers(text, filename="<source>"):
+    """(line, function) of each call to heapq.heappop, or to a heappop
+    imported from heapq, with the innermost enclosing function's name
+    (None at module level)."""
+    tree = ast.parse(text, filename=filename)
+    bare = {a.asname or a.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "heapq"
+            for a in node.names if a.name == "heappop"}
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Call):
+            f = node.func
+            if (isinstance(f, ast.Attribute) and f.attr == "heappop"
+                    and isinstance(f.value, ast.Name) and f.value.id == "heapq") or \
+                    (isinstance(f, ast.Name) and f.id in bare):
+                found.append((node.lineno, function))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, None)
+    return found
+
+
+def test_heappop_callers_are_found():
+    text = ("import heapq\n"
+            "from heapq import heappop as pop\n"
+            "def _reduce(heap):\n"
+            "    return heapq.heappop(heap)\n"
+            "def _reduce_integers(heap):\n"
+            "    def step():\n"
+            "        return pop(heap)\n"
+            "    return step()\n"
+            "heapq.heappop([1])\n")
+    assert heappop_callers(text) == [(4, "_reduce"), (7, "step"), (9, None)]
+
+
+def test_only_the_kernel_and_the_loop_pop_a_heap():
+    found = [f"{path.name}:{line}: {function}"
+             for path in sorted(SRC.glob("*.py"))
+             for line, function in heappop_callers(path.read_text(encoding="utf-8"), str(path))
+             if path.name != "groebner.py" or function not in HEAP_USERS]
+    assert not found, "heap pops outside the division kernel and the loop:\n" + "\n".join(found)
