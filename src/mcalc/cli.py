@@ -12,6 +12,7 @@ Exit codes: 0 success or VERIFIED, 1 REFUTED, 2 usage or engine errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -273,7 +274,10 @@ def _add_json(p):
                    help="emit the machine-readable record")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process, at the first call:
+    building it costs far more than a parse, which leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="mcalc",
         description="Exact multiplicities, Koszul homology, and Groebner "

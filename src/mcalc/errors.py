@@ -87,6 +87,10 @@ class UnknownScenario(EngineError):
     code = "UNKNOWN_SCENARIO"
 
 
+class ExponentTooLarge(EngineError):
+    code = "EXPONENT_TOO_LARGE"
+
+
 # Invalid-argument errors stay ValueErrors for library callers.
 
 class OutOfRange(EngineError, ValueError):

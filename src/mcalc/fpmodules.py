@@ -4,10 +4,10 @@ A module is R^g modulo a relation submodule that always contains J*e_i for
 every generator, so A-linearity is explicit. Module Groebner bases use a
 position-over-term order (position primary, earlier positions larger).
 
-Every routine here reads and writes one vector format, the division
-kernel's raw vector, which a `ModuleVector` holds; polynomial components are
-built only at the boundary. Rank 0 needs no special case: its only vector is
-the empty raw vector.
+Every routine here reads and writes one vector format, the raw vector
+`groebner` takes and returns, which a `ModuleVector` holds; polynomial
+components are built only at the boundary. Rank 0 needs no special case:
+its only vector is the empty raw vector.
 
 The engine parts are the ideal engine's, an ideal being the rank-1 case. A
 module basis is a `groebner.GroebnerBasis` of rank `rank`, built by the
@@ -36,16 +36,16 @@ and deduplicated on raw keys.
 from __future__ import annotations
 
 from .errors import ImageNotInKernel, MapNotWellDefined, RingMismatch, SaturationCapExceeded
-from .groebner import (GroebnerBasis, _basis, _buchberger, _raw_components, _raw_vector,
-                       _submul)
+from .groebner import (GroebnerBasis, _basis, _buchberger, _linear_combinations,
+                       _raw_components, _raw_vector)
 from .polyring import INFINITE, Polynomial, RingSpec
 
 SATURATION_CAP = 64
 
 
 class ModuleVector:
-    """Element of a free module R^rank. `raw` is the division kernel's raw
-    vector (see the comment above `groebner._raw_vector`), never mutated; the
+    """Element of a free module R^rank. `raw` is `groebner`'s raw vector
+    (see the comment above `groebner._raw_vector`), never mutated; the
     constructor takes polynomials by position, and `_from_raw` a raw vector.
     """
 
@@ -110,14 +110,10 @@ def _raws(vectors, rank):
     return [v.raw for v in vectors]
 
 
-def _combination(ring: RingSpec, rank: int, cols, v: ModuleVector) -> ModuleVector:
-    """The sum of v_i * cols[i] in R^rank, accumulated on raw terms."""
-    ops = ring.field.raw
-    out = {}
-    for (i, e), c in v.raw.items():
-        col = ((p, ce, cc) for (p, ce), cc in cols[i].raw.items())
-        _submul(out, col, e, ops.sub(ops.zero, c), ops)
-    return ModuleVector._from_raw(ring.field, ring.nvars, rank, out)
+def _combinations(ring: RingSpec, rank: int, cols, vs):
+    """For each v in vs, the sum of v_i * cols[i] in R^rank."""
+    sums = _linear_combinations(ring, [v.raw for v in vs], [col.raw for col in cols])
+    return [ModuleVector._from_raw(ring.field, ring.nvars, rank, out) for out in sums]
 
 
 def module_gb(ring: RingSpec, vectors, rank: int) -> GroebnerBasis:
@@ -145,9 +141,9 @@ def syzygies(ring: RingSpec, vectors):
         if not raw or key in seen:
             continue
         seen.add(key)
-        c = ModuleVector._from_raw(ring.field, ring.nvars, len(vecs), raw)
-        assert _combination(ring, rank, vecs, c).is_zero(), "syzygy identity failed"
-        out.append(c)
+        out.append(ModuleVector._from_raw(ring.field, ring.nvars, len(vecs), raw))
+    assert all(s.is_zero()
+               for s in _combinations(ring, rank, vecs, out)), "syzygy identity failed"
     return out
 
 
@@ -269,7 +265,7 @@ class ModuleMap:
 
     def apply_vec(self, v: ModuleVector) -> ModuleVector:
         """Image of v: the sum of v_i times the i-th column."""
-        return _combination(self.source.ring, self.target.rank, self.matrix, v)
+        return _combinations(self.source.ring, self.target.rank, self.matrix, [v])[0]
 
 
 def subquotient(ker_gens, img_gens, ambient: FPModule) -> FPModule:
@@ -319,7 +315,7 @@ def gamma_saturation(M: FPModule, f: Polynomial):
              for i in range(M.rank)]
     cols = unit_vectors(ring, M.rank)
     for _ in range(SATURATION_CAP):
-        cols = [_combination(ring, M.rank, fcols, c) for c in cols]  # f^k * e_i
+        cols = _combinations(ring, M.rank, fcols, cols)  # f^k * e_i
         gens = preimage_submodule(ring, rel, cols)
         gb = module_gb(ring, gens + rel, M.rank)
         if prev_gb is not None and gb.raws == prev_gb.raws:

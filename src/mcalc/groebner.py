@@ -4,16 +4,49 @@ All computations happen in k[x_1..x_n] with the ring's quotient generators
 folded into the input, so callers work over A = R/J transparently.
 
 An ideal is a rank-1 module, so this module holds one of each engine part
-for ideals and submodules of R^rank alike, all on raw terms: the Buchberger
-loop `_buchberger`, its certificate `_self_check`, the division kernel
-`_reduce`, the basis reduction `_reduce_basis`, the one input path `_basis`
-and the one basis object `GroebnerBasis`, which answers every quotient
-query (division, standard terms, dimension, local length). `fpmodules`
-builds its bases through `_basis` and its syzygies through `_buchberger`,
-and reads no reducer form. A `GroebnerBasis` holds the raw vectors
-`_buchberger` returns. A polynomial's terms are already raw terms, so
-`buchberger`'s inputs, `GroebnerBasis.generators` and `normal_form`'s
-results only rekey dicts by position, with no per-coefficient conversion.
+for ideals and submodules of R^rank alike: the Buchberger loop
+`_buchberger`, its certificate `_self_check`, the division kernel `_reduce`,
+the basis reduction `_reduce_basis`, the one input path `_basis` and the one
+basis object `GroebnerBasis`, which answers every quotient query (division,
+standard terms, dimension, local length). `fpmodules` builds its bases
+through `_basis`, its syzygies through `_buchberger` and its linear
+combinations through `_linear_combinations`, and reads no reducer form.
+Outside this module every vector is a raw vector (see `_raw_vector`); a
+polynomial's terms are already raw terms, so `buchberger`'s inputs,
+`GroebnerBasis.generators` and `normal_form`'s results only rekey dicts by
+position, with no per-coefficient conversion.
+
+Inside, the kernel keys each term by one int, its packed key (see `_pack`).
+The position sits in the top field and the order's fields below it:
+
+* grevlex: [C - deg, x_n, ..., x_1];
+* lex: [C' - x_1, ..., C' - x_n];
+* block(s): the grevlex fields of x_1..x_s, then those of x_{s+1}..x_n.
+
+Each field holds one entry of the order's `descending_key`, negated entries
+offset by a constant (C for a degree, C' = 2^31 - 1 for a lex exponent) so
+every field is a nonnegative int, and fields compare from the top down, as
+tuples do. So ascending keys are exactly the descending position-over-term
+order that (position, `descending_key`) gives: the heap in `_reduce` holds
+the keys themselves. Every field is linear in the exponents, so key(e + s)
+= key(e) + key(s) - key(0): multiplying a term by x^s adds one int, and a
+reducer's shift is the single int key(term) - key(lead).
+
+An exponent field is 32 bits wide, the top one a guard bit; a degree field
+is 64 bits wide. Every exponent must stay below 2^31 = `_EXP_CAP`, so valid
+keys have every guard bit clear and no field ever borrows from the next.
+Then a lead divides a term at the same position exactly when the
+difference of their keys, with the degree fields biased so they cannot
+borrow, has its guard bits and its position field clear (under lex, where
+the fields fall as exponents rise, the difference's negation must): a
+field that went negative borrows, and the lowest such one shows it in its
+guard bit. The degree fields follow from the exponents, so no test reads
+them. An input exponent at or above the cap raises `ExponentTooLarge`, and
+so does a term the computation would push past it (under lex, exponents
+can grow), before its key, which could equal a valid one, is looked up or
+stored: `_submul` checks a shifted bound of the terms it adds, once per
+call.
+
 Each basis element's reducer form is built once, when the element joins a
 basis, never once per division.
 
@@ -35,13 +68,16 @@ exact, use the field's own table.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
-from dataclasses import dataclass
-from operator import add, le, sub
+from dataclasses import InitVar, dataclass
+from operator import and_, itemgetter, le, mul, or_
+from struct import Struct
+from typing import NamedTuple
 
-from .errors import SupportNotAtOrigin, UnitIdeal
-from .polyring import INFINITE, Polynomial, RingSpec
+from .errors import ExponentTooLarge, SupportNotAtOrigin, UnitIdeal
+from .polyring import INFINITE, OrderKind, Polynomial, RingSpec
 
 
 @dataclass(frozen=True)
@@ -49,18 +85,27 @@ class GroebnerBasis:
     """A Groebner basis of a submodule of R^rank, an ideal being rank 1: raw
     vectors (see `_raw_vector`), never mutated. `_basis` makes them the
     reduced, monic basis, ascending by lead. Builds each one's reducer form
-    once. `generators` and `contains` are the polynomial view of a rank-1
-    basis; `generators` builds the polynomials on request.
+    once, from `packed`, the same vectors packed (see `_pack`) when the
+    caller has them, else by packing `raws`. `generators` and `contains` are
+    the polynomial view of a rank-1 basis; `generators` builds the
+    polynomials on request.
     """
 
     ring: RingSpec
     raws: tuple
     rank: int = 1
+    packed: InitVar[list] = None
 
-    def __post_init__(self):
+    def __post_init__(self, packed):
         object.__setattr__(self, "raws", tuple(self.raws))
-        object.__setattr__(self, "_forms", tuple(
-            _reducer_form(v, self.ring.order) for v in self.raws))
+        layout = _layout(self.ring.order, self.ring.nvars)
+        if packed is None:
+            packed = [{_pack(layout, p, e): c for (p, e), c in v.items()} for v in self.raws]
+        ops = self.ring.field.raw
+        forms = tuple(_reducer_form(v, layout, ops) for v in packed)
+        object.__setattr__(self, "_layout", layout)
+        object.__setattr__(self, "_forms", forms)
+        object.__setattr__(self, "_leads", tuple(_unpack(layout, f[2]) for f in forms))
 
     @property
     def generators(self):
@@ -72,14 +117,21 @@ class GroebnerBasis:
 
     def reduce(self, raw, with_witness=False):
         """(remainder, witness) of the raw vector divided by the basis; see
-        `_reduce`. raw is left as it is."""
-        return _reduce(dict(raw), self._forms, self.ring.order, self.ring.field.raw,
-                       with_witness=with_witness)
+        `_reduce`. The remainder is a raw vector and witness[j] maps
+        exponent tuples to raw coefficients. raw is left as it is."""
+        layout = self._layout
+        rem, quot = _reduce({_pack(layout, p, e): c for (p, e), c in raw.items()},
+                            self._forms, layout, self.ring.field.raw, with_witness)
+        rem = {_unpack(layout, k): c for k, c in rem.items()}
+        if quot is not None:
+            zero = layout.zero
+            quot = [{_unpack(layout, s + zero)[1]: c for s, c in q.items()} for q in quot]
+        return rem, quot
 
     def standard_terms(self):
         """(position, exponent tuple) pairs spanning R^rank modulo the submodule
         over k, or INFINITE; see `_standard_terms`."""
-        return _standard_terms(self._forms, self.rank, self.ring.nvars, self.ring.order)
+        return _standard_terms(self._leads, self.rank, self.ring.nvars, self.ring.order)
 
     def dimension(self) -> int:
         """Dimension of R^rank modulo the submodule, read off the leads: the
@@ -88,7 +140,7 @@ class GroebnerBasis:
         n = self.ring.nvars
         best = -1
         for p in range(self.rank):
-            supports = [{i for i, e in enumerate(f[1]) if e} for f in self._forms if f[0] == p]
+            supports = [{i for i, x in enumerate(e) if x} for q, e in self._leads if q == p]
             for size in range(n, best, -1):
                 if any(not any(sup <= set(combo) for sup in supports)
                        for combo in itertools.combinations(range(n), size)):
@@ -98,7 +150,7 @@ class GroebnerBasis:
 
     def is_unit_ideal(self) -> bool:
         """True when the quotient is zero: every position has a unit lead."""
-        return len({f[0] for f in self._forms if not any(f[1])}) == self.rank
+        return len({p for p, e in self._leads if not any(e)}) == self.rank
 
     def local_length(self):
         """Length of the quotient at the origin, or INFINITE.
@@ -122,12 +174,110 @@ class GroebnerBasis:
 
 # -- the division kernel -------------------------------------------------------
 #
-# Division works on raw terms. A raw vector is a dict from (position,
-# exponent tuple) to a raw Scalar.value; a polynomial is the rank-1 case, at
-# position 0, and its `terms` are that dict without the position. A reducer
-# form is (lead position, lead exponents, lead coefficient, tail), the tail
-# holding a (position, exponents, coefficient) triple for every other term.
-# Vectors are ordered position over term, with earlier positions larger.
+# A raw vector is a dict from (position, exponent tuple) to a raw
+# Scalar.value; a polynomial is the rank-1 case, at position 0, and its
+# `terms` are that dict without the position. Vectors are ordered position
+# over term, with earlier positions larger.
+#
+# The kernel works on packed vectors: dicts from packed keys to raw
+# coefficients, ascending keys being descending terms (the module docstring
+# gives the layout, its additivity, the guard test and the exponent cap).
+# A tail is (terms, bound): (key, coefficient) pairs, and at position 0
+# the bitwise or of the exponent fields of their keys, or of a set of keys
+# that holds them (under lex, where a field holds C' - x, the and), which
+# bounds each exponent by less than twice the largest; `_submul` checks
+# the shifted bound against the cap, and each shifted term only when the
+# bound fails.
+#
+# A reducer form is (lead position, test, lead key, lead coefficient, lead
+# divisor, tail): the lead divides a key k at its position exactly when
+# (k + test) & layout.guard == layout.target, the divisor is the table's
+# `divisor` of the lead coefficient, and the tail holds every other term.
+
+_EXP_BITS = 32                   # an exponent field: 31 value bits and a guard bit
+_EXP_CAP = 1 << (_EXP_BITS - 1)  # every exponent stays below this
+_EXP_MASK = _EXP_CAP - 1         # the value bits; also C' = 2^31 - 1 under lex
+_DEG_BITS = 2 * _EXP_BITS        # a degree field; n * 2^31 fits for n < 2^32
+_DEG_TOP = 1 << (_DEG_BITS - 1)  # C for a degree field, and its bias in the test
+
+
+class _Layout(NamedTuple):
+    """Where each field of a packed key sits, for one order and variable count."""
+
+    pos_shift: int   # the position field starts here
+    zero: int        # key of the term 1 at position 0
+    weights: tuple   # key(e + unit_i) - key(e), per variable
+    fields: Struct   # reads the exponent fields from the bytes of a key
+    byteorder: str   # of those bytes
+    rotate: int      # fields[rotate:] + fields[:rotate] are in variable order
+    flip: int        # xor that turns every exponent field into its exponent
+    values: int      # every exponent field's value bits
+    merge: object    # or_ (under lex and_): merges keys into a tail bound
+    guard: int       # every exponent field's guard bit
+    target: int      # what (k + form test) & guard must equal for a divisor
+    offset: int      # a form's test is offset - lead
+
+
+@functools.lru_cache(maxsize=64)
+def _layout(order, nvars) -> _Layout:
+    """The packed-key layout of `order` on nvars variables; fields are laid
+    out from the lowest bit up."""
+    weights = [0] * nvars
+    zero = bias = values = guard = bit = 0
+    if order.kind is OrderKind.LEX:
+        # [C' - x_1, ..., C' - x_n], x_n lowest
+        for i in reversed(range(nvars)):
+            weights[i] = -(1 << bit)
+            zero += _EXP_MASK << bit
+            guard |= _EXP_CAP << bit
+            bit += _EXP_BITS
+        # the bytes of a key, highest first, flipped to exponents: x_1, ..., x_n
+        fields, byteorder, rotate, values = f">{nvars}I", "big", 0, zero
+    else:
+        if order.kind is OrderKind.BLOCK:
+            blocks, rotate = (range(order.split, nvars), range(order.split)), nvars - order.split
+        else:
+            blocks, rotate = (range(nvars),), 0
+        # per block [C - deg, x_last, ..., x_first], the last block lowest
+        fields = "<"
+        for block in blocks:
+            for i in block:
+                weights[i] = 1 << bit
+                values |= _EXP_MASK << bit
+                guard |= _EXP_CAP << bit
+                bit += _EXP_BITS
+            for i in block:
+                weights[i] -= 1 << bit
+            zero += _DEG_TOP << bit
+            bias += _DEG_TOP << bit
+            bit += _DEG_BITS
+            fields += f"{len(block)}I{_DEG_BITS // 8}x"
+        byteorder = "little"
+    common = (bit, zero, tuple(weights), Struct(fields), byteorder, rotate)
+    if order.kind is OrderKind.LEX:
+        # the fields fall as exponents rise: k - lead must be the negation of
+        # a guard-clear int, that is k - lead - 1 its complement
+        return _Layout(*common, values, values, and_, guard, guard, -1)
+    return _Layout(*common, 0, values, or_, guard, 0, bias)
+
+
+def _pack(layout, p, e):
+    """Packed key of the term x^e at position p; raises ExponentTooLarge for
+    an exponent at or above the cap."""
+    if max(e, default=0) >= _EXP_CAP:
+        raise ExponentTooLarge(f"exponent {max(e)} is not below the cap 2^31")
+    return layout.zero + sum(map(mul, e, layout.weights)) + (p << layout.pos_shift)
+
+
+def _unpack(layout, k):
+    """(position, exponent tuple) of a packed key."""
+    shift = layout.pos_shift
+    p = k >> shift
+    e = layout.fields.unpack(((k - (p << shift)) ^ layout.flip).to_bytes(shift // 8,
+                                                                           layout.byteorder))
+    r = layout.rotate
+    return p, e[r:] + e[:r] if r else e
+
 
 def _raw_vector(components):
     """Raw vector of polynomials given by position."""
@@ -142,28 +292,49 @@ def _raw_components(field, nvars, rank, raw):
     return tuple(Polynomial(field, nvars, t) for t in comps)
 
 
-def _reducer_form(raw, order):
-    """Reducer form of a nonzero raw vector."""
-    dkey = order.descending_key
-    lead = min(raw, key=lambda k: (k[0], dkey(k[1])))
-    tail = tuple((p, e, c) for (p, e), c in raw.items() if (p, e) != lead)
-    return lead[0], lead[1], raw[lead], tail
+def _tail(layout, vec):
+    """Tail of all the terms of the packed vector vec."""
+    return tuple(vec.items()), _bound(layout, vec)
 
 
-def _submul(work, terms, shift, c, ops):
-    """work -= c * x^shift * terms in place, for (position, exponents,
-    coefficient) triples; returns the keys new to work."""
+def _bound(layout, keys):
+    """The bound of a tail whose keys are among keys."""
+    flip = layout.flip
+    return (functools.reduce(layout.merge, keys, flip) & layout.values) | (layout.zero ^ flip)
+
+
+def _reducer_form(vec, layout, ops):
+    """Reducer form of a nonzero packed vector, for the table ops."""
+    lead = min(vec)
+    c = vec[lead]
+    terms = list(vec.items())
+    terms.remove((lead, c))
+    return (lead >> layout.pos_shift, layout.offset - lead, lead, c, ops.divisor(c),
+            (tuple(terms), _bound(layout, vec)))
+
+
+def _submul(work, tail, shift, c, ops, guard):
+    """work -= c * x^shift * tail in place, for a tail of packed terms and
+    the guard bits of their layout; returns the keys new to work. Raises
+    ExponentTooLarge, before touching work, when a shifted term would have
+    an exponent at or above the cap."""
+    terms, bound = tail
+    if (bound + shift) & guard:
+        # the bound may exceed the largest exponents up to twice: check each term
+        for t, _ in terms:
+            if (t + shift) & guard:
+                raise ExponentTooLarge("a term of the computation has an exponent of 2^31 or more")
     sub, mul, is_zero = ops.sub, ops.mul, ops.is_zero
     nc = sub(ops.zero, c)
     fresh = []
-    for p, e, t in terms:
-        k = (p, tuple(map(add, e, shift)))
+    for t, v in terms:
+        k = t + shift
         old = work.get(k)
         if old is None:
-            work[k] = mul(nc, t)
+            work[k] = mul(nc, v)
             fresh.append(k)
         else:
-            new = sub(old, mul(c, t))
+            new = sub(old, mul(c, v))
             if is_zero(new):
                 del work[k]
             else:
@@ -171,78 +342,78 @@ def _submul(work, terms, shift, c, ops):
     return fresh
 
 
-def _reduce(work, forms, order, ops, with_witness=False):
-    """Full division of the raw vector work by reducer forms; consumes work.
+def _reduce(work, forms, layout, ops, with_witness=False):
+    """Full division of the packed vector work by reducer forms; consumes work.
 
-    The leading term of work comes off a heap of descending position-over-
-    term keys; keys of terms cancelled meanwhile stay in the heap and are
-    skipped when popped. The first reducer, in list order, at the same
-    position whose lead exponents divide it cancels it: only the reducer's
-    tail, scaled, is subtracted. A leading term no reducer divides moves to
-    the remainder. Returns (remainder, witness): the remainder is a raw
-    vector in descending term order, and witness[j] (None without
-    with_witness) maps quotient exponents to raw coefficients, so that
-    work == sum(witness[j] * reducer j) + remainder.
+    The leading term of work comes off a heap of packed keys; keys of terms
+    cancelled meanwhile stay in the heap and are skipped when popped. The
+    first reducer, in list order, at the same position whose lead divides
+    it cancels it: only the reducer's tail, scaled, is subtracted. A leading
+    term no reducer divides moves to the remainder. Returns (remainder,
+    witness): the remainder is a packed vector in descending term order,
+    and witness[j] (None without with_witness) maps quotient shifts (key(q)
+    - key(0)) to raw coefficients, so that work == sum(witness[j] * reducer
+    j) + remainder.
 
-    The step on a lead c over a reducer lead a comes from `ops.pseudo`: work
-    and the remainder are multiplied by the scale, then quotient * x^q * tail
-    is subtracted. Over a field the scale is one, so this is plain division.
-    Over the integers it is pseudo-division, and the remainder, made
-    primitive on the way out, is a nonzero multiple of the remainder over
-    Q; the witness ignores the scales, so only a field's table gives one.
+    The step on a lead c takes the quotient q from `ops.quotient` and
+    subtracts q * x^shift * tail. Over a field that is plain division, one
+    call per step. Over the integers it is pseudo-division: the table first
+    has `scale` multiply work and the remainder by a positive integer, and
+    the remainder, made primitive on the way out, is a nonzero multiple of
+    the remainder over Q; the witness ignores the scales, so only a field's
+    table gives one.
     """
-    dkey = order.descending_key
-    pseudo, mul, one = ops.pseudo, ops.mul, ops.one
-    heap = [(k[0], dkey(k[1]), k) for k in work]
+    quotient, guard, target, shift = ops.quotient, layout.guard, layout.target, layout.pos_shift
+    heap = list(work)
     heapq.heapify(heap)
     rem = {}
+
+    def scale(s):
+        mul = ops.mul
+        for v in (work, rem):
+            for t, x in v.items():
+                v[t] = mul(x, s)
+
     witness = [{} for _ in forms] if with_witness else None
     while heap:
-        k = heapq.heappop(heap)[2]
+        k = heapq.heappop(heap)
         c = work.pop(k, None)
         if c is None:
             continue
-        p, e = k
-        for j, (gp, ge, gc, tail) in enumerate(forms):
-            if gp == p and all(map(le, ge, e)):
-                q = tuple(map(sub, e, ge))
-                scale, qc = pseudo(c, gc)
-                if scale is not one:
-                    for t, v in work.items():
-                        work[t] = mul(v, scale)
-                    for t, v in rem.items():
-                        rem[t] = mul(v, scale)
-                for f in _submul(work, tail, q, qc, ops):
-                    heapq.heappush(heap, (f[0], dkey(f[1]), f))
+        p = k >> shift
+        for j, f in enumerate(forms):
+            if f[0] == p and (k + f[1]) & guard == target:
+                u = k - f[2]
+                q = quotient(c, f[4], scale)
+                for t in _submul(work, f[5], u, q, ops, guard):
+                    heapq.heappush(heap, t)
                 if witness is not None:
-                    witness[j][q] = qc
+                    witness[j][u] = q
                 break
         else:
             rem[k] = c
     return ops.primitive(rem), witness
 
 
-def _reduce_basis(forms, order, ops):
-    """Minimalize, tail-reduce and make monic; raw vectors ascending by lead.
+def _reduce_basis(forms, layout, ops):
+    """Minimalize, tail-reduce and make monic; packed vectors ascending by
+    lead.
 
     Takes the reducer forms of the elements. On a Groebner basis of a
     submodule (an ideal is the rank-1 case) the result is its unique reduced
     Groebner basis. Only the last step divides by the leads, through
     `ops.div`, which over the integers gives the exact quotient in Q.
     """
-    dkey = order.descending_key
-
-    def lead_key(f):
-        return (f[0], dkey(f[1]))
-
+    guard, target = layout.guard, layout.target
+    lead = itemgetter(2)
     vecs, kept = [], []
     # ascending by lead; reverse=True keeps the sort stable, so of equal
     # leads the first in input order stays
-    for f in sorted(forms, key=lead_key, reverse=True):
-        if any(h[0] == f[0] and all(map(le, h[1], f[1])) for h in kept):
+    for f in sorted(forms, key=lead, reverse=True):
+        if any(h[0] == f[0] and (f[2] + h[1]) & guard == target for h in kept):
             continue
-        v = {(f[0], f[1]): f[2]}
-        v.update(((p, e), c) for p, e, c in f[3])
+        v = {f[2]: f[3]}
+        v.update(f[5][0])
         vecs.append(v)
         kept.append(f)
     changed = True
@@ -250,32 +421,33 @@ def _reduce_basis(forms, order, ops):
         changed = False
         for i in range(len(vecs)):
             # no other lead divides this lead, so it stays the lead
-            r, _ = _reduce(dict(vecs[i]), kept[:i] + kept[i + 1:], order, ops)
+            r, _ = _reduce(dict(vecs[i]), kept[:i] + kept[i + 1:], layout, ops)
             if r != vecs[i]:
                 vecs[i] = r
-                kept[i] = _reducer_form(r, order)
+                kept[i] = _reducer_form(r, layout, ops)
                 changed = True
     div = ops.div
-    return [{k: div(c, f[2]) for k, c in v.items()}
-            for f, v in sorted(zip(kept, vecs), key=lambda fv: lead_key(fv[0]), reverse=True)]
+    return [{k: div(c, f[3]) for k, c in v.items()}
+            for f, v in sorted(zip(kept, vecs), key=lambda fv: fv[0][2], reverse=True)]
 
 
-def _s_vector(fa, fb, lcm, ops):
+def _s_vector(fa, fb, lcm, ops, guard):
     """S-vector ka*x^ua*a - kb*x^ub*b of two reducer forms at one position,
-    x^lcm being the lcm of their leads, as a raw vector: (ka, kb) is
-    `ops.cofactors` of the lead coefficients, so ka = 1/ca and kb = 1/cb
-    over a field, and the fraction-free cb/g and ca/g over the integers.
+    lcm being the packed key of the lcm of their leads, as a packed vector:
+    (ka, kb) is `ops.cofactors` of the lead divisors, so ka = 1/ca and
+    kb = 1/cb over a field, and the fraction-free cb/g and ca/g over the
+    integers.
 
     The leads cancel exactly, so only the tails enter. Also returns the two
     steps ((ua, -ka), (ub, kb)) that built it, each a `work -= k * x^u * tail`
-    step of `_submul`, so a tracked expression can take the same steps.
+    step of `_submul` with u a packed shift, so a tracked expression can
+    take the same steps.
     """
-    ka, kb = ops.cofactors(fa[2], fb[2])
-    steps = ((tuple(map(sub, lcm, fa[1])), ops.sub(ops.zero, ka)),
-             (tuple(map(sub, lcm, fb[1])), kb))
+    ka, kb = ops.cofactors(fa[4], fb[4])
+    steps = ((lcm - fa[2], ops.sub(ops.zero, ka)), (lcm - fb[2], kb))
     sv = {}
     for f, (u, k) in zip((fa, fb), steps):
-        _submul(sv, f[3], u, k, ops)
+        _submul(sv, f[5], u, k, ops, guard)
     return sv, steps
 
 
@@ -286,14 +458,17 @@ def _buchberger(ring: RingSpec, raws, rank, track=False):
     once, when the pair is formed, by (lcm degree, order key of the lcm,
     a, b): the next pair has the smallest lcm by degree then order, ties
     broken by the index pair. That order decides which syzygies come out,
-    so it is part of the output contract.
+    so it is part of the output contract. The order key is the negated
+    packed key of the lcm at position 0, which sorts exactly as
+    `MonomialOrder.key` does.
 
-    Returns (basis, syzygies), the basis as raw vectors. With track=True
-    the loop runs on the field's own arithmetic, no pair is skipped and
-    each element carries its expression on the inputs, so every reduction
-    to zero is a syzygy of the inputs and together they generate the whole
-    syzygy module; the syzygies are raw vectors of rank len(raws), a zero
-    input giving its unit vector, and the basis is the loop's, unreduced.
+    Returns (basis, syzygies), the basis as packed vectors (see `_pack`).
+    With track=True the loop runs on the field's own arithmetic, no pair is
+    skipped and each element carries its expression on the inputs, so every
+    reduction to zero is a syzygy of the inputs and together they generate
+    the whole syzygy module; the syzygies are raw vectors of rank
+    len(raws), a zero input giving its unit vector, and the basis is the
+    loop's, unreduced.
 
     With track=False the loop, the basis reduction and the certificate run
     on `field.fraction_free`, over Q on primitive integer vectors, which
@@ -306,66 +481,76 @@ def _buchberger(ring: RingSpec, raws, rank, track=False):
     reduced basis is then certified by `_self_check`, whose pair skips need
     no pair order: its chain criterion is the strict form, not this loop's
     popped-pairs one.
+
+    The loop runs on packed vectors, each input packed once; expressions
+    are packed vectors of rank len(raws), in the same layout.
     """
-    order = ring.order
+    layout = _layout(ring.order, ring.nvars)
+    guard, target = layout.guard, layout.target
     ops = ring.field.raw if track else ring.field.fraction_free
-    raws = [ops.primitive(raw) for raw in raws]
-    elems, forms, reps, syz = [], [], [], []
+    elems, forms, leads, reps, syz, inputs = [], [], [], [], [], []
+    at = {}          # position -> indices of the elements whose lead is there
     pending = set()  # (a, b) formed and not yet popped, for the chain criterion
-    queue = []       # heap of (lcm degree, order key, a, b, lcm exponents)
+    queue = []       # heap of (lcm degree, order key, a, b, packed lcm)
+    shift = layout.pos_shift
 
-    def add_element(raw, rep):
+    def add_element(vec, rep):
         new = len(forms)
-        form = _reducer_form(raw, order)
-        elems.append(raw)
+        form = _reducer_form(vec, layout, ops)
+        p, e = _unpack(layout, form[2])
+        elems.append(vec)
         forms.append(form)
+        leads.append((p, e))
         if track:
-            reps.append(tuple((p, e, c) for (p, e), c in rep.items()))
-        for k in range(new):
-            if forms[k][0] == form[0]:
-                lcm = tuple(map(max, forms[k][1], form[1]))
-                heapq.heappush(queue, (sum(lcm), order.key(lcm), k, new, lcm))
-                pending.add((k, new))
+            reps.append(_tail(layout, rep))
+        there = at.setdefault(p, [])
+        for k in there:
+            lcm = tuple(map(max, leads[k][1], e))
+            key = _pack(layout, 0, lcm)
+            heapq.heappush(queue, (sum(lcm), -key, k, new, key + (p << shift)))
+            pending.add((k, new))
+        there.append(new)
 
-    one = (0,) * ring.nvars
     for i, raw in enumerate(raws):
+        unit = {layout.zero + (i << shift): ops.one}
         if raw:
-            add_element(raw, {(i, one): ops.one})
+            inputs.append({_pack(layout, p, e): c for (p, e), c in ops.primitive(raw).items()})
+            add_element(inputs[-1], unit)
         elif track:
-            syz.append({(i, one): ops.one})
+            syz.append(unit)
 
     while queue:
         degree, _, a, b, lcm = heapq.heappop(queue)
         fa, fb = forms[a], forms[b]
         pending.discard((a, b))
         if not track:
-            if not fa[3] and not fb[3]:
+            if not fa[5][0] and not fb[5][0]:
                 continue
-            if rank == 1 and degree == sum(fa[1]) + sum(fb[1]):
+            if rank == 1 and degree == sum(leads[a][1]) + sum(leads[b][1]):
                 continue
-            if any(k != a and k != b and f[0] == fa[0] and all(map(le, f[1], lcm))
+            if any(k != a and k != b and (lcm + forms[k][1]) & guard == target
                    and (min(a, k), max(a, k)) not in pending
                    and (min(b, k), max(b, k)) not in pending
-                   for k, f in enumerate(forms)):
+                   for k in at[leads[a][0]]):
                 continue
-        sv, steps = _s_vector(fa, fb, lcm, ops)
-        r, quot = _reduce(sv, forms, order, ops, with_witness=track)
+        sv, steps = _s_vector(fa, fb, lcm, ops, guard)
+        r, quot = _reduce(sv, forms, layout, ops, with_witness=track)
         rep = None
         if track:
             rep = {}
             for j, (u, k) in zip((a, b), steps):
-                _submul(rep, reps[j], u, k, ops)
+                _submul(rep, reps[j], u, k, ops, guard)
             for j, q in enumerate(quot):
-                for qe, qc in q.items():
-                    _submul(rep, reps[j], qe, qc, ops)
+                for qs, qc in q.items():
+                    _submul(rep, reps[j], qs, qc, ops, guard)
             if not r and rep:
                 syz.append(rep)
         if r:
             add_element(r, rep)
     if track:
-        return elems, syz
-    basis = _reduce_basis(forms, order, ops)
-    _self_check(basis, raws, order, ops)
+        return elems, [{_unpack(layout, k): c for k, c in v.items()} for v in syz]
+    basis = _reduce_basis(forms, layout, ops)
+    _self_check(basis, inputs, layout, ops)
     return basis, syz
 
 
@@ -386,7 +571,9 @@ def _basis(ring: RingSpec, raws, rank) -> GroebnerBasis:
         if raw not in inputs:
             inputs.append(raw)
     basis, _ = _buchberger(ring, inputs, rank)
-    return GroebnerBasis(ring, basis, rank)
+    layout = _layout(ring.order, ring.nvars)
+    return GroebnerBasis(ring, [{_unpack(layout, k): c for k, c in v.items()} for v in basis],
+                         rank, basis)
 
 
 def buchberger(ring: RingSpec, gens) -> GroebnerBasis:
@@ -394,7 +581,7 @@ def buchberger(ring: RingSpec, gens) -> GroebnerBasis:
     return _basis(ring, [_raw_vector((ring.check_member(g),)) for g in gens], 1)
 
 
-def _self_check(basis, inputs, order, ops):
+def _self_check(basis, inputs, layout, ops):
     """Correctness certificate for a computed basis at any rank.
 
     Every S-vector of two basis elements at the same position has a standard
@@ -414,30 +601,52 @@ def _self_check(basis, inputs, order, ops):
     the two smaller pairs of a chain have representations, so the skipped
     one does too; no pair order is needed.
 
-    Basis and inputs are checked as `ops.primitive` vectors. Over the
-    integers each is a nonzero multiple of the vector over Q, and so is each
-    S-vector and each pseudo-remainder, so "reduces to zero" means the same
-    as over Q.
+    Basis and inputs are packed vectors in layout, left as they are and
+    checked as `ops.primitive` vectors. Over the integers each is a nonzero
+    multiple of the vector over Q, and so is each S-vector and each
+    pseudo-remainder, so "reduces to zero" means the same as over Q.
     """
-    forms = [_reducer_form(ops.primitive(v), order) for v in basis]
-    polys = all(p == 0 for v in basis for p, _ in v)
-    for fa, fb in itertools.combinations(forms, 2):
-        if fa[0] != fb[0] or not fa[3] and not fb[3]:
+    guard, target, shift, primitive = layout.guard, layout.target, layout.pos_shift, ops.primitive
+    forms = [_reducer_form(primitive(v), layout, ops) for v in basis]
+    leads = [_unpack(layout, f[2]) for f in forms]
+    polys = all(k >> shift == 0 for v in basis for k in v)
+    for (fa, (pa, ea)), (fb, (pb, eb)) in itertools.combinations(zip(forms, leads), 2):
+        if pa != pb or not fa[5][0] and not fb[5][0]:
             continue
-        lcm = tuple(map(max, fa[1], fb[1]))
-        if polys and sum(lcm) == sum(fa[1]) + sum(fb[1]):
+        lcm = tuple(map(max, ea, eb))
+        if polys and sum(lcm) == sum(ea) + sum(eb):
             continue
+        key = _pack(layout, pa, lcm)
         # a and b themselves fail the proper-divisor test
-        if any(f[0] == fa[0] and all(map(le, f[1], lcm))
-               and tuple(map(max, f[1], fa[1])) != lcm
-               and tuple(map(max, f[1], fb[1])) != lcm for f in forms):
+        if any(p == pa and (key + f[1]) & guard == target
+               and tuple(map(max, e, ea)) != lcm and tuple(map(max, e, eb)) != lcm
+               for f, (p, e) in zip(forms, leads)):
             continue
-        sv, _ = _s_vector(fa, fb, lcm, ops)
-        if _reduce(sv, forms, order, ops)[0]:
+        sv, _ = _s_vector(fa, fb, key, ops, guard)
+        if _reduce(sv, forms, layout, ops)[0]:
             raise AssertionError("S-vector self-check failed: not a Groebner basis")
     for v in inputs:
-        if _reduce(dict(ops.primitive(v)), forms, order, ops)[0]:
+        if _reduce(dict(primitive(v)), forms, layout, ops)[0]:
             raise AssertionError("input does not reduce to zero")
+
+
+def _linear_combinations(ring: RingSpec, coeffs, cols):
+    """For each raw vector in coeffs, the raw vector sum of c * x^e * cols[i]
+    over its terms (i, e): c, cols being raw vectors."""
+    layout = _layout(ring.order, ring.nvars)
+    ops, guard, zero = ring.field.raw, layout.guard, layout.zero
+    tails = {}
+    sums = []
+    for v in coeffs:
+        out = {}
+        for (i, e), c in v.items():
+            tail = tails.get(i)
+            if tail is None:
+                tail = tails[i] = _tail(layout, {_pack(layout, p, x): t
+                                                 for (p, x), t in cols[i].items()})
+            _submul(out, tail, _pack(layout, 0, e) - zero, ops.sub(ops.zero, c), ops, guard)
+        sums.append({_unpack(layout, k): c for k, c in out.items()})
+    return sums
 
 
 def normal_form(f: Polynomial, gb: GroebnerBasis, with_witness: bool = False):
@@ -460,11 +669,11 @@ def normal_form(f: Polynomial, gb: GroebnerBasis, with_witness: bool = False):
     return r
 
 
-def _standard_terms(forms, rank, nvars, order):
-    """Standard terms of R^rank modulo a submodule, given the reducer forms
-    of a Groebner basis of it: (position, exponent tuple) pairs spanning the
-    quotient over k, earlier positions first and ascending by order within
-    one; or INFINITE.
+def _standard_terms(leads, rank, nvars, order):
+    """Standard terms of R^rank modulo a submodule, given the (position,
+    exponent tuple) leads of a Groebner basis of it: (position, exponent
+    tuple) pairs spanning the quotient over k, earlier positions first and
+    ascending by order within one; or INFINITE.
 
     A position whose leads include a unit contributes nothing. Otherwise the
     count is finite exactly when every variable has a pure power among the
@@ -472,16 +681,16 @@ def _standard_terms(forms, rank, nvars, order):
     """
     out = []
     for p in range(rank):
-        leads = [f[1] for f in forms if f[0] == p]
-        if any(not any(e) for e in leads):
+        exps = [e for q, e in leads if q == p]
+        if any(not any(e) for e in exps):
             continue
-        bounds = [min((e[i] for e in leads if e[i] and sum(e) == e[i]), default=None)
+        bounds = [min((e[i] for e in exps if e[i] and sum(e) == e[i]), default=None)
                   for i in range(nvars)]
         if None in bounds:
             return INFINITE
-        for exps in itertools.product(*(range(b) for b in bounds)):
-            if not any(all(map(le, e, exps)) for e in leads):
-                out.append((p, exps))
+        for t in itertools.product(*(range(b) for b in bounds)):
+            if not any(all(map(le, e, t)) for e in exps):
+                out.append((p, t))
     out.sort(key=lambda pe: (-pe[0], order.key(pe[1])))
     return out
 

@@ -1,8 +1,8 @@
 """Sparse multivariate polynomials, global monomial orders, and ring descriptors.
 
 A monomial is its exponent tuple, and a Polynomial's terms map exponent
-tuples to raw coefficients (`Scalar.value`): the division kernel's term
-format, so `groebner` reads a polynomial's terms as they are. Scalar stays
+tuples to raw coefficients (`Scalar.value`): `groebner`'s raw term format,
+so `groebner` reads a polynomial's terms as they are. Scalar stays
 the element type at the surface: constants, `constant_coefficient` and the
 printed coefficients.
 
@@ -116,8 +116,8 @@ class MonomialOrder:
 
 class Polynomial:
     """Sparse polynomial: `terms` maps exponent tuples to nonzero raw
-    coefficients (`Scalar.value`, see `FieldSpec.raw`), the division
-    kernel's own term format; arithmetic runs on `field.raw`."""
+    coefficients (`Scalar.value`, see `FieldSpec.raw`), `groebner`'s raw
+    term format; arithmetic runs on `field.raw`."""
 
     __slots__ = ("field", "nvars", "terms")
 

@@ -137,21 +137,27 @@ def _ffrac_normalize(num, den, p):
     return num, den
 
 
-class RawArithmetic(namedtuple("RawArithmetic",
-                               "zero one is_zero sub mul div pseudo cofactors primitive")):
+class RawArithmetic(namedtuple("RawArithmetic", "zero one is_zero sub mul div "
+                                                 "divisor quotient cofactors primitive")):
     """A coefficient ring's constants and operations on raw values.
 
     A field's table works on ``Scalar.value`` payloads, in the canonical form
     Scalar keeps, so each result equals the value of the matching Scalar
     operator; Scalar delegates to these, and inner loops call them directly
-    to skip the Scalar wrapper. The three last entries serve the division
+    to skip the Scalar wrapper. The four last entries serve the division
     kernel, which runs unchanged over a field and over the integers:
 
-    * ``pseudo(c, a)`` is (scale, quotient) with scale * c == quotient * a:
-      (one, c / a) over a field, (a/g, c/g) over the integers, g = gcd(c, a)
-      taken with the sign of a, so the scale is positive;
-    * ``cofactors(a, b)`` is (ka, kb) with ka * a == kb * b: (1/a, 1/b) over
-      a field, (b/g, a/g) over the integers, g taken with the sign of b;
+    * ``divisor(a)`` is what the kernel keeps of a lead coefficient a, once
+      per reducer: 1/a over a field, a itself over the integers;
+    * ``quotient(c, d, scale)`` is the q for which c - q * a cancels, d
+      being ``divisor(a)``: c * d over a field, one call that ignores
+      scale. Over the integers it pseudo-divides: with g = gcd(c, a) taken
+      with the sign of a it returns c/g, after calling ``scale(a/g)`` when
+      that positive integer is not 1, so that the caller multiplies what it
+      divides by it;
+    * ``cofactors(da, db)`` is (ka, kb) with ka * a == kb * b, from the
+      divisors of a and b: (1/a, 1/b) over a field, (b/g, a/g) over the
+      integers, g taken with the sign of b;
     * ``primitive(v)`` returns the raw vector v as the table's own vector:
       v itself over a field, over the integers v with its denominators
       cleared and its content divided out.
@@ -160,19 +166,29 @@ class RawArithmetic(namedtuple("RawArithmetic",
     __slots__ = ()
 
 
-def _field_arithmetic(zero, one, is_zero, sub, mul, div, pseudo) -> RawArithmetic:
-    """A field's table; pseudo(c, a) must be (one, div(c, a)), passed in
+def _field_arithmetic(zero, one, is_zero, sub, mul, div, quotient) -> RawArithmetic:
+    """A field's table; quotient(c, d, scale) must be mul(c, d), passed in
     whole so the division kernel makes one call per step."""
-    return RawArithmetic(zero, one, is_zero, sub, mul, div, pseudo,
-                         lambda a, b: (div(one, a), div(one, b)),
-                         lambda v: v)
+    # monic leads, those of every reduced basis, need no inversion
+    return RawArithmetic(zero, one, is_zero, sub, mul, div,
+                         lambda a: a if a == one else div(one, a), quotient,
+                         lambda da, db: (da, db), lambda v: v)
 
 
-def _int_pseudo(c, a):
+def _int_quotient(c, a, scale):
     g = math.gcd(c, a)
     if a < 0:
         g = -g
-    return a // g, c // g
+    if a != g:
+        scale(a // g)
+    return c // g
+
+
+def _int_cofactors(a, b):
+    g = math.gcd(a, b)
+    if b < 0:
+        g = -g
+    return b // g, a // g
 
 
 _numerator = operator.attrgetter("numerator")
@@ -193,8 +209,8 @@ def _int_primitive(v):
 
 # Integer coefficients for fraction-free division over Q. div leaves the
 # integers: it is the exact quotient in Q (int / int would be a float).
-_INTEGER_ARITHMETIC = RawArithmetic(0, 1, operator.not_, operator.sub, operator.mul,
-                                    Fraction, _int_pseudo, _int_pseudo, _int_primitive)
+_INTEGER_ARITHMETIC = RawArithmetic(0, 1, operator.not_, operator.sub, operator.mul, Fraction,
+                                    lambda a: a, _int_quotient, _int_cofactors, _int_primitive)
 
 
 def _rational_function_arithmetic(p: int) -> RawArithmetic:
@@ -211,9 +227,8 @@ def _rational_function_arithmetic(p: int) -> RawArithmetic:
         (an, ad), (bn, bd) = a, b
         return _ffrac_normalize(_pt_mul(an, bd, p), _pt_mul(ad, bn, p), p)
 
-    one = ((1,), (1,))
-    return _field_arithmetic(((), (1,)), one, lambda a: not a[0], sub, mul, div,
-                             lambda c, a: (one, div(c, a)))
+    return _field_arithmetic(((), (1,)), ((1,), (1,)), lambda a: not a[0], sub, mul, div,
+                             lambda c, d, _: mul(c, d))
 
 
 @dataclass(frozen=True)
@@ -267,15 +282,14 @@ class FieldSpec:
         """Arithmetic on raw values: Fraction for Q, int residues for F_p,
         (numerator, denominator) coefficient tuples for F_p(t)."""
         if self.kind is FieldKind.RATIONALS:
-            one = Fraction(1)
-            return _field_arithmetic(Fraction(0), one, operator.not_, operator.sub,
-                                     operator.mul, operator.truediv, lambda c, a: (one, c / a))
+            return _field_arithmetic(Fraction(0), Fraction(1), operator.not_, operator.sub,
+                                     operator.mul, operator.truediv, lambda c, d, _: c * d)
         p = self.characteristic
         if self.kind is FieldKind.PRIME_FIELD:
             return _field_arithmetic(0, 1, operator.not_, lambda a, b: (a - b) % p,
                                      lambda a, b: a * b % p,
                                      lambda a, b: a * pow(b, p - 2, p) % p,
-                                     lambda c, a: (1, c * pow(a, p - 2, p) % p))
+                                     lambda c, d, _: c * d % p)
         return _rational_function_arithmetic(p)
 
     @cached_property

@@ -292,6 +292,22 @@ def test_block_split_outside_variables_exits_two(tmp_path, capsys, split):
     _coded_exit(capsys, ["dim", str(p)], "BAD_ORDER")
 
 
+@pytest.mark.parametrize("session, message", [
+    # an input exponent at the cap
+    ("field = Q\nvars = x, y\nquotient = [x^2147483648]\n", "not below the cap 2^31"),
+    # inputs under the cap, but reducing x^2 by x - y^N reaches y^(2N)
+    ("field = Q\nvars = x, y\norder = lex\nquotient = [x - y^1500000000, x^2]\n",
+     "exponent of 2^31 or more"),
+])
+def test_exponents_past_the_cap_exit_two(tmp_path, capsys, session, message):
+    """Exponents are capped below 2^31: past it the run stops with a coded
+    error, never with a wrong basis, and fast."""
+    p = tmp_path / "huge.ring"
+    p.write_text(session, encoding="utf-8")
+    for command in ("gb", "dim"):
+        assert message in _coded_exit(capsys, [command, str(p)], "EXPONENT_TOO_LARGE")
+
+
 @pytest.mark.parametrize("header", ["field = F5(t)\nvars = t, y\n",
                                     "field = Q\nvars = x, x\n",
                                     "field = Q\nvars = x, if\n"])

@@ -2,6 +2,7 @@
 
 import itertools
 from fractions import Fraction
+from operator import le
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,10 +10,10 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from mcalc.errors import SupportNotAtOrigin, UnitIdeal
 from mcalc.fpmodules import FPModule, ModuleVector, module_gb
-from mcalc.groebner import (GroebnerBasis, _buchberger, _raw_vector, _reduce,
-                            _reduce_basis, _reducer_form, _s_vector, _self_check,
-                            buchberger, krull_dimension, normal_form,
-                            standard_monomials)
+from mcalc.groebner import (GroebnerBasis, _buchberger, _layout, _pack, _raw_vector,
+                            _reduce, _reduce_basis, _reducer_form, _s_vector,
+                            _self_check, _unpack, buchberger, krull_dimension,
+                            normal_form, standard_monomials)
 from mcalc.parsing import parse_polynomial
 from mcalc.polyring import INFINITE, MonomialOrder, OrderKind, Polynomial, RingSpec
 from mcalc.scalars import FieldSpec
@@ -306,10 +307,17 @@ def _certificate_basis(rank):
     return list(module_gb(R3, vecs, 2).raws)
 
 
+def _check(basis, inputs, ring, ops):
+    """`_self_check` on raw vectors over ring."""
+    layout = _layout(ring.order, ring.nvars)
+    _self_check([_packed(layout, v) for v in basis], [_packed(layout, v) for v in inputs],
+                layout, ops)
+
+
 @pytest.mark.parametrize("rank", [1, 2])
 def test_self_check_passes_the_basis(rank):
     basis = _certificate_basis(rank)
-    _self_check(basis, basis, R3.order, F7.raw)
+    _check(basis, basis, R3, F7.raw)
 
 
 @pytest.mark.parametrize("rank", [1, 2])
@@ -317,7 +325,7 @@ def test_self_check_catches_a_missing_element(rank):
     truncated = _certificate_basis(rank)[1:]
     # the inputs are the basis itself, so only the S-vector half can fail
     with pytest.raises(AssertionError, match="S-vector self-check failed"):
-        _self_check(truncated, truncated, R3.order, F7.raw)
+        _check(truncated, truncated, R3, F7.raw)
 
 
 @pytest.mark.parametrize("rank", [1, 2])
@@ -325,7 +333,7 @@ def test_self_check_catches_an_input_outside_the_span(rank):
     basis = _certificate_basis(rank)
     x_e0 = {(0, (1, 0, 0)): F7.raw.one}
     with pytest.raises(AssertionError, match="input does not reduce to zero"):
-        _self_check(basis, basis + [x_e0], R3.order, F7.raw)
+        _check(basis, basis + [x_e0], R3, F7.raw)
 
 
 def test_self_check_uses_no_product_criterion_on_vectors():
@@ -335,7 +343,7 @@ def test_self_check_uses_no_product_criterion_on_vectors():
     x, y = R.variable("x"), R.variable("y")
     basis = [_raw_vector((x, R.one())), _raw_vector((y, R.zero()))]
     with pytest.raises(AssertionError, match="S-vector self-check failed"):
-        _self_check(basis, basis, R.order, F7.raw)
+        _check(basis, basis, R, F7.raw)
 
 
 def test_self_check_uses_only_the_strict_chain_criterion():
@@ -347,7 +355,7 @@ def test_self_check_uses_only_the_strict_chain_criterion():
     assert len(buchberger(R3, gens).raws) == 6
     basis = [_raw_vector((g,)) for g in gens]
     with pytest.raises(AssertionError, match="S-vector self-check failed"):
-        _self_check(basis, basis, R3.order, F7.raw)
+        _check(basis, basis, R3, F7.raw)
 
 
 @st.composite
@@ -374,18 +382,25 @@ def test_untracked_loop_matches_tracked_loop(family):
     R = _plane(F7)
     basis, _ = _buchberger(R, raws, rank)
     tracked, _ = _buchberger(R, raws, rank, track=True)
-    forms = [_reducer_form(v, R.order) for v in tracked]
-    assert basis == _reduce_basis(forms, R.order, F7.raw)
+    layout = _layout(R.order, R.nvars)
+    forms = [_reducer_form(v, layout, F7.raw) for v in tracked]
+    assert basis == _reduce_basis(forms, layout, F7.raw)
 
 
-def _divides_every_pair(basis, order, ops):
+def _packed(layout, raw):
+    return {_pack(layout, p, e): c for (p, e), c in raw.items()}
+
+
+def _divides_every_pair(basis, layout, ops):
     """Reference certificate: True when the S-vector of every same-position
     pair reduces to zero, with no pair skipped."""
-    forms = [_reducer_form(v, order) for v in basis]
+    forms = [_reducer_form(v, layout, ops) for v in basis]
     for fa, fb in itertools.combinations(forms, 2):
-        if fa[0] == fb[0]:
-            sv, _ = _s_vector(fa, fb, tuple(map(max, fa[1], fb[1])), ops)
-            if _reduce(sv, forms, order, ops)[0]:
+        (pa, ea), (pb, eb) = _unpack(layout, fa[2]), _unpack(layout, fb[2])
+        if pa == pb:
+            lcm = _pack(layout, pa, tuple(map(max, ea, eb)))
+            sv, _ = _s_vector(fa, fb, lcm, ops, layout.guard)
+            if _reduce(sv, forms, layout, ops)[0]:
                 return False
     return True
 
@@ -399,10 +414,11 @@ def test_self_check_agrees_with_dividing_every_pair(family):
     rank, raws = family
     R = _plane(F7)
     basis, _ = _buchberger(R, raws, rank)
-    for vecs in ([v for v in raws if v], basis):
-        full = _divides_every_pair(vecs, R.order, F7.raw)
+    layout = _layout(R.order, R.nvars)
+    for vecs in ([_packed(layout, v) for v in raws if v], basis):
+        full = _divides_every_pair(vecs, layout, F7.raw)
         try:
-            _self_check(vecs, [], R.order, F7.raw)
+            _self_check(vecs, [], layout, F7.raw)
         except AssertionError:
             assert not full
         else:
@@ -440,8 +456,9 @@ def test_rational_bases_match_the_field_path(order, problem):
     gb = buchberger(R, gens)
     assert all(type(c) is Fraction for v in gb.raws for c in v.values())
     tracked, _ = _buchberger(R, [_raw_vector((f,)) for f in gens], 1, track=True)
-    forms = [_reducer_form(v, R.order) for v in tracked]
-    assert list(gb.raws) == _reduce_basis(forms, R.order, Q.raw)
+    layout = _layout(R.order, R.nvars)
+    forms = [_reducer_form(v, layout, Q.raw) for v in tracked]
+    assert [_packed(layout, v) for v in gb.raws] == _reduce_basis(forms, layout, Q.raw)
     scaled = buchberger(R, [f * _constant(R, c) for f, c in problem])
     assert repr(scaled.raws) == repr(gb.raws)
 
@@ -487,21 +504,21 @@ def _scaled_cyclic4():
 
 def test_integer_self_check_passes_the_basis():
     R, basis, gens = _scaled_cyclic4()
-    _self_check(basis, gens, R.order, Q.fraction_free)
+    _check(basis, gens, R, Q.fraction_free)
 
 
 def test_integer_self_check_catches_a_missing_element():
     R, basis, _ = _scaled_cyclic4()
     truncated = basis[:1] + basis[2:]
     with pytest.raises(AssertionError, match="S-vector self-check failed"):
-        _self_check(truncated, truncated, R.order, Q.fraction_free)
+        _check(truncated, truncated, R, Q.fraction_free)
 
 
 def test_integer_self_check_catches_an_input_outside_the_span():
     R, basis, gens = _scaled_cyclic4()
     half_b = {(0, (0, 1, 0, 0)): Fraction(1, 2)}
     with pytest.raises(AssertionError, match="input does not reduce to zero"):
-        _self_check(basis, gens + [half_b], R.order, Q.fraction_free)
+        _check(basis, gens + [half_b], R, Q.fraction_free)
 
 
 def test_normal_form_over_q_is_exact():
@@ -515,3 +532,50 @@ def test_normal_form_over_q_is_exact():
     assert all(type(c) is Fraction for c in r.terms.values())
     assert witness == [x + _constant(R, Fraction(3, 2)), Polynomial.zero(Q, 2)]
     assert gb.reduce({(0, (2, 0)): Fraction(1)})[0] == {(0, (0, 0)): Fraction(9, 4)}
+
+
+# -- packed keys ------------------------------------------------------------------
+
+_CAP = 2 ** 31
+
+
+def _exponent():
+    return st.one_of(st.integers(0, 3), st.integers(0, _CAP - 1), st.just(_CAP - 1))
+
+
+@st.composite
+def _packed_cases(draw):
+    """An order on 1..5 variables (grevlex, lex, every block split), two
+    terms with exponents below 2^31 and positions below 3, and an exponent
+    shift that keeps the first term below the cap; the second term is a
+    multiple of the first half of the time."""
+    n = draw(st.integers(1, 5))
+    order = draw(st.sampled_from([MonomialOrder.grevlex(), MonomialOrder.lex()]
+                                 + [MonomialOrder.block(s) for s in range(1, n)]))
+    a = (draw(st.integers(0, 2)), tuple(draw(_exponent()) for _ in range(n)))
+    s = tuple(draw(st.integers(0, _CAP - 1 - x)) for x in a[1])
+    if draw(st.booleans()):
+        b = (draw(st.integers(0, 2)), tuple(draw(_exponent()) for _ in range(n)))
+    else:
+        b = (a[0], tuple(map(min, (x + y for x, y in zip(a[1], s)), (_CAP - 1,) * n)))
+    return order, n, a, b, s
+
+
+@settings(max_examples=300, deadline=None)
+@given(_packed_cases())
+def test_packed_keys_match_the_tuple_keys(case):
+    """Ascending packed keys are the descending position-over-term order of
+    (position, descending_key); unpacking inverts packing; the guard test on
+    the lead's form is divisibility at one position; keys are additive."""
+    order, n, (pa, ea), (pb, eb), s = case
+    layout = _layout(order, n)
+    ka, kb = _pack(layout, pa, ea), _pack(layout, pb, eb)
+    dkey = order.descending_key
+    assert (ka < kb) == ((pa, dkey(ea)) < (pb, dkey(eb)))
+    assert (ka == kb) == ((pa, ea) == (pb, eb))
+    assert _unpack(layout, ka) == (pa, ea) and _unpack(layout, kb) == (pb, eb)
+    form = _reducer_form({ka: 1}, layout, F7.raw)
+    kb_there = _pack(layout, pa, eb)
+    assert ((kb_there + form[1]) & layout.guard == layout.target) == all(map(le, ea, eb))
+    shifted = tuple(x + y for x, y in zip(ea, s))
+    assert _pack(layout, pa, shifted) == ka + _pack(layout, 0, s) - _pack(layout, 0, (0,) * n)

@@ -163,17 +163,24 @@ _NONZERO = st.integers(-10 ** 6, 10 ** 6).filter(bool)
 
 @given(st.integers(-10 ** 6, 10 ** 6), _NONZERO)
 def test_integer_pseudo_and_cofactors(c, a):
-    """scale * c == quotient * a with the smallest positive scale, for the
-    division step and the S-vector alike; over a field the scale is one."""
+    """The integer division step asks for the smallest positive scale with
+    scale * c == quotient * a, and only for one other than 1, and the
+    S-vector cofactors are fraction-free; over a field the step is c / a,
+    asking for no scale, and the cofactors are the inverses."""
     ints = Q.fraction_free
-    scale, q = ints.pseudo(c, a)
+    scales = []
+    q = ints.quotient(c, ints.divisor(a), scales.append)
+    scale = scales[0] if scales else 1
+    assert len(scales) <= 1 and scales != [1]
     assert scale * c == q * a and scale > 0 and scale == abs(a) // math.gcd(c, a)
     if c:
-        ka, kb = ints.cofactors(c, a)
+        ka, kb = ints.cofactors(ints.divisor(c), ints.divisor(a))
         assert ka * c == kb * a and ka > 0
-    one, exact = Q.raw.pseudo(Fraction(c), Fraction(a))
-    assert one is Q.raw.one and exact == Fraction(c, a)
-    assert Q.raw.cofactors(Fraction(a), Fraction(a)) == (Fraction(1, a),) * 2
+    da = Q.raw.divisor(Fraction(a))
+    field_scales = []
+    assert Q.raw.quotient(Fraction(c), da, field_scales.append) == Fraction(c, a)
+    assert not field_scales
+    assert Q.raw.cofactors(da, da) == (Fraction(1, a),) * 2
 
 
 @given(st.dictionaries(st.integers(0, 5), st.fractions(max_denominator=50).filter(bool),

@@ -55,9 +55,11 @@ def test_no_unused_imports_in_the_package():
     assert not found, "unused imports:\n" + "\n".join(found)
 
 
-# The reducer forms a Groebner basis divides by, and the routines that take
-# them, are `groebner`'s own: other modules ask the basis object instead.
-BASIS_INTERNALS = {"_forms", "_reduce", "_reducer_form", "_standard_terms"}
+# The reducer forms a Groebner basis divides by, the packed term keys they
+# hold, and the routines that take them, are `groebner`'s own: other modules
+# ask the basis object, or pass raw vectors, instead.
+BASIS_INTERNALS = {"_forms", "_leads", "_layout", "_pack", "_unpack", "_reduce",
+                   "_reducer_form", "_submul", "_standard_terms"}
 
 
 def basis_format_reads(text, filename="<source>"):
