@@ -19,12 +19,12 @@ from .multiplicity import (Report, SearchResult, evaluate_multiplicity,
                            verify_factorization, verify_serre,
                            verify_serre2, verify_vanish)
 from .polyring import INFINITE, MonomialOrder, OrderKind, Polynomial, RingSpec
-from .scalars import FieldKind, FieldSpec, Scalar
+from .scalars import FieldKind, FieldSpec
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "EngineError", "ParseError", "FieldKind", "FieldSpec", "Scalar",
+    "EngineError", "ParseError", "FieldKind", "FieldSpec",
     "INFINITE", "MonomialOrder", "OrderKind", "Polynomial",
     "RingSpec", "GroebnerBasis", "buchberger", "normal_form",
     "standard_monomials", "krull_dimension",

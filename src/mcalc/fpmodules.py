@@ -36,7 +36,7 @@ and deduplicated on raw keys.
 from __future__ import annotations
 
 from .errors import ImageNotInKernel, MapNotWellDefined, RingMismatch, SaturationCapExceeded
-from .groebner import (GroebnerBasis, _basis, _buchberger, _linear_combinations,
+from .groebner import (GroebnerBasis, _basis, _buchberger, _linear_combination,
                        _raw_components, _raw_vector)
 from .polyring import INFINITE, Polynomial, RingSpec
 
@@ -110,12 +110,6 @@ def _raws(vectors, rank):
     return [v.raw for v in vectors]
 
 
-def _combinations(ring: RingSpec, rank: int, cols, vs):
-    """For each v in vs, the sum of v_i * cols[i] in R^rank."""
-    sums = _linear_combinations(ring, [v.raw for v in vs], [col.raw for col in cols])
-    return [ModuleVector._from_raw(ring.field, ring.nvars, rank, out) for out in sums]
-
-
 def module_gb(ring: RingSpec, vectors, rank: int) -> GroebnerBasis:
     """Reduced Groebner basis of the given vectors plus J*e_i for every position."""
     return _basis(ring, _raws(vectors, rank), rank)
@@ -126,25 +120,15 @@ def syzygies(ring: RingSpec, vectors):
 
     This is an exact computation over R; quotient relations are NOT folded in,
     so callers wanting syzygies over A include the relation vectors
-    explicitly. Every returned syzygy is verified against the inputs, on the
-    raw vectors the loop returns.
+    explicitly. The loop drops repeated syzygies and verifies every one it
+    returns against the inputs.
     """
     vecs = list(vectors)
     if not vecs:
         return []
     rank = vecs[0].rank
     _, syz = _buchberger(ring, _raws(vecs, rank), rank, track=True)
-    out = []
-    seen = set()
-    for raw in syz:
-        key = frozenset(raw.items())
-        if not raw or key in seen:
-            continue
-        seen.add(key)
-        out.append(ModuleVector._from_raw(ring.field, ring.nvars, len(vecs), raw))
-    assert all(s.is_zero()
-               for s in _combinations(ring, rank, vecs, out)), "syzygy identity failed"
-    return out
+    return [ModuleVector._from_raw(ring.field, ring.nvars, len(vecs), raw) for raw in syz]
 
 
 def preimage_submodule(ring: RingSpec, L, phi_columns):
@@ -265,7 +249,9 @@ class ModuleMap:
 
     def apply_vec(self, v: ModuleVector) -> ModuleVector:
         """Image of v: the sum of v_i times the i-th column."""
-        return _combinations(self.source.ring, self.target.rank, self.matrix, [v])[0]
+        ring = self.source.ring
+        out = _linear_combination(ring, v.raw, [col.raw for col in self.matrix])
+        return ModuleVector._from_raw(ring.field, ring.nvars, self.target.rank, out)
 
 
 def subquotient(ker_gens, img_gens, ambient: FPModule) -> FPModule:
@@ -311,11 +297,10 @@ def gamma_saturation(M: FPModule, f: Polynomial):
     prev_gb = None
     prev_gens = None
     gamma_gens = None
-    fcols = [ModuleVector.unit(ring.field, ring.nvars, M.rank, i, f)
-             for i in range(M.rank)]
-    cols = unit_vectors(ring, M.rank)
+    fk = ring.one()
     for _ in range(SATURATION_CAP):
-        cols = _combinations(ring, M.rank, fcols, cols)  # f^k * e_i
+        fk = fk * f
+        cols = [ModuleVector.unit(ring.field, ring.nvars, M.rank, i, fk) for i in range(M.rank)]
         gens = preimage_submodule(ring, rel, cols)
         gb = module_gb(ring, gens + rel, M.rank)
         if prev_gb is not None and gb.raws == prev_gb.raws:
@@ -327,6 +312,7 @@ def gamma_saturation(M: FPModule, f: Polynomial):
     gamma = subquotient(gamma_gens, [], M)
     quotient = FPModule(ring, M.rank, rel + gamma_gens)
     # contract: f is a nonzerodivisor on the quotient
+    fcols = [ModuleVector.unit(ring.field, ring.nvars, M.rank, i, f) for i in range(M.rank)]
     residual = preimage_submodule(ring, list(quotient.relations), fcols)
     for v in residual:
         assert quotient.contains(v), "saturation left f-torsion behind"

@@ -9,8 +9,8 @@ for ideals and submodules of R^rank alike: the Buchberger loop
 the basis reduction `_reduce_basis`, the one input path `_basis` and the one
 basis object `GroebnerBasis`, which answers every quotient query (division,
 standard terms, dimension, local length). `fpmodules` builds its bases
-through `_basis`, its syzygies through `_buchberger` and its linear
-combinations through `_linear_combinations`, and reads no reducer form.
+through `_basis`, its syzygies through `_buchberger` and its map images
+through `_linear_combination`, and reads no reducer form.
 Outside this module every vector is a raw vector (see `_raw_vector`); a
 polynomial's terms are already raw terms, so `buchberger`'s inputs,
 `GroebnerBasis.generators` and `normal_form`'s results only rekey dicts by
@@ -175,9 +175,9 @@ class GroebnerBasis:
 # -- the division kernel -------------------------------------------------------
 #
 # A raw vector is a dict from (position, exponent tuple) to a raw
-# Scalar.value; a polynomial is the rank-1 case, at position 0, and its
-# `terms` are that dict without the position. Vectors are ordered position
-# over term, with earlier positions larger.
+# coefficient (see `FieldSpec.raw`); a polynomial is the rank-1 case, at
+# position 0, and its `terms` are that dict without the position. Vectors
+# are ordered position over term, with earlier positions larger.
 #
 # The kernel works on packed vectors: dicts from packed keys to raw
 # coefficients, ascending keys being descending terms (the module docstring
@@ -467,8 +467,9 @@ def _buchberger(ring: RingSpec, raws, rank, track=False):
     skipped and each element carries its expression on the inputs, so every
     reduction to zero is a syzygy of the inputs and together they generate
     the whole syzygy module; the syzygies are raw vectors of rank
-    len(raws), a zero input giving its unit vector, and the basis is the
-    loop's, unreduced.
+    len(raws), a zero input giving its unit vector, without repeats (first
+    occurrences kept, in order), each checked to combine the inputs to
+    zero, and the basis is the loop's, unreduced.
 
     With track=False the loop, the basis reduction and the certificate run
     on `field.fraction_free`, over Q on primitive integer vectors, which
@@ -513,9 +514,10 @@ def _buchberger(ring: RingSpec, raws, rank, track=False):
 
     for i, raw in enumerate(raws):
         unit = {layout.zero + (i << shift): ops.one}
-        if raw:
-            inputs.append({_pack(layout, p, e): c for (p, e), c in ops.primitive(raw).items()})
-            add_element(inputs[-1], unit)
+        vec = {_pack(layout, p, e): c for (p, e), c in ops.primitive(raw).items()}
+        inputs.append(vec)
+        if vec:
+            add_element(vec, unit)
         elif track:
             syz.append(unit)
 
@@ -548,7 +550,13 @@ def _buchberger(ring: RingSpec, raws, rank, track=False):
         if r:
             add_element(r, rep)
     if track:
-        return elems, [{_unpack(layout, k): c for k, c in v.items()} for v in syz]
+        kept = {}
+        for v in syz:
+            kept.setdefault(frozenset(v.items()), v)
+        tails = [_tail(layout, v) for v in inputs]
+        assert not any(_combination(v, tails, layout, ops) for v in kept.values()), \
+            "syzygy identity failed"
+        return elems, [{_unpack(layout, k): c for k, c in v.items()} for v in kept.values()]
     basis = _reduce_basis(forms, layout, ops)
     _self_check(basis, inputs, layout, ops)
     return basis, syz
@@ -630,23 +638,26 @@ def _self_check(basis, inputs, layout, ops):
             raise AssertionError("input does not reduce to zero")
 
 
-def _linear_combinations(ring: RingSpec, coeffs, cols):
-    """For each raw vector in coeffs, the raw vector sum of c * x^e * cols[i]
-    over its terms (i, e): c, cols being raw vectors."""
+def _combination(vec, tails, layout, ops):
+    """The packed vector sum of c * x^e * tails[i] over the terms c * x^e at
+    position i of the packed vector vec."""
+    shift, base, sub, zero = layout.pos_shift, layout.zero, ops.sub, ops.zero
+    out = {}
+    for k, c in vec.items():
+        i = k >> shift
+        _submul(out, tails[i], k - (i << shift) - base, sub(zero, c), ops, layout.guard)
+    return out
+
+
+def _linear_combination(ring: RingSpec, vec, cols):
+    """The raw vector sum of c * x^e * cols[i] over the terms (i, e): c of
+    the raw vector vec, cols being raw vectors."""
     layout = _layout(ring.order, ring.nvars)
-    ops, guard, zero = ring.field.raw, layout.guard, layout.zero
-    tails = {}
-    sums = []
-    for v in coeffs:
-        out = {}
-        for (i, e), c in v.items():
-            tail = tails.get(i)
-            if tail is None:
-                tail = tails[i] = _tail(layout, {_pack(layout, p, x): t
-                                                 for (p, x), t in cols[i].items()})
-            _submul(out, tail, _pack(layout, 0, e) - zero, ops.sub(ops.zero, c), ops, guard)
-        sums.append({_unpack(layout, k): c for k, c in out.items()})
-    return sums
+    tails = {i: _tail(layout, {_pack(layout, p, e): c for (p, e), c in cols[i].items()})
+             for i in {p for p, _ in vec}}
+    out = _combination({_pack(layout, i, e): c for (i, e), c in vec.items()}, tails,
+                       layout, ring.field.raw)
+    return {_unpack(layout, k): c for k, c in out.items()}
 
 
 def normal_form(f: Polynomial, gb: GroebnerBasis, with_witness: bool = False):

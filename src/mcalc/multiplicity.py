@@ -296,7 +296,7 @@ def parameter_colength(ring: RingSpec, f: Polynomial) -> int:
     name = ring.poly_to_str(f)
     if f.is_zero():
         raise NotParameter("the zero polynomial is not a parameter")
-    if f.constant_coefficient() != 0:
+    if not ring.field.raw.is_zero(f.constant_coefficient()):
         raise NotParameter(f"{name} has a nonzero constant term")
     gb = buchberger(ring, [f])
     try:
@@ -354,7 +354,7 @@ def _phase_one_forms(ring: RingSpec):
         f = ring.zero()
         for c, i in zip(combo, range(n)):
             if c:
-                f = f + ring.variable(i) * ring.constant(ring.field.from_int(c))
+                f = f + ring.variable(i) * c
         forms.append(f)
     return forms
 
@@ -368,7 +368,7 @@ def _random_candidate(ring: RingSpec, rng: random.Random, d: int):
         for i in range(n):
             c = rng.randrange(p) if p else rng.randint(-3, 3)
             if c:
-                f = f + ring.variable(i) * ring.constant(ring.field.from_int(c))
+                f = f + ring.variable(i) * c
         if rng.random() < 0.5:
             i, j = rng.randrange(n), rng.randrange(n)
             c = (rng.randrange(1, p) if p and p > 1 else 1) if p else rng.choice([1, -1, 2])
@@ -382,7 +382,7 @@ def _validate_candidate(ring: RingSpec, seq, d: int):
     """System-of-parameters test: stepwise dimension drop, then finite
     colength with support at the origin. Returns e or None."""
     for f in seq:
-        if f.is_zero() or f.constant_coefficient() != 0:
+        if f.is_zero() or not ring.field.raw.is_zero(f.constant_coefficient()):
             return None
     # seq has d elements, so the last step builds the basis of all of seq
     gb = None if d else buchberger(ring, [])

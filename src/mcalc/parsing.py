@@ -98,7 +98,8 @@ class ExpressionParser:
             else:
                 if not q.is_constant() or q.is_zero():
                     self.fail("division is only allowed by nonzero constants")
-                p = p * self.ring.constant(q.constant_coefficient().inverse())
+                ops = self.ring.field.raw
+                p = p * self.ring.constant(ops.div(ops.one, q.constant_coefficient()))
         return p
 
     def factor(self) -> Polynomial:
@@ -122,7 +123,7 @@ class ExpressionParser:
         kind, value, col = tok
         if kind == "int":
             self.next()
-            return self.ring.constant(self.ring.field.from_int(value))
+            return self.ring.constant(value)
         if kind == "name":
             self.next()
             if value in self.names:

@@ -1,10 +1,12 @@
 """Sparse multivariate polynomials, global monomial orders, and ring descriptors.
 
 A monomial is its exponent tuple, and a Polynomial's terms map exponent
-tuples to raw coefficients (`Scalar.value`): `groebner`'s raw term format,
-so `groebner` reads a polynomial's terms as they are. Scalar stays
-the element type at the surface: constants, `constant_coefficient` and the
-printed coefficients.
+tuples to raw coefficients, the values of `FieldSpec.raw`: `groebner`'s raw
+term format, so `groebner` reads a polynomial's terms as they are. Constants
+are raw values too, taken by `Polynomial.constant` and `Polynomial.term`
+and returned by `constant_coefficient`; an int stands for its image in the
+field wherever a polynomial is expected. Only `FieldSpec` reads or prints a
+value.
 
 A RingSpec describes A = k[x_1..x_n]/J as the polynomial model of the local
 ring at the origin; every quotient generator must vanish at the origin.
@@ -18,7 +20,7 @@ from enum import Enum
 from operator import add
 
 from .errors import BadOrder, BadVariables, QuotientNotAtOrigin, RingMismatch
-from .scalars import FieldKind, FieldSpec, Scalar, power_by_squaring
+from .scalars import FieldKind, FieldSpec
 
 
 class _Infinite:
@@ -114,10 +116,23 @@ class MonomialOrder:
         return self.kind.value
 
 
+def power_by_squaring(one, base, e: int):
+    """base**e for e >= 0 with O(log e) multiplications, starting from one."""
+    out = one
+    while e:
+        if e & 1:
+            out = out * base
+        e >>= 1
+        if e:
+            base = base * base
+    return out
+
+
 class Polynomial:
     """Sparse polynomial: `terms` maps exponent tuples to nonzero raw
-    coefficients (`Scalar.value`, see `FieldSpec.raw`), `groebner`'s raw
-    term format; arithmetic runs on `field.raw`."""
+    coefficients (see `FieldSpec.raw`), `groebner`'s raw term format;
+    arithmetic runs on `field.raw`. Arithmetic and == take a Polynomial of
+    the same ring or an int."""
 
     __slots__ = ("field", "nvars", "terms")
 
@@ -134,21 +149,21 @@ class Polynomial:
         return cls(field, nvars)
 
     @classmethod
-    def constant(cls, field, nvars, c: Scalar):
+    def constant(cls, field, nvars, c):
         return cls.term(field, nvars, (0,) * nvars, c)
 
     @classmethod
     def one(cls, field, nvars):
-        return cls.constant(field, nvars, field.one)
+        return cls.constant(field, nvars, field.raw.one)
 
     @classmethod
     def variable(cls, field, nvars, i: int, power: int = 1):
         exps = tuple(power if j == i else 0 for j in range(nvars))
-        return cls.term(field, nvars, exps, field.one)
+        return cls.term(field, nvars, exps, field.raw.one)
 
     @classmethod
-    def term(cls, field, nvars, exps: tuple, coeff: Scalar):
-        return cls(field, nvars, {tuple(exps): coeff.value})
+    def term(cls, field, nvars, exps: tuple, coeff):
+        return cls(field, nvars, {tuple(exps): coeff})
 
     # -- queries ---------------------------------------------------------------
 
@@ -158,8 +173,9 @@ class Polynomial:
     def is_constant(self) -> bool:
         return not any(any(e) for e in self.terms)
 
-    def constant_coefficient(self) -> Scalar:
-        return Scalar(self.field, self.terms.get((0,) * self.nvars, self.field.raw.zero))
+    def constant_coefficient(self):
+        """The raw coefficient of the term 1, zero included."""
+        return self.terms.get((0,) * self.nvars, self.field.raw.zero)
 
     def is_homogeneous(self) -> bool:
         return len({sum(e) for e in self.terms}) <= 1
@@ -174,9 +190,12 @@ class Polynomial:
         if self.field != other.field or self.nvars != other.nvars:
             raise RingMismatch("polynomials from different rings")
 
+    def _constant(self, n: int) -> "Polynomial":
+        return Polynomial.constant(self.field, self.nvars, self.field.from_int(n))
+
     def __add__(self, other):
-        if isinstance(other, (int, Scalar)):
-            other = Polynomial.constant(self.field, self.nvars, self._scalar(other))
+        if isinstance(other, int):
+            other = self._constant(other)
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check(other)
@@ -196,8 +215,8 @@ class Polynomial:
                           {e: ops.sub(ops.zero, c) for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Scalar)):
-            other = Polynomial.constant(self.field, self.nvars, self._scalar(other))
+        if isinstance(other, int):
+            other = self._constant(other)
         if not isinstance(other, Polynomial):
             return NotImplemented
         return self + (-other)
@@ -205,20 +224,11 @@ class Polynomial:
     def __rsub__(self, other):
         return (-self) + other
 
-    def _scalar(self, c) -> Scalar:
-        if isinstance(c, int):
-            return self.field.from_int(c)
-        if isinstance(c, Scalar):
-            if c.field != self.field:
-                raise RingMismatch("scalar from a different field")
-            return c
-        raise TypeError(f"cannot interpret {c!r} as a scalar")
-
     def __mul__(self, other):
         ops = self.field.raw
         sub, mul, zero = ops.sub, ops.mul, ops.zero
-        if isinstance(other, (int, Scalar)):
-            c = self._scalar(other).value
+        if isinstance(other, int):
+            c = self.field.from_int(other)
             return Polynomial(self.field, self.nvars,
                               {e: mul(a, c) for e, a in self.terms.items()})
         if not isinstance(other, Polynomial):
@@ -243,7 +253,7 @@ class Polynomial:
 
     def __eq__(self, other):
         if isinstance(other, int):
-            other = Polynomial.constant(self.field, self.nvars, self.field.from_int(other))
+            other = self._constant(other)
         if not isinstance(other, Polynomial):
             return NotImplemented
         return (self.field == other.field and self.nvars == other.nvars
@@ -265,7 +275,7 @@ class Polynomial:
             if rational and c < 0:
                 sign = "-"
                 c = -c
-            cs = str(Scalar(self.field, c))
+            cs = self.field.to_str(c)
             if not any(e):
                 text = cs
             elif c == one:
@@ -318,7 +328,7 @@ class RingSpec:
                 raise RingMismatch("quotient generator from a different ring")
             if g.is_zero():
                 continue
-            if not g.constant_coefficient().is_zero():
+            if not self.field.raw.is_zero(g.constant_coefficient()):
                 raise QuotientNotAtOrigin("quotient generators must vanish at the origin")
             gens.append(g)
         object.__setattr__(self, "quotient", tuple(gens))
@@ -339,6 +349,7 @@ class RingSpec:
         return Polynomial.one(self.field, self.nvars)
 
     def constant(self, c) -> Polynomial:
+        """The constant polynomial of a raw value or an int."""
         if isinstance(c, int):
             c = self.field.from_int(c)
         return Polynomial.constant(self.field, self.nvars, c)

@@ -1,8 +1,12 @@
 """Exact scalar arithmetic over Q, prime fields F_p, and rational functions F_p(t).
 
-Every value has one canonical representation, so == and hash are structural:
-fractions are reduced, F_p residues live in [0, p), and F_p(t) elements are
-reduced fractions of univariate polynomials with a monic denominator.
+A coefficient is a raw value, and this is the one module that knows its
+format: a reduced Fraction over Q, a residue in [0, p) over F_p, and over
+F_p(t) a reduced fraction of univariate polynomials with a monic
+denominator. Every value has one canonical representation, so == and hash
+are structural. Other modules compute on values through a field's
+`FieldSpec.raw` table, build them with `from_int` and `t`, and print them
+with `to_str`.
 """
 
 from __future__ import annotations
@@ -141,11 +145,11 @@ class RawArithmetic(namedtuple("RawArithmetic", "zero one is_zero sub mul div "
                                                  "divisor quotient cofactors primitive")):
     """A coefficient ring's constants and operations on raw values.
 
-    A field's table works on ``Scalar.value`` payloads, in the canonical form
-    Scalar keeps, so each result equals the value of the matching Scalar
-    operator; Scalar delegates to these, and inner loops call them directly
-    to skip the Scalar wrapper. The four last entries serve the division
-    kernel, which runs unchanged over a field and over the integers:
+    A field's table takes and returns raw values in their canonical form, so
+    equal elements give equal results. There is no negation or addition:
+    -a is sub(zero, a) and a + b is sub(a, sub(zero, b)). The four last
+    entries serve the division kernel, which runs unchanged over a field and
+    over the integers:
 
     * ``divisor(a)`` is what the kernel keeps of a lead coefficient a, once
       per reducer: 1/a over a field, a itself over the integers;
@@ -260,22 +264,30 @@ class FieldSpec:
 
     # -- element constructors ------------------------------------------------
 
-    def from_int(self, n: int) -> "Scalar":
+    def from_int(self, n: int):
+        """The raw value of the integer n."""
         if self.kind is FieldKind.RATIONALS:
-            return Scalar(self, Fraction(n))
+            return Fraction(n)
         if self.kind is FieldKind.PRIME_FIELD:
-            return Scalar(self, n % self.characteristic)
+            return n % self.characteristic
         r = n % self.characteristic
-        return Scalar(self, ((r,) if r else (), (1,)))
+        return (r,) if r else (), (1,)
 
-    def t(self) -> "Scalar":
+    def t(self):
+        """The raw value of the transcendental t of F_p(t)."""
         if self.kind is not FieldKind.RATIONAL_FUNCTIONS:
             raise FieldMismatch("t is only an element of F_p(t)")
-        return Scalar(self, ((0, 1), (1,)))
+        return (0, 1), (1,)
 
-    @property
-    def zero(self) -> "Scalar":
-        return self.from_int(0)
+    def to_str(self, c) -> str:
+        """Canonical text of the raw value c: "-1/2" over Q, a residue in
+        [0, p) over F_p, "t^3+1" or "(3)/(t)" over F_p(t)."""
+        if self.kind is not FieldKind.RATIONAL_FUNCTIONS:
+            return str(c)
+        num, den = c
+        if den == (1,):
+            return _pt_str(num)
+        return f"({_pt_str(num)})/({_pt_str(den)})"
 
     @cached_property
     def raw(self) -> RawArithmetic:
@@ -299,132 +311,9 @@ class FieldSpec:
         arithmetic is cheaper than Fraction arithmetic; otherwise `raw`."""
         return _INTEGER_ARITHMETIC if self.kind is FieldKind.RATIONALS else self.raw
 
-    @property
-    def one(self) -> "Scalar":
-        return self.from_int(1)
-
     def __str__(self):
         if self.kind is FieldKind.RATIONALS:
             return "Q"
         if self.kind is FieldKind.PRIME_FIELD:
             return f"F{self.characteristic}"
         return f"F{self.characteristic}(t)"
-
-
-def power_by_squaring(one, base, e: int):
-    """base**e for e >= 0 with O(log e) multiplications, starting from one."""
-    out = one
-    while e:
-        if e & 1:
-            out = out * base
-        e >>= 1
-        if e:
-            base = base * base
-    return out
-
-
-class Scalar:
-    """An element of a FieldSpec, in canonical form."""
-
-    __slots__ = ("field", "value")
-
-    def __init__(self, field: FieldSpec, value):
-        self.field = field
-        self.value = value
-
-    def _coerce(self, other):
-        if isinstance(other, Scalar):
-            if other.field != self.field:
-                raise FieldMismatch(f"cannot mix {self.field} and {other.field}")
-            return other
-        if isinstance(other, int):
-            return self.field.from_int(other)
-        return NotImplemented
-
-    def is_zero(self) -> bool:
-        return self.field.raw.is_zero(self.value)
-
-    def __bool__(self):
-        return not self.is_zero()
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        ops = self.field.raw
-        return Scalar(self.field, ops.sub(self.value, ops.sub(ops.zero, other.value)))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        ops = self.field.raw
-        return Scalar(self.field, ops.sub(ops.zero, self.value))
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Scalar(self.field, self.field.raw.sub(self.value, other.value))
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Scalar(self.field, self.field.raw.mul(self.value, other.value))
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "Scalar":
-        if self.is_zero():
-            raise DivisionByZero("cannot invert zero")
-        ops = self.field.raw
-        return Scalar(self.field, ops.div(ops.one, self.value))
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if other.is_zero():
-            raise DivisionByZero("division by zero")
-        return Scalar(self.field, self.field.raw.div(self.value, other.value))
-
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other / self
-
-    def __pow__(self, e: int):
-        if e < 0:
-            return self.inverse() ** (-e)
-        return power_by_squaring(self.field.one, self, e)
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            other = self.field.from_int(other)
-        if not isinstance(other, Scalar):
-            return NotImplemented
-        return self.field == other.field and self.value == other.value
-
-    def __hash__(self):
-        # __eq__ also compares fields; equal scalars have equal values
-        return hash(self.value)
-
-    def __str__(self):
-        k = self.field.kind
-        if k is FieldKind.RATIONALS or k is FieldKind.PRIME_FIELD:
-            return str(self.value)
-        num, den = self.value
-        if den == (1,):
-            return _pt_str(num)
-        return f"({_pt_str(num)})/({_pt_str(den)})"
-
-    def __repr__(self):
-        return f"Scalar({self.field}, {self})"
-

@@ -152,7 +152,7 @@ def _run_example_bad_parity(count=20, seed=2026):
         f = ring.zero()
         for m in mons:
             if rng.randrange(2):
-                f = f + Polynomial.term(ring.field, 2, m, ring.field.one)
+                f = f + Polynomial.term(ring.field, 2, m, ring.field.raw.one)
         if f.is_zero():
             continue
         try:

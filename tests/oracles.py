@@ -4,12 +4,10 @@ Everything here decides ideal questions by exact linear algebra over the
 coefficient field: products (monomial) * (generator) up to a degree cap are
 row-reduced with their own grevlex key, so no Buchberger code, no normal-form
 code, and no Polynomial multiplication from the package is involved.  Only
-Scalar arithmetic is reused.
+the field's arithmetic on raw coefficients, `FieldSpec.raw`, is reused.
 """
 
 import itertools
-
-from mcalc.scalars import Scalar
 
 
 def _grevlex_key(exps):
@@ -17,15 +15,25 @@ def _grevlex_key(exps):
 
 
 def _poly_as_row(f):
-    """Exponent tuple -> Scalar: the raw coefficients, wrapped."""
-    return {e: Scalar(f.field, c) for e, c in f.terms.items()}
+    """Exponent tuple -> raw coefficient: a copy of the terms."""
+    return dict(f.terms)
 
 
 def _shift_row(row, mult):
     return {tuple(a + b for a, b in zip(mult, e)): c for e, c in row.items()}
 
 
-def _reduce_row(row, pivots):
+def _subtract_multiple(row, factor, other, ops):
+    """row -= factor * other in place, on raw coefficients."""
+    for e, c in other.items():
+        s = ops.sub(row.get(e, ops.zero), ops.mul(factor, c))
+        if ops.is_zero(s):
+            row.pop(e, None)
+        else:
+            row[e] = s
+
+
+def _reduce_row(row, pivots, ops):
     """Reduce against a triangular set; return (lead, row) or (None, None)."""
     row = dict(row)
     while row:
@@ -33,14 +41,7 @@ def _reduce_row(row, pivots):
         piv = pivots.get(lead)
         if piv is None:
             return lead, row
-        factor = row[lead] / piv[lead]
-        for e, c in piv.items():
-            s = row.get(e)
-            s = -(factor * c) if s is None else s - factor * c
-            if s.is_zero():
-                row.pop(e, None)
-            else:
-                row[e] = s
+        _subtract_multiple(row, ops.div(row[lead], piv[lead]), piv, ops)
     return None, None
 
 
@@ -51,13 +52,13 @@ def _multipliers(nvars, cap):
     return mons
 
 
-def _echelon(gens, nvars, cap):
+def _echelon(gens, ring, cap):
     """Triangular span of {m * g : deg m <= cap}, keyed by lead exponent."""
     pivots = {}
     rows = [_poly_as_row(g) for g in gens if not g.is_zero()]
-    for mult in _multipliers(nvars, cap):
+    for mult in _multipliers(ring.nvars, cap):
         for base in rows:
-            lead, reduced = _reduce_row(_shift_row(base, mult), pivots)
+            lead, reduced = _reduce_row(_shift_row(base, mult), pivots, ring.field.raw)
             if lead is not None:
                 pivots[lead] = reduced
     return pivots
@@ -71,10 +72,10 @@ def membership_oracle(ring, gens, cofactor_cap=4):
     within the cap, which suffices for the desk-scale families tested here.
     """
     all_gens = list(gens) + list(ring.quotient)
-    pivots = _echelon(all_gens, ring.nvars, cofactor_cap)
+    pivots = _echelon(all_gens, ring, cofactor_cap)
 
     def member(f):
-        lead, _ = _reduce_row(_poly_as_row(f), pivots)
+        lead, _ = _reduce_row(_poly_as_row(f), pivots, ring.field.raw)
         return lead is None
 
     return member
@@ -98,7 +99,7 @@ def standard_monomial_count(ring, gens, cap=6):
     if not all_gens:
         return None
     n = ring.nvars
-    leads = set(_echelon(all_gens, n, cap))
+    leads = set(_echelon(all_gens, ring, cap))
     for level in range(cap + 1):
         at_level = [e for e in itertools.product(range(level + 1), repeat=n)
                     if sum(e) == level]
@@ -116,8 +117,10 @@ def first_divisor_division(f, reducers, key):
     the working terms for the largest one with max, and the first reducer
     whose leading monomial divides it cancels it; a leading term no reducer
     divides moves to the remainder. Returns (remainder, quotients) as dicts
-    from exponent tuples to scalars, quotients[j] belonging to reducers[j].
+    from exponent tuples to raw coefficients, quotients[j] belonging to
+    reducers[j].
     """
+    ops = f.field.raw
     rows = [_poly_as_row(g) for g in reducers]
     leads = [max(row, key=key) for row in rows]
     work = _poly_as_row(f)
@@ -127,15 +130,9 @@ def first_divisor_division(f, reducers, key):
         for j, (lm, row) in enumerate(zip(leads, rows)):
             if all(a <= b for a, b in zip(lm, lead)):
                 q = tuple(b - a for a, b in zip(lm, lead))
-                qc = work[lead] / row[lm]
+                qc = ops.div(work[lead], row[lm])
                 quotients[j][q] = qc
-                for e, c in _shift_row(row, q).items():
-                    s = work.get(e)
-                    s = -(qc * c) if s is None else s - qc * c
-                    if s.is_zero():
-                        work.pop(e, None)
-                    else:
-                        work[e] = s
+                _subtract_multiple(work, qc, _shift_row(row, q), ops)
                 break
         else:
             rem[lead] = work.pop(lead)

@@ -318,10 +318,21 @@ def test_bad_variable_list_exits_two(tmp_path, capsys, header):
     assert "(line 2, column 1)" in err
 
 
-def test_quotient_with_constant_term_exits_two(tmp_path, capsys):
+@pytest.mark.parametrize("field, generator", [("Q", "x + 1"), ("F5", "x + 1"),
+                                              ("F5(t)", "x + t")],
+                         ids=["Q", "F5", "F5(t)"])
+def test_quotient_with_constant_term_exits_two(tmp_path, capsys, field, generator):
     p = tmp_path / "unit.ring"
-    p.write_text("field = Q\nvars = x, y\nquotient = [x + 1]\n", encoding="utf-8")
+    p.write_text(f"field = {field}\nvars = x, y\nquotient = [{generator}]\n", encoding="utf-8")
     _coded_exit(capsys, ["dim", str(p)], "QUOTIENT_NOT_AT_ORIGIN")
+
+
+def test_quotient_vanishing_at_origin_over_function_field_is_accepted(tmp_path, capsys):
+    # the raw zero of F5(t) is not the int 0, so the check must ask the field
+    p = tmp_path / "cone.ring"
+    p.write_text("field = F5(t)\nvars = x, y\nquotient = [x^2 + t*y]\n", encoding="utf-8")
+    assert main(["dim", str(p)]) == 0
+    assert capsys.readouterr().out.strip() == "krull dimension: 1"
 
 
 def test_length_supported_away_from_the_origin_exits_two(tmp_path, capsys):

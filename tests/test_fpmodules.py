@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mcalc import fpmodules
+from mcalc import fpmodules, groebner
 from mcalc.errors import (ImageNotInKernel, MapNotWellDefined, RingMismatch,
                           SupportNotAtOrigin)
 from mcalc.fpmodules import (FPModule, ModuleMap, ModuleVector, gamma_saturation,
@@ -110,17 +110,19 @@ def test_syzygies_satisfy_relation_externally():
         assert _plus_combination(_vec(_zero(), _zero()), c.components, vecs).is_zero()
 
 
-def test_syzygy_identity_check_runs_on_raw_vectors(monkeypatch):
-    real = fpmodules._buchberger
+def test_syzygy_identity_check_runs_on_packed_inputs(monkeypatch):
+    """The loop recomputes each syzygy's combination from the inputs, so an
+    expression gone wrong in the loop cannot pass."""
+    real = groebner._reduce
 
-    def corrupted(ring, raws, rank, track=False):
-        basis, _ = real(ring, raws, rank, track=track)
-        # c = (1, 0) claims x * 1 + y * 0 = 0
-        return basis, [{(0, (0, 0)): ring.field.raw.one}]
+    def no_witness(work, forms, layout, ops, with_witness=False):
+        rem, quot = real(work, forms, layout, ops, with_witness)
+        return rem, quot and [{} for _ in quot]
 
-    monkeypatch.setattr(fpmodules, "_buchberger", corrupted)
+    monkeypatch.setattr(groebner, "_reduce", no_witness)
+    # S(x, x + y) = y reduces to zero by the third input only through its witness
     with pytest.raises(AssertionError, match="syzygy identity failed"):
-        syzygies(R, [_ideal_vec(X), _ideal_vec(Y)])
+        syzygies(R, [_ideal_vec(X), _ideal_vec(X + Y), _ideal_vec(Y)])
 
 
 def test_preimage_of_ideal_under_multiplication():

@@ -157,7 +157,7 @@ def test_membership_agrees_with_row_reduction():
 def _f2_polys(max_deg=2):
     mons = [e for e in itertools.product(range(3), repeat=2) if sum(e) <= max_deg]
     return st.lists(st.sampled_from(mons), min_size=1, max_size=4).map(
-        lambda ms: sum((Polynomial.term(F2, 2, m, F2.one) for m in ms),
+        lambda ms: sum((Polynomial.term(F2, 2, m, F2.raw.one) for m in ms),
                        Polynomial.zero(F2, 2)))
 
 
@@ -369,7 +369,7 @@ def _f7_families(draw):
         raw = {}
         for p, a, b, c in terms:
             raw[(p, (a, b))] = (raw.get((p, (a, b)), 0) + c) % 7
-        raws.append({k: F7.from_int(c).value for k, c in raw.items() if c})
+        raws.append({k: c for k, c in raw.items() if c})
     return rank, raws
 
 

@@ -216,11 +216,28 @@ def test_parameter_rejections():
         parameter_colength(B, B.zero())
     with pytest.raises(NotParameter):
         parameter_colength(B, bx - B.one())
+    F5T = FieldSpec.rational_functions(5)
+    T = RingSpec(F5T, ("x", "y"))
+    with pytest.raises(NotParameter, match="nonzero constant term"):
+        parameter_colength(T, T.variable("x") + T.constant(F5T.t()))
     with pytest.raises(NotParameter, match="does not cut the ring down"):
         parameter_colength(R, X)
     # the cusp meets V(x+y) again at (1, -1), off the origin
     with pytest.raises(NotParameter, match="vanishes somewhere off the origin"):
         parameter_colength(B, bx + by)
+
+
+def test_parameters_over_function_field_are_accepted():
+    """The zero-constant tests ask the field: the raw zero of F5(t) is not 0."""
+    F5T = FieldSpec.rational_functions(5)
+    T = RingSpec(F5T, ("x", "y"))
+    tx2 = T.constant(F5T.t()) * T.variable("x") ** 2
+    A = RingSpec(F5T, ("x", "y"), quotient=(T.variable("y") ** 2 - tx2,))
+    x, y = A.variable("x"), A.variable("y")
+    assert parameter_colength(A, x) == 2
+    assert parameter_colength(A, x + A.constant(F5T.t()) * y) == 2
+    found = search_parameters(A, 3, 4)
+    assert (found.status, found.ideal, found.e) == ("FOUND", (x,), 2)
 
 
 def test_parameter_colength_enumerates_standard_terms_once(monkeypatch):

@@ -1,13 +1,15 @@
 """Expression grammar: explicit products, constant division, unary minus."""
 
 import time
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mcalc.errors import BadCharacteristic, ParseError, UnknownFieldKind
 from mcalc.parsing import (parse_field, parse_polynomial,
                            parse_polynomial_list)
-from mcalc.polyring import Polynomial, RingSpec
+from mcalc.polyring import MonomialOrder, Polynomial, RingSpec
 from mcalc.scalars import FieldSpec
 
 Q = FieldSpec.rationals()
@@ -27,7 +29,7 @@ def test_explicit_multiplication_required():
 
 
 def test_division_only_by_nonzero_constants():
-    half = Q.from_int(1) / Q.from_int(2)
+    half = R.constant(Fraction(1, 2))
     assert parse_polynomial(R, "x/2") == X * half
     assert parse_polynomial(R, "3*x/6") == X * half
     with pytest.raises(ParseError):
@@ -36,6 +38,15 @@ def test_division_only_by_nonzero_constants():
         parse_polynomial(R, "x/0")
     with pytest.raises(ParseError):
         parse_polynomial(R, "x/(1-1)")
+    # the zero test runs on the field's raw zero, whatever its format
+    with pytest.raises(ParseError):
+        parse_polynomial(RingSpec(FieldSpec.prime_field(2), ("x", "y")), "x/2")
+    F5T = FieldSpec.rational_functions(5)
+    S = RingSpec(F5T, ("x", "y"))
+    with pytest.raises(ParseError):
+        parse_polynomial(S, "x/(t - t)")
+    assert parse_polynomial(S, "x/t") == S.variable("x") * S.constant(
+        F5T.raw.div(F5T.raw.one, F5T.t()))
 
 
 def test_unary_minus_binds_looser_than_power():
@@ -73,7 +84,7 @@ def test_transcendental_atom_needs_function_field():
     F5T = FieldSpec.rational_functions(5)
     S = RingSpec(F5T, ("x", "y"))
     f = parse_polynomial(S, "t*x + 1")
-    assert f == S.variable("x") * F5T.t() + S.one()
+    assert f == S.variable("x") * S.constant(F5T.t()) + S.one()
 
 
 def test_error_carries_line_and_column():
@@ -98,3 +109,40 @@ def test_parse_field_names():
         parse_field("R")
     with pytest.raises(BadCharacteristic):
         parse_field("F4")
+
+
+# -- printing, then parsing, gives the polynomial back ------------------------------
+
+F7 = FieldSpec.prime_field(7)
+F3T = FieldSpec.rational_functions(3)
+
+
+def _t_polynomial(coeffs):
+    """The raw value of sum c_i t^i in F_3(t)."""
+    ops, out = F3T.raw, F3T.raw.zero
+    for c in reversed(coeffs):
+        out = ops.sub(ops.mul(out, F3T.t()), ops.sub(ops.zero, F3T.from_int(c)))
+    return out
+
+
+_T_COEFFS = st.lists(st.integers(0, 2), max_size=3)
+_COEFFICIENTS = {
+    # such as -3/4
+    "Q": st.fractions(min_value=-20, max_value=20, max_denominator=12),
+    "F7": st.integers(-20, 20).map(F7.from_int),
+    # such as (t + 1)/(t^2 + 2)
+    "F3(t)": st.tuples(_T_COEFFS, _T_COEFFS.filter(lambda cs: any(cs))).map(
+        lambda nd: F3T.raw.div(_t_polynomial(nd[0]), _t_polynomial(nd[1]))),
+}
+_FIELDS = {"Q": Q, "F7": F7, "F3(t)": F3T}
+_ORDERS = [MonomialOrder.grevlex(), MonomialOrder.lex(), MonomialOrder.block(1)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(_FIELDS)), st.sampled_from(_ORDERS), st.data())
+def test_printed_polynomials_parse_back(name, order, data):
+    field = _FIELDS[name]
+    ring = RingSpec(field, ("x", "y", "z"), order)
+    exps = st.tuples(*(st.integers(0, 3) for _ in range(3)))
+    f = Polynomial(field, 3, data.draw(st.dictionaries(exps, _COEFFICIENTS[name], max_size=5)))
+    assert parse_polynomial(ring, ring.poly_to_str(f)) == f

@@ -93,12 +93,18 @@ def test_zero_coefficients_never_stored():
 def test_terms_map_exponents_to_raw_coefficients():
     R = _ring()
     x, y = R.variable("x"), R.variable("y")
-    half = Q.from_int(1) / Q.from_int(2)
+    half = R.constant(Fraction(1, 2))
     assert (x * x * 3 - y * half).terms == {(2, 0): 3, (0, 1): Fraction(-1, 2)}
     S = _ring(field=FieldSpec.prime_field(7))
     assert (S.variable("x") * 3 - S.one()).terms == {(1, 0): 3, (0, 0): 6}
     assert Polynomial.term(Q, 2, (1, 2), Q.from_int(5)).terms == {(1, 2): 5}
-    assert (x - R.one()).constant_coefficient() == Q.from_int(-1)
+    assert (x - R.one()).constant_coefficient() == Fraction(-1)
+    assert x.constant_coefficient() == Q.raw.zero
+    F5T = FieldSpec.rational_functions(5)
+    T = _ring(field=F5T)
+    assert T.variable("x").constant_coefficient() == ((), (1,))
+    assert (T.variable("x") + T.constant(F5T.t())).constant_coefficient() == F5T.t()
+    assert T.constant(7).terms == {(0, 0): ((2,), (1,))}
 
 
 def test_mismatched_rings_rejected():
@@ -109,6 +115,9 @@ def test_mismatched_rings_rejected():
         f + g
     with pytest.raises(RingMismatch):
         f * h
+    # a constant other than an int enters as a polynomial, through constant
+    with pytest.raises(TypeError):
+        f * Q.from_int(2)
 
 
 def _monomials(nvars=2, max_exp=4):
@@ -156,7 +165,7 @@ def test_canonical_rendering():
     R = _ring()
     x, y = R.variable("x"), R.variable("y")
     assert R.poly_to_str(x * x - y * y) == "x^2 - y^2"
-    assert R.poly_to_str(R.constant(Q.from_int(3) / Q.from_int(2)) * x) == "(3/2)*x"
+    assert R.poly_to_str(R.constant(Fraction(3, 2)) * x) == "(3/2)*x"
     assert R.poly_to_str(R.zero()) == "0"
     assert R.poly_to_str(y - x) == "-x + y"
     assert R.poly_to_str(R.one() - R.one()) == "0"
@@ -211,7 +220,7 @@ def _repeated_product(p, e):
 def test_power_matches_repeated_multiplication(field):
     R = _ring(field=field)
     x, y = R.variable("x"), R.variable("y")
-    c = field.t() if field.kind is FieldKind.RATIONAL_FUNCTIONS else field.from_int(2)
+    c = R.constant(field.t() if field.kind is FieldKind.RATIONAL_FUNCTIONS else 2)
     polys = [R.zero(), R.one(), x, y * c, x * x * c + y, x - y * c + R.one(),
              x * y + x * c - R.constant(3)]
     for p in polys:

@@ -1,8 +1,9 @@
 """Source hygiene: no module of the package imports a name it never uses,
-no module but `groebner` reads a Groebner basis's reducer forms, no private
-module-level function or class goes unreferenced, and every public function
-or class, and every public method or property of an exported class, has a
-caller in the package or the benchmark."""
+no module but `groebner` reads a Groebner basis's reducer forms, no module
+but `scalars` uses Fraction, no private module-level function or class goes
+unreferenced, and every public function or class, and every public method
+or property of an exported class, has a caller in the package or the
+benchmark."""
 
 import ast
 import functools
@@ -86,6 +87,40 @@ def test_basis_format_stays_in_groebner():
              for path in sorted(SRC.glob("*.py")) if path.name != "groebner.py"
              for line, name in basis_format_reads(path.read_text(encoding="utf-8"), str(path))]
     assert not found, "reducer forms read outside groebner:\n" + "\n".join(found)
+
+
+# The coefficient format is `scalars`' own: other modules compute on raw
+# values through `FieldSpec.raw` and never build or test for a Fraction.
+def fraction_reads(text, filename="<source>"):
+    """(line, name) of each import of the fractions module and each read of
+    the name Fraction, as a name or an attribute, in line order."""
+    found = []
+    for node in ast.walk(ast.parse(text, filename=filename)):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, a.name) for a in node.names if a.name == "fractions"]
+        elif isinstance(node, ast.ImportFrom) and node.module == "fractions":
+            found.append((node.lineno, "fractions"))
+        elif isinstance(node, ast.Name) and node.id == "Fraction":
+            found.append((node.lineno, "Fraction"))
+        elif isinstance(node, ast.Attribute) and node.attr == "Fraction":
+            found.append((node.lineno, "Fraction"))
+    return sorted(found)
+
+
+def test_fraction_reads_are_found():
+    text = ("import fractions\n"
+            "from fractions import Fraction as F\n"
+            "# a Fraction in a comment, and in a string, is not a read\n"
+            "print('Fraction', fractions.Fraction(1), isinstance(x, Fraction))\n")
+    assert fraction_reads(text) == [(1, "fractions"), (2, "fractions"), (4, "Fraction"),
+                                    (4, "Fraction")]
+
+
+def test_only_scalars_knows_the_coefficient_format():
+    found = [f"{path.name}:{line}: {name}"
+             for path in sorted(SRC.glob("*.py")) if path.name != "scalars.py"
+             for line, name in fraction_reads(path.read_text(encoding="utf-8"), str(path))]
+    assert not found, "Fraction used outside scalars:\n" + "\n".join(found)
 
 
 def unreferenced_private_definitions(texts):
