@@ -6,6 +6,12 @@ verifiers, and search for parameter sequences. `--json` switches to a
 machine record {command, session, inputs, result, certificate, verdict};
 output is deterministic for fixed inputs and seeds.
 
+`--module NAME` and the sequence flags (`@name` or a comma list) are read by
+`SessionData.module` and `SessionData.sequence`. The verbs that run a
+verifier on a module and sequences, `verify serre`, `factor`, `vanish` and
+`serre2`, share one handler and are built from one table, `_VERIFIERS`;
+`verify ord` takes a ring and two polynomials instead.
+
 Exit codes: 0 success or VERIFIED, 1 REFUTED, 2 usage or engine errors.
 """
 
@@ -16,13 +22,13 @@ import functools
 import json
 import sys
 
-from .errors import EngineError, ParseError
-from .fpmodules import FPModule
+from .errors import EngineError
 from .groebner import buchberger, krull_dimension
 from .koszul import koszul_homology
-from .multiplicity import (VERIFIED, _jsonable, multiplicity_data, ord_check,
-                           search_parameters, verify_factorization,
-                           verify_serre, verify_serre2, verify_vanish)
+from .multiplicity import (REFUTED, VERIFIED, _jsonable, _verdict,
+                           multiplicity_data, ord_check, search_parameters,
+                           verify_factorization, verify_serre, verify_serre2,
+                           verify_vanish)
 from .parsing import parse_polynomial, parse_polynomial_list
 from .scenarios import run_all, run_scenario
 from .session import parse_session, serialize_session
@@ -53,42 +59,13 @@ def _load(args):
     return session, serialize_session(session)
 
 
-def _resolve_module(session, name):
-    if name is None:
-        return FPModule.free(session.ring, 1)
-    if name not in session.modules:
-        raise ParseError(f"unknown module {name!r} in session")
-    return session.modules[name]
-
-
-def _resolve_seq(session, text):
-    if text is None:
-        return []
-    if text.startswith("@"):
-        name = text[1:]
-        if name not in session.sequences:
-            raise ParseError(f"unknown sequence {name!r} in session")
-        return list(session.sequences[name])
-    return parse_polynomial_list(session.ring, text)
-
-
-def _report_lines(rep):
-    return [f"claim: {rep.claim}",
-            f"left: {_jsonable(rep.left)}",
-            f"right: {_jsonable(rep.right)}",
-            f"verdict: {rep.verdict}"]
-
-
-def _report_exit(rep):
-    return 0 if rep.verdict == VERIFIED else 1
-
-
 def _emit_report(args, command, session_text, inputs, rep):
-    record = _record(command, session_text, inputs,
-                     {"left": _jsonable(rep.left),
-                      "right": _jsonable(rep.right)},
+    left, right = _jsonable(rep.left), _jsonable(rep.right)
+    record = _record(command, session_text, inputs, {"left": left, "right": right},
                      dict(rep.certificate, claim=rep.claim), rep.verdict)
-    return _emit(args, record, _report_lines(rep), _report_exit(rep))
+    lines = [f"claim: {rep.claim}", f"left: {left}", f"right: {right}",
+             f"verdict: {rep.verdict}"]
+    return _emit(args, record, lines, 0 if rep.verdict == VERIFIED else 1)
 
 
 # subcommand handlers --------------------------------------------------------
@@ -116,7 +93,7 @@ def cmd_dim(args):
 
 def cmd_length(args):
     session, text = _load(args)
-    M = _resolve_module(session, args.module)
+    M = session.module(args.module)
     l = M.local_length()
     record = _record("length", text, {"module": args.module}, l, {}, None)
     return _emit(args, record, [f"length: {_jsonable(l)}"], 0)
@@ -125,8 +102,8 @@ def cmd_length(args):
 def cmd_mult(args):
     session, text = _load(args)
     ring = session.ring
-    M = _resolve_module(session, args.module)
-    params = _resolve_seq(session, args.params)
+    M = session.module(args.module)
+    params = session.sequence(args.params)
     r = args.r
     if r is None:
         r = krull_dimension(buchberger(ring, []))
@@ -143,8 +120,8 @@ def cmd_mult(args):
 def cmd_koszul(args):
     session, text = _load(args)
     ring = session.ring
-    M = _resolve_module(session, args.module)
-    seq = _resolve_seq(session, args.seq)
+    M = session.module(args.module)
+    seq = session.sequence(args.seq)
     inputs = {"seq": args.seq, "module": args.module, "degree": args.degree}
     if args.degree is not None:
         H = koszul_homology(seq, M, args.degree)
@@ -191,34 +168,33 @@ def cmd_search(args):
     return _emit(args, record, lines, 0)
 
 
-def cmd_verify_serre(args):
+_SEQ = "comma-separated sequence, or @name"
+
+# verb -> (verifier, help, {flag: help}). The verifier takes the module, then
+# one argument per flag in order: a flag named seq* gives a sequence, any
+# other an int. Each verb also takes --module.
+_VERIFIERS = {
+    "serre": (verify_serre, "multiplicity vs Koszul alternating sum",
+              {"seq": _SEQ}),
+    "factor": (verify_factorization, "concatenation vs iterated homology",
+               {"seq": "outer sequence", "seq2": "inner sequence"}),
+    "vanish": (verify_vanish, "nilpotent element forces a zero sum",
+               {"seq": _SEQ, "index": "1-based position in the sequence",
+                "power": "exponent that kills the module"}),
+    "serre2": (verify_serre2, "three multiplicity routes agree",
+               {"seq": "first sequence (may be empty)", "seq2": "second sequence"}),
+}
+
+
+def cmd_verify(args):
     session, text = _load(args)
-    M = _resolve_module(session, args.module)
-    seq = _resolve_seq(session, args.seq)
-    rep = verify_serre(M, seq)
-    return _emit_report(args, "verify serre", text,
-                        {"seq": args.seq, "module": args.module}, rep)
-
-
-def cmd_verify_factor(args):
-    session, text = _load(args)
-    M = _resolve_module(session, args.module)
-    seq = _resolve_seq(session, args.seq)
-    seq2 = _resolve_seq(session, args.seq2)
-    rep = verify_factorization(M, seq, seq2)
-    return _emit_report(args, "verify factor", text,
-                        {"seq": args.seq, "seq2": args.seq2,
-                         "module": args.module}, rep)
-
-
-def cmd_verify_vanish(args):
-    session, text = _load(args)
-    M = _resolve_module(session, args.module)
-    seq = _resolve_seq(session, args.seq)
-    rep = verify_vanish(M, seq, args.index, args.power)
-    return _emit_report(args, "verify vanish", text,
-                        {"seq": args.seq, "index": args.index,
-                         "power": args.power, "module": args.module}, rep)
+    verifier, _, flags = _VERIFIERS[args.verb]
+    M = session.module(args.module)
+    inputs = {flag: getattr(args, flag) for flag in flags}
+    rep = verifier(M, *(session.sequence(v) if flag.startswith("seq") else v
+                        for flag, v in inputs.items()))
+    inputs["module"] = args.module
+    return _emit_report(args, f"verify {args.verb}", text, inputs, rep)
 
 
 def cmd_verify_ord(args):
@@ -231,17 +207,6 @@ def cmd_verify_ord(args):
                         {"f": args.f, "g": args.g}, rep)
 
 
-def cmd_verify_serre2(args):
-    session, text = _load(args)
-    M = _resolve_module(session, args.module)
-    seq = _resolve_seq(session, args.seq)
-    seq2 = _resolve_seq(session, args.seq2)
-    rep = verify_serre2(M, seq, seq2)
-    return _emit_report(args, "verify serre2", text,
-                        {"seq": args.seq, "seq2": args.seq2,
-                         "module": args.module}, rep)
-
-
 def cmd_verify_scenario(args):
     inputs = {"id": args.id, "tag": args.tag}
     if args.id is not None:
@@ -251,15 +216,15 @@ def cmd_verify_scenario(args):
     rows = [{"id": sid, "verdict": rep.verdict,
              "left": _jsonable(rep.left), "right": _jsonable(rep.right)}
             for sid, rep in results]
-    verdict = VERIFIED if all(r["verdict"] == VERIFIED for r in rows) else "REFUTED"
+    verdict = _verdict(all(r["verdict"] == VERIFIED for r in rows))
     record = _record("verify scenario", None, inputs,
                      {"counts": counts, "reports": rows},
                      {"reports": [dict(rep.to_dict(), id=sid)
                                   for sid, rep in results]}, verdict)
     width = max((len(r["id"]) for r in rows), default=0)
     lines = [f"{r['id']:<{width}}  {r['verdict']}" for r in rows]
-    lines.append(f"summary: {counts['VERIFIED']} verified, "
-                 f"{counts['REFUTED']} refuted of {len(rows)}")
+    lines.append(f"summary: {counts[VERIFIED]} verified, "
+                 f"{counts[REFUTED]} refuted of {len(rows)}")
     return _emit(args, record, lines, 0 if verdict == VERIFIED else 1)
 
 
@@ -314,8 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("koszul", help="Koszul homology lengths")
     _add_session(p)
-    p.add_argument("--seq", required=True,
-                   help="comma-separated sequence, or @name")
+    p.add_argument("--seq", required=True, help=_SEQ)
     p.add_argument("--degree", type=int, default=None,
                    help="single homological degree (default: all)")
     p.add_argument("--module", help="named module from the session")
@@ -325,31 +289,15 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="run an identity verifier")
     vsub = verify.add_subparsers(dest="verb", required=True)
 
-    p = vsub.add_parser("serre", help="multiplicity vs Koszul alternating sum")
-    _add_session(p)
-    p.add_argument("--seq", required=True)
-    p.add_argument("--module")
-    _add_json(p)
-    p.set_defaults(func=cmd_verify_serre)
-
-    p = vsub.add_parser("factor", help="concatenation vs iterated homology")
-    _add_session(p)
-    p.add_argument("--seq", required=True, help="outer sequence")
-    p.add_argument("--seq2", required=True, help="inner sequence")
-    p.add_argument("--module")
-    _add_json(p)
-    p.set_defaults(func=cmd_verify_factor)
-
-    p = vsub.add_parser("vanish", help="nilpotent element forces a zero sum")
-    _add_session(p)
-    p.add_argument("--seq", required=True)
-    p.add_argument("--index", type=int, required=True,
-                   help="1-based position in the sequence")
-    p.add_argument("--power", type=int, required=True,
-                   help="exponent that kills the module")
-    p.add_argument("--module")
-    _add_json(p)
-    p.set_defaults(func=cmd_verify_vanish)
+    for verb, (_, help_text, flags) in _VERIFIERS.items():
+        p = vsub.add_parser(verb, help=help_text)
+        _add_session(p)
+        for flag, flag_help in flags.items():
+            p.add_argument(f"--{flag}", required=True, help=flag_help,
+                           type=str if flag.startswith("seq") else int)
+        p.add_argument("--module", help="named module from the session")
+        _add_json(p)
+        p.set_defaults(func=cmd_verify)
 
     p = vsub.add_parser("ord", help="order-function additivity")
     _add_session(p)
@@ -357,14 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g", required=True)
     _add_json(p)
     p.set_defaults(func=cmd_verify_ord)
-
-    p = vsub.add_parser("serre2", help="three multiplicity routes agree")
-    _add_session(p)
-    p.add_argument("--seq", required=True, help="first sequence (may be empty)")
-    p.add_argument("--seq2", required=True, help="second sequence")
-    p.add_argument("--module")
-    _add_json(p)
-    p.set_defaults(func=cmd_verify_serre2)
 
     p = vsub.add_parser("scenario", help="run registered scenarios")
     p.add_argument("--id", help="single scenario id")

@@ -146,7 +146,9 @@ class RawArithmetic(namedtuple("RawArithmetic", "zero one is_zero sub mul div "
     """A coefficient ring's constants and operations on raw values.
 
     A field's table takes and returns raw values in their canonical form, so
-    equal elements give equal results. There is no negation or addition:
+    equal elements give equal results, and its div (with divisor, which
+    calls it) raises DivisionByZero on a zero divisor; the integer table
+    only ever divides by nonzero leads. There is no negation or addition:
     -a is sub(zero, a) and a + b is sub(a, sub(zero, b)). The four last
     entries serve the division kernel, which runs unchanged over a field and
     over the integers:
@@ -294,13 +296,20 @@ class FieldSpec:
         """Arithmetic on raw values: Fraction for Q, int residues for F_p,
         (numerator, denominator) coefficient tuples for F_p(t)."""
         if self.kind is FieldKind.RATIONALS:
+            def q_div(a, b):
+                if not b:
+                    raise DivisionByZero("division by zero in Q")
+                return a / b
             return _field_arithmetic(Fraction(0), Fraction(1), operator.not_, operator.sub,
-                                     operator.mul, operator.truediv, lambda c, d, _: c * d)
+                                     operator.mul, q_div, lambda c, d, _: c * d)
         p = self.characteristic
         if self.kind is FieldKind.PRIME_FIELD:
+            def fp_div(a, b):
+                if not b:
+                    raise DivisionByZero(f"division by zero in F{p}")
+                return a * pow(b, p - 2, p) % p
             return _field_arithmetic(0, 1, operator.not_, lambda a, b: (a - b) % p,
-                                     lambda a, b: a * b % p,
-                                     lambda a, b: a * pow(b, p - 2, p) % p,
+                                     lambda a, b: a * b % p, fp_div,
                                      lambda c, d, _: c * d % p)
         return _rational_function_arithmetic(p)
 

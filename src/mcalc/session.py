@@ -12,6 +12,10 @@
 to empty. Unknown keys are rejected. Serialization is canonical: fixed key
 order, names sorted, polynomials rendered in the ring's term order, so
 parse -> serialize -> parse is the identity byte for byte.
+
+The command line and the scenario registry both read their rings from
+session text, and turn a module name or a sequence argument into a module
+or a sequence through `SessionData.module` and `SessionData.sequence`.
 """
 
 from __future__ import annotations
@@ -22,15 +26,36 @@ from dataclasses import dataclass, field
 from .errors import BadVariables, ParseError
 from .fpmodules import FPModule, ModuleVector
 from .parsing import (ExpressionParser, parse_bracketed_list, parse_field,
-                      tokenize)
+                      parse_polynomial_list, tokenize)
 from .polyring import MonomialOrder, RingSpec
 
 
 @dataclass
 class SessionData:
+    """A parsed session: the ring, and its modules and sequences by name."""
+
     ring: RingSpec
     modules: dict = field(default_factory=dict)
     sequences: dict = field(default_factory=dict)
+
+    def module(self, name=None) -> FPModule:
+        """The module called name; None is the ring as a free module of
+        rank 1."""
+        if name is None:
+            return FPModule.free(self.ring, 1)
+        if name not in self.modules:
+            raise ParseError(f"unknown module {name!r} in session")
+        return self.modules[name]
+
+    def sequence(self, text: str) -> list:
+        """The sequence `@name` of the session, or the comma-separated
+        polynomials of text; the empty text is the empty sequence."""
+        if text.startswith("@"):
+            name = text[1:]
+            if name not in self.sequences:
+                raise ParseError(f"unknown sequence {name!r} in session")
+            return list(self.sequences[name])
+        return parse_polynomial_list(self.ring, text)
 
 
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z_0-9]*$")

@@ -9,7 +9,7 @@ import sys
 import jsonschema
 import pytest
 
-from mcalc.cli import main
+from mcalc.cli import _VERIFIERS, main
 
 SCHEMA = json.loads((pathlib.Path(__file__).resolve().parent.parent
                      / "docs" / "report-schema.json").read_text())
@@ -237,6 +237,41 @@ def test_parse_error_exits_two(conic, capsys):
     assert "PARSE_ERROR" in capsys.readouterr().err
 
 
+# (command words, flags after the session path) of each command that reads a
+# module name and a sequence flag: mult, koszul and every verb of the verify
+# table
+SEQUENCE_READERS = {
+    "mult": (["mult"], ["--params", "x"]),
+    "koszul": (["koszul"], ["--seq", "x"]),
+    "verify serre": (["verify", "serre"], ["--seq", "x"]),
+    "verify factor": (["verify", "factor"], ["--seq", "x", "--seq2", "y"]),
+    "verify vanish": (["verify", "vanish"], ["--seq", "x", "--index", "1", "--power", "1"]),
+    "verify serre2": (["verify", "serre2"], ["--seq", "x", "--seq2", "y"]),
+}
+
+
+def test_sequence_readers_cover_the_verify_table():
+    assert {f"verify {verb}" for verb in _VERIFIERS} <= set(SEQUENCE_READERS)
+
+
+@pytest.mark.parametrize("command", sorted(SEQUENCE_READERS))
+def test_unknown_module_exits_two(conic, capsys, command):
+    words, flags = SEQUENCE_READERS[command]
+    err = _coded_exit(capsys, words + [conic] + flags + ["--module", "N"], "PARSE_ERROR")
+    assert "unknown module 'N' in session" in err
+
+
+@pytest.mark.parametrize("command, flag", [
+    (command, flag) for command in sorted(SEQUENCE_READERS)
+    for flag in SEQUENCE_READERS[command][1] if flag in ("--params", "--seq", "--seq2")])
+def test_unknown_sequence_exits_two(conic, capsys, command, flag):
+    words, flags = SEQUENCE_READERS[command]
+    flags = list(flags)
+    flags[flags.index(flag) + 1] = "@nope"
+    err = _coded_exit(capsys, words + [conic] + flags, "PARSE_ERROR")
+    assert "unknown sequence 'nope' in session" in err
+
+
 def test_session_that_is_not_utf8_exits_two(tmp_path, capsys):
     p = tmp_path / "binary.ring"
     p.write_bytes(b"\x7fELF\x02\x01\x01\x00" + bytes(range(256)))
@@ -396,3 +431,56 @@ def test_output_does_not_depend_on_the_hash_seed(conic):
     for one, two in zip(runs["1"], runs["2"]):
         assert one.returncode == two.returncode == 0, one.stderr
         assert one.stdout and one.stdout == two.stdout
+
+
+# Wrong answers of the three-equal-differences stopping rule, pinned with
+# their true values: the Hilbert-Samuel function of these rings has a
+# plateau, and the rule stops on it. On A = Q[x,y]/(x^2, x*y^4) the lengths
+# l(A/y^n A) are 2, 4, 6, 8, 9, 10, 11, ..., so e((y), A) = 1, which is also
+# the Koszul side 2 - 1 of Serre's formula; on Q[x,y]/(x^2, x*y^3) the
+# Hilbert function is 1, 2, 2, 2, 1, 1, ..., so e(m, A) = 1.
+PLATEAU_Y4 = "field = Q\nvars = x, y\nquotient = [x^2, x*y^4]\n"
+PLATEAU_Y3 = "field = Q\nvars = x, y\nquotient = [x^2, x*y^3]\n"
+PLATEAU = pytest.mark.xfail(strict=True, raises=AssertionError,
+                            reason="the stopping rule stops on a plateau of the "
+                                   "Hilbert function and prints e = 2")
+
+
+@pytest.fixture
+def plateau_y4(tmp_path):
+    p = tmp_path / "plateau-y4.ring"
+    p.write_text(PLATEAU_Y4, encoding="utf-8")
+    return str(p)
+
+
+@PLATEAU
+def test_multiplicity_past_a_plateau(plateau_y4, capsys):
+    code, record = _json_run(capsys, ["mult", plateau_y4, "--params", "y"])
+    assert code == 0
+    assert record["result"]["e"] == 1
+
+
+@PLATEAU
+def test_serre_verified_past_a_plateau(plateau_y4, capsys):
+    code, record = _json_run(capsys, ["verify", "serre", plateau_y4, "--seq", "y"])
+    assert (code, record["verdict"]) == (0, "VERIFIED")
+    assert record["result"] == {"left": 1, "right": 1}
+
+
+@PLATEAU
+def test_search_finds_a_parameter_past_a_plateau(plateau_y4, capsys):
+    code, record = _json_run(capsys, ["search", plateau_y4, "--prime", "2",
+                                      "--budget", "5"])
+    assert code == 0
+    assert record["result"]["status"] == "FOUND"
+    assert record["result"]["ideal"] == ["y"]
+    assert record["result"]["e"] == 1
+
+
+@PLATEAU
+def test_maximal_ideal_multiplicity_past_a_plateau(tmp_path, capsys):
+    p = tmp_path / "plateau-y3.ring"
+    p.write_text(PLATEAU_Y3, encoding="utf-8")
+    code, record = _json_run(capsys, ["mult", str(p), "--params", "x, y"])
+    assert code == 0
+    assert record["result"]["e"] == 1

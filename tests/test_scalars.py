@@ -76,10 +76,15 @@ def test_division_exact():
 
 
 def test_division_by_zero_rejected():
-    # Q and F_p leave the zero test to the caller, as the parser makes it;
-    # a zero F_p(t) denominator is caught where the fraction is normalized
-    with pytest.raises(DivisionByZero):
-        F2T.raw.div(F2T.raw.one, F2T.raw.zero)
+    # every field's div refuses a zero divisor, and the inverse of a zero
+    # lead with it; a zero F_p(t) denominator is caught where the fraction
+    # is normalized
+    for field in (Q, F2, F5, F2T):
+        ops = field.raw
+        with pytest.raises(DivisionByZero):
+            ops.div(ops.one, ops.zero)
+        with pytest.raises(DivisionByZero):
+            ops.divisor(ops.zero)
     with pytest.raises(DivisionByZero):
         _t_fraction(F5T, (1,), (0,))
 
