@@ -91,6 +91,10 @@ class ExponentTooLarge(EngineError):
     code = "EXPONENT_TOO_LARGE"
 
 
+class CoefficientTooLarge(EngineError):
+    code = "COEFFICIENT_TOO_LARGE"
+
+
 # Invalid-argument errors stay ValueErrors for library callers.
 
 class OutOfRange(EngineError, ValueError):

@@ -12,7 +12,7 @@ its only vector is the empty raw vector.
 The engine parts are the ideal engine's, an ideal being the rank-1 case. A
 module basis is a `groebner.GroebnerBasis` of rank `rank`, built by the
 same input path as an ideal's, and it answers every quotient query:
-division, standard terms, dimension and local length.
+division, and dimension and lengths from one Hilbert series of its leads.
 `groebner._buchberger` also computes syzygies. For `syzygies` the loop skips
 no pairs: with every S-pair processed, each element carries its expression
 on the inputs, so a reduction to zero is literally a syzygy and together
@@ -38,7 +38,7 @@ from __future__ import annotations
 from .errors import ImageNotInKernel, MapNotWellDefined, RingMismatch, SaturationCapExceeded
 from .groebner import (GroebnerBasis, _basis, _buchberger, _linear_combination,
                        _raw_components, _raw_vector)
-from .polyring import INFINITE, Polynomial, RingSpec
+from .polyring import Polynomial, RingSpec
 
 SATURATION_CAP = 64
 
@@ -191,8 +191,7 @@ class FPModule:
         return not self.gb.reduce(v.raw)[0]
 
     def length(self):
-        terms = self.gb.standard_terms()
-        return terms if terms is INFINITE else len(terms)
+        return self.gb.length()
 
     def local_length(self):
         """Length at the origin, or INFINITE; SupportNotAtOrigin when the

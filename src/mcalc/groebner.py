@@ -1,4 +1,4 @@
-"""Groebner engine: reduced Groebner bases, normal forms, standard monomials.
+"""Groebner engine: reduced Groebner bases, normal forms, Hilbert series.
 
 All computations happen in k[x_1..x_n] with the ring's quotient generators
 folded into the input, so callers work over A = R/J transparently.
@@ -7,8 +7,9 @@ An ideal is a rank-1 module, so this module holds one of each engine part
 for ideals and submodules of R^rank alike: the Buchberger loop
 `_buchberger`, its certificate `_self_check`, the division kernel `_reduce`,
 the basis reduction `_reduce_basis`, the one input path `_basis` and the one
-basis object `GroebnerBasis`, which answers every quotient query (division,
-standard terms, dimension, local length). `fpmodules` builds its bases
+basis object `GroebnerBasis`, which answers every quotient query: division,
+and dimension and lengths from one Hilbert series of its leads; only
+`standard_monomials` enumerates standard terms. `fpmodules` builds its bases
 through `_basis`, its syzygies through `_buchberger` and its map images
 through `_linear_combination`, and reads no reducer form.
 Outside this module every vector is a raw vector (see `_raw_vector`); a
@@ -71,6 +72,7 @@ from __future__ import annotations
 import functools
 import heapq
 import itertools
+import math
 from dataclasses import InitVar, dataclass
 from operator import and_, itemgetter, le, mul, or_
 from struct import Struct
@@ -87,9 +89,8 @@ class GroebnerBasis:
     reduced, monic basis, ascending by lead. Builds each one's reducer form
     once, from `packed`, the same vectors packed (see `_pack`) when the
     caller has them, else by packing `raws`. `generators` and `contains` are
-    the polynomial view of a rank-1 basis; `generators` builds the
-    polynomials on request.
-    """
+    the polynomial view of a rank-1 basis, built on request. Dimension and
+    lengths read the leads only through `hilbert_series`."""
 
     ring: RingSpec
     raws: tuple
@@ -128,25 +129,34 @@ class GroebnerBasis:
             quot = [{_unpack(layout, s + zero)[1]: c for s, c in q.items()} for q in quot]
         return rem, quot
 
-    def standard_terms(self):
-        """(position, exponent tuple) pairs spanning R^rank modulo the submodule
-        over k, or INFINITE; see `_standard_terms`."""
-        return _standard_terms(self._leads, self.rank, self.ring.nvars, self.ring.order)
+    def hilbert_series(self) -> dict:
+        """Numerator N(t) of the Hilbert series N(t)/(1-t)^n of R^rank modulo
+        the lead submodule, standard grading, summed over positions, as
+        {degree: nonzero coefficient}; {} for the zero quotient."""
+        out = {}
+        for p in range(self.rank):
+            _add_shifted(out, _hilbert_numerator([e for q, e in self._leads if q == p]), 0)
+        return out
+
+    def _order_at_one(self):
+        """(j, N^(j)(1)) for the least j with N^(j)(1) nonzero, N being
+        `hilbert_series`, so the pole order at t = 1 is n - j; (n + 1, 0)
+        for the zero quotient."""
+        series, n = self.hilbert_series(), self.ring.nvars
+        values = (sum(c * math.perm(d, j) for d, c in series.items()) for j in range(n + 1))
+        return next(((j, v) for j, v in enumerate(values) if v), (n + 1, 0))
 
     def dimension(self) -> int:
-        """Dimension of R^rank modulo the submodule, read off the leads: the
-        size of the largest variable subset that, at some position, contains
-        the support of no lead there; -1 for the zero quotient."""
-        n = self.ring.nvars
-        best = -1
-        for p in range(self.rank):
-            supports = [{i for i, x in enumerate(e) if x} for q, e in self._leads if q == p]
-            for size in range(n, best, -1):
-                if any(not any(sup <= set(combo) for sup in supports)
-                       for combo in itertools.combinations(range(n), size)):
-                    best = size
-                    break
-        return best
+        """Dimension of R^rank modulo the submodule, -1 for the zero quotient:
+        the pole order at t = 1 of the Hilbert series. Its leading
+        coefficients are positive, so positions cannot cancel."""
+        return self.ring.nvars - self._order_at_one()[0]
+
+    def length(self):
+        """Dimension over k of R^rank modulo the submodule: the Hilbert series
+        at t = 1, (-1)^n N^(n)(1) / n!, or INFINITE where it has a pole."""
+        j, value = self._order_at_one()
+        return INFINITE if j < self.ring.nvars else (-1) ** j * value // math.factorial(j)
 
     def is_unit_ideal(self) -> bool:
         """True when the quotient is zero: every position has a unit lead."""
@@ -160,16 +170,51 @@ class GroebnerBasis:
         x_i^length * e_p reduces to zero for every position p (the length
         bounds the nilpotency index).
         """
-        terms = self.standard_terms()
-        if terms is INFINITE:
+        length = self.length()
+        if length is INFINITE:
             return INFINITE
         n, one = self.ring.nvars, self.ring.field.raw.one
         for i in range(n):
-            power = tuple(len(terms) if j == i else 0 for j in range(n))
+            power = tuple(length if j == i else 0 for j in range(n))
             for p in range(self.rank):
                 if self.reduce({(p, power): one})[0]:
                     raise SupportNotAtOrigin("the module is supported away from the origin")
-        return len(terms)
+        return length
+
+
+def _add_shifted(out, series, shift):
+    """out += t^shift * series in place, on {degree: nonzero coefficient}."""
+    for d, c in series.items():
+        c += out.pop(d + shift, 0)
+        if c:
+            out[d + shift] = c
+
+
+def _hilbert_numerator(gens):
+    """Numerator N(t), as {degree: nonzero coefficient}, of the Hilbert
+    series N(t)/(1-t)^n of k[x_1..x_n]/L, L the monomial ideal of the
+    exponent tuples gens: Bayer-Stillman's N(L) = N(L + (p)) + t^deg(p)
+    N(L : p) on Bigatti's pivot p = x_i^e, x_i in the most minimal
+    generators and e the lower median of its exponents there. Both branches
+    grow L among ideals of divisors of lcm(gens) and about halve the
+    generators holding x_i. With no variable shared, N = prod (1 - t^deg g).
+    """
+    minimal = []
+    for g in sorted(set(gens)):  # a divisor sorts before its multiples
+        if not any(all(map(le, h, g)) for h in minimal):
+            minimal.append(g)
+    counts = [sum(map(bool, column)) for column in zip(*minimal)]
+    if max(counts, default=0) < 2:
+        out = {0: 1}
+        for g in minimal:
+            _add_shifted(out, {d: -c for d, c in out.items()}, sum(g))
+        return out
+    i = counts.index(max(counts))
+    e = sorted(g[i] for g in minimal if g[i])[(counts[i] - 1) // 2]
+    out = _hilbert_numerator(minimal + [tuple(e if j == i else 0 for j in range(len(counts)))])
+    _add_shifted(out, _hilbert_numerator([g[:i] + (max(g[i] - e, 0),) + g[i + 1:]
+                                          for g in minimal]), e)
+    return out
 
 
 # -- the division kernel -------------------------------------------------------
@@ -680,37 +725,27 @@ def normal_form(f: Polynomial, gb: GroebnerBasis, with_witness: bool = False):
     return r
 
 
-def _standard_terms(leads, rank, nvars, order):
-    """Standard terms of R^rank modulo a submodule, given the (position,
-    exponent tuple) leads of a Groebner basis of it: (position, exponent
-    tuple) pairs spanning the quotient over k, earlier positions first and
-    ascending by order within one; or INFINITE.
+def standard_monomials(gb: GroebnerBasis):
+    """Exponent tuples of the standard terms of R^rank modulo the submodule,
+    positions dropped (at rank 1 a monomial basis of R/(ideal) over k), or
+    INFINITE: ascending in the position-over-term order, last position first.
 
     A position whose leads include a unit contributes nothing. Otherwise the
     count is finite exactly when every variable has a pure power among the
     position's leads; then all exponents below those bounds are enumerated.
     """
     out = []
-    for p in range(rank):
-        exps = [e for q, e in leads if q == p]
+    for p in reversed(range(gb.rank)):
+        exps = [e for q, e in gb._leads if q == p]
         if any(not any(e) for e in exps):
             continue
         bounds = [min((e[i] for e in exps if e[i] and sum(e) == e[i]), default=None)
-                  for i in range(nvars)]
+                  for i in range(gb.ring.nvars)]
         if None in bounds:
             return INFINITE
-        for t in itertools.product(*(range(b) for b in bounds)):
-            if not any(all(map(le, e, t)) for e in exps):
-                out.append((p, t))
-    out.sort(key=lambda pe: (-pe[0], order.key(pe[1])))
+        out += sorted((t for t in itertools.product(*(range(b) for b in bounds))
+                       if not any(all(map(le, e, t)) for e in exps)), key=gb.ring.order.key)
     return out
-
-
-def standard_monomials(gb: GroebnerBasis):
-    """Exponent tuples of a monomial basis of R/(ideal) as a k-vector space,
-    or INFINITE."""
-    terms = gb.standard_terms()
-    return terms if terms is INFINITE else [e for _, e in terms]
 
 
 def krull_dimension(gb: GroebnerBasis) -> int:

@@ -378,16 +378,16 @@ def _random_candidate(ring: RingSpec, rng: random.Random, d: int):
     return tuple(seq)
 
 
-def _validate_candidate(ring: RingSpec, seq, d: int):
-    """System-of-parameters test: stepwise dimension drop, then finite
-    colength with support at the origin. Returns e or None."""
+def _validate_candidate(A: FPModule, seq, d: int):
+    """System-of-parameters test in A, the ring as a free module: stepwise
+    dimension drop, then finite colength at the origin. Returns e or None."""
     for f in seq:
-        if f.is_zero() or not ring.field.raw.is_zero(f.constant_coefficient()):
+        if f.is_zero() or not A.ring.field.raw.is_zero(f.constant_coefficient()):
             return None
     # seq has d elements, so the last step builds the basis of all of seq
-    gb = None if d else buchberger(ring, [])
+    gb = A.gb
     for i in range(1, d + 1):
-        gb = buchberger(ring, list(seq[:i]))
+        gb = buchberger(A.ring, list(seq[:i]))
         if gb.is_unit_ideal():
             return None
         if krull_dimension(gb) != d - i:
@@ -397,8 +397,7 @@ def _validate_candidate(ring: RingSpec, seq, d: int):
             return None
     except SupportNotAtOrigin:
         return None
-    M = FPModule.free(ring, 1)
-    return multiplicity(M, list(seq), d)
+    return multiplicity(A, list(seq), d)
 
 
 def search_parameters(ring: RingSpec, p: int, budget: int, seed: int = 0) -> SearchResult:
@@ -409,8 +408,8 @@ def search_parameters(ring: RingSpec, p: int, budget: int, seed: int = 0) -> Sea
     generated candidate counts against the budget; the table keeps the ones
     that were genuine parameter systems together with their multiplicities.
     """
-    base = buchberger(ring, [])
-    d = krull_dimension(base)
+    A = FPModule.free(ring, 1)
+    d = krull_dimension(A.gb)
     rng = random.Random(seed)
     table = []
     tried = 0
@@ -418,7 +417,7 @@ def search_parameters(ring: RingSpec, p: int, budget: int, seed: int = 0) -> Sea
     def consider(seq):
         nonlocal tried
         tried += 1
-        e = _validate_candidate(ring, seq, d)
+        e = _validate_candidate(A, seq, d)
         if e is None:
             return None
         table.append((tuple(seq), e))

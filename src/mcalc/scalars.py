@@ -19,7 +19,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import BadCharacteristic, DivisionByZero, FieldMismatch
+from .errors import BadCharacteristic, CoefficientTooLarge, DivisionByZero, FieldMismatch
 
 
 class FieldKind(Enum):
@@ -283,9 +283,13 @@ class FieldSpec:
 
     def to_str(self, c) -> str:
         """Canonical text of the raw value c: "-1/2" over Q, a residue in
-        [0, p) over F_p, "t^3+1" or "(3)/(t)" over F_p(t)."""
+        [0, p) over F_p, "t^3+1" or "(3)/(t)" over F_p(t); CoefficientTooLarge
+        for a rational with more digits than Python prints."""
         if self.kind is not FieldKind.RATIONAL_FUNCTIONS:
-            return str(c)
+            try:
+                return str(c)
+            except ValueError:
+                raise CoefficientTooLarge("a coefficient has too many digits to print") from None
         num, den = c
         if den == (1,):
             return _pt_str(num)

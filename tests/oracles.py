@@ -5,9 +5,15 @@ coefficient field: products (monomial) * (generator) up to a degree cap are
 row-reduced with their own grevlex key, so no Buchberger code, no normal-form
 code, and no Polynomial multiplication from the package is involved.  Only
 the field's arithmetic on raw coefficients, `FieldSpec.raw`, is reused.
+
+The lead-set references at the end count and search directly on the
+(position, exponent tuple) leads of a Groebner basis, with no Hilbert
+series: they check `GroebnerBasis.dimension`, `length` and
+`hilbert_series`.
 """
 
 import itertools
+import operator
 
 
 def _grevlex_key(exps):
@@ -137,3 +143,48 @@ def first_divisor_division(f, reducers, key):
         else:
             rem[lead] = work.pop(lead)
     return rem, quotients
+
+
+def _lead_multiple(leads, p, t):
+    return any(q == p and all(map(operator.le, e, t)) for q, e in leads)
+
+
+def subset_dimension(leads, rank, nvars):
+    """Dimension of R^rank modulo a submodule with these leads: the size of
+    the largest variable subset that, at some position, contains the
+    support of no lead there; -1 for the zero quotient."""
+    best = -1
+    for p in range(rank):
+        supports = [{i for i, x in enumerate(e) if x} for q, e in leads if q == p]
+        for size in range(nvars, best, -1):
+            if any(not any(sup <= set(combo) for sup in supports)
+                   for combo in itertools.combinations(range(nvars), size)):
+                best = size
+                break
+    return best
+
+
+def box_standard_count(leads, rank, nvars):
+    """Number of standard terms of R^rank modulo a submodule with these
+    leads, or None when it is infinite: at each position without a unit
+    lead, the terms in the box below the pure-power leads that no lead
+    divides."""
+    count = 0
+    for p in range(rank):
+        exps = [e for q, e in leads if q == p]
+        if any(not any(e) for e in exps):
+            continue
+        bounds = [min((e[i] for e in exps if e[i] == sum(e)), default=None)
+                  for i in range(nvars)]
+        if None in bounds:
+            return None
+        count += sum(1 for t in itertools.product(*(range(b) for b in bounds))
+                     if not _lead_multiple(leads, p, t))
+    return count
+
+
+def graded_standard_count(leads, rank, nvars, degree):
+    """Number of standard terms of the given total degree, over all
+    positions, of R^rank modulo a submodule with these leads."""
+    terms = [t for t in itertools.product(range(degree + 1), repeat=nvars) if sum(t) == degree]
+    return sum(1 for p in range(rank) for t in terms if not _lead_multiple(leads, p, t))

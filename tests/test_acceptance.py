@@ -20,7 +20,7 @@ from mcalc.polyring import INFINITE, Polynomial, RingSpec
 from mcalc.scalars import FieldSpec
 from mcalc.scenarios import registry, run_scenario
 
-from oracles import membership_oracle, standard_monomial_count
+from oracles import membership_oracle, standard_monomial_count, subset_dimension
 
 
 def _report(label, ok, detail):
@@ -192,10 +192,13 @@ def _check_ideal(ring, gens):
     count = standard_monomial_count(ring, gens)
     if std is INFINITE:
         assert count is None
+        assert gb.length() is INFINITE
     else:
         assert count == len(std), (
             f"count mismatch for ({', '.join(ring.poly_to_str(g) for g in gens)}):"
             f" engine {len(std)}, oracle {count}")
+        assert gb.length() == len(std)
+    assert gb.dimension() == subset_dimension(gb._leads, 1, ring.nvars)
 
 
 def test_engine_oracle_sweep():
@@ -209,7 +212,8 @@ def test_engine_oracle_sweep():
     ok = totals == [63 + 1953, 364 + 250] and elapsed < 120.0
     _report("engine oracle sweep", ok,
             f"{totals[0]} ideals over F2 and {totals[1]} over Q agree with "
-            f"the row-reduction oracle in {elapsed:.2f}s")
+            f"the row-reduction oracle and the subset-search dimension in "
+            f"{elapsed:.2f}s")
 
 
 def test_cli_determinism(tmp_path, capsys):

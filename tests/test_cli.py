@@ -343,6 +343,32 @@ def test_exponents_past_the_cap_exit_two(tmp_path, capsys, session, message):
         assert message in _coded_exit(capsys, [command, str(p)], "EXPONENT_TOO_LARGE")
 
 
+@pytest.mark.parametrize("command", [["dim"], ["length"], ["koszul", "--seq", "x"], ["gb"],
+                                     ["mult", "--params", "x,y"]],
+                         ids=["dim", "length", "koszul", "gb", "mult"])
+def test_coefficient_too_long_to_print_exits_two(tmp_path, capsys, command):
+    """2^15000 has 4516 digits, past the 4300 that Python prints: every
+    print path stops with a coded error, not a traceback."""
+    p = tmp_path / "wide.ring"
+    p.write_text("field = Q\nvars = x, y\nquotient = [(2*x)^15000]\n", encoding="utf-8")
+    _coded_exit(capsys, command[:1] + [str(p)] + command[1:], "COEFFICIENT_TOO_LARGE")
+
+
+@pytest.mark.parametrize("session, command, out", [
+    # 2^14000 has 4215 digits, within the limit
+    ("field = Q\nvars = x, y\nquotient = [(2*x)^14000]\n", "dim", "krull dimension: 1"),
+    ("field = Q\nvars = x, y\nquotient = [x^1000000000]\n", "dim", "krull dimension: 1"),
+    ("field = F7\nvars = x\nquotient = [x^3000000]\n", "length", "length: 3000000"),
+], ids=["wide-coefficient", "dim-huge-power", "length-huge-power"])
+def test_large_inputs_answer(tmp_path, capsys, session, command, out):
+    """Dimension and length come from the Hilbert series of the leads, so a
+    huge pure power costs no enumeration."""
+    p = tmp_path / "large.ring"
+    p.write_text(session, encoding="utf-8")
+    assert main([command, str(p)]) == 0
+    assert capsys.readouterr().out.strip() == out
+
+
 @pytest.mark.parametrize("header", ["field = F5(t)\nvars = t, y\n",
                                     "field = Q\nvars = x, x\n",
                                     "field = Q\nvars = x, if\n"])

@@ -1,6 +1,7 @@
 """Buchberger, normal forms, standard monomials, dimension."""
 
 import itertools
+import math
 from fractions import Fraction
 from operator import le
 
@@ -20,6 +21,7 @@ from mcalc.scalars import FieldSpec
 
 Q = FieldSpec.rationals()
 F2 = FieldSpec.prime_field(2)
+F7 = FieldSpec.prime_field(7)
 
 
 def _plane(field=Q, order=MonomialOrder.grevlex()):
@@ -123,6 +125,77 @@ def test_krull_dimension_chain():
     assert krull_dimension(buchberger(R, [x, y * y])) == 0
     A = _conic_ring()
     assert krull_dimension(buchberger(A, [])) == 1
+
+
+def _monomial_basis(ring, leads, rank):
+    """The monomial vectors x^e * e_p for the (p, e) leads: a set of
+    monomial vectors is its own Groebner basis."""
+    return GroebnerBasis(ring, [{(p, e): ring.field.raw.one} for p, e in leads], rank)
+
+
+@st.composite
+def _lead_sets(draw):
+    """(nvars, rank, leads): random monomial leads at ranks 1-3, with pure
+    powers drawn on their own so finite quotients are common, unit leads
+    included."""
+    n, rank = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    position = st.integers(0, rank - 1)
+    leads = draw(st.lists(st.tuples(position, st.tuples(*[st.integers(0, 4)] * n)),
+                          max_size=6))
+    for p, i, b in draw(st.lists(st.tuples(position, st.integers(0, n - 1), st.integers(1, 4)),
+                                 max_size=3 * n)):
+        leads.append((p, tuple(b if j == i else 0 for j in range(n))))
+    return n, rank, leads
+
+
+@settings(max_examples=300, deadline=None)
+@given(_lead_sets())
+def test_hilbert_series_counts_the_standard_terms(case):
+    """The series N(t)/(1-t)^n, expanded to degree 12, counts the standard
+    terms degree by degree; its pole order at t = 1 is the subset-search
+    dimension and its value there the box count."""
+    n, rank, leads = case
+    gb = _monomial_basis(RingSpec(F7, tuple("xyzw"[:n])), leads, rank)
+    count = oracles.box_standard_count(leads, rank, n)
+    assert gb.length() == (INFINITE if count is None else count)
+    assert gb.dimension() == oracles.subset_dimension(leads, rank, n)
+    series = gb.hilbert_series()
+    assert all(series.values())
+    for d in range(13):
+        expanded = sum(c * math.comb(d - k + n - 1, n - 1) for k, c in series.items() if k <= d)
+        assert expanded == oracles.graded_standard_count(leads, rank, n, d)
+
+
+def test_plateau_ring_hilbert_series_frozen():
+    """Q[x,y]/(x^2, x*y^4): the Hilbert function 1, 2, 2, 2, 2, 1, 1, ...
+    has a plateau before it settles at 1."""
+    R = _plane()
+    x, y = R.variable("x"), R.variable("y")
+    gb = buchberger(R, [x * x, x * y ** 4])
+    series = gb.hilbert_series()
+    assert series == {0: 1, 2: -1, 5: -1, 6: 1}
+    assert [sum(c * (d - k + 1) for k, c in series.items() if k <= d) for d in range(9)] == [
+        1, 2, 2, 2, 2, 1, 1, 1, 1]
+    assert gb.dimension() == 1
+
+
+def test_hilbert_series_at_the_exponent_cap():
+    """Pure powers just below the cap: the numerator (1 - t^N)^2 stays
+    sparse, so dimension and length come at once."""
+    R = _plane(F7)
+    x, y = R.variable("x"), R.variable("y")
+    gb = buchberger(R, [x ** (2 ** 31 - 1), y ** (2 ** 31 - 1)])
+    top = 2 ** 31 - 1
+    assert gb.hilbert_series() == {0: 1, top: -2, 2 * top: 1}
+    assert (gb.dimension(), gb.length()) == (0, top ** 2)
+
+
+def test_hilbert_series_of_a_long_staircase():
+    """(x, y)^500 has 501 minimal generators; the pivots halve them, so the
+    recursion stays shallow."""
+    R = _plane(F7)
+    gb = _monomial_basis(R, [(0, (i, 500 - i)) for i in range(501)], 1)
+    assert (gb.dimension(), gb.length()) == (0, 500 * 501 // 2)
 
 
 def test_origin_support():
@@ -264,9 +337,6 @@ def test_division_matches_first_divisor_oracle(problem):
     rem, quotients = oracles.first_divisor_division(f, reducers, _ORACLE_KEYS[order])
     assert oracles._poly_as_row(r) == rem
     assert [oracles._poly_as_row(w) for w in witness] == quotients
-
-
-F7 = FieldSpec.prime_field(7)
 
 
 @st.composite

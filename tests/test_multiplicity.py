@@ -240,28 +240,25 @@ def test_parameters_over_function_field_are_accepted():
     assert (found.status, found.ideal, found.e) == ("FOUND", (x,), 2)
 
 
-def test_parameter_colength_enumerates_standard_terms_once(monkeypatch):
-    """The length and its origin-support check share one enumeration."""
-    real, calls = groebner._standard_terms, []
-
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(groebner, "_standard_terms", counted)
+def test_parameter_colength_enumerates_no_standard_terms(monkeypatch):
+    """The length and its origin-support check read the Hilbert series of
+    the leads: the standard-term enumerator is never called."""
+    calls = []
+    monkeypatch.setattr(groebner, "standard_monomials", lambda *args: calls.append(args))
     F7 = FieldSpec.prime_field(7)
     x, y = (RingSpec(F7, ("x", "y")).variable(v) for v in "xy")
     A = RingSpec(F7, ("x", "y"), quotient=(x ** 3 - y * y,))
     assert parameter_colength(A, A.variable("y")) == 3
-    assert len(calls) == 1
+    assert calls == []
 
 
 @pytest.mark.filterwarnings("ignore:non-homogeneous defining polynomials")
 def test_search_candidate_builds_each_basis_once(monkeypatch):
-    """One candidate (x) on the cusp over F7: the base ring, (x) once for
-    both the dimension drop and the colength, the free module, M/xM once
-    for the colength check and the first table entry, and x^n M for
-    n = 2, 3, 4 (the table stops at four entries)."""
+    """One candidate (x) on the cusp over F7: the free module, once for the
+    ring's dimension and the multiplicity, (x) once for both the dimension
+    drop and the colength, M/xM once for the colength check and the first
+    table entry, and x^n M for n = 2, 3, 4 (the table stops at four
+    entries)."""
     calls = []
 
     def counting(module):
@@ -279,7 +276,7 @@ def test_search_candidate_builds_each_basis_once(monkeypatch):
     A = RingSpec(F7, ("x", "y"), quotient=(y * y - x ** 3,))
     out = search_parameters(A, 3, 1)
     assert (out.status, out.tried, out.e) == ("FOUND", 1, 2)
-    assert len(calls) == 7
+    assert len(calls) == 6
 
 
 def test_ord_additivity_conic():

@@ -57,10 +57,11 @@ def test_no_unused_imports_in_the_package():
 
 
 # The reducer forms a Groebner basis divides by, the packed term keys they
-# hold, and the routines that take them, are `groebner`'s own: other modules
-# ask the basis object, or pass raw vectors, instead.
+# hold, the routines that take them, and the Hilbert numerator of its leads,
+# are `groebner`'s own: other modules ask the basis object, or pass raw
+# vectors, instead.
 BASIS_INTERNALS = {"_forms", "_leads", "_layout", "_pack", "_unpack", "_reduce",
-                   "_reducer_form", "_submul", "_standard_terms"}
+                   "_reducer_form", "_submul", "_hilbert_numerator"}
 
 
 def basis_format_reads(text, filename="<source>"):
@@ -78,8 +79,9 @@ def basis_format_reads(text, filename="<source>"):
 def test_basis_format_reads_are_found():
     text = ("from .groebner import _raw_vector, _reduce\n"
             "from . import groebner\n"
-            "print(gb.raws, gb._forms, groebner._standard_terms)\n")
-    assert basis_format_reads(text) == [(1, "_reduce"), (3, "_forms"), (3, "_standard_terms")]
+            "print(gb.raws, gb._forms, groebner._hilbert_numerator)\n")
+    assert basis_format_reads(text) == [(1, "_reduce"), (3, "_forms"),
+                                        (3, "_hilbert_numerator")]
 
 
 def test_basis_format_stays_in_groebner():
