@@ -106,7 +106,8 @@ def cmd_mult(args):
     params = session.sequence(args.params)
     r = args.r
     if r is None:
-        r = krull_dimension(buchberger(ring, []))
+        # without --module, M is the ring as a free module: its basis is J's
+        r = krull_dimension(M.gb if args.module is None else buchberger(ring, []))
     e, table = multiplicity_data(M, params, r)
     record = _record("mult", text,
                      {"params": args.params, "r": args.r,

@@ -26,11 +26,17 @@ by the product criterion, and every basis is then certified by
 `module_gb` basis is computed on primitive integer vectors and syzygies on
 Fractions, as the `groebner` module describes.
 
-Kernels, subquotient presentations and saturations all come
-from `preimage_submodule`, the preimage of a submodule under a map of free
-modules ("modulo" in Greuel-Pfister, *A Singular Introduction to Commutative
-Algebra*, 2.8): the first coordinates of one syzygy computation, sliced
-and deduplicated on raw keys.
+Preimages of a submodule under a map of free modules ("modulo" in
+Greuel-Pfister, *A Singular Introduction to Commutative Algebra*, 2.8) take
+one of two routes. Where the output is a submodule, a presentation's
+relations, it comes off one certified untracked basis: `subquotient` reads
+them off an elimination basis on R^b + R^a (`GroebnerBasis._block`), and a
+Koszul term copies M's basis blockwise (`GroebnerBasis._copies`), with no
+Buchberger run at all. Where the output is the generator list itself, it
+takes tracked syzygies: `preimage_submodule` returns the first coordinates
+of one syzygy computation, sliced and deduplicated on raw keys, for the
+embedding `kernel_of_map` returns, the kernel generators of Koszul
+homology, and the generators of (0 : f^k) in `gamma_saturation`.
 """
 
 from __future__ import annotations
@@ -161,11 +167,20 @@ class FPModule:
     def __init__(self, ring: RingSpec, rank: int, relations=()):
         if rank < 0:
             raise ValueError("rank must be nonnegative")
-        self.ring = ring
-        self.rank = rank
-        self.gb = module_gb(ring, list(relations), rank)
-        self.relations = tuple(ModuleVector._from_raw(ring.field, ring.nvars, rank, v)
-                               for v in self.gb.raws)
+        self._hold(module_gb(ring, list(relations), rank))
+
+    @classmethod
+    def _of_basis(cls, gb: GroebnerBasis) -> "FPModule":
+        """R^gb.rank modulo the submodule of which gb is the reduced basis."""
+        M = cls.__new__(cls)
+        M._hold(gb)
+        return M
+
+    def _hold(self, gb):
+        ring = self.ring = gb.ring
+        self.rank, self.gb = gb.rank, gb
+        self.relations = tuple(ModuleVector._from_raw(ring.field, ring.nvars, gb.rank, v)
+                               for v in gb.raws)
 
     @classmethod
     def free(cls, ring: RingSpec, rank: int) -> "FPModule":
@@ -254,19 +269,27 @@ class ModuleMap:
 
 
 def subquotient(ker_gens, img_gens, ambient: FPModule) -> FPModule:
-    """span(ker_gens)/(span(img_gens) + relations), presented on ker_gens."""
-    ring = ambient.ring
-    ker_gens = list(ker_gens)
-    img_gens = list(img_gens)
-    if any(v.rank != ambient.rank for v in ker_gens):
-        raise RingMismatch("vector of wrong rank")
-    if img_gens:
-        check = FPModule(ring, ambient.rank, ker_gens + list(ambient.relations))
-        for v in img_gens:
-            if not check.contains(v):
-                raise ImageNotInKernel("image generator outside the kernel span")
-    rels = preimage_submodule(ring, img_gens + list(ambient.relations), ker_gens)
-    return FPModule(ring, len(ker_gens), rels)
+    """span(ker_gens)/(span(img_gens) + relations), presented on ker_gens.
+
+    The relations are the preimage of span(img_gens) + relations under
+    e_i -> ker_gens[i] ("modulo" in Greuel-Pfister, *A Singular Introduction
+    to Commutative Algebra*, 2.8). With b = ambient.rank and a =
+    len(ker_gens), they come off one untracked basis on R^b + R^a, of the
+    (ker_gens[i], e_(b+i)) and the (l, 0) for l in img_gens and the
+    relations: its elements led at position b or later, shifted down by b,
+    are the preimage's reduced basis (see `GroebnerBasis._block`).
+    """
+    ring, b = ambient.ring, ambient.rank
+    ker_gens, img_gens = list(ker_gens), list(img_gens)
+    kers, img = _raws(ker_gens, b), _raws(img_gens, b)
+    if img:
+        check = FPModule(ring, b, ker_gens + list(ambient.relations))
+        if not all(map(check.contains, img_gens)):
+            raise ImageNotInKernel("image generator outside the kernel span")
+    one, origin = ring.field.raw.one, (0,) * ring.nvars
+    inputs = [{**k, (b + i, origin): one} for i, k in enumerate(kers)]
+    gb = _basis(ring, inputs + img + [v.raw for v in ambient.relations], b + len(kers))
+    return FPModule._of_basis(gb._block(b))
 
 
 def kernel_of_map(phi: ModuleMap):

@@ -11,7 +11,13 @@ basis object `GroebnerBasis`, which answers every quotient query: division,
 and dimension and lengths from one Hilbert series of its leads; only
 `standard_monomials` enumerates standard terms. `fpmodules` builds its bases
 through `_basis`, its syzygies through `_buchberger` and its map images
-through `_linear_combination`, and reads no reducer form.
+through `_linear_combination`, and reads no reducer form. A query for a
+submodule takes one certified untracked basis, and a presentation takes its
+relations straight off such a basis, with no second Buchberger run:
+`GroebnerBasis._block` keeps the elements of an elimination basis led past a
+position, and `_copies` copies a basis into blocks. Only a query whose
+output is a generator list, syzygies or preimage generators, runs the
+tracked loop.
 Outside this module every vector is a raw vector (see `_raw_vector`); a
 polynomial's terms are already raw terms, so `buchberger`'s inputs,
 `GroebnerBasis.generators` and `normal_form`'s results only rekey dicts by
@@ -180,6 +186,40 @@ class GroebnerBasis:
                 if self.reduce({(p, power): one})[0]:
                     raise SupportNotAtOrigin("the module is supported away from the origin")
         return length
+
+    def _block(self, start):
+        """The elements led at position start or later, shifted down by start,
+        as a basis of rank rank - start. Under position-over-term they have no
+        term before position start, and of a reduced basis they are the
+        reduced basis of the submodule's intersection with 0 + R^(rank -
+        start), ascending by lead (the elimination property;
+        Adams-Loustaunau, Ch. 3)."""
+        return self._moved([(j, -start) for j, (p, _) in enumerate(self._leads) if p >= start],
+                           self.rank - start)
+
+    def _copies(self, n):
+        """The basis of the direct sum of n copies of R^rank modulo the
+        submodule: every element copied into each block of rank positions,
+        last block first. No S-pair crosses blocks and no lead divides a term
+        of another block, so this is the reduced basis, ascending by lead,
+        that `_basis` computes from the copied elements."""
+        g = self.rank
+        return self._moved([(j, s * g) for s in reversed(range(n)) for j in range(len(self.raws))],
+                           n * g)
+
+    def _moved(self, moves, rank):
+        """Basis of R^rank holding element j moved s positions up for each
+        (j, s) in moves, in that order; the packed vectors come from the
+        reducer forms, so nothing is packed again."""
+        shift = self._layout.pos_shift
+        raws, packed = [], []
+        for j, s in moves:
+            f, d = self._forms[j], s << shift
+            raws.append({(p + s, e): c for (p, e), c in self.raws[j].items()})
+            v = {f[2] + d: f[3]}
+            v.update((t + d, c) for t, c in f[5][0])
+            packed.append(v)
+        return GroebnerBasis(self.ring, raws, rank, packed)
 
 
 def _add_shifted(out, series, shift):

@@ -11,6 +11,7 @@ Homology in one degree touches only the two neighbouring differentials.
 from __future__ import annotations
 
 import itertools
+import math
 
 from .errors import DimensionDropViolated, OutOfRange, RingMismatch
 from .fpmodules import (FPModule, ModuleMap, ModuleVector, gamma_saturation,
@@ -30,15 +31,9 @@ def _subsets(n: int, i: int):
 
 
 def _koszul_term(x, M: FPModule, i: int) -> FPModule:
-    """C_i = M^(n choose i), relations copied blockwise."""
-    slots = _subsets(len(x), i)
-    g = M.rank
-    rank = len(slots) * g
-    ring = M.ring
-    rels = [ModuleVector._from_raw(ring.field, ring.nvars, rank,
-                                   {(s * g + p, e): c for (p, e), c in r.raw.items()})
-            for s in range(len(slots)) for r in M.relations]
-    return FPModule(ring, rank, rels)
+    """C_i = M^(n choose i): M's basis copied into each block is already the
+    reduced basis of the relations copied blockwise."""
+    return FPModule._of_basis(M.gb._copies(math.comb(len(x), i)))
 
 
 def _differential_columns(x, M: FPModule, i: int):

@@ -1,19 +1,24 @@
 """Independent cross-checks for the division and enumeration engines.
 
-Everything here decides ideal questions by exact linear algebra over the
+The ideal references decide ideal questions by exact linear algebra over the
 coefficient field: products (monomial) * (generator) up to a degree cap are
 row-reduced with their own grevlex key, so no Buchberger code, no normal-form
 code, and no Polynomial multiplication from the package is involved.  Only
 the field's arithmetic on raw coefficients, `FieldSpec.raw`, is reused.
 
-The lead-set references at the end count and search directly on the
+The lead-set references after them count and search directly on the
 (position, exponent tuple) leads of a Groebner basis, with no Hilbert
 series: they check `GroebnerBasis.dimension`, `length` and
 `hilbert_series`.
+
+The last, `two_step_presentation`, does run the package's engine, but by
+another route than the code it checks.
 """
 
 import itertools
 import operator
+
+from mcalc.fpmodules import FPModule, preimage_submodule
 
 
 def _grevlex_key(exps):
@@ -188,3 +193,17 @@ def graded_standard_count(leads, rank, nvars, degree):
     positions, of R^rank modulo a submodule with these leads."""
     terms = [t for t in itertools.product(range(degree + 1), repeat=nvars) if sum(t) == degree]
     return sum(1 for p in range(rank) for t in terms if not _lead_multiple(leads, p, t))
+
+
+# The route subquotient presentations took before they came off one
+# elimination basis: a tracked syzygy computation for the preimage, then a
+# second basis for its reduced form. Unlike the references above it runs the
+# package's own engine, so it checks one route against the other.
+
+def two_step_presentation(ker, img, ambient):
+    """Relations of span(ker)/(span(img) + relations) presented on ker: the
+    preimage of span(img) + ambient.relations under e_i -> ker[i], from
+    `preimage_submodule`, as the reduced basis `FPModule` makes of it."""
+    ring = ambient.ring
+    rels = preimage_submodule(ring, list(img) + list(ambient.relations), list(ker))
+    return FPModule(ring, len(ker), rels).relations

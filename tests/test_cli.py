@@ -9,6 +9,7 @@ import sys
 import jsonschema
 import pytest
 
+from mcalc import fpmodules, groebner
 from mcalc.cli import _VERIFIERS, main
 
 SCHEMA = json.loads((pathlib.Path(__file__).resolve().parent.parent
@@ -87,6 +88,22 @@ def test_mult_defaults_r_to_dimension(conic, capsys):
     assert code == 0
     assert record["result"] == {"e": 2, "r": 1}
     assert record["certificate"]["length_table"][:3] == [2, 4, 6]
+
+
+def test_mult_builds_the_ring_basis_once(conic, capsys, monkeypatch):
+    """`mult --params x` on the conic, with neither --module nor --r: the
+    session's module M once when the session is read, the free module once
+    for both the ring's dimension r and the multiplicity, and A/x^n A for
+    n = 1..4 (the table stops at four entries)."""
+    calls = []
+    for module in (groebner, fpmodules):
+        def counted(*args, real=module._basis):
+            calls.append(args)
+            return real(*args)
+        monkeypatch.setattr(module, "_basis", counted)
+    code, record = _json_run(capsys, ["mult", conic, "--params", "x"])
+    assert code == 0 and record["result"] == {"e": 2, "r": 1}
+    assert len(calls) == 6
 
 
 def test_koszul_full_profile(conic, capsys):

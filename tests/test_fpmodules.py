@@ -3,6 +3,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import two_step_presentation
+
 from mcalc import fpmodules, groebner
 from mcalc.errors import (ImageNotInKernel, MapNotWellDefined, RingMismatch,
                           SupportNotAtOrigin)
@@ -198,6 +200,59 @@ def test_subquotient_rejects_kernel_generators_of_wrong_rank(img):
     free = FPModule.free(R, 1)
     with pytest.raises(RingMismatch):
         subquotient([_vec(X, Y)], img, free)
+
+
+def test_subquotient_rejects_image_generators_of_wrong_rank():
+    free = FPModule.free(R, 1)
+    with pytest.raises(RingMismatch):
+        subquotient(unit_vectors(R, 1), [_vec(X, Y)], free)
+
+
+_F7_RING = RingSpec(FieldSpec.prime_field(7), ("x", "y"))
+
+
+def _presentation_polys(ring):
+    return [parse_polynomial(ring, t) for t in
+            ("0", "1", "x", "y", "x*y", "x^2 + y", "2*x - y", "y^2 - x", "x - 1")]
+
+
+@st.composite
+def _subquotient_data(draw):
+    """(ker, img, ambient) over F_7 or Q, the ring plain or with quotient
+    (x^3, y^3): ambient rank 0 to 2 with up to two relations, up to three
+    kernel generators, and image generators drawn from span(ker) plus the
+    relations, none when both are empty."""
+    base = draw(st.sampled_from([_F7_RING, R]))
+    ring = draw(st.sampled_from([base, RingSpec(base.field, base.variables, quotient=tuple(
+        parse_polynomial(base, t) for t in ("x^3", "y^3")))]))
+    polys = _presentation_polys(ring)
+    rank = draw(st.integers(0, 2))
+
+    def vector():
+        return ModuleVector(draw(st.lists(st.sampled_from(polys), min_size=rank,
+                                          max_size=rank)))
+
+    ambient = FPModule(ring, rank, [vector() for _ in range(draw(st.integers(0, 2)))])
+    ker = [vector() for _ in range(draw(st.integers(0, 3)))]
+    span = ker + list(ambient.relations)
+    img = []
+    if span:
+        for _ in range(draw(st.integers(0, 2))):
+            coeffs = draw(st.lists(st.sampled_from(polys), min_size=len(span),
+                                   max_size=len(span)))
+            img.append(_plus_combination(_zero_vec(ring.field, ring.nvars, rank), coeffs, span))
+    return ker, img, ambient
+
+
+@settings(max_examples=60, deadline=None)
+@given(_subquotient_data())
+def test_subquotient_matches_the_two_step_route(data):
+    """The presentation read off one elimination basis is the reduced basis
+    of the preimage that a tracked syzygy run and a second basis give."""
+    ker, img, ambient = data
+    H = subquotient(ker, img, ambient)
+    assert H.rank == len(ker)
+    assert H.relations == two_step_presentation(ker, img, ambient)
 
 
 def test_length_values():

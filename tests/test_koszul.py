@@ -3,11 +3,14 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from mcalc import fpmodules, groebner
 from mcalc.errors import DimensionDropViolated, RingMismatch
 from mcalc.fpmodules import FPModule, ModuleMap, ModuleVector, kernel_of_map
 from mcalc.koszul import (VirtualModule, _differential_columns, _koszul_term,
                           koszul_homology, phi_apply, reduce_class)
+from mcalc.parsing import parse_polynomial
 from mcalc.polyring import INFINITE, RingSpec
 from mcalc.scalars import FieldSpec
 
@@ -163,3 +166,80 @@ def test_reduce_class_requires_dimension_drop():
     M = FPModule.cyclic(R, [X])
     with pytest.raises(DimensionDropViolated):
         reduce_class([X], M)
+
+
+# C_i is M's basis copied blockwise, with no Buchberger run; only the kernel
+# generators of H_i, i >= 1, come from the tracked loop.
+
+def _quadric_module():
+    """A = k[x,y,z]/(xz - y^2) over F_32003 and M = coker [[x, y], [y, z]]:
+    Koszul lengths (2, 2, 0, 0) on (x, y, z)."""
+    field = FieldSpec.prime_field(32003)
+    S = RingSpec(field, ("x", "y", "z"))
+    A = RingSpec(field, ("x", "y", "z"), quotient=(parse_polynomial(S, "x*z - y^2"),))
+    x, y, z = (A.variable(v) for v in "xyz")
+    return (x, y, z), FPModule(A, 2, [ModuleVector((x, y)), ModuleVector((y, z))])
+
+
+def _blockwise_relations(x, M, i):
+    """The reduced basis that a Buchberger run makes of M's relations
+    copied into each of the (n choose i) blocks of C_i."""
+    ring, g, copies = M.ring, M.rank, math.comb(len(x), i)
+    rels = [ModuleVector._from_raw(ring.field, ring.nvars, copies * g,
+                                   {(s * g + p, e): c for (p, e), c in r.raw.items()})
+            for s in range(copies) for r in M.relations]
+    return FPModule(ring, copies * g, rels).relations
+
+
+def test_koszul_term_is_the_blockwise_basis_on_the_quadric_module():
+    x, M = _quadric_module()
+    for i in range(4):
+        assert _koszul_term(x, M, i).relations == _blockwise_relations(x, M, i)
+    assert _lengths(x, M) == [2, 2, 0, 0]
+
+
+_KOSZUL_TEXTS = ("0", "1", "x", "y", "x*y", "x^2 + y", "y^2 - x", "x - 1")
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_koszul_term_is_the_blockwise_basis(data):
+    ring = data.draw(st.sampled_from([R, RingSpec(F2, ("x", "y")), _conic()]))
+    polys = [parse_polynomial(ring, t) for t in _KOSZUL_TEXTS]
+    rank = data.draw(st.integers(0, 2))
+    rows = data.draw(st.lists(st.lists(st.sampled_from(polys), min_size=rank, max_size=rank),
+                              max_size=2))
+    M = FPModule(ring, rank, [ModuleVector(row) for row in rows])
+    x = data.draw(st.lists(st.sampled_from(polys), min_size=1, max_size=3))
+    for i in range(len(x) + 1):
+        assert _koszul_term(x, M, i).relations == _blockwise_relations(x, M, i)
+
+
+def _count(monkeypatch, name, modules, keep=lambda args, kwargs: True):
+    """Calls of the engine function name, patched where each module holds it."""
+    calls = []
+    for module in modules:
+        def counted(*args, real=getattr(module, name), **kwargs):
+            if keep(args, kwargs):
+                calls.append(args)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_koszul_term_computes_no_basis(monkeypatch):
+    x, M = _quadric_module()
+    calls = _count(monkeypatch, "_basis", (groebner, fpmodules))
+    for i in range(4):
+        _koszul_term(x, M, i)
+    assert calls == []
+
+
+def test_koszul_homology_runs_the_tracked_loop_once_above_degree_zero(monkeypatch):
+    x, M = _quadric_module()
+    tracked = _count(monkeypatch, "_buchberger", (groebner, fpmodules),
+                     keep=lambda args, kwargs: kwargs.get("track", False))
+    for i in range(4):
+        tracked.clear()
+        koszul_homology(x, M, i)
+        assert len(tracked) == (1 if i else 0), i
