@@ -32,11 +32,11 @@ one of two routes. Where the output is a submodule, a presentation's
 relations, it comes off one certified untracked basis: `subquotient` reads
 them off an elimination basis on R^b + R^a (`GroebnerBasis._block`), and a
 Koszul term copies M's basis blockwise (`GroebnerBasis._copies`), with no
-Buchberger run at all. Where the output is the generator list itself, it
-takes tracked syzygies: `preimage_submodule` returns the first coordinates
-of one syzygy computation, sliced and deduplicated on raw keys, for the
-embedding `kernel_of_map` returns, the kernel generators of Koszul
-homology, and the generators of (0 : f^k) in `gamma_saturation`.
+Buchberger run at all; `gamma_saturation` iterates `subquotient`'s colon.
+Where the output is the generator list itself, it takes tracked syzygies:
+`preimage_submodule` returns the first coordinates of one syzygy
+computation, sliced and deduplicated on raw keys, for the embedding
+`kernel_of_map` returns and the kernel generators of Koszul homology.
 """
 
 from __future__ import annotations
@@ -309,33 +309,19 @@ def kernel_of_map(phi: ModuleMap):
 def gamma_saturation(M: FPModule, f: Polynomial):
     """Gamma = (0 :_M f^infinity) and the quotient M/Gamma.
 
-    Iterates (0 : f^k) until the submodule stabilizes (compared by reduced
-    module GB), with a hard cap. The returned quotient is checked to have no
-    f-torsion.
+    The quotient is R^rank/S for S = rel : f^infinity. From S = rel, each
+    step takes S : f, which `subquotient` reads off one untracked elimination
+    basis, until S : f = S, with a hard cap: that equality of reduced bases
+    certifies that f is a nonzerodivisor on the quotient. Gamma = S/rel is
+    presented on S's basis.
     """
     ring = M.ring
     ring.check_member(f)
-    rel = list(M.relations)
-    prev_gb = None
-    prev_gens = None
-    gamma_gens = None
-    fk = ring.one()
-    for _ in range(SATURATION_CAP):
-        fk = fk * f
-        cols = [ModuleVector.unit(ring.field, ring.nvars, M.rank, i, fk) for i in range(M.rank)]
-        gens = preimage_submodule(ring, rel, cols)
-        gb = module_gb(ring, gens + rel, M.rank)
-        if prev_gb is not None and gb.raws == prev_gb.raws:
-            gamma_gens = prev_gens
-            break
-        prev_gb, prev_gens = gb, gens
-    if gamma_gens is None:
-        raise SaturationCapExceeded(f"(0 : f^k) did not stabilize within {SATURATION_CAP} steps")
-    gamma = subquotient(gamma_gens, [], M)
-    quotient = FPModule(ring, M.rank, rel + gamma_gens)
-    # contract: f is a nonzerodivisor on the quotient
     fcols = [ModuleVector.unit(ring.field, ring.nvars, M.rank, i, f) for i in range(M.rank)]
-    residual = preimage_submodule(ring, list(quotient.relations), fcols)
-    for v in residual:
-        assert quotient.contains(v), "saturation left f-torsion behind"
-    return gamma, quotient
+    S = M
+    for _ in range(SATURATION_CAP):
+        T = subquotient(fcols, [], S)
+        if T.gb.raws == S.gb.raws:
+            return subquotient(S.relations, [], M), S
+        S = T
+    raise SaturationCapExceeded(f"(0 : f^k) did not stabilize within {SATURATION_CAP} steps")

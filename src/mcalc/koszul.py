@@ -14,8 +14,8 @@ import itertools
 import math
 
 from .errors import DimensionDropViolated, OutOfRange, RingMismatch
-from .fpmodules import (FPModule, ModuleMap, ModuleVector, gamma_saturation,
-                        preimage_submodule, subquotient, unit_vectors)
+from .fpmodules import (FPModule, ModuleVector, gamma_saturation, preimage_submodule,
+                        subquotient, unit_vectors)
 from .polyring import INFINITE, RingSpec
 
 
@@ -71,8 +71,9 @@ def koszul_homology(x, M: FPModule, i: int) -> FPModule:
     if i == 0:
         ker_gens = unit_vectors(M.ring, C_i.rank)
     else:
-        d_i = ModuleMap(C_i, _koszul_term(x, M, i - 1), _differential_columns(x, M, i))
-        ker_gens = preimage_submodule(M.ring, list(d_i.target.relations), list(d_i.matrix))
+        # d_i is well defined by construction: no relation of C_i is checked
+        ker_gens = preimage_submodule(M.ring, _koszul_term(x, M, i - 1).relations,
+                                      _differential_columns(x, M, i))
     img_gens = [] if i == n else _differential_columns(x, M, i + 1)
     return subquotient(ker_gens, img_gens, C_i)
 

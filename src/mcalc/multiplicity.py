@@ -136,8 +136,10 @@ def multiplicity_data(M: FPModule, gens, r: int):
     differences agree; that common value is e. e(M, r) = 0 when r exceeds
     the support dimension, and the r = 0 value of the empty ideal is ℓ(M).
     Three equal differences can stop short of the limit (k[x]/(x^10) with
-    I = (x) gives 1, 1, 1 before the lengths level off), so a nonzero e is
-    replaced by 0 when r exceeds dim Supp M.
+    I = (x) gives 1, 1, 1 before the lengths level off, and k[x,y]/(x^3, y^3)
+    with I = (x, y) and r = 2 gives -1, -1, -1), so a nonzero e is replaced
+    by 0 when r exceeds dim Supp M, which the dimension theorem certifies; a
+    negative value that remains raises NoStabilization.
     """
     gens = list(gens)
     if r < 0:
@@ -148,9 +150,11 @@ def multiplicity_data(M: FPModule, gens, r: int):
         diffs = _differences(values, r)
         if len(diffs) >= 3 and diffs[-1] == diffs[-2] == diffs[-3]:
             e = diffs[-1]
-            assert e >= 0, "negative stabilized difference"
             if e and r > M.support_dimension():
                 e = 0
+            if e < 0:
+                raise NoStabilization(f"order-{r} differences settled at {e} < 0",
+                                      values=list(values), r=r)
             return e, tuple(values)
     raise NoStabilization(
         f"no three equal order-{r} differences within {STABILIZATION_CAP} steps",

@@ -11,14 +11,16 @@ The lead-set references after them count and search directly on the
 series: they check `GroebnerBasis.dimension`, `length` and
 `hilbert_series`.
 
-The last, `two_step_presentation`, does run the package's engine, but by
-another route than the code it checks.
+The last two, `two_step_presentation` and `tracked_saturation`, do run the
+package's engine, but by another route than the code they check.
 """
 
 import itertools
 import operator
 
-from mcalc.fpmodules import FPModule, preimage_submodule
+from mcalc.errors import SaturationCapExceeded
+from mcalc.fpmodules import (SATURATION_CAP, FPModule, ModuleVector, preimage_submodule,
+                             subquotient)
 
 
 def _grevlex_key(exps):
@@ -207,3 +209,26 @@ def two_step_presentation(ker, img, ambient):
     ring = ambient.ring
     rels = preimage_submodule(ring, list(img) + list(ambient.relations), list(ker))
     return FPModule(ring, len(ker), rels).relations
+
+
+# The route gamma_saturation took before it iterated S -> S : f on
+# elimination bases: tracked preimages of f^k, a second basis per step, and
+# the quotient built from the stable generators.
+
+def tracked_saturation(M, f):
+    """(Gamma, M/Gamma) for Gamma = (0 :_M f^infinity): the generators of
+    (0 : f^k) from `preimage_submodule` for k = 1, 2, .. until the reduced
+    basis of rel + gens repeats, Gamma presented on the stable generators and
+    the quotient `FPModule(rank, rel + gens)`."""
+    ring, rel = M.ring, list(M.relations)
+    prev_gb = prev_gens = None
+    fk = ring.one()
+    for _ in range(SATURATION_CAP):
+        fk = fk * f
+        cols = [ModuleVector.unit(ring.field, ring.nvars, M.rank, i, fk) for i in range(M.rank)]
+        gens = preimage_submodule(ring, rel, cols)
+        gb = FPModule(ring, M.rank, gens + rel).gb
+        if prev_gb is not None and gb.raws == prev_gb.raws:
+            return subquotient(prev_gens, [], M), FPModule(ring, M.rank, rel + prev_gens)
+        prev_gb, prev_gens = gb, gens
+    raise SaturationCapExceeded("(0 : f^k) did not stabilize")

@@ -8,6 +8,7 @@ import sys
 
 import jsonschema
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from mcalc import fpmodules, groebner
 from mcalc.cli import _VERIFIERS, main
@@ -134,6 +135,37 @@ def test_verify_serre_above_support_dimension(tmp_path, capsys):
     assert code == 0
     assert record["verdict"] == "VERIFIED"
     assert record["result"] == {"left": 0, "right": 0}
+
+
+# On A = Q[x,y]/(x^3, y^3) the lengths l(A/m^n) are 1, 3, 6, 8, 9, 9, whose
+# second differences settle at -1 before the table levels off; A has
+# dimension 0 < 2, so e(m, A, 2) = 0.
+ARTINIAN_XY3 = "field = Q\nvars = x, y\nquotient = [x^3, y^3]\n"
+
+
+@pytest.fixture
+def artinian_xy3(tmp_path):
+    p = tmp_path / "artinian-xy3.ring"
+    p.write_text(ARTINIAN_XY3, encoding="utf-8")
+    return str(p)
+
+
+def test_mult_above_the_support_dimension_after_negative_differences(artinian_xy3, capsys):
+    code, record = _json_run(capsys, ["mult", artinian_xy3, "--params", "x, y", "--r", "2"])
+    assert code == 0
+    assert record["result"] == {"e": 0, "r": 2}
+    assert record["certificate"]["length_table"] == [1, 3, 6, 8, 9, 9]
+
+
+@pytest.mark.parametrize("argv, right", [
+    (["serre", "--seq", "x, y"], 0),
+    (["serre2", "--seq", "", "--seq2", "x, y"], [0, 0]),
+])
+def test_verify_above_the_support_dimension_after_negative_differences(artinian_xy3, capsys,
+                                                                       argv, right):
+    code, record = _json_run(capsys, ["verify", argv[0], artinian_xy3] + argv[1:])
+    assert (code, record["verdict"]) == (0, "VERIFIED")
+    assert record["result"]["right"] == right
 
 
 def test_verify_factor(conic, capsys):
@@ -527,3 +559,27 @@ def test_maximal_ideal_multiplicity_past_a_plateau(tmp_path, capsys):
     code, record = _json_run(capsys, ["mult", str(p), "--params", "x, y"])
     assert code == 0
     assert record["result"]["e"] == 1
+
+
+# Serre's formula holds on every Artinian module: e = 0 because r > 0 = dim,
+# and the Koszul alternating sum of a finite-length module is 0. So on the
+# quotients drawn here `verify serre` must answer VERIFIED with exit 0.
+_SERRE_ELEMENTS = ["x", "y", "x + y", "x^2", "x*y"]
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(field=st.sampled_from(["Q", "F2"]), a=st.integers(1, 5), b=st.integers(1, 5),
+       mixed=st.none() | st.tuples(st.integers(1, 4), st.integers(1, 4)),
+       seq=st.lists(st.sampled_from(_SERRE_ELEMENTS), min_size=1, max_size=2))
+@example(field="Q", a=3, b=3, mixed=None, seq=["x", "y"])
+def test_serre_holds_on_artinian_monomial_quotients(tmp_path, capsys, field, a, b, mixed, seq):
+    gens = [f"x^{a}", f"y^{b}"] + ([f"x^{mixed[0]}*y^{mixed[1]}"] if mixed else [])
+    p = tmp_path / "artinian.ring"
+    p.write_text(f"field = {field}\nvars = x, y\nquotient = [{', '.join(gens)}]\n",
+                 encoding="utf-8")
+    code = main(["verify", "serre", str(p), "--seq", ", ".join(seq)])
+    out, err = capsys.readouterr()
+    assert "Traceback" not in out + err
+    assert code == 0, err
+    assert "verdict: VERIFIED" in out

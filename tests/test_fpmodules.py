@@ -3,11 +3,11 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import two_step_presentation
+from oracles import tracked_saturation, two_step_presentation
 
 from mcalc import fpmodules, groebner
 from mcalc.errors import (ImageNotInKernel, MapNotWellDefined, RingMismatch,
-                          SupportNotAtOrigin)
+                          SaturationCapExceeded, SupportNotAtOrigin)
 from mcalc.fpmodules import (FPModule, ModuleMap, ModuleVector, gamma_saturation,
                              kernel_of_map, module_gb, preimage_submodule,
                              subquotient, syzygies, unit_vectors)
@@ -358,6 +358,34 @@ def test_gamma_saturation_killed_module():
     gamma, quotient = gamma_saturation(M, X)
     assert gamma == M
     assert quotient.is_zero()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_gamma_saturation_matches_the_tracked_route(data):
+    """The quotient from iterated colons on elimination bases is the one the
+    tracked preimages of f^k give, and both Gammas have the same length."""
+    ring = data.draw(st.sampled_from([_F7_RING, R]))
+    polys = _presentation_polys(ring)
+    rank = data.draw(st.integers(0, 2))
+    rows = data.draw(st.lists(st.lists(st.sampled_from(polys), min_size=rank, max_size=rank),
+                              max_size=2))
+    M = FPModule(ring, rank, [ModuleVector(row) for row in rows])
+    f = parse_polynomial(ring, data.draw(st.sampled_from(["x", "y", "x + y", "x^2", "2*x - y"])))
+    gamma, quotient = gamma_saturation(M, f)
+    ref_gamma, ref_quotient = tracked_saturation(M, f)
+    assert quotient == ref_quotient
+    assert gamma.length() == ref_gamma.length()
+    assert gamma.is_zero() == ref_gamma.is_zero()
+
+
+def test_gamma_saturation_cap_boundary():
+    """(x^63*y) : x^infinity = (y) needs 64 colons, the last one to see
+    the colon repeat; x^64*y needs one more than the cap allows."""
+    _, quotient = gamma_saturation(FPModule.cyclic(R, [X ** 63 * Y]), X)
+    assert quotient == FPModule.cyclic(R, [Y])
+    with pytest.raises(SaturationCapExceeded):
+        gamma_saturation(FPModule.cyclic(R, [X ** 64 * Y]), X)
 
 
 def test_quotient_by_polys():

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from mcalc import fpmodules, groebner
 from mcalc.errors import DimensionDropViolated, RingMismatch
-from mcalc.fpmodules import FPModule, ModuleMap, ModuleVector, kernel_of_map
+from mcalc.fpmodules import FPModule, ModuleMap, ModuleVector, gamma_saturation, kernel_of_map
 from mcalc.koszul import (VirtualModule, _differential_columns, _koszul_term,
                           koszul_homology, phi_apply, reduce_class)
 from mcalc.parsing import parse_polynomial
@@ -243,3 +243,18 @@ def test_koszul_homology_runs_the_tracked_loop_once_above_degree_zero(monkeypatc
         tracked.clear()
         koszul_homology(x, M, i)
         assert len(tracked) == (1 if i else 0), i
+
+
+def test_saturation_and_class_reduction_run_no_tracked_loop(monkeypatch):
+    """Each colon S : f comes off an untracked elimination basis, so neither
+    gamma_saturation nor reduce_class, which saturates at every cut, runs
+    the tracked loop. On R/(xy, y^2), x kills y: Gamma_x = (y) is not zero."""
+    tracked = _count(monkeypatch, "_buchberger", (groebner, fpmodules),
+                     keep=lambda args, kwargs: kwargs.get("track", False))
+    M = FPModule.cyclic(R, [X * Y, Y * Y])
+    gamma, quotient = gamma_saturation(M, X)
+    assert not gamma.is_zero() and quotient == FPModule.cyclic(R, [Y])
+    assert reduce_class([X], M) == FPModule.cyclic(R, [X, Y])
+    x, N = _quadric_module()
+    gamma_saturation(N, x[1])
+    assert tracked == []

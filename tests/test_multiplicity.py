@@ -1,5 +1,6 @@
 """Hilbert-Samuel multiplicities, identity checks, parameter search."""
 
+import importlib
 import json
 
 import pytest
@@ -91,6 +92,16 @@ def test_empty_ideal_gives_length():
 def test_no_stabilization_at_wrong_order():
     with pytest.raises(NoStabilization):
         multiplicity(FREE, [X, Y], 0)
+
+
+def test_negative_settled_difference_raises(monkeypatch):
+    """Three equal negative first differences where r = 1 does not exceed
+    dim Supp = 2: no multiplicity is negative, so no e is printed."""
+    # the package's `multiplicity` function hides the module of that name
+    module = importlib.import_module("mcalc.multiplicity")
+    monkeypatch.setattr(module, "_length_table", lambda M, gens: iter([5, 4, 3, 2]))
+    with pytest.raises(NoStabilization):
+        multiplicity(FREE, [X], 1)
 
 
 def test_colength_preconditions():

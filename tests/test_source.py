@@ -269,14 +269,13 @@ def test_public_members_have_a_caller():
 HEAP_USERS = {"_reduce", "_buchberger"}
 
 
-def heappop_callers(text, filename="<source>"):
-    """(line, function) of each call to heapq.heappop, or to a heappop
-    imported from heapq, with the innermost enclosing function's name
-    (None at module level)."""
+def call_sites(text, name, filename="<source>"):
+    """(line, function) of each call to name, bare, under an alias it was
+    imported as, or as an attribute (`heapq.heappop`), with the innermost
+    enclosing function's name (None at module level)."""
     tree = ast.parse(text, filename=filename)
-    bare = {a.asname or a.name for node in ast.walk(tree)
-            if isinstance(node, ast.ImportFrom) and node.module == "heapq"
-            for a in node.names if a.name == "heappop"}
+    bare = {name} | {a.asname for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                     for a in node.names if a.name == name and a.asname}
     found = []
 
     def visit(node, function):
@@ -284,8 +283,7 @@ def heappop_callers(text, filename="<source>"):
             function = node.name
         if isinstance(node, ast.Call):
             f = node.func
-            if (isinstance(f, ast.Attribute) and f.attr == "heappop"
-                    and isinstance(f.value, ast.Name) and f.value.id == "heapq") or \
+            if (isinstance(f, ast.Attribute) and f.attr == name) or \
                     (isinstance(f, ast.Name) and f.id in bare):
                 found.append((node.lineno, function))
         for child in ast.iter_child_nodes(node):
@@ -305,12 +303,40 @@ def test_heappop_callers_are_found():
             "        return pop(heap)\n"
             "    return step()\n"
             "heapq.heappop([1])\n")
-    assert heappop_callers(text) == [(4, "_reduce"), (7, "step"), (9, None)]
+    assert call_sites(text, "heappop") == [(4, "_reduce"), (7, "step"), (9, None)]
 
 
 def test_only_the_kernel_and_the_loop_pop_a_heap():
     found = [f"{path.name}:{line}: {function}"
              for path in sorted(SRC.glob("*.py"))
-             for line, function in heappop_callers(path.read_text(encoding="utf-8"), str(path))
+             for line, function in call_sites(path.read_text(encoding="utf-8"), "heappop",
+                                              str(path))
              if path.name != "groebner.py" or function not in HEAP_USERS]
     assert not found, "heap pops outside the division kernel and the loop:\n" + "\n".join(found)
+
+
+# Tracked syzygies run only where the generator list is itself the output, so
+# its order is pinned: the kernel embedding and the Koszul kernel generators.
+# Every other preimage is a submodule, read off an untracked basis.
+PREIMAGE_CALLERS = {("fpmodules.py", "kernel_of_map"), ("koszul.py", "koszul_homology")}
+
+
+def test_preimage_callers_are_found():
+    text = ("from . import fpmodules\n"
+            "from .fpmodules import preimage_submodule as pre\n"
+            "def kernel_of_map(phi):\n"
+            "    return preimage_submodule(phi)\n"
+            "def gamma_saturation(M):\n"
+            "    return [pre(M) for _ in range(2)]\n"
+            "fpmodules.preimage_submodule(None)\n")
+    assert call_sites(text, "preimage_submodule") == [
+        (4, "kernel_of_map"), (6, "gamma_saturation"), (7, None)]
+
+
+def test_only_pinned_generator_lists_take_tracked_preimages():
+    found = [f"{path.name}:{line}: {function}"
+             for path in sorted(SRC.glob("*.py"))
+             for line, function in call_sites(path.read_text(encoding="utf-8"),
+                                               "preimage_submodule", str(path))
+             if (path.name, function) not in PREIMAGE_CALLERS]
+    assert not found, "tracked preimages outside the pinned generator lists:\n" + "\n".join(found)
