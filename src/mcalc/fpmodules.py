@@ -13,18 +13,20 @@ The engine parts are the ideal engine's, an ideal being the rank-1 case. A
 module basis is a `groebner.GroebnerBasis` of rank `rank`, built by the
 same input path as an ideal's, and it answers every quotient query:
 division, and dimension and lengths from one Hilbert series of its leads.
-`groebner._buchberger` also computes syzygies. For `syzygies` the loop skips
-no pairs: with every S-pair processed, each element carries its expression
-on the inputs, so a reduction to zero is literally a syzygy and together
-they generate the full syzygy module. Pending pairs wait in a heap keyed
-once per pair by (lcm degree, order key of the lcm, index pair); the index
-pair breaks ties, which makes the syzygies that come out, and so every
-presentation built from them, deterministic. For `module_gb` the loop skips
-pairs by the chain criterion, pairs of two single terms and, at rank 1 only,
-by the product criterion, and every basis is then certified by
-`groebner._self_check`, whose criteria need no pair order. Over Q a
-`module_gb` basis is computed on primitive integer vectors and syzygies on
-Fractions, as the `groebner` module describes.
+`groebner._buchberger` also computes syzygies. For `syzygies` input i rides
+with a tag, the term 1 at position rank + i, and the loop skips no pairs:
+with every S-pair processed, each vector carries its expression on the
+inputs at the tag positions, so a remainder led at a tag position is
+literally a syzygy and together they generate the full syzygy module. This
+is `subquotient`'s tagged elimination, stopped at the tags. Pending pairs
+wait in a heap keyed once per pair by (lcm degree, order key of the lcm,
+index pair); the index pair breaks ties, which makes the syzygies that come
+out, and so every presentation built from them, deterministic. For
+`module_gb` the loop skips pairs by the chain criterion, pairs of two single
+terms and, at rank 1 only, by the product criterion, and every basis is then
+certified by `groebner._self_check`, whose criteria need no pair order. Over
+Q a `module_gb` basis is computed on primitive integer vectors and syzygies
+on Fractions, as the `groebner` module describes.
 
 Preimages of a submodule under a map of free modules ("modulo" in
 Greuel-Pfister, *A Singular Introduction to Commutative Algebra*, 2.8) take

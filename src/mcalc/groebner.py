@@ -17,7 +17,10 @@ relations straight off such a basis, with no second Buchberger run:
 `GroebnerBasis._block` keeps the elements of an elimination basis led past a
 position, and `_copies` copies a basis into blocks. Only a query whose
 output is a generator list, syzygies or preimage generators, runs the
-tracked loop.
+tracked loop, which is that elimination stopped at the tags: input i rides
+with the term 1 at position rank + i, and a remainder led at a tag position
+is a syzygy (see `_buchberger`). The division witness serves only
+`GroebnerBasis.reduce`.
 Outside this module every vector is a raw vector (see `_raw_vector`); a
 polynomial's terms are already raw terms, so `buchberger`'s inputs,
 `GroebnerBasis.generators` and `normal_form`'s results only rekey dicts by
@@ -68,9 +71,9 @@ operation, dominated the Q bases. The certificate still holds: every
 integer vector is a nonzero multiple of a vector over Q spanning the same
 submodule, and a pseudo-remainder is a nonzero multiple of the remainder
 over Q, so an S-vector or input reduces to zero in one exactly when it does
-in the other. Tracked runs, whose syzygies are exact expressions, and
-`GroebnerBasis.reduce` and `normal_form`, whose remainders and witnesses are
-exact, use the field's own table.
+in the other. Tracked runs, whose tags are exact expressions on the
+inputs, and `GroebnerBasis.reduce` and `normal_form`, whose remainders and
+witnesses are exact, use the field's own table.
 """
 
 from __future__ import annotations
@@ -521,19 +524,14 @@ def _s_vector(fa, fb, lcm, ops, guard):
     lcm being the packed key of the lcm of their leads, as a packed vector:
     (ka, kb) is `ops.cofactors` of the lead divisors, so ka = 1/ca and
     kb = 1/cb over a field, and the fraction-free cb/g and ca/g over the
-    integers.
-
-    The leads cancel exactly, so only the tails enter. Also returns the two
-    steps ((ua, -ka), (ub, kb)) that built it, each a `work -= k * x^u * tail`
-    step of `_submul` with u a packed shift, so a tracked expression can
-    take the same steps.
+    integers. The leads cancel exactly, so only the tails enter, tag terms
+    (see `_buchberger`) among them.
     """
     ka, kb = ops.cofactors(fa[4], fb[4])
-    steps = ((lcm - fa[2], ops.sub(ops.zero, ka)), (lcm - fb[2], kb))
     sv = {}
-    for f, (u, k) in zip((fa, fb), steps):
-        _submul(sv, f[5], u, k, ops, guard)
-    return sv, steps
+    _submul(sv, fa[5], lcm - fa[2], ops.sub(ops.zero, ka), ops, guard)
+    _submul(sv, fb[5], lcm - fb[2], kb, ops, guard)
+    return sv
 
 
 def _buchberger(ring: RingSpec, raws, rank, track=False):
@@ -548,13 +546,19 @@ def _buchberger(ring: RingSpec, raws, rank, track=False):
     `MonomialOrder.key` does.
 
     Returns (basis, syzygies), the basis as packed vectors (see `_pack`).
-    With track=True the loop runs on the field's own arithmetic, no pair is
-    skipped and each element carries its expression on the inputs, so every
-    reduction to zero is a syzygy of the inputs and together they generate
-    the whole syzygy module; the syzygies are raw vectors of rank
-    len(raws), a zero input giving its unit vector, without repeats (first
-    occurrences kept, in order), each checked to combine the inputs to
-    zero, and the basis is the loop's, unreduced.
+    With track=True the loop runs on the field's own arithmetic and no pair
+    is skipped. Input i enters with a tag, the term 1 at position rank + i,
+    so every vector of the loop carries its expression on the inputs at the
+    positions past rank (Schreyer; Greuel-Pfister, 2.8): this is
+    `fpmodules.subquotient`'s tagged elimination, stopped at the tags. No
+    lead sits at a tag position, so tags pass through `_s_vector` and
+    `_reduce` unreduced. A remainder led at a tag position, a zero input
+    among them, is a syzygy of the inputs and does not join the basis;
+    together they generate the whole syzygy module. The syzygies are raw
+    vectors of rank len(raws), the tags shifted down by rank, without
+    repeats (first occurrences kept, in order), each checked to combine the
+    untagged inputs to zero; the basis is the loop's, unreduced, its tags
+    dropped.
 
     With track=False the loop, the basis reduction and the certificate run
     on `field.fraction_free`, over Q on primitive integer vectors, which
@@ -568,27 +572,28 @@ def _buchberger(ring: RingSpec, raws, rank, track=False):
     no pair order: its chain criterion is the strict form, not this loop's
     popped-pairs one.
 
-    The loop runs on packed vectors, each input packed once; expressions
-    are packed vectors of rank len(raws), in the same layout.
+    The loop runs on packed vectors, each input packed once.
     """
     layout = _layout(ring.order, ring.nvars)
-    guard, target = layout.guard, layout.target
+    guard, target, shift = layout.guard, layout.target, layout.pos_shift
     ops = ring.field.raw if track else ring.field.fraction_free
-    elems, forms, leads, reps, syz, inputs = [], [], [], [], [], []
+    forms, leads, syz, inputs = [], [], [], []
     at = {}          # position -> indices of the elements whose lead is there
     pending = set()  # (a, b) formed and not yet popped, for the chain criterion
     queue = []       # heap of (lcm degree, order key, a, b, packed lcm)
-    shift = layout.pos_shift
+    tags = rank << shift
 
-    def add_element(vec, rep):
+    def add(vec):
+        if not vec:
+            return
+        if min(vec) >= tags:
+            syz.append({k - tags: c for k, c in vec.items()})
+            return
         new = len(forms)
         form = _reducer_form(vec, layout, ops)
         p, e = _unpack(layout, form[2])
-        elems.append(vec)
         forms.append(form)
         leads.append((p, e))
-        if track:
-            reps.append(_tail(layout, rep))
         there = at.setdefault(p, [])
         for k in there:
             lcm = tuple(map(max, leads[k][1], e))
@@ -598,13 +603,9 @@ def _buchberger(ring: RingSpec, raws, rank, track=False):
         there.append(new)
 
     for i, raw in enumerate(raws):
-        unit = {layout.zero + (i << shift): ops.one}
         vec = {_pack(layout, p, e): c for (p, e), c in ops.primitive(raw).items()}
         inputs.append(vec)
-        if vec:
-            add_element(vec, unit)
-        elif track:
-            syz.append(unit)
+        add({**vec, layout.zero + tags + (i << shift): ops.one} if track else vec)
 
     while queue:
         degree, _, a, b, lcm = heapq.heappop(queue)
@@ -620,20 +621,7 @@ def _buchberger(ring: RingSpec, raws, rank, track=False):
                    and (min(b, k), max(b, k)) not in pending
                    for k in at[leads[a][0]]):
                 continue
-        sv, steps = _s_vector(fa, fb, lcm, ops, guard)
-        r, quot = _reduce(sv, forms, layout, ops, with_witness=track)
-        rep = None
-        if track:
-            rep = {}
-            for j, (u, k) in zip((a, b), steps):
-                _submul(rep, reps[j], u, k, ops, guard)
-            for j, q in enumerate(quot):
-                for qs, qc in q.items():
-                    _submul(rep, reps[j], qs, qc, ops, guard)
-            if not r and rep:
-                syz.append(rep)
-        if r:
-            add_element(r, rep)
+        add(_reduce(_s_vector(fa, fb, lcm, ops, guard), forms, layout, ops)[0])
     if track:
         kept = {}
         for v in syz:
@@ -641,7 +629,8 @@ def _buchberger(ring: RingSpec, raws, rank, track=False):
         tails = [_tail(layout, v) for v in inputs]
         assert not any(_combination(v, tails, layout, ops) for v in kept.values()), \
             "syzygy identity failed"
-        return elems, [{_unpack(layout, k): c for k, c in v.items()} for v in kept.values()]
+        basis = [{k: c for k, c in ((f[2], f[3]), *f[5][0]) if k < tags} for f in forms]
+        return basis, [{_unpack(layout, k): c for k, c in v.items()} for v in kept.values()]
     basis = _reduce_basis(forms, layout, ops)
     _self_check(basis, inputs, layout, ops)
     return basis, syz
@@ -715,8 +704,7 @@ def _self_check(basis, inputs, layout, ops):
                and tuple(map(max, e, ea)) != lcm and tuple(map(max, e, eb)) != lcm
                for f, (p, e) in zip(forms, leads)):
             continue
-        sv, _ = _s_vector(fa, fb, key, ops, guard)
-        if _reduce(sv, forms, layout, ops)[0]:
+        if _reduce(_s_vector(fa, fb, key, ops, guard), forms, layout, ops)[0]:
             raise AssertionError("S-vector self-check failed: not a Groebner basis")
     for v in inputs:
         if _reduce(dict(primitive(v)), forms, layout, ops)[0]:

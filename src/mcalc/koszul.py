@@ -14,8 +14,7 @@ import itertools
 import math
 
 from .errors import DimensionDropViolated, OutOfRange, RingMismatch
-from .fpmodules import (FPModule, ModuleVector, gamma_saturation, preimage_submodule,
-                        subquotient, unit_vectors)
+from .fpmodules import FPModule, ModuleVector, gamma_saturation, preimage_submodule, subquotient
 from .polyring import INFINITE, RingSpec
 
 
@@ -60,22 +59,22 @@ def _differential_columns(x, M: FPModule, i: int):
 
 
 def koszul_homology(x, M: FPModule, i: int) -> FPModule:
-    """H_i(x, M) = ker d_i / im d_{i+1}, presented on its kernel generators."""
+    """H_i(x, M) = ker d_i / im d_{i+1}, presented on its kernel generators;
+    H_0 = M/(x)M, presented on M's generators."""
     x = _check_sequence(x, M.ring)
     n = len(x)
     if not x:
         raise RingMismatch("koszul_homology needs a nonempty sequence")
     if not 0 <= i <= n:
         raise OutOfRange(f"homology degree {i} out of range 0..{n}")
-    C_i = _koszul_term(x, M, i)
     if i == 0:
-        ker_gens = unit_vectors(M.ring, C_i.rank)
-    else:
-        # d_i is well defined by construction: no relation of C_i is checked
-        ker_gens = preimage_submodule(M.ring, _koszul_term(x, M, i - 1).relations,
-                                      _differential_columns(x, M, i))
+        # im d_1 is spanned by the x_j * e_a
+        return M.quotient_by_polys(x)
+    # d_i is well defined by construction: no relation of C_i is checked
+    ker_gens = preimage_submodule(M.ring, _koszul_term(x, M, i - 1).relations,
+                                  _differential_columns(x, M, i))
     img_gens = [] if i == n else _differential_columns(x, M, i + 1)
-    return subquotient(ker_gens, img_gens, C_i)
+    return subquotient(ker_gens, img_gens, _koszul_term(x, M, i))
 
 
 class VirtualModule:

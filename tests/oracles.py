@@ -11,13 +11,16 @@ The lead-set references after them count and search directly on the
 series: they check `GroebnerBasis.dimension`, `length` and
 `hilbert_series`.
 
-The last two, `two_step_presentation` and `tracked_saturation`, do run the
-package's engine, but by another route than the code they check.
+The last three, `two_step_presentation`, `tracked_saturation` and
+`witness_syzygies`, do run the package's engine, but by another route than
+the code they check.
 """
 
+import heapq
 import itertools
 import operator
 
+from mcalc import groebner
 from mcalc.errors import SaturationCapExceeded
 from mcalc.fpmodules import (SATURATION_CAP, FPModule, ModuleVector, preimage_submodule,
                              subquotient)
@@ -232,3 +235,64 @@ def tracked_saturation(M, f):
             return subquotient(prev_gens, [], M), FPModule(ring, M.rank, rel + prev_gens)
         prev_gb, prev_gens = gb, gens
     raise SaturationCapExceeded("(0 : f^k) did not stabilize")
+
+
+# The route tracked syzygies took before the inputs carried tags: each
+# element keeps its expression on the inputs beside it, and every reduction
+# replays the S-vector's two steps and the division witness on those
+# expressions.
+
+def witness_syzygies(ring, vectors):
+    """Syzygies of the ModuleVectors vectors, as `syzygies` returns them:
+    the same pair heap with no pair skipped, a zero input giving its unit
+    vector, and first occurrences kept, in order. An element's expression
+    is a packed vector of rank len(vectors); a reduction to zero with a
+    nonzero expression is a syzygy."""
+    vecs = list(vectors)
+    if not vecs:
+        return []
+    layout = groebner._layout(ring.order, ring.nvars)
+    ops, guard, shift = ring.field.raw, layout.guard, layout.pos_shift
+    forms, leads, reps, syz, at, queue = [], [], [], [], {}, []
+
+    def add_element(vec, rep):
+        new = len(forms)
+        forms.append(groebner._reducer_form(vec, layout, ops))
+        p, e = groebner._unpack(layout, forms[-1][2])
+        leads.append((p, e))
+        reps.append(groebner._tail(layout, rep))
+        for k in at.setdefault(p, []):
+            lcm = tuple(map(max, leads[k][1], e))
+            key = groebner._pack(layout, 0, lcm)
+            heapq.heappush(queue, (sum(lcm), -key, k, new, key + (p << shift)))
+        at[p].append(new)
+
+    for i, v in enumerate(vecs):
+        unit = {layout.zero + (i << shift): ops.one}
+        vec = {groebner._pack(layout, p, e): c for (p, e), c in v.raw.items()}
+        if vec:
+            add_element(vec, unit)
+        else:
+            syz.append(unit)
+    while queue:
+        _, _, a, b, lcm = heapq.heappop(queue)
+        ka, kb = ops.cofactors(forms[a][4], forms[b][4])
+        steps = ((a, lcm - forms[a][2], ops.sub(ops.zero, ka)), (b, lcm - forms[b][2], kb))
+        sv, rep = {}, {}
+        for j, u, k in steps:
+            groebner._submul(sv, forms[j][5], u, k, ops, guard)
+            groebner._submul(rep, reps[j], u, k, ops, guard)
+        r, witness = groebner._reduce(sv, forms, layout, ops, with_witness=True)
+        for j, q in enumerate(witness):
+            for u, k in q.items():
+                groebner._submul(rep, reps[j], u, k, ops, guard)
+        if r:
+            add_element(r, rep)
+        elif rep:
+            syz.append(rep)
+    kept = {}
+    for v in syz:
+        kept.setdefault(frozenset(v.items()), v)
+    return [ModuleVector._from_raw(ring.field, ring.nvars, len(vecs),
+                                   {groebner._unpack(layout, k): c for k, c in v.items()})
+            for v in kept.values()]

@@ -1,9 +1,9 @@
 """Presented modules: module GBs, syzygies, kernels, saturation, length."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from oracles import tracked_saturation, two_step_presentation
+from oracles import tracked_saturation, two_step_presentation, witness_syzygies
 
 from mcalc import fpmodules, groebner
 from mcalc.errors import (ImageNotInKernel, MapNotWellDefined, RingMismatch,
@@ -113,16 +113,20 @@ def test_syzygies_satisfy_relation_externally():
 
 
 def test_syzygy_identity_check_runs_on_packed_inputs(monkeypatch):
-    """The loop recomputes each syzygy's combination from the inputs, so an
-    expression gone wrong in the loop cannot pass."""
+    """The loop recomputes each syzygy's combination from the untagged
+    inputs, so a tag gone wrong in the loop cannot pass: here the division
+    kernel drops the last term of every remainder that ends at a tag
+    position, past position 0 for these rank-1 inputs."""
     real = groebner._reduce
 
-    def no_witness(work, forms, layout, ops, with_witness=False):
+    def drop_last_tag(work, forms, layout, ops, with_witness=False):
         rem, quot = real(work, forms, layout, ops, with_witness)
-        return rem, quot and [{} for _ in quot]
+        if rem and max(rem) >> layout.pos_shift >= 1:
+            del rem[max(rem)]
+        return rem, quot
 
-    monkeypatch.setattr(groebner, "_reduce", no_witness)
-    # S(x, x + y) = y reduces to zero by the third input only through its witness
+    monkeypatch.setattr(groebner, "_reduce", drop_last_tag)
+    # S(x, x + y) = -y reduces by the third input to the tags e_1 - e_2 + e_3
     with pytest.raises(AssertionError, match="syzygy identity failed"):
         syzygies(R, [_ideal_vec(X), _ideal_vec(X + Y), _ideal_vec(Y)])
 
@@ -253,6 +257,29 @@ def test_subquotient_matches_the_two_step_route(data):
     H = subquotient(ker, img, ambient)
     assert H.rank == len(ker)
     assert H.relations == two_step_presentation(ker, img, ambient)
+
+
+@st.composite
+def _syzygy_families(draw):
+    """(ring, vectors) over F_7 or Q: rank 0 to 2, one to four vectors drawn
+    from three, so zero vectors and repeated vectors come up often."""
+    ring = draw(st.sampled_from([_F7_RING, R]))
+    polys = _presentation_polys(ring)
+    rank = draw(st.integers(0, 2))
+    pool = [ModuleVector._from_raw(ring.field, ring.nvars, rank, ModuleVector(
+        draw(st.lists(st.sampled_from(polys), min_size=rank, max_size=rank))).raw)
+        for _ in range(3)]
+    return ring, draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_syzygy_families())
+@example((R, [_vec(X, _zero()), _vec(_zero(), _zero()), _vec(X, _zero()), _vec(Y, X)]))
+def test_syzygies_match_the_witness_route(family):
+    """Tags give the syzygies, in order, that replaying the S-vector steps
+    and the division witness on expressions kept beside the loop gives."""
+    ring, vectors = family
+    assert syzygies(ring, vectors) == witness_syzygies(ring, vectors)
 
 
 def test_length_values():

@@ -469,7 +469,7 @@ def _divides_every_pair(basis, layout, ops):
         (pa, ea), (pb, eb) = _unpack(layout, fa[2]), _unpack(layout, fb[2])
         if pa == pb:
             lcm = _pack(layout, pa, tuple(map(max, ea, eb)))
-            sv, _ = _s_vector(fa, fb, lcm, ops, layout.guard)
+            sv = _s_vector(fa, fb, lcm, ops, layout.guard)
             if _reduce(sv, forms, layout, ops)[0]:
                 return False
     return True

@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from mcalc import fpmodules, groebner
 from mcalc.errors import DimensionDropViolated, RingMismatch
-from mcalc.fpmodules import FPModule, ModuleMap, ModuleVector, gamma_saturation, kernel_of_map
+from mcalc.fpmodules import (FPModule, ModuleMap, ModuleVector, gamma_saturation, kernel_of_map,
+                             subquotient, unit_vectors)
 from mcalc.koszul import (VirtualModule, _differential_columns, _koszul_term,
                           koszul_homology, phi_apply, reduce_class)
 from mcalc.parsing import parse_polynomial
@@ -201,18 +202,38 @@ def test_koszul_term_is_the_blockwise_basis_on_the_quadric_module():
 _KOSZUL_TEXTS = ("0", "1", "x", "y", "x*y", "x^2 + y", "y^2 - x", "x - 1")
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.data())
-def test_koszul_term_is_the_blockwise_basis(data):
-    ring = data.draw(st.sampled_from([R, RingSpec(F2, ("x", "y")), _conic()]))
+@st.composite
+def _koszul_data(draw):
+    """(x, M): M of rank 0 to 2 with up to two relations over Q[x,y],
+    F_2[x,y] or the conic, and a sequence x of one to three entries."""
+    ring = draw(st.sampled_from([R, RingSpec(F2, ("x", "y")), _conic()]))
     polys = [parse_polynomial(ring, t) for t in _KOSZUL_TEXTS]
-    rank = data.draw(st.integers(0, 2))
-    rows = data.draw(st.lists(st.lists(st.sampled_from(polys), min_size=rank, max_size=rank),
-                              max_size=2))
+    rank = draw(st.integers(0, 2))
+    rows = draw(st.lists(st.lists(st.sampled_from(polys), min_size=rank, max_size=rank),
+                         max_size=2))
     M = FPModule(ring, rank, [ModuleVector(row) for row in rows])
-    x = data.draw(st.lists(st.sampled_from(polys), min_size=1, max_size=3))
+    return draw(st.lists(st.sampled_from(polys), min_size=1, max_size=3)), M
+
+
+@settings(max_examples=30, deadline=None)
+@given(_koszul_data())
+def test_koszul_term_is_the_blockwise_basis(data):
+    x, M = data
     for i in range(len(x) + 1):
         assert _koszul_term(x, M, i).relations == _blockwise_relations(x, M, i)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_koszul_data())
+def test_degree_zero_homology_is_the_subquotient_of_d1(data):
+    """H_0 = M/(x)M is the presentation that C_0's unit vectors modulo the
+    image of d_1 give: the image is spanned by the x_j * e_a."""
+    x, M = data
+    old = subquotient(unit_vectors(M.ring, M.rank), _differential_columns(x, M, 1),
+                      _koszul_term(x, M, 0))
+    H = koszul_homology(x, M, 0)
+    assert H.relations == old.relations
+    assert H.describe() == old.describe()
 
 
 def _count(monkeypatch, name, modules, keep=lambda args, kwargs: True):

@@ -269,10 +269,11 @@ def test_public_members_have_a_caller():
 HEAP_USERS = {"_reduce", "_buchberger"}
 
 
-def call_sites(text, name, filename="<source>"):
+def call_sites(text, name, filename="<source>", keep=lambda call: True):
     """(line, function) of each call to name, bare, under an alias it was
     imported as, or as an attribute (`heapq.heappop`), with the innermost
-    enclosing function's name (None at module level)."""
+    enclosing function's name (None at module level); only the calls whose
+    ast.Call node keep accepts."""
     tree = ast.parse(text, filename=filename)
     bare = {name} | {a.asname for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
                      for a in node.names if a.name == name and a.asname}
@@ -283,8 +284,8 @@ def call_sites(text, name, filename="<source>"):
             function = node.name
         if isinstance(node, ast.Call):
             f = node.func
-            if (isinstance(f, ast.Attribute) and f.attr == name) or \
-                    (isinstance(f, ast.Name) and f.id in bare):
+            if ((isinstance(f, ast.Attribute) and f.attr == name)
+                    or (isinstance(f, ast.Name) and f.id in bare)) and keep(node):
                 found.append((node.lineno, function))
         for child in ast.iter_child_nodes(node):
             visit(child, function)
@@ -340,3 +341,40 @@ def test_only_pinned_generator_lists_take_tracked_preimages():
                                                "preimage_submodule", str(path))
              if (path.name, function) not in PREIMAGE_CALLERS]
     assert not found, "tracked preimages outside the pinned generator lists:\n" + "\n".join(found)
+
+
+# The loop carries its expressions on the inputs as tags inside its own
+# vectors, so the division witness, a second expression format, serves only
+# the basis's own division: no other caller of the kernel asks for it.
+WITNESS_CALLERS = {("groebner.py", "reduce")}
+
+
+def passes_witness(call):
+    """True when a call to `_reduce` may pass with_witness: a fifth
+    positional argument, the keyword, or a starred argument."""
+    return (len(call.args) >= 5 or any(isinstance(a, ast.Starred) for a in call.args)
+            or any(k.arg in ("with_witness", None) for k in call.keywords))
+
+
+def test_witness_requests_are_found():
+    text = ("from . import groebner\n"
+            "from .groebner import _reduce as divide\n"
+            "class GroebnerBasis:\n"
+            "    def reduce(self, raw, with_witness=False):\n"
+            "        return _reduce(raw, forms, layout, ops, with_witness)\n"
+            "def _buchberger(sv, forms, layout, ops):\n"
+            "    r, _ = _reduce(sv, forms, layout, ops)\n"
+            "    return divide(sv, forms, layout, ops, with_witness=True)\n"
+            "def _self_check(args, options):\n"
+            "    return groebner._reduce(*args), groebner._reduce(**options)\n")
+    assert call_sites(text, "_reduce", keep=passes_witness) == [
+        (5, "reduce"), (8, "_buchberger"), (10, "_self_check"), (10, "_self_check")]
+
+
+def test_only_the_basis_division_asks_for_a_witness():
+    found = [f"{path.name}:{line}: {function}"
+             for path in sorted(SRC.glob("*.py"))
+             for line, function in call_sites(path.read_text(encoding="utf-8"), "_reduce",
+                                               str(path), keep=passes_witness)
+             if (path.name, function) not in WITNESS_CALLERS]
+    assert not found, "division witnesses outside GroebnerBasis.reduce:\n" + "\n".join(found)
