@@ -13,11 +13,10 @@ from .groebner import (GroebnerBasis, buchberger, krull_dimension,
                        normal_form, standard_monomials)
 from .koszul import VirtualModule, koszul_homology, phi_apply, reduce_class
 from .multiplicity import (Report, SearchResult, evaluate_multiplicity,
-                           homology_lengths, ideal_power, multiplicity,
-                           multiplicity_data, ord_check, parameter_colength,
-                           search_parameters, serre_alternating_sum,
-                           verify_factorization, verify_serre,
-                           verify_serre2, verify_vanish)
+                           homology_lengths, multiplicity, multiplicity_data,
+                           ord_check, parameter_colength, search_parameters,
+                           serre_alternating_sum, verify_factorization,
+                           verify_serre, verify_serre2, verify_vanish)
 from .polyring import INFINITE, MonomialOrder, OrderKind, Polynomial, RingSpec
 from .scalars import FieldKind, FieldSpec
 
@@ -32,7 +31,7 @@ __all__ = [
     "syzygies", "preimage_submodule", "subquotient", "kernel_of_map",
     "unit_vectors", "gamma_saturation",
     "koszul_homology", "VirtualModule", "phi_apply", "reduce_class",
-    "Report", "SearchResult", "ideal_power", "multiplicity", "multiplicity_data",
+    "Report", "SearchResult", "multiplicity", "multiplicity_data",
     "evaluate_multiplicity", "homology_lengths", "serre_alternating_sum",
     "verify_serre", "verify_factorization", "verify_vanish", "verify_serre2",
     "ord_check", "parameter_colength", "search_parameters", "__version__",

@@ -489,8 +489,11 @@ def _reduce_basis(forms, layout, ops):
 
     Takes the reducer forms of the elements. On a Groebner basis of a
     submodule (an ideal is the rank-1 case) the result is its unique reduced
-    Groebner basis. Only the last step divides by the leads, through
-    `ops.div`, which over the integers gives the exact quotient in Q.
+    Groebner basis. One ascending pass reduces each element by the reduced
+    elements before it: a lead divides only terms at or above it, so no
+    larger lead divides a term of the element, and no later step changes
+    it. Only the last step divides by the leads, through `ops.div`, which
+    over the integers gives the exact quotient in Q.
     """
     guard, target = layout.guard, layout.target
     lead = itemgetter(2)
@@ -502,21 +505,12 @@ def _reduce_basis(forms, layout, ops):
             continue
         v = {f[2]: f[3]}
         v.update(f[5][0])
-        vecs.append(v)
-        kept.append(f)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(vecs)):
-            # no other lead divides this lead, so it stays the lead
-            r, _ = _reduce(dict(vecs[i]), kept[:i] + kept[i + 1:], layout, ops)
-            if r != vecs[i]:
-                vecs[i] = r
-                kept[i] = _reducer_form(r, layout, ops)
-                changed = True
+        # no other lead divides this lead, so it stays the lead
+        r, _ = _reduce(v, kept, layout, ops)
+        vecs.append(r)
+        kept.append(_reducer_form(r, layout, ops))
     div = ops.div
-    return [{k: div(c, f[3]) for k, c in v.items()}
-            for f, v in sorted(zip(kept, vecs), key=lambda fv: fv[0][2], reverse=True)]
+    return [{k: div(c, f[3]) for k, c in v.items()} for f, v in zip(kept, vecs)]
 
 
 def _s_vector(fa, fb, lcm, ops, guard):
@@ -647,12 +641,11 @@ def _basis(ring: RingSpec, raws, rank) -> GroebnerBasis:
     work = list(raws)
     for q in ring.quotient:
         work.extend({(p, e): c for e, c in q.terms.items()} for p in range(rank))
-    inputs = []
+    inputs = {}
     for raw in sorted((r for r in work if r),
                       key=lambda r: min((p, dkey(e)) for p, e in r), reverse=True):
-        if raw not in inputs:
-            inputs.append(raw)
-    basis, _ = _buchberger(ring, inputs, rank)
+        inputs.setdefault(frozenset(raw.items()), raw)
+    basis, _ = _buchberger(ring, list(inputs.values()), rank)
     layout = _layout(ring.order, ring.nvars)
     return GroebnerBasis(ring, [{_unpack(layout, k): c for k, c in v.items()} for v in basis],
                          rank, basis)

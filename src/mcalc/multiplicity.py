@@ -4,7 +4,12 @@ Lengths here are k-vector-space dimensions of quotients; they agree with
 local lengths at the origin exactly when the finite-length quotient is
 supported there, which the entry points check before trusting a number.
 Multiplicities come out of stabilized finite differences of the length
-sequence, never from fitting.
+table, never from fitting. The table is one loop, `multiplicity_data`: it
+builds the generators of I^n from those of I^(n-1), and its first entry,
+ℓ(M/IM), is checked finite and supported at the origin. That first entry is
+the colength and origin check `search_parameters` relies on: a candidate
+whose first d - 1 elements drop the dimension step by step is a system of
+parameters exactly when its table gets a first entry.
 """
 
 from __future__ import annotations
@@ -67,19 +72,6 @@ class Report:
         }
 
 
-def ideal_power(gens, n: int):
-    """Generators of I^n: all n-fold products of the given generators."""
-    gens = list(gens)
-    out = []
-    for combo in itertools.combinations_with_replacement(gens, n):
-        p = combo[0]
-        for q in combo[1:]:
-            p = p * q
-        if p not in out:
-            out.append(p)
-    return out
-
-
 def _warn_if_inhomogeneous(ring: RingSpec, gens):
     bad = [p for p in list(ring.quotient) + list(gens)
            if not p.is_zero() and not p.is_homogeneous()]
@@ -87,67 +79,50 @@ def _warn_if_inhomogeneous(ring: RingSpec, gens):
         warnings.warn(
             "non-homogeneous defining polynomials: length counts are local "
             "lengths only because the origin-support check passes",
-            stacklevel=4)
-
-
-def _checked_colength(M: FPModule, gens) -> int:
-    """ℓ(M/IM), checked finite and supported at the origin."""
-    Q = M.quotient_by_polys(gens) if gens else M
-    length = Q.local_length()
-    if length is INFINITE:
-        raise NotFiniteColength("M/IM has infinite length")
-    return length
-
-
-def _power_quotient_length(M: FPModule, gens, n: int) -> int:
-    Q = M.quotient_by_polys(ideal_power(gens, n)) if gens else M
-    v = Q.length()
-    if v is INFINITE:
-        raise NotFiniteColength(f"M/I^{n}M has infinite length")
-    return v
-
-
-def _length_table(M: FPModule, gens):
-    """Iterator over ℓ(M/I^n M) for n = 1, 2, .., computed on demand.
-
-    The checks every table needs run at once: ring membership, the
-    homogeneity warning, and finite colength with origin support of M/IM,
-    whose length is the n = 1 entry.
-    """
-    for g in gens:
-        M.ring.check_member(g)
-    _warn_if_inhomogeneous(M.ring, gens)
-    first = _checked_colength(M, gens)
-    return itertools.chain((first,), (_power_quotient_length(M, gens, n)
-                                      for n in itertools.count(2)))
-
-
-def _differences(values, r: int):
-    seq = list(values)
-    for _ in range(r):
-        seq = [b - a for a, b in zip(seq, seq[1:])]
-    return seq
+            stacklevel=3)
 
 
 def multiplicity_data(M: FPModule, gens, r: int):
     """(e, length table) where e is the stabilized r-th finite difference.
 
-    The table grows one entry at a time until three consecutive r-th
-    differences agree; that common value is e. e(M, r) = 0 when r exceeds
-    the support dimension, and the r = 0 value of the empty ideal is ℓ(M).
-    Three equal differences can stop short of the limit (k[x]/(x^10) with
-    I = (x) gives 1, 1, 1 before the lengths level off, and k[x,y]/(x^3, y^3)
-    with I = (x, y) and r = 2 gives -1, -1, -1), so a nonzero e is replaced
-    by 0 when r exceeds dim Supp M, which the dimension theorem certifies; a
-    negative value that remains raises NoStabilization.
+    The table is one loop over n = 1, 2, .. that builds the generators of
+    I^n from those of I^(n-1) (products, without repeats) and reads
+    ℓ(M/I^n M) off one basis per entry. The first entry is ℓ(M/IM), checked
+    finite and supported at the origin (NotFiniteColength,
+    SupportNotAtOrigin): it is the colength and origin check a search
+    candidate relies on. Later entries need no check, since M/I^n M has the
+    support of M/IM.
+
+    The loop stops when three consecutive r-th differences agree; that
+    common value is e. e(M, r) = 0 when r exceeds the support dimension,
+    and the r = 0 value of the empty ideal is ℓ(M). Three equal differences
+    can stop short of the limit (k[x]/(x^10) with I = (x) gives 1, 1, 1
+    before the lengths level off, and k[x,y]/(x^3, y^3) with I = (x, y) and
+    r = 2 gives -1, -1, -1), so a nonzero e is replaced by 0 when r exceeds
+    dim Supp M, which the dimension theorem certifies; a negative value that
+    remains raises NoStabilization.
     """
     gens = list(gens)
     if r < 0:
         raise OutOfRange("difference order must be nonnegative")
+    for g in gens:
+        M.ring.check_member(g)
+    _warn_if_inhomogeneous(M.ring, gens)
+    power = [M.ring.one()]
     values = []
-    for v in itertools.islice(_length_table(M, gens), STABILIZATION_CAP):
-        values.append(v)
-        diffs = _differences(values, r)
+    for n in range(1, STABILIZATION_CAP + 1):
+        power = list(dict.fromkeys(p * g for p in power for g in gens))
+        Q = M.quotient_by_polys(power) if gens else M
+        if n == 1:
+            length = Q.local_length()
+            if length is INFINITE:
+                raise NotFiniteColength("M/IM has infinite length")
+        else:
+            length = Q.length()
+        values.append(length)
+        diffs = values
+        for _ in range(r):
+            diffs = [b - a for a, b in zip(diffs, diffs[1:])]
         if len(diffs) >= 3 and diffs[-1] == diffs[-2] == diffs[-3]:
             e = diffs[-1]
             if e and r > M.support_dimension():
@@ -383,25 +358,20 @@ def _random_candidate(ring: RingSpec, rng: random.Random, d: int):
 
 
 def _validate_candidate(A: FPModule, seq, d: int):
-    """System-of-parameters test in A, the ring as a free module: stepwise
-    dimension drop, then finite colength at the origin. Returns e or None."""
+    """System-of-parameters test in A, the ring as a free module: the
+    dimension drops by one with each of the first d - 1 elements, and the
+    multiplicity table's first entry checks that all d leave finite colength
+    at the origin. Returns e or None."""
     for f in seq:
         if f.is_zero() or not A.ring.field.raw.is_zero(f.constant_coefficient()):
             return None
-    # seq has d elements, so the last step builds the basis of all of seq
-    gb = A.gb
-    for i in range(1, d + 1):
-        gb = buchberger(A.ring, list(seq[:i]))
-        if gb.is_unit_ideal():
-            return None
-        if krull_dimension(gb) != d - i:
+    for i in range(1, d):
+        if krull_dimension(buchberger(A.ring, list(seq[:i]))) != d - i:
             return None
     try:
-        if gb.local_length() is INFINITE:
-            return None
-    except SupportNotAtOrigin:
+        return multiplicity(A, list(seq), d)
+    except (NotFiniteColength, SupportNotAtOrigin):
         return None
-    return multiplicity(A, list(seq), d)
 
 
 def search_parameters(ring: RingSpec, p: int, budget: int, seed: int = 0) -> SearchResult:

@@ -11,19 +11,26 @@ The lead-set references after them count and search directly on the
 series: they check `GroebnerBasis.dimension`, `length` and
 `hilbert_series`.
 
-The last three, `two_step_presentation`, `tracked_saturation` and
-`witness_syzygies`, do run the package's engine, but by another route than
-the code they check.
+The rest, `two_step_presentation`, `tracked_saturation`,
+`witness_syzygies`, `fixpoint_interreduction`, `stepwise_multiplicity` and
+`stepwise_candidate`, do run the package's engine, but by another route
+than the code they check.
 """
 
 import heapq
+import importlib
 import itertools
 import operator
 
 from mcalc import groebner
-from mcalc.errors import SaturationCapExceeded
+from mcalc.errors import (NoStabilization, NotFiniteColength, OutOfRange,
+                          SaturationCapExceeded, SupportNotAtOrigin)
 from mcalc.fpmodules import (SATURATION_CAP, FPModule, ModuleVector, preimage_submodule,
                              subquotient)
+from mcalc.polyring import INFINITE
+
+# the package's `multiplicity` function hides the module of that name
+multiplicity_module = importlib.import_module("mcalc.multiplicity")
 
 
 def _grevlex_key(exps):
@@ -296,3 +303,117 @@ def witness_syzygies(ring, vectors):
     return [ModuleVector._from_raw(ring.field, ring.nvars, len(vecs),
                                    {groebner._unpack(layout, k): c for k, c in v.items()})
             for v in kept.values()]
+
+
+# The route basis reduction took before it made one ascending pass: every
+# element is reduced by all the others, over and over, until a whole pass
+# changes none.
+
+def fixpoint_interreduction(forms, layout, ops):
+    """`groebner._reduce_basis` by repeated passes to a fixpoint: the same
+    minimalization, then tail reduction of each element by every other
+    until nothing changes, then division by the leads."""
+    guard, target = layout.guard, layout.target
+    vecs, kept = [], []
+    for f in sorted(forms, key=operator.itemgetter(2), reverse=True):
+        if any(h[0] == f[0] and (f[2] + h[1]) & guard == target for h in kept):
+            continue
+        vecs.append({f[2]: f[3], **dict(f[5][0])})
+        kept.append(f)
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(vecs)):
+            r, _ = groebner._reduce(dict(vecs[i]), kept[:i] + kept[i + 1:], layout, ops)
+            if r != vecs[i]:
+                vecs[i] = r
+                kept[i] = groebner._reducer_form(r, layout, ops)
+                changed = True
+    return [{k: ops.div(c, f[3]) for k, c in v.items()}
+            for f, v in sorted(zip(kept, vecs), key=lambda fv: fv[0][2], reverse=True)]
+
+
+# The route the length table took before it was one loop: I^n as all n-fold
+# products of the generators, a colength check of its own for M/IM, and the
+# r-th differences of the whole table recomputed at every entry; and the
+# search candidate test that built the basis of all d elements for its own
+# colength check before the table.
+
+def _ideal_power(gens, n):
+    out = []
+    for combo in itertools.combinations_with_replacement(gens, n):
+        p = combo[0]
+        for q in combo[1:]:
+            p = p * q
+        if p not in out:
+            out.append(p)
+    return out
+
+
+def _stepwise_lengths(M, gens):
+    for g in gens:
+        M.ring.check_member(g)
+    first = (M.quotient_by_polys(gens) if gens else M).local_length()
+    if first is INFINITE:
+        raise NotFiniteColength("M/IM has infinite length")
+    yield first
+    for n in itertools.count(2):
+        v = (M.quotient_by_polys(_ideal_power(gens, n)) if gens else M).length()
+        if v is INFINITE:
+            raise NotFiniteColength(f"M/I^{n}M has infinite length")
+        yield v
+
+
+def _differences(values, r):
+    seq = list(values)
+    for _ in range(r):
+        seq = [b - a for a, b in zip(seq, seq[1:])]
+    return seq
+
+
+def stepwise_multiplicity(M, gens, r):
+    """`multiplicity.multiplicity_data` with I^n from `_ideal_power`: the
+    same stopping rule, e = 0 guard and cap, the cap read from
+    `mcalc.multiplicity` at call time; no homogeneity warning."""
+    gens = list(gens)
+    if r < 0:
+        raise OutOfRange("difference order must be nonnegative")
+    cap = multiplicity_module.STABILIZATION_CAP
+    values = []
+    for v in itertools.islice(_stepwise_lengths(M, gens), cap):
+        values.append(v)
+        diffs = _differences(values, r)
+        if len(diffs) >= 3 and diffs[-1] == diffs[-2] == diffs[-3]:
+            e = diffs[-1]
+            if e and r > M.support_dimension():
+                e = 0
+            if e < 0:
+                raise NoStabilization(f"order-{r} differences settled at {e} < 0",
+                                      values=list(values), r=r)
+            return e, tuple(values)
+    raise NoStabilization(f"no three equal order-{r} differences within {cap} steps",
+                          values=list(values), r=r)
+
+
+def stepwise_candidate(A, seq, d):
+    """`multiplicity._validate_candidate` with a dimension drop checked at
+    every one of the d steps, a unit-ideal test at each, and the colength
+    of all d elements checked on their basis before `stepwise_multiplicity`
+    runs."""
+    ring = A.ring
+    for f in seq:
+        if f.is_zero() or not ring.field.raw.is_zero(f.constant_coefficient()):
+            return None
+    gb = A.gb
+    for i in range(1, d + 1):
+        gb = groebner.buchberger(ring, list(seq[:i]))
+        if gb.is_unit_ideal():
+            return None
+        if groebner.krull_dimension(gb) != d - i:
+            return None
+    try:
+        if gb.local_length() is INFINITE:
+            return None
+    except SupportNotAtOrigin:
+        return None
+    return stepwise_multiplicity(A, list(seq), d)[0]

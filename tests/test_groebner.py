@@ -495,6 +495,37 @@ def test_self_check_agrees_with_dividing_every_pair(family):
             assert full
 
 
+@st.composite
+def _interreduction_cases(draw):
+    """A field, one of its two tables (over F_7 both are the field's own),
+    a rank and random raw vectors of that rank over the plane."""
+    field = draw(st.sampled_from([F7, Q]))
+    ops = draw(st.sampled_from([field.raw, field.fraction_free]))
+    rank = draw(st.integers(1, 2))
+    term = st.tuples(st.integers(0, rank - 1), st.tuples(st.integers(0, 2), st.integers(0, 2)))
+    coeff = st.integers(1, 6) if field is F7 else _rationals()
+    raws = draw(st.lists(st.dictionaries(term, coeff, min_size=1, max_size=3),
+                         min_size=1, max_size=5))
+    return field, ops, rank, raws
+
+
+@settings(max_examples=80, deadline=None)
+@given(_interreduction_cases())
+def test_one_pass_interreduction_matches_the_fixpoint(case):
+    """One ascending pass reduces each element by the smaller leads only,
+    and gives what passes to a fixpoint over all the others give: on the
+    raw vectors themselves, no Groebner basis in general, and on the
+    tracked loop's unreduced basis of them."""
+    field, ops, rank, raws = case
+    R = _plane(field)
+    layout = _layout(R.order, R.nvars)
+    tracked, _ = _buchberger(R, raws, rank, track=True)
+    for vecs in ([_packed(layout, v) for v in raws], tracked):
+        forms = [_reducer_form(ops.primitive(v), layout, ops) for v in vecs]
+        assert _reduce_basis(forms, layout, ops) == oracles.fixpoint_interreduction(
+            forms, layout, ops)
+
+
 # -- over Q the untracked loop runs on primitive integer vectors ------------------
 
 def _rationals():

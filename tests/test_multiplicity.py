@@ -1,27 +1,31 @@
 """Hilbert-Samuel multiplicities, identity checks, parameter search."""
 
-import importlib
 import json
+import random
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import oracles
 from mcalc import fpmodules, groebner
-from mcalc.errors import (HypothesisFails, InfiniteHomology, NoStabilization,
+from mcalc.errors import (EngineError, HypothesisFails, InfiniteHomology, NoStabilization,
                           NotDimensionOne, NotFiniteColength, NotParameter,
                           SupportNotAtOrigin)
-from mcalc.fpmodules import FPModule
+from mcalc.fpmodules import FPModule, ModuleVector
 from mcalc.koszul import VirtualModule, phi_apply
-from mcalc.multiplicity import (REFUTED, VERIFIED, Report, evaluate_multiplicity,
-                                homology_lengths, ideal_power, multiplicity,
-                                multiplicity_data, ord_check, parameter_colength,
-                                search_parameters, serre_alternating_sum,
-                                verify_factorization, verify_serre, verify_serre2,
-                                verify_vanish)
+from mcalc.multiplicity import (REFUTED, VERIFIED, Report, _random_candidate,
+                                _validate_candidate, evaluate_multiplicity,
+                                homology_lengths, multiplicity, multiplicity_data,
+                                ord_check, parameter_colength, search_parameters,
+                                serre_alternating_sum, verify_factorization,
+                                verify_serre, verify_serre2, verify_vanish)
 from mcalc.polyring import INFINITE, RingSpec
 from mcalc.scalars import FieldSpec
 
 Q = FieldSpec.rationals()
 F2 = FieldSpec.prime_field(2)
+F7 = FieldSpec.prime_field(7)
 
 R = RingSpec(Q, ("x", "y"))
 X, Y = R.variable("x"), R.variable("y")
@@ -36,13 +40,6 @@ def _conic():
 
 def _cusp():
     return RingSpec(Q, ("x", "y"), quotient=(Y * Y - X ** 3,))
-
-
-def test_ideal_power():
-    sq = ideal_power([X, Y], 2)
-    assert set(sq) == {X * X, X * Y, Y * Y}
-    assert ideal_power([X], 3) == [X ** 3]
-    assert ideal_power([], 5) == []
 
 
 def test_hilbert_samuel_table_plane():
@@ -96,10 +93,12 @@ def test_no_stabilization_at_wrong_order():
 
 def test_negative_settled_difference_raises(monkeypatch):
     """Three equal negative first differences where r = 1 does not exceed
-    dim Supp = 2: no multiplicity is negative, so no e is printed."""
-    # the package's `multiplicity` function hides the module of that name
-    module = importlib.import_module("mcalc.multiplicity")
-    monkeypatch.setattr(module, "_length_table", lambda M, gens: iter([5, 4, 3, 2]))
+    dim Supp = 2: no multiplicity is negative, so no e is printed. The table
+    reads its first entry through `local_length` and the rest through
+    `length`."""
+    later = iter([4, 3, 2])
+    monkeypatch.setattr(FPModule, "local_length", lambda self: 5)
+    monkeypatch.setattr(FPModule, "length", lambda self: next(later))
     with pytest.raises(NoStabilization):
         multiplicity(FREE, [X], 1)
 
@@ -109,6 +108,59 @@ def test_colength_preconditions():
         multiplicity(FREE, [X], 1)
     with pytest.warns(UserWarning), pytest.raises(SupportNotAtOrigin):
         multiplicity(FREE, [X - R.one(), Y], 2)
+
+
+def _outcome(route, *args):
+    """What a route returns, or the class, message and data of the engine
+    error it raises."""
+    try:
+        return route(*args)
+    except EngineError as err:
+        return type(err), str(err), err.data
+
+
+def _plane_polys(ring):
+    """Zero, monomials and forms of a plane ring, one with a constant term."""
+    x, y, one = ring.variable("x"), ring.variable("y"), ring.one()
+    return [ring.zero(), x, y, x + y, x * y, x * x, y * y, x + y * y, x - one]
+
+
+# quotients of the plane: none, the axes, the cusp, and k[x,y]/(x^2, x*y^4),
+# where (y) has the table 2, 4, 6, 8 and e = 2 though e((y)) = 1 (ROADMAP
+# item 2)
+_TABLE_QUOTIENTS = (lambda x, y: (), lambda x, y: (x * y,), lambda x, y: (y * y - x ** 3,),
+                    lambda x, y: (x * x, x * y ** 4))
+
+# (field, quotient, rank, relations as (position, poly), generators as polys
+# with zero and repeats, r), polys by index into `_plane_polys`
+_TABLE_CASES = st.tuples(
+    st.sampled_from(["F7", "Q"]), st.integers(0, len(_TABLE_QUOTIENTS) - 1), st.integers(1, 2),
+    st.lists(st.tuples(st.integers(0, 1), st.integers(1, 8)), max_size=2),
+    st.lists(st.integers(0, 8), max_size=3), st.integers(0, 3))
+
+
+@pytest.mark.filterwarnings("ignore:non-homogeneous defining polynomials")
+@settings(max_examples=100, deadline=None)
+@example(("Q", 3, 1, [], [2], 1))
+@example(("F7", 0, 2, [(0, 1)], [0, 1, 1, 2], 2))
+@given(_TABLE_CASES)
+def test_one_loop_table_matches_the_stepwise_route(case):
+    """The one loop, I^n from I^(n-1), gives the (e, table), or the error
+    class, message, values and r, of the route through all n-fold products
+    with its own colength check: plateau answers included. Both routes read
+    the cap at call time; 10 entries, not 40, keep a draw that never
+    settles cheap, since I^n from three forms has O(n^2) generators."""
+    field, q, rank, rels, picks, r = case
+    plane = RingSpec({"F7": F7, "Q": Q}[field], ("x", "y"))
+    ring = RingSpec(plane.field, ("x", "y"),
+                    quotient=_TABLE_QUOTIENTS[q](plane.variable("x"), plane.variable("y")))
+    polys = _plane_polys(ring)
+    M = FPModule(ring, rank, [ModuleVector.unit(ring.field, ring.nvars, rank, p % rank, polys[i])
+                              for p, i in rels])
+    gens = [polys[i] for i in picks]
+    with mock.patch.object(oracles.multiplicity_module, "STABILIZATION_CAP", 10):
+        assert (_outcome(multiplicity_data, M, gens, r)
+                == _outcome(oracles.stepwise_multiplicity, M, gens, r))
 
 
 def test_homology_lengths():
@@ -266,10 +318,10 @@ def test_parameter_colength_enumerates_no_standard_terms(monkeypatch):
 @pytest.mark.filterwarnings("ignore:non-homogeneous defining polynomials")
 def test_search_candidate_builds_each_basis_once(monkeypatch):
     """One candidate (x) on the cusp over F7: the free module, once for the
-    ring's dimension and the multiplicity, (x) once for both the dimension
-    drop and the colength, M/xM once for the colength check and the first
-    table entry, and x^n M for n = 2, 3, 4 (the table stops at four
-    entries)."""
+    ring's dimension and the multiplicity, M/xM once for the colength check
+    and the first table entry, and x^n M for n = 2, 3, 4 (the table stops at
+    four entries). A one-element candidate has no dimension drop to check
+    before the table."""
     calls = []
 
     def counting(module):
@@ -287,7 +339,34 @@ def test_search_candidate_builds_each_basis_once(monkeypatch):
     A = RingSpec(F7, ("x", "y"), quotient=(y * y - x ** 3,))
     out = search_parameters(A, 3, 1)
     assert (out.status, out.tried, out.e) == ("FOUND", 1, 2)
-    assert len(calls) == 6
+    assert len(calls) == 5
+
+
+# the F2 cone, the Q cusp and k[x,y]/(x^2, x*y), all of dimension 1, and
+# the F7 plane, where a candidate has a dimension drop to check
+_CANDIDATE_RINGS = (_conic(), _cusp(), RingSpec(Q, ("x", "y"), quotient=(X * X, X * Y)),
+                    RingSpec(F7, ("x", "y")))
+
+
+@pytest.mark.filterwarnings("ignore:non-homogeneous defining polynomials")
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, len(_CANDIDATE_RINGS) - 1), st.booleans(), st.integers(0, 2 ** 32),
+       st.lists(st.integers(0, 8), min_size=2, max_size=2))
+def test_candidate_check_matches_the_stepwise_route(k, seeded, seed, picks):
+    """The table's first entry decides colength and origin support as the
+    stepwise check on the basis of all d elements does: the same e or None,
+    on search's own random candidates and on drawn ones (zero, repeated, or
+    with a constant term)."""
+    ring = _CANDIDATE_RINGS[k]
+    A = FPModule.free(ring, 1)
+    d = groebner.krull_dimension(A.gb)
+    if seeded:
+        seq = _random_candidate(ring, random.Random(seed), d)
+    else:
+        polys = _plane_polys(ring)
+        seq = tuple(polys[i] for i in picks[:d])
+    assert (_outcome(_validate_candidate, A, seq, d)
+            == _outcome(oracles.stepwise_candidate, A, seq, d))
 
 
 def test_ord_additivity_conic():

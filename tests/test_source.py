@@ -378,3 +378,44 @@ def test_only_the_basis_division_asks_for_a_witness():
                                                str(path), keep=passes_witness)
              if (path.name, function) not in WITNESS_CALLERS]
     assert not found, "division witnesses outside GroebnerBasis.reduce:\n" + "\n".join(found)
+
+
+# The length table is one loop: only `multiplicity_data` builds the quotients
+# M/I^n M, and the only other length-at-the-origin reads in `multiplicity`
+# are the Koszul lengths and a parameter's colength, so a candidate test
+# reads its colength off the table's first entry and a second table route
+# would show here.
+TABLE_CALLERS = {"quotient_by_polys": {"multiplicity_data"},
+                 "local_length": {"multiplicity_data", "homology_lengths",
+                                  "parameter_colength"}}
+
+
+def stray_table_calls(text, filename="<source>"):
+    """(line, name, function) of each call to a TABLE_CALLERS name from a
+    function that is not pinned for it, in line order."""
+    return sorted((line, name, function) for name, allowed in TABLE_CALLERS.items()
+                  for line, function in call_sites(text, name, filename)
+                  if function not in allowed)
+
+
+def test_stray_table_calls_are_found():
+    text = ("def multiplicity_data(M, gens):\n"
+            "    return M.quotient_by_polys(gens).local_length()\n"
+            "def _validate_candidate(A, seq):\n"
+            "    gb = buchberger(A.ring, seq)\n"
+            "    return gb.local_length(), A.quotient_by_polys(seq)\n"
+            "def parameter_colength(ring, f):\n"
+            "    return buchberger(ring, [f]).local_length()\n"
+            "FREE.local_length()\n")
+    assert stray_table_calls(text) == [
+        (5, "local_length", "_validate_candidate"),
+        (5, "quotient_by_polys", "_validate_candidate"),
+        (8, "local_length", None)]
+
+
+def test_one_table_route_in_multiplicity():
+    path = SRC / "multiplicity.py"
+    found = [f"{path.name}:{line}: {name} in {function}"
+             for line, name, function in stray_table_calls(path.read_text(encoding="utf-8"),
+                                                           str(path))]
+    assert not found, "length-table calls outside the pinned functions:\n" + "\n".join(found)
