@@ -540,13 +540,13 @@ def _buchberger(ring: RingSpec, raws, rank, track=False):
     `MonomialOrder.key` does.
 
     Returns (basis, syzygies), the basis as packed vectors (see `_pack`).
-    With track=True the loop runs on the field's own arithmetic and no pair
-    is skipped. Input i enters with a tag, the term 1 at position rank + i,
-    so every vector of the loop carries its expression on the inputs at the
-    positions past rank (Schreyer; Greuel-Pfister, 2.8): this is
-    `fpmodules.subquotient`'s tagged elimination, stopped at the tags. No
-    lead sits at a tag position, so tags pass through `_s_vector` and
-    `_reduce` unreduced. A remainder led at a tag position, a zero input
+    With track=True the loop runs on the field's own arithmetic and every
+    pair is formed and reduced. Input i enters with a tag, the term 1 at
+    position rank + i, so every vector of the loop carries its expression
+    on the inputs at the positions past rank (Schreyer; Greuel-Pfister,
+    2.8): this is `fpmodules.subquotient`'s tagged elimination, stopped at
+    the tags. No lead sits at a tag position, so tags pass through
+    `_s_vector` and `_reduce` unreduced. A remainder led at a tag position, a zero input
     among them, is a syzygy of the inputs and does not join the basis;
     together they generate the whole syzygy module. The syzygies are raw
     vectors of rank len(raws), the tags shifted down by rank, without
@@ -556,15 +556,23 @@ def _buchberger(ring: RingSpec, raws, rank, track=False):
 
     With track=False the loop, the basis reduction and the certificate run
     on `field.fraction_free`, over Q on primitive integer vectors, which
-    span the same submodule over Q as the inputs. A pair is skipped when
-    both elements are single terms (the S-vector is zero), by the product
-    criterion at rank 1 only (coprime leads; at higher rank the S-vector
-    need not reduce to zero), or by the chain criterion (a third lead at the
-    same position divides the lcm and both side pairs were already popped);
-    the basis is reduced, ascending by lead, and there are no syzygies. The
+    span the same submodule over Q as the inputs. Two criteria act when a
+    pair is formed, so the pair never enters the heap: a new single-term
+    element pairs only with the elements that have a tail (the S-vector of
+    two single terms is zero), and at rank 1 only, leads that are coprime
+    form no pair (the product criterion; at higher rank the S-vector need
+    not reduce to zero). The chain criterion acts when a pair is popped: it
+    is skipped when a third lead at the same position divides the lcm and
+    neither side pair is still queued. A pair never queued counts as
+    treated, because its S-vector already has a standard representation,
+    zero or by the product criterion: forming and dropping it at once is one
+    selection order of the improved Buchberger algorithm (Cox-Little-O'Shea,
+    *Ideals, Varieties, and Algorithms*, Ch. 2 §10; Gebauer-Moeller 1988).
+    The basis is reduced, ascending by lead, and there are no syzygies. The
     reduced basis is then certified by `_self_check`, whose pair skips need
     no pair order: its chain criterion is the strict form, not this loop's
-    popped-pairs one.
+    queued-pairs one. In a tracked run every element carries its tag in its
+    tail and the product criterion is off, so no criterion applies.
 
     The loop runs on packed vectors, each input packed once.
     """
@@ -573,9 +581,11 @@ def _buchberger(ring: RingSpec, raws, rank, track=False):
     ops = ring.field.raw if track else ring.field.fraction_free
     forms, leads, syz, inputs = [], [], [], []
     at = {}          # position -> indices of the elements whose lead is there
-    pending = set()  # (a, b) formed and not yet popped, for the chain criterion
+    tailed = {}      # position -> those of them with a tail
+    pending = set()  # (a, b) queued and not yet popped, for the chain criterion
     queue = []       # heap of (lcm degree, order key, a, b, packed lcm)
     tags = rank << shift
+    product = rank == 1 and not track  # the product criterion holds
 
     def add(vec):
         if not vec:
@@ -588,13 +598,18 @@ def _buchberger(ring: RingSpec, raws, rank, track=False):
         p, e = _unpack(layout, form[2])
         forms.append(form)
         leads.append((p, e))
-        there = at.setdefault(p, [])
-        for k in there:
+        there, with_tail = at.setdefault(p, []), tailed.setdefault(p, [])
+        for k in there if form[5][0] else with_tail:
             lcm = tuple(map(max, leads[k][1], e))
+            degree = sum(lcm)
+            if product and degree == sum(leads[k][1]) + sum(e):
+                continue
             key = _pack(layout, 0, lcm)
-            heapq.heappush(queue, (sum(lcm), -key, k, new, key + (p << shift)))
+            heapq.heappush(queue, (degree, -key, k, new, key + (p << shift)))
             pending.add((k, new))
         there.append(new)
+        if form[5][0]:
+            with_tail.append(new)
 
     for i, raw in enumerate(raws):
         vec = {_pack(layout, p, e): c for (p, e), c in ops.primitive(raw).items()}
@@ -602,20 +617,14 @@ def _buchberger(ring: RingSpec, raws, rank, track=False):
         add({**vec, layout.zero + tags + (i << shift): ops.one} if track else vec)
 
     while queue:
-        degree, _, a, b, lcm = heapq.heappop(queue)
-        fa, fb = forms[a], forms[b]
+        _, _, a, b, lcm = heapq.heappop(queue)
         pending.discard((a, b))
-        if not track:
-            if not fa[5][0] and not fb[5][0]:
-                continue
-            if rank == 1 and degree == sum(leads[a][1]) + sum(leads[b][1]):
-                continue
-            if any(k != a and k != b and (lcm + forms[k][1]) & guard == target
-                   and (min(a, k), max(a, k)) not in pending
-                   and (min(b, k), max(b, k)) not in pending
-                   for k in at[leads[a][0]]):
-                continue
-        add(_reduce(_s_vector(fa, fb, lcm, ops, guard), forms, layout, ops)[0])
+        if not track and any(k != a and k != b and (lcm + forms[k][1]) & guard == target
+                             and (min(a, k), max(a, k)) not in pending
+                             and (min(b, k), max(b, k)) not in pending
+                             for k in at[leads[a][0]]):
+            continue
+        add(_reduce(_s_vector(forms[a], forms[b], lcm, ops, guard), forms, layout, ops)[0])
     if track:
         kept = {}
         for v in syz:
@@ -666,15 +675,17 @@ def _self_check(basis, inputs, layout, ops):
     for `_buchberger`'s basis by construction, each element being a
     remainder of a combination of inputs and earlier elements, so there the
     basis is one of exactly the input submodule. A pair is divided out
-    unless a theorem gives its representation: both elements are single
-    terms (the S-vector is zero); every basis term is at position 0, so the
-    elements are polynomials, and their leads are coprime (the product
-    criterion; at higher rank the S-vector need not reduce to zero); or a
-    third lead at the same position divides lcm(a, b) and its lcms with both
-    leads are proper divisors of lcm(a, b) (the chain criterion in its
-    strict form). By induction on the lcm in the well-ordered term order,
-    the two smaller pairs of a chain have representations, so the skipped
-    one does too; no pair order is needed.
+    unless a theorem gives its representation. Two are the criteria that
+    `_buchberger` applies when it forms a pair: both elements are single
+    terms (the S-vector is zero); or every basis term is at position 0, so
+    the elements are polynomials, and their leads are coprime (the product
+    criterion; at higher rank the S-vector need not reduce to zero). The
+    third is the chain criterion in its strict form, where the loop uses
+    its queued-pairs form: a third lead at the same position divides lcm(a,
+    b) and its lcms with both leads are proper divisors of lcm(a, b). By
+    induction on the lcm in the well-ordered term order, the two smaller
+    pairs of a chain have representations, so the skipped one does too; no
+    pair order is needed.
 
     Basis and inputs are packed vectors in layout, left as they are and
     checked as `ops.primitive` vectors. Over the integers each is a nonzero

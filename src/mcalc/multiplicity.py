@@ -6,10 +6,12 @@ supported there, which the entry points check before trusting a number.
 Multiplicities come out of stabilized finite differences of the length
 table, never from fitting. The table is one loop, `multiplicity_data`: it
 builds the generators of I^n from those of I^(n-1), and its first entry,
-ℓ(M/IM), is checked finite and supported at the origin. That first entry is
-the colength and origin check `search_parameters` relies on: a candidate
-whose first d - 1 elements drop the dimension step by step is a system of
-parameters exactly when its table gets a first entry.
+ℓ(M/IM), is checked finite and supported at the origin.
+
+`search_parameters` reads no table: a candidate whose first d - 1 elements
+drop the dimension step by step is a system of parameters exactly when H_0
+of its Koszul complex has finite length at the origin, and then its e is
+Serre's Koszul alternating sum χ, read from certified local lengths.
 """
 
 from __future__ import annotations
@@ -89,8 +91,7 @@ def multiplicity_data(M: FPModule, gens, r: int):
     I^n from those of I^(n-1) (products, without repeats) and reads
     ℓ(M/I^n M) off one basis per entry. The first entry is ℓ(M/IM), checked
     finite and supported at the origin (NotFiniteColength,
-    SupportNotAtOrigin): it is the colength and origin check a search
-    candidate relies on. Later entries need no check, since M/I^n M has the
+    SupportNotAtOrigin). Later entries need no check, since M/I^n M has the
     support of M/IM.
 
     The loop stops when three consecutive r-th differences agree; that
@@ -359,9 +360,11 @@ def _random_candidate(ring: RingSpec, rng: random.Random, d: int):
 
 def _validate_candidate(A: FPModule, seq, d: int):
     """System-of-parameters test in A, the ring as a free module: the
-    dimension drops by one with each of the first d - 1 elements, and the
-    multiplicity table's first entry checks that all d leave finite colength
-    at the origin. Returns e or None."""
+    dimension drops by one with each of the first d - 1 elements, and H_0 =
+    A/(seq)A of the Koszul complex has finite length at the origin. Returns
+    e or None. There e((seq), A) is Serre's alternating sum χ(seq, A) of
+    the Koszul homology lengths (Serre, *Algèbre locale, multiplicités*,
+    Ch. IV), each one certified, with no stopping rule."""
     for f in seq:
         if f.is_zero() or not A.ring.field.raw.is_zero(f.constant_coefficient()):
             return None
@@ -369,8 +372,8 @@ def _validate_candidate(A: FPModule, seq, d: int):
         if krull_dimension(buchberger(A.ring, list(seq[:i]))) != d - i:
             return None
     try:
-        return multiplicity(A, list(seq), d)
-    except (NotFiniteColength, SupportNotAtOrigin):
+        return serre_alternating_sum(list(seq), A)
+    except (InfiniteHomology, SupportNotAtOrigin):
         return None
 
 

@@ -396,10 +396,11 @@ def stepwise_multiplicity(M, gens, r):
 
 
 def stepwise_candidate(A, seq, d):
-    """`multiplicity._validate_candidate` with a dimension drop checked at
-    every one of the d steps, a unit-ideal test at each, and the colength
-    of all d elements checked on their basis before `stepwise_multiplicity`
-    runs."""
+    """The earlier route of `multiplicity._validate_candidate`: a dimension
+    drop checked at every one of the d steps, a unit-ideal test at each, the
+    colength of all d elements checked on their basis, and e read from
+    `stepwise_multiplicity`'s table, not from Serre's alternating sum, so a
+    plateau of the Hilbert function gives the table's wrong e."""
     ring = A.ring
     for f in seq:
         if f.is_zero() or not ring.field.raw.is_zero(f.constant_coefficient()):

@@ -542,7 +542,6 @@ def test_serre_verified_past_a_plateau(plateau_y4, capsys):
     assert record["result"] == {"left": 1, "right": 1}
 
 
-@PLATEAU
 def test_search_finds_a_parameter_past_a_plateau(plateau_y4, capsys):
     code, record = _json_run(capsys, ["search", plateau_y4, "--prime", "2",
                                       "--budget", "5"])

@@ -11,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from mcalc.errors import SupportNotAtOrigin, UnitIdeal
 from mcalc.fpmodules import FPModule, ModuleVector, module_gb
-from mcalc.groebner import (GroebnerBasis, _buchberger, _layout, _pack, _raw_vector,
+from mcalc import groebner
+from mcalc.groebner import (GroebnerBasis, _basis, _buchberger, _layout, _pack, _raw_vector,
                             _reduce, _reduce_basis, _reducer_form, _s_vector,
                             _self_check, _unpack, buchberger, krull_dimension,
                             normal_form, standard_monomials)
@@ -524,6 +525,94 @@ def test_one_pass_interreduction_matches_the_fixpoint(case):
         forms = [_reducer_form(ops.primitive(v), layout, ops) for v in vecs]
         assert _reduce_basis(forms, layout, ops) == oracles.fixpoint_interreduction(
             forms, layout, ops)
+
+
+@st.composite
+def _mixed_cases(draw):
+    """A field, a rank, a quotient J (maybe empty) of the plane and raw
+    vectors of that rank mixing single terms and polynomials."""
+    field = draw(st.sampled_from([F7, Q]))
+    rank = draw(st.integers(1, 2))
+    coeff = st.integers(1, 6).map(field.from_int) if field is F7 else _rationals()
+    mono = st.tuples(st.integers(0, 3), st.integers(0, 3))
+    term = st.tuples(st.integers(0, rank - 1), mono)
+    raws = draw(st.lists(st.one_of(st.dictionaries(term, coeff, min_size=1, max_size=1),
+                                   st.dictionaries(term, coeff, min_size=2, max_size=4)),
+                         min_size=1, max_size=6))
+    at_origin = mono.filter(any)
+    quotient = draw(st.lists(st.dictionaries(at_origin, coeff, min_size=1, max_size=2),
+                             max_size=2))
+    ring = RingSpec(field, ("x", "y"), quotient=tuple(Polynomial(field, 2, q) for q in quotient))
+    return ring, rank, raws
+
+
+@settings(max_examples=80, deadline=None)
+@given(_mixed_cases())
+def test_pairs_never_queued_leave_the_basis_unchanged(case):
+    """The untracked loop never queues a pair of two single terms nor, at
+    rank 1, a coprime pair; the tracked loop forms every pair. So `_basis`
+    must equal the reduced basis of the tracked run of the same inputs, J
+    folded in as `_basis` folds it."""
+    ring, rank, raws = case
+    gb = _basis(ring, raws, rank)
+    inputs = raws + [{(p, e): c for e, c in q.terms.items()}
+                     for q in ring.quotient for p in range(rank)]
+    tracked, _ = _buchberger(ring, inputs, rank, track=True)
+    layout = _layout(ring.order, ring.nvars)
+    forms = [_reducer_form(v, layout, ring.field.raw) for v in tracked]
+    assert [_packed(layout, v) for v in gb.raws] == _reduce_basis(forms, layout, ring.field.raw)
+
+
+def _monomials_and_fermat(rank):
+    """The degree-6 monomials of F_7[x, y, z] at every position and x^3 +
+    y^3 + z^3 at position 0; at rank 2 also (x^3 + y^3 + z^3) e_1 and a
+    vector whose tail reaches position 1."""
+    ring = RingSpec(F7, ("x", "y", "z"))
+    one = F7.raw.one
+    raws = [{(p, e): one} for p in range(rank)
+            for e in itertools.product(range(7), repeat=3) if sum(e) == 6]
+    fermat = {(0, (3, 0, 0)): one, (0, (0, 3, 0)): one, (0, (0, 0, 3)): one}
+    raws.append(fermat)
+    if rank == 2:
+        raws.append({(1, e): c for (_, e), c in fermat.items()})
+        raws.append({**fermat, (1, (1, 1, 1)): one})
+    return ring, raws
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+def test_loop_queues_no_trivial_pair(rank, monkeypatch):
+    """Every pair the untracked loop pushes on its heap has an element with a
+    tail and, at rank 1, leads that are not coprime: the loop's elements
+    are the first reducer forms built in a `_buchberger` call, in index
+    order, and a queued pair carries its index pair (a, b)."""
+    forms, pairs = [], []
+    real_form, real_heapq = groebner._reducer_form, groebner.heapq
+
+    def recorded(*args):
+        forms.append(real_form(*args))
+        return forms[-1]
+
+    class Heap:
+        heappop, heapify = real_heapq.heappop, real_heapq.heapify
+
+        @staticmethod
+        def heappush(heap, item):
+            if type(item) is tuple:  # a pair, not a division key
+                pairs.append(item[2:4])
+            real_heapq.heappush(heap, item)
+
+    monkeypatch.setattr(groebner, "_reducer_form", recorded)
+    monkeypatch.setattr(groebner, "heapq", Heap)
+    ring, raws = _monomials_and_fermat(rank)
+    _buchberger(ring, raws, rank)
+    layout = _layout(ring.order, ring.nvars)
+    leads = [_unpack(layout, f[2]) for f in forms]
+    assert pairs
+    for a, b in pairs:
+        assert leads[a][0] == leads[b][0]
+        assert forms[a][5][0] or forms[b][5][0]
+        if rank == 1:
+            assert any(map(min, leads[a][1], leads[b][1]))
 
 
 # -- over Q the untracked loop runs on primitive integer vectors ------------------

@@ -315,13 +315,12 @@ def test_parameter_colength_enumerates_no_standard_terms(monkeypatch):
     assert calls == []
 
 
-@pytest.mark.filterwarnings("ignore:non-homogeneous defining polynomials")
 def test_search_candidate_builds_each_basis_once(monkeypatch):
-    """One candidate (x) on the cusp over F7: the free module, once for the
-    ring's dimension and the multiplicity, M/xM once for the colength check
-    and the first table entry, and x^n M for n = 2, 3, 4 (the table stops at
-    four entries). A one-element candidate has no dimension drop to check
-    before the table."""
+    """One candidate (x) on the cusp over F7: the free module once, for the
+    ring's dimension; H_0 = M/xM once, for its colength check and its
+    length; and one elimination basis for H_1 (`subquotient`). e is Serre's
+    alternating sum, so no table and no power x^n M is built. A one-element
+    candidate has no dimension drop to check."""
     calls = []
 
     def counting(module):
@@ -339,7 +338,7 @@ def test_search_candidate_builds_each_basis_once(monkeypatch):
     A = RingSpec(F7, ("x", "y"), quotient=(y * y - x ** 3,))
     out = search_parameters(A, 3, 1)
     assert (out.status, out.tried, out.e) == ("FOUND", 1, 2)
-    assert len(calls) == 5
+    assert len(calls) == 3
 
 
 # the F2 cone, the Q cusp and k[x,y]/(x^2, x*y), all of dimension 1, and
@@ -353,10 +352,13 @@ _CANDIDATE_RINGS = (_conic(), _cusp(), RingSpec(Q, ("x", "y"), quotient=(X * X, 
 @given(st.integers(0, len(_CANDIDATE_RINGS) - 1), st.booleans(), st.integers(0, 2 ** 32),
        st.lists(st.integers(0, 8), min_size=2, max_size=2))
 def test_candidate_check_matches_the_stepwise_route(k, seeded, seed, picks):
-    """The table's first entry decides colength and origin support as the
-    stepwise check on the basis of all d elements does: the same e or None,
-    on search's own random candidates and on drawn ones (zero, repeated, or
-    with a constant term)."""
+    """H_0's length at the origin decides colength and origin support as the
+    stepwise check on the basis of all d elements does, and Serre's χ is
+    the table's e: the same e or None, on search's own random candidates
+    and on drawn ones (zero, repeated, or with a constant term). None of
+    these rings gives a candidate whose table stops on a plateau, so the
+    two routes agree exactly; `test_candidate_e_past_a_plateau` pins where
+    they part."""
     ring = _CANDIDATE_RINGS[k]
     A = FPModule.free(ring, 1)
     d = groebner.krull_dimension(A.gb)
@@ -367,6 +369,18 @@ def test_candidate_check_matches_the_stepwise_route(k, seeded, seed, picks):
         seq = tuple(polys[i] for i in picks[:d])
     assert (_outcome(_validate_candidate, A, seq, d)
             == _outcome(oracles.stepwise_candidate, A, seq, d))
+
+
+def test_candidate_e_past_a_plateau():
+    """On Q[x,y]/(x^2, x*y^4) the lengths of A/y^n A are 2, 4, 6, 8, 9, 10,
+    .., so e((y), A) = 1 = χ, but the table stops on the first plateau and
+    reads 2; so do its stepwise route and the linear forms below."""
+    ring = RingSpec(Q, ("x", "y"), quotient=(X * X, X * Y ** 4))
+    A = FPModule.free(ring, 1)
+    for f in (Y, X + Y, X + Y * 2):
+        seq = (f,)
+        assert _validate_candidate(A, seq, 1) == 1
+        assert oracles.stepwise_candidate(A, seq, 1) == 2
 
 
 def test_ord_additivity_conic():

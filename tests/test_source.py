@@ -383,7 +383,7 @@ def test_only_the_basis_division_asks_for_a_witness():
 # The length table is one loop: only `multiplicity_data` builds the quotients
 # M/I^n M, and the only other length-at-the-origin reads in `multiplicity`
 # are the Koszul lengths and a parameter's colength, so a candidate test
-# reads its colength off the table's first entry and a second table route
+# reads its colength off H_0 in `homology_lengths` and a second table route
 # would show here.
 TABLE_CALLERS = {"quotient_by_polys": {"multiplicity_data"},
                  "local_length": {"multiplicity_data", "homology_lengths",
