@@ -60,20 +60,22 @@ call.
 Each basis element's reducer form is built once, when the element joins a
 basis, never once per division.
 
-The kernel takes its arithmetic from a `RawArithmetic` table. Over Q an
-untracked basis (the loop, `_reduce_basis` and `_self_check`) runs on
-primitive integer vectors, from `FieldSpec.fraction_free`: inputs enter with
-denominators cleared and content divided out, `_reduce` pseudo-divides,
-S-vectors are fraction-free, and only the last step of `_reduce_basis`
-divides by the leads, so the output is the same unique reduced basis over
-Q. Integers are used because Fraction arithmetic, with a gcd in every
-operation, dominated the Q bases. The certificate still holds: every
-integer vector is a nonzero multiple of a vector over Q spanning the same
-submodule, and a pseudo-remainder is a nonzero multiple of the remainder
-over Q, so an S-vector or input reduces to zero in one exactly when it does
-in the other. Tracked runs, whose tags are exact expressions on the
-inputs, and `GroebnerBasis.reduce` and `normal_form`, whose remainders and
-witnesses are exact, use the field's own table.
+The kernel takes its arithmetic from a `RawArithmetic` table. An untracked
+basis (the loop, `_reduce_basis` and `_self_check`) runs on the table of
+`FieldSpec.fraction_free`: over Q primitive integer vectors, over F_p(t)
+primitive vectors over F_p[t], over F_p the field itself. Over a domain D
+(Z or F_p[t]) inputs enter with denominators cleared and content divided
+out, `_reduce` pseudo-divides, S-vectors are fraction-free, and only the
+last step of `_reduce_basis` divides by the leads, so the output is the
+same unique reduced basis over the field, the fraction field of D. D is
+used because fraction arithmetic, with a gcd in every operation,
+dominated those bases. The certificate still holds: D is a UFD, every
+vector over D is a nonzero multiple of a vector over the field spanning
+the same submodule, and a pseudo-remainder is a nonzero multiple of the
+remainder over the field, so an S-vector or input reduces to zero in one
+exactly when it does in the other. Tracked runs, whose tags are exact
+expressions on the inputs, and `GroebnerBasis.reduce` and `normal_form`,
+whose remainders and witnesses are exact, use the field's own table.
 """
 
 from __future__ import annotations
@@ -445,11 +447,11 @@ def _reduce(work, forms, layout, ops, with_witness=False):
 
     The step on a lead c takes the quotient q from `ops.quotient` and
     subtracts q * x^shift * tail. Over a field that is plain division, one
-    call per step. Over the integers it is pseudo-division: the table first
-    has `scale` multiply work and the remainder by a positive integer, and
-    the remainder, made primitive on the way out, is a nonzero multiple of
-    the remainder over Q; the witness ignores the scales, so only a field's
-    table gives one.
+    call per step. Over a domain (the integers, F_p[t]) it is
+    pseudo-division: the table first has `scale` multiply work and the
+    remainder by a nonzero element, and the remainder, made primitive on the
+    way out, is a nonzero multiple of the remainder over the fraction field;
+    the witness ignores the scales, so only a field's table gives one.
     """
     quotient, guard, target, shift = ops.quotient, layout.guard, layout.target, layout.pos_shift
     heap = list(work)
@@ -493,7 +495,7 @@ def _reduce_basis(forms, layout, ops):
     elements before it: a lead divides only terms at or above it, so no
     larger lead divides a term of the element, and no later step changes
     it. Only the last step divides by the leads, through `ops.div`, which
-    over the integers gives the exact quotient in Q.
+    over a domain gives the exact quotient in its fraction field.
     """
     guard, target = layout.guard, layout.target
     lead = itemgetter(2)
@@ -517,8 +519,8 @@ def _s_vector(fa, fb, lcm, ops, guard):
     """S-vector ka*x^ua*a - kb*x^ub*b of two reducer forms at one position,
     lcm being the packed key of the lcm of their leads, as a packed vector:
     (ka, kb) is `ops.cofactors` of the lead divisors, so ka = 1/ca and
-    kb = 1/cb over a field, and the fraction-free cb/g and ca/g over the
-    integers. The leads cancel exactly, so only the tails enter, tag terms
+    kb = 1/cb over a field, and the fraction-free cb/g and ca/g over a
+    domain. The leads cancel exactly, so only the tails enter, tag terms
     (see `_buchberger`) among them.
     """
     ka, kb = ops.cofactors(fa[4], fb[4])
@@ -555,8 +557,9 @@ def _buchberger(ring: RingSpec, raws, rank, track=False):
     dropped.
 
     With track=False the loop, the basis reduction and the certificate run
-    on `field.fraction_free`, over Q on primitive integer vectors, which
-    span the same submodule over Q as the inputs. Two criteria act when a
+    on `field.fraction_free`: over Q on primitive integer vectors and over
+    F_p(t) on primitive vectors over F_p[t], which span the same submodule
+    over the field as the inputs. Two criteria act when a
     pair is formed, so the pair never enters the heap: a new single-term
     element pairs only with the elements that have a tail (the S-vector of
     two single terms is zero), and at rank 1 only, leads that are coprime
@@ -688,9 +691,10 @@ def _self_check(basis, inputs, layout, ops):
     pair order is needed.
 
     Basis and inputs are packed vectors in layout, left as they are and
-    checked as `ops.primitive` vectors. Over the integers each is a nonzero
-    multiple of the vector over Q, and so is each S-vector and each
-    pseudo-remainder, so "reduces to zero" means the same as over Q.
+    checked as `ops.primitive` vectors. Over a domain (the integers, F_p[t])
+    each is a nonzero multiple of the vector over the fraction field, and
+    so is each S-vector and each pseudo-remainder, so "reduces to zero"
+    means the same as over the field.
     """
     guard, target, shift, primitive = layout.guard, layout.target, layout.pos_shift, ops.primitive
     forms = [_reducer_form(primitive(v), layout, ops) for v in basis]

@@ -5,8 +5,9 @@ format: a reduced Fraction over Q, a residue in [0, p) over F_p, and over
 F_p(t) a reduced fraction of univariate polynomials with a monic
 denominator. Every value has one canonical representation, so == and hash
 are structural. Other modules compute on values through a field's
-`FieldSpec.raw` table, build them with `from_int` and `t`, and print them
-with `to_str`.
+`FieldSpec.raw` table, or its `fraction_free` one, build them with
+`from_int` and `t`, and print them with `to_str`; no other module reads a
+value's format.
 """
 
 from __future__ import annotations
@@ -43,7 +44,8 @@ def _is_prime(n: int) -> bool:
 
 # ---------------------------------------------------------------------------
 # univariate polynomials over F_p: tuples of residues, lowest degree first,
-# no trailing zeros (the zero polynomial is the empty tuple)
+# no trailing zeros (the zero polynomial is the empty tuple); every helper
+# takes and returns them in that form
 
 def _pt_trim(cs):
     i = len(cs)
@@ -52,56 +54,59 @@ def _pt_trim(cs):
     return tuple(cs[:i])
 
 
-def _pt_add(a, b, p):
-    m = max(len(a), len(b))
-    return _pt_trim(tuple(((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)) % p
-                          for i in range(m)))
-
-
-def _pt_neg(a, p):
-    return tuple((-c) % p for c in a)
-
-
 def _pt_sub(a, b, p):
-    return _pt_add(a, _pt_neg(b, p), p)
+    la, lb = len(a), len(b)
+    out = [(x - y) % p for x, y in zip(a, b)]
+    if la != lb:
+        # the longer one's top coefficient survives: nothing to trim
+        out += a[lb:] if la > lb else [(-y) % p for y in b[la:]]
+        return tuple(out)
+    return _pt_trim(out)
+
+
+def _pt_scale(a, c, p):
+    """c * a for a nonzero residue c."""
+    return a if c == 1 else tuple(x * c % p for x in a)
 
 
 def _pt_mul(a, b, p):
     if not a or not b:
         return ()
+    if len(a) == 1:
+        return _pt_scale(b, a[0], p)
+    if len(b) == 1:
+        return _pt_scale(a, b[0], p)
     out = [0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         if ca:
-            for j, cb in enumerate(b):
-                out[i + j] = (out[i + j] + ca * cb) % p
-    return _pt_trim(tuple(out))
+            for j, cb in enumerate(b, i):
+                out[j] += ca * cb
+    # the top coefficient is a product of nonzero residues mod a prime
+    return tuple(c % p for c in out)
 
 
 def _pt_divmod(a, b, p):
     # b must be nonzero
+    lb = len(b)
     inv_lead = pow(b[-1], p - 2, p)
     rem = list(a)
-    q = [0] * max(len(a) - len(b) + 1, 0)
-    while len(rem) >= len(b):
-        rem_trimmed = _pt_trim(tuple(rem))
-        if len(rem_trimmed) < len(b):
-            break
-        rem = list(rem_trimmed)
-        shift = len(rem) - len(b)
-        c = (rem[-1] * inv_lead) % p
-        q[shift] = c
-        for i, cb in enumerate(b):
-            rem[shift + i] = (rem[shift + i] - c * cb) % p
-    return _pt_trim(tuple(q)), _pt_trim(tuple(rem))
+    q = [0] * max(len(a) - lb + 1, 0)
+    for shift in range(len(q) - 1, -1, -1):
+        c = rem[shift + lb - 1] * inv_lead % p
+        if c:
+            q[shift] = c
+            for i, cb in enumerate(b, shift):
+                rem[i] = (rem[i] - c * cb) % p
+    return tuple(q), _pt_trim(rem[:lb - 1])
 
 
 def _pt_gcd(a, b, p):
+    """The monic gcd; (1,) as soon as a remainder is a nonzero constant."""
     while b:
+        if len(b) == 1:
+            return (1,)
         a, b = b, _pt_divmod(a, b, p)[1]
-    if a:
-        inv = pow(a[-1], p - 2, p)
-        a = tuple((c * inv) % p for c in a)
-    return a
+    return _pt_scale(a, pow(a[-1], p - 2, p), p) if a else a
 
 
 def _pt_str(cs) -> str:
@@ -122,22 +127,20 @@ def _pt_str(cs) -> str:
 
 
 def _ffrac_normalize(num, den, p):
-    if not _pt_trim(den):
+    if not den:
         raise DivisionByZero("zero denominator in F_p(t)")
-    num = _pt_trim(num)
-    den = _pt_trim(den)
     if not num:
         return (), (1,)
     g = _pt_gcd(num, den, p)
-    if len(g) > 1 or g != (1,):
+    if g != (1,):
         num = _pt_divmod(num, g, p)[0]
         den = _pt_divmod(den, g, p)[0]
     # monic denominator
     lead = den[-1]
     if lead != 1:
         inv = pow(lead, p - 2, p)
-        num = tuple((c * inv) % p for c in num)
-        den = tuple((c * inv) % p for c in den)
+        num = _pt_scale(num, inv, p)
+        den = _pt_scale(den, inv, p)
     return num, den
 
 
@@ -147,26 +150,31 @@ class RawArithmetic(namedtuple("RawArithmetic", "zero one is_zero sub mul div "
 
     A field's table takes and returns raw values in their canonical form, so
     equal elements give equal results, and its div (with divisor, which
-    calls it) raises DivisionByZero on a zero divisor; the integer table
-    only ever divides by nonzero leads. There is no negation or addition:
-    -a is sub(zero, a) and a + b is sub(a, sub(zero, b)). The four last
-    entries serve the division kernel, which runs unchanged over a field and
-    over the integers:
+    calls it) raises DivisionByZero on a zero divisor. A domain's table, the
+    integers' for Q or F_p[t]'s for F_p(t) (see `FieldSpec.fraction_free`),
+    takes and returns the domain's elements, and only ever divides by
+    nonzero leads. There is no negation or addition: -a is sub(zero, a) and
+    a + b is sub(a, sub(zero, b)). The four last entries serve the division
+    kernel, which runs unchanged over a field and over a domain:
 
     * ``divisor(a)`` is what the kernel keeps of a lead coefficient a, once
-      per reducer: 1/a over a field, a itself over the integers;
+      per reducer: 1/a over a field, a itself over a domain;
     * ``quotient(c, d, scale)`` is the q for which c - q * a cancels, d
       being ``divisor(a)``: c * d over a field, one call that ignores
-      scale. Over the integers it pseudo-divides: with g = gcd(c, a) taken
-      with the sign of a it returns c/g, after calling ``scale(a/g)`` when
-      that positive integer is not 1, so that the caller multiplies what it
-      divides by it;
+      scale. Over a domain it pseudo-divides: with g = gcd(c, a), taken so
+      that a/g is positive over the integers and monic over F_p[t], it
+      returns c/g, after calling ``scale(a/g)`` when that is not 1, so that
+      the caller multiplies what it divides by it;
     * ``cofactors(da, db)`` is (ka, kb) with ka * a == kb * b, from the
-      divisors of a and b: (1/a, 1/b) over a field, (b/g, a/g) over the
-      integers, g taken with the sign of b;
+      divisors of a and b: (1/a, 1/b) over a field, (b/g, a/g) over a
+      domain, g taken so that b/g is positive or monic;
     * ``primitive(v)`` returns the raw vector v as the table's own vector:
-      v itself over a field, over the integers v with its denominators
-      cleared and its content divided out.
+      v itself over a field; over a domain v with its denominators cleared
+      and its content divided out, keeping the sign of v over the integers
+      and with a monic first entry over F_p[t]. It takes vectors of the
+      field's values and of the domain's alike.
+
+    A domain's div is the exact quotient in its field, a field value.
     """
 
     __slots__ = ()
@@ -235,6 +243,53 @@ def _rational_function_arithmetic(p: int) -> RawArithmetic:
 
     return _field_arithmetic(((), (1,)), ((1,), (1,)), lambda a: not a[0], sub, mul, div,
                              lambda c, d, _: mul(c, d))
+
+
+def _polynomial_arithmetic(p: int) -> RawArithmetic:
+    """F_p[t] for fraction-free division over F_p(t), as the integers serve
+    Q, on the coefficient tuples of the numerators: the units are the
+    nonzero residues, so a gcd is taken monic where the integers take it
+    with a sign."""
+    def exact(a, g):
+        return a if g == (1,) else _pt_divmod(a, g, p)[0]
+
+    def quotient(c, a, scale):
+        # with g the monic gcd, g * lead(a) makes a/g monic
+        g = _pt_gcd(c, a, p)
+        inv = pow(a[-1], p - 2, p)
+        if len(g) < len(a):
+            scale(_pt_scale(exact(a, g), inv, p))
+        return _pt_scale(exact(c, g), inv, p)
+
+    def cofactors(a, b):
+        g = _pt_gcd(a, b, p)
+        inv = pow(b[-1], p - 2, p)
+        return _pt_scale(exact(b, g), inv, p), _pt_scale(exact(a, g), inv, p)
+
+    def primitive(v):
+        if not v:
+            return {}
+        cs = list(v.values())
+        if type(cs[0][0]) is tuple:
+            # field values: clear the monic denominators
+            den = (1,)
+            for _, d in cs:
+                if d != den:
+                    den = _pt_mul(den, exact(d, _pt_gcd(den, d, p)), p)
+            cs = [n if d == den else _pt_mul(n, exact(den, d), p) for n, d in cs]
+        g = ()
+        for c in cs:
+            g = _pt_gcd(g, c, p)
+            if len(g) == 1:
+                break
+        # divide out the monic content g and make the first entry monic
+        inv = pow(cs[0][-1], p - 2, p)
+        return dict(zip(v, [_pt_scale(exact(c, g), inv, p) for c in cs]))
+
+    return RawArithmetic((), (1,), operator.not_, lambda a, b: _pt_sub(a, b, p),
+                         lambda a, b: _pt_mul(a, b, p),
+                         lambda a, b: _ffrac_normalize(a, b, p),
+                         lambda a: a, quotient, cofactors, primitive)
 
 
 @dataclass(frozen=True)
@@ -320,9 +375,14 @@ class FieldSpec:
     @cached_property
     def fraction_free(self) -> RawArithmetic:
         """The table untracked Groebner bases are computed in: over Q the
-        integers, on primitive vectors (see `RawArithmetic`), since integer
-        arithmetic is cheaper than Fraction arithmetic; otherwise `raw`."""
-        return _INTEGER_ARITHMETIC if self.kind is FieldKind.RATIONALS else self.raw
+        integers and over F_p(t) the polynomials F_p[t], on primitive
+        vectors (see `RawArithmetic`), since arithmetic in the domain
+        skips the gcd that normalizes every fraction; over F_p `raw`."""
+        if self.kind is FieldKind.RATIONALS:
+            return _INTEGER_ARITHMETIC
+        if self.kind is FieldKind.RATIONAL_FUNCTIONS:
+            return _polynomial_arithmetic(self.characteristic)
+        return self.raw
 
     def __str__(self):
         if self.kind is FieldKind.RATIONALS:

@@ -139,7 +139,8 @@ def _run_yn_class_relation(n):
 
     def cut_sums(ring_text):
         session = parse_session_text(ring_text)
-        return [serre_alternating_sum([f], session.module()) for f in session.sequence(cuts)]
+        module = session.module()
+        return [serre_alternating_sum([f], module) for f in session.sequence(cuts)]
 
     def run():
         sums, base_sums = cut_sums(_yn(n)), cut_sums(_yn(1))

@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import jsonschema
 import pytest
@@ -105,6 +106,27 @@ def test_mult_builds_the_ring_basis_once(conic, capsys, monkeypatch):
     code, record = _json_run(capsys, ["mult", conic, "--params", "x"])
     assert code == 0 and record["result"] == {"e": 2, "r": 1}
     assert len(calls) == 6
+
+
+def test_warning_is_one_stderr_line(tmp_path, capsys):
+    """The cusp's quotient is not homogeneous, so `mult` warns: one line
+    on stderr, with no source path or code line, and stdout and the exit
+    code as without the warning."""
+    cusp = tmp_path / "cusp.ring"
+    cusp.write_text("field = Q\nvars = x, y\nquotient = [x^2 - y^3]\n", encoding="utf-8")
+    argv = ["mult", str(cusp), "--params", "x, y"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 0
+    assert out == "multiplicity: 2 (difference order 1)\nlength table: [1, 3, 5, 7]\n"
+    assert err == ("warning: non-homogeneous defining polynomials: length counts are local "
+                   "lengths only because the origin-support check passes\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert main(argv) == 0
+    assert capsys.readouterr() == (out, "")
 
 
 def test_koszul_full_profile(conic, capsys):

@@ -23,6 +23,7 @@ from mcalc.scalars import FieldSpec
 Q = FieldSpec.rationals()
 F2 = FieldSpec.prime_field(2)
 F7 = FieldSpec.prime_field(7)
+F5T = FieldSpec.rational_functions(5)
 
 
 def _plane(field=Q, order=MonomialOrder.grevlex()):
@@ -500,13 +501,13 @@ def test_self_check_agrees_with_dividing_every_pair(family):
 def _interreduction_cases(draw):
     """A field, one of its two tables (over F_7 both are the field's own),
     a rank and random raw vectors of that rank over the plane."""
-    field = draw(st.sampled_from([F7, Q]))
+    field = draw(st.sampled_from([F7, Q, F5T]))
     ops = draw(st.sampled_from([field.raw, field.fraction_free]))
     rank = draw(st.integers(1, 2))
     term = st.tuples(st.integers(0, rank - 1), st.tuples(st.integers(0, 2), st.integers(0, 2)))
-    coeff = st.integers(1, 6) if field is F7 else _rationals()
+    coeff = _coefficients(field)
     raws = draw(st.lists(st.dictionaries(term, coeff, min_size=1, max_size=3),
-                         min_size=1, max_size=5))
+                         min_size=1, max_size=3 if field is F5T else 5))
     return field, ops, rank, raws
 
 
@@ -530,15 +531,18 @@ def test_one_pass_interreduction_matches_the_fixpoint(case):
 @st.composite
 def _mixed_cases(draw):
     """A field, a rank, a quotient J (maybe empty) of the plane and raw
-    vectors of that rank mixing single terms and polynomials."""
-    field = draw(st.sampled_from([F7, Q]))
+    vectors of that rank mixing single terms and polynomials. Over F_5(t)
+    the exponents stay below 3 and there are at most three vectors (see
+    `_coefficients`)."""
+    field = draw(st.sampled_from([F7, Q, F5T]))
     rank = draw(st.integers(1, 2))
-    coeff = st.integers(1, 6).map(field.from_int) if field is F7 else _rationals()
-    mono = st.tuples(st.integers(0, 3), st.integers(0, 3))
+    coeff = _coefficients(field)
+    top, most = (2, 3) if field is F5T else (3, 6)
+    mono = st.tuples(st.integers(0, top), st.integers(0, top))
     term = st.tuples(st.integers(0, rank - 1), mono)
     raws = draw(st.lists(st.one_of(st.dictionaries(term, coeff, min_size=1, max_size=1),
                                    st.dictionaries(term, coeff, min_size=2, max_size=4)),
-                         min_size=1, max_size=6))
+                         min_size=1, max_size=most))
     at_origin = mono.filter(any)
     quotient = draw(st.lists(st.dictionaries(at_origin, coeff, min_size=1, max_size=2),
                              max_size=2))
@@ -709,6 +713,94 @@ def test_integer_self_check_catches_an_input_outside_the_span():
     half_b = {(0, (0, 1, 0, 0)): Fraction(1, 2)}
     with pytest.raises(AssertionError, match="input does not reduce to zero"):
         _check(basis, gens + [half_b], R, Q.fraction_free)
+
+
+# -- over F_p(t) the untracked loop runs on primitive vectors over F_p[t] ----------
+
+def _t_value(coeffs):
+    """The F_5(t) value of sum c_i t^i."""
+    ops, out = F5T.raw, F5T.raw.zero
+    for c in reversed(coeffs):
+        out = ops.sub(ops.mul(out, F5T.t()), F5T.from_int(-c))
+    return out
+
+
+def _function_field_scalars():
+    """Nonzero a/b in F_5(t), a and b of degree at most 1 in t: the tracked
+    loop's fractions grow fast enough with these."""
+    poly = st.lists(st.integers(0, 4), min_size=1, max_size=2).filter(any).map(_t_value)
+    return st.builds(F5T.raw.div, poly, poly)
+
+
+def _coefficients(field):
+    """Nonzero raw values of F_7, Q or F_5(t), the last from a short list:
+    the tracked loop over F_5(t), which the strategies that draw these
+    take as the reference, forms every pair and swells its fractions, and
+    on random fractions of degree 1 it took over ten seconds on one draw
+    in about three hundred of three vectors."""
+    if field is F7:
+        return st.integers(1, 6)
+    if field is Q:
+        return _rationals()
+    return st.sampled_from([_t_value(cs) for cs in ([1], [2], [0, 1], [1, 1])]
+                           + [F5T.raw.div(F5T.from_int(c), _t_value(cs))
+                              for c, cs in ((1, [0, 1]), (3, [1, 1]))])
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([MonomialOrder.grevlex(), MonomialOrder.lex()]),
+       st.lists(st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                                _function_field_scalars(), min_size=1, max_size=3),
+                min_size=1, max_size=3))
+def test_function_field_bases_match_the_field_path(order, problem):
+    """The basis computed over F_5[t] is the reduced basis over F_5(t): it
+    equals the reduced tracked basis, which runs on fractions of
+    polynomials, and scaling the generators by t + 1 or 1/(t^2 + 1) changes
+    no byte of it."""
+    R = _plane(F5T, order)
+    gens = [Polynomial(F5T, 2, terms) for terms in problem]
+    gb = buchberger(R, gens)
+    assert all(type(c[0]) is tuple for v in gb.raws for c in v.values())
+    tracked, _ = _buchberger(R, [_raw_vector((f,)) for f in gens], 1, track=True)
+    layout = _layout(R.order, R.nvars)
+    forms = [_reducer_form(v, layout, F5T.raw) for v in tracked]
+    assert [_packed(layout, v) for v in gb.raws] == _reduce_basis(forms, layout, F5T.raw)
+    for c in (_t_value([1, 1]), F5T.raw.div(F5T.raw.one, _t_value([1, 0, 1]))):
+        scaled = buchberger(R, [f * _constant(R, c) for f in gens])
+        assert repr(scaled.raws) == repr(gb.raws)
+
+
+def _scaled_katsura3_t():
+    """Reduced basis over F_5(t) of katsura-3 with last constant t, under
+    x1 -> (t + 1) x1 and x2 -> x2 / t, and the generators as raw vectors:
+    the primitive forms of the basis have the leads t, 1, t + 1,
+    t^3 + 2t^2 + t, 1, t^2 + t and t, so pseudo-division scales by
+    polynomials of positive degree."""
+    R = RingSpec(F5T, ("x0", "x1", "x2", "x3"))
+    texts = ["x0 + 2*x1 + 2*x2 + 2*x3 - t", "x0^2 + 2*x1^2 + 2*x2^2 + 2*x3^2 - x0",
+             "2*x0*x1 + 2*x1*x2 + 2*x2*x3 - x1", "2*x0*x2 + x1^2 + 2*x1*x3 - x2"]
+    gens = [parse_polynomial(R, t.replace("x1", "((t+1)*x1)").replace("x2", "(x2/t)"))
+            for t in texts]
+    return R, list(buchberger(R, gens).raws), [_raw_vector((g,)) for g in gens]
+
+
+def test_polynomial_self_check_passes_the_basis():
+    R, basis, gens = _scaled_katsura3_t()
+    _check(basis, gens, R, F5T.fraction_free)
+
+
+def test_polynomial_self_check_catches_a_missing_element():
+    R, basis, _ = _scaled_katsura3_t()
+    truncated = basis[:1] + basis[2:]
+    with pytest.raises(AssertionError, match="S-vector self-check failed"):
+        _check(truncated, truncated, R, F5T.fraction_free)
+
+
+def test_polynomial_self_check_catches_an_input_outside_the_span():
+    R, basis, gens = _scaled_katsura3_t()
+    x1_over_t = {(0, (0, 1, 0, 0)): F5T.raw.div(F5T.raw.one, F5T.t())}
+    with pytest.raises(AssertionError, match="input does not reduce to zero"):
+        _check(basis, gens + [x1_over_t], R, F5T.fraction_free)
 
 
 def test_normal_form_over_q_is_exact():

@@ -228,3 +228,82 @@ def test_primitive_vectors(v, k):
     scaled = Q.fraction_free.primitive({key: c * abs(k) for key, c in v.items()})
     assert scaled == prim
     assert Q.raw.primitive(v) is v
+
+
+# -- F_p(t)'s fraction-free table: polynomials over F_5 ----------------------------
+
+def _poly(coeffs):
+    """The coefficient tuple of sum c_i t^i over F_5, low degree first."""
+    cs = [c % 5 for c in coeffs]
+    while cs and not cs[-1]:
+        cs.pop()
+    return tuple(cs)
+
+
+def _poly_gcd(a, b):
+    """Monic gcd of two coefficient tuples over F_5, by Euclid's algorithm
+    on lists; the reference for the table's content."""
+    a, b = list(a), list(b)
+    while b:
+        inv = pow(b[-1], -1, 5)
+        while len(a) >= len(b):
+            c, shift = a[-1] * inv % 5, len(a) - len(b)
+            for i, x in enumerate(b):
+                a[shift + i] = (a[shift + i] - c * x) % 5
+            while a and not a[-1]:
+                a.pop()
+        a, b = b, a
+    return tuple(x * pow(a[-1], -1, 5) % 5 for x in a) if a else ()
+
+
+_T_POLYS = st.lists(st.integers(0, 4), max_size=4).map(_poly)
+_NONZERO_T_POLYS = _T_POLYS.filter(bool)
+
+
+def _in_field(a):
+    """The polynomial a as an F_5(t) value."""
+    return a, (1,)
+
+
+@given(_T_POLYS, _NONZERO_T_POLYS)
+def test_polynomial_pseudo_and_cofactors(c, a):
+    """Over F_5[t] the division step asks for a monic scale other than 1,
+    dividing a, or for none, with scale * c == quotient * a; the S-vector
+    cofactors are polynomials with ka * c == kb * a and ka monic."""
+    polys, field = F5T.fraction_free, F5T.raw
+    scales = []
+    q = polys.quotient(c, polys.divisor(a), scales.append)
+    scale = scales[0] if scales else (1,)
+    assert len(scales) <= 1 and scales != [(1,)]
+    assert scale[-1] == 1 and polys.mul(scale, c) == polys.mul(q, a)
+    assert field.div(_in_field(a), _in_field(scale))[1] == (1,)
+    assert len(scale) == len(a) - len(_poly_gcd(c, a)) + 1
+    if c:
+        ka, kb = polys.cofactors(polys.divisor(c), polys.divisor(a))
+        assert polys.mul(ka, c) == polys.mul(kb, a) and ka[-1] == 1
+    assert polys.div(c, a) == field.div(_in_field(c), _in_field(a))
+
+
+@given(st.dictionaries(st.integers(0, 5), _function_scalars().filter(lambda c: c[0]),
+                       max_size=5),
+       _function_scalars().filter(lambda c: c[0]))
+def test_polynomial_primitive_vectors(v, k):
+    """Polynomials with content one and a monic first entry, a multiple of
+    v over F_5(t), the same for every nonzero multiple of v, non-constant
+    ones included, and for itself; a field's table leaves v as it is."""
+    polys = F5T.fraction_free
+    prim = polys.primitive(v)
+    assert list(prim) == list(v)
+    assert all(c and all(type(x) is int for x in c) for c in prim.values())
+    content = ()
+    for c in prim.values():
+        content = _poly_gcd(content, c)
+    assert content == ((1,) if v else ())
+    if v:
+        first = next(iter(prim.values()))
+        assert first[-1] == 1
+        ratios = {F5T.raw.div(_in_field(prim[key]), c) for key, c in v.items()}
+        assert len(ratios) == 1
+    assert polys.primitive({key: F5T.raw.mul(c, k) for key, c in v.items()}) == prim
+    assert polys.primitive(prim) == prim
+    assert F5T.raw.primitive(v) is v

@@ -419,3 +419,48 @@ def test_one_table_route_in_multiplicity():
              for line, name, function in stray_table_calls(path.read_text(encoding="utf-8"),
                                                            str(path))]
     assert not found, "length-table calls outside the pinned functions:\n" + "\n".join(found)
+
+
+# The F_p(t) value format, numerator and denominator coefficient tuples, is
+# known only to `scalars`: every other module computes through a field's
+# tables, so its `_pt_*` helpers and `_ffrac_normalize` have no caller
+# elsewhere, in the package, the benchmark or the tests.
+def format_helpers():
+    """The module-level `_pt_*` functions of `scalars` and `_ffrac_normalize`."""
+    tree = ast.parse((SRC / "scalars.py").read_text(encoding="utf-8"))
+    return sorted(node.name for node in tree.body if isinstance(node, ast.FunctionDef)
+                  and (node.name.startswith("_pt_") or node.name == "_ffrac_normalize"))
+
+
+def format_helper_reads(text, names, filename="<source>"):
+    """(line, name) of each call to, or import of, a name among names, in
+    line order; a file whose text never spells a name is not parsed."""
+    names = [name for name in names if name in text]
+    if not names:
+        return []
+    found = [(line, name) for name in names for line, _ in call_sites(text, name, filename)]
+    found += [(node.lineno, a.name) for node in ast.walk(ast.parse(text, filename=filename))
+              if isinstance(node, ast.ImportFrom) for a in node.names if a.name in names]
+    return sorted(found)
+
+
+def test_format_helper_reads_are_found():
+    assert {"_pt_mul", "_pt_gcd", "_ffrac_normalize"} <= set(format_helpers())
+    text = ("from mcalc.scalars import _pt_gcd as gcd\n"
+            "from mcalc import scalars\n"
+            "# _pt_mul(a, b, p) in a comment is no read\n"
+            "def lead_content(a, b):\n"
+            "    return gcd(a, b, 5), scalars._ffrac_normalize(a, b, 5)\n")
+    assert format_helper_reads(text, format_helpers()) == [
+        (1, "_pt_gcd"), (5, "_ffrac_normalize"), (5, "_pt_gcd")]
+
+
+def test_only_scalars_knows_the_function_field_format():
+    names = format_helpers()
+    found = [f"{path.name}:{line}: {name}"
+             for path in sorted([*SRC.glob("*.py"), *BENCH.glob("*.py"),
+                                 *pathlib.Path(__file__).parent.glob("*.py")])
+             if path != SRC / "scalars.py"
+             for line, name in format_helper_reads(path.read_text(encoding="utf-8"), names,
+                                                   str(path))]
+    assert not found, "F_p(t) format helpers used outside scalars:\n" + "\n".join(found)
