@@ -26,8 +26,9 @@ out, and so every presentation built from them, deterministic. For
 only, a pair the product criterion settles, skips a popped pair by the chain
 criterion, and every basis is then certified by `groebner._self_check`,
 whose criteria need no pair order. Over
-Q a `module_gb` basis is computed on primitive integer vectors and syzygies
-on Fractions, as the `groebner` module describes.
+Q a `module_gb` basis is computed on primitive integer vectors, over F_p(t)
+on primitive vectors over F_p[t], and syzygies on the field's own values,
+as the `groebner` module describes.
 
 Preimages of a submodule under a map of free modules ("modulo" in
 Greuel-Pfister, *A Singular Introduction to Commutative Algebra*, 2.8) take
