@@ -149,6 +149,23 @@ class GroebnerBasis:
             _add_shifted(out, _hilbert_numerator([e for q, e in self._leads if q == p]), 0)
         return out
 
+    def hilbert_sums(self):
+        """Endless: Σ_{j<n} H(j) for n = 0, 1, 2, .., H being the Hilbert
+        function of `hilbert_series`, so the n-th value is the length of
+        R^rank modulo the leads and every term of degree n or more. With N
+        the numerator and v the number of variables it is Σ_{d<n} N_d
+        C(n - 1 - d + v, v), since Σ_{d<=j<n} C(j - d + v - 1, v - 1) is
+        that binomial. The series is computed once, on the first value."""
+        series, v = self.hilbert_series(), self.ring.nvars
+        for n in itertools.count():
+            yield sum(c * math.comb(n - 1 - d + v, v) for d, c in series.items() if d < n)
+
+    def is_graded(self) -> bool:
+        """True when every vector is homogeneous in the standard grading, each
+        e_p of degree 0, so the submodule and its quotient are graded; the
+        empty basis is."""
+        return all(len({sum(e) for _, e in v}) == 1 for v in self.raws)
+
     def _order_at_one(self):
         """(j, N^(j)(1)) for the least j with N^(j)(1) nonzero, N being
         `hilbert_series`, so the pole order at t = 1 is n - j; (n + 1, 0)

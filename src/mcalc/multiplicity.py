@@ -6,7 +6,11 @@ supported there, which the entry points check before trusting a number.
 Multiplicities come out of stabilized finite differences of the length
 table, never from fitting. The table is one loop, `multiplicity_data`: it
 builds the generators of I^n from those of I^(n-1), and its first entry,
-ℓ(M/IM), is checked finite and supported at the origin.
+ℓ(M/IM), is checked finite and supported at the origin. When M's relation
+basis is homogeneous and that entry equals ℓ(M/mM), the degree-0 value of
+M's Hilbert function, then IM = mM, and every later entry ℓ(M/m^n M) is a
+partial sum of that Hilbert function, read off M's own relation basis
+with no further basis (the argument is in `multiplicity_data`).
 
 `search_parameters` reads no table: a candidate whose first d - 1 elements
 drop the dimension step by step is a system of parameters exactly when H_0
@@ -94,6 +98,20 @@ def multiplicity_data(M: FPModule, gens, r: int):
     SupportNotAtOrigin). Later entries need no check, since M/I^n M has the
     support of M/IM.
 
+    Later entries build no basis when every vector of M's relation basis is
+    homogeneous (standard grading, each e_p of degree 0) and the first
+    entry equals ℓ(M/mM), the degree-0 value H_M(0) of M's Hilbert
+    function. Then IM = mM: if I ⊆ m, then IM ⊆ mM, and two submodules of
+    the same finite colength are equal; if I holds an element that is a
+    unit at the origin, it acts invertibly on M/IM, which is supported at
+    the origin, so M/IM = 0, hence M/mM = 0 and M = 0 by graded Nakayama.
+    By induction I^n M = I(m^(n-1) M) = m^n M, and m^n M = M_{≥n} because
+    every generator has degree 0, so ℓ(M/I^n M) = Σ_{j<n} H_M(j). Under any
+    term order a homogeneous submodule and its lead submodule have the same
+    Hilbert function (Macaulay's theorem), so the basis's `hilbert_sums`
+    gives those partial sums from one Hilbert series per table. Both routes
+    give the same numbers, so the stopping rule below sees the same table.
+
     The loop stops when three consecutive r-th differences agree; that
     common value is e. e(M, r) = 0 when r exceeds the support dimension,
     and the r = 0 value of the empty ideal is ℓ(M). Three equal differences
@@ -111,15 +129,22 @@ def multiplicity_data(M: FPModule, gens, r: int):
     _warn_if_inhomogeneous(M.ring, gens)
     power = [M.ring.one()]
     values = []
+    graded = None  # ℓ(M/m^n M) for n = 2, 3, .. once IM = mM is certified
     for n in range(1, STABILIZATION_CAP + 1):
-        power = list(dict.fromkeys(p * g for p in power for g in gens))
-        Q = M.quotient_by_polys(power) if gens else M
-        if n == 1:
-            length = Q.local_length()
-            if length is INFINITE:
-                raise NotFiniteColength("M/IM has infinite length")
+        if graded is not None:
+            length = next(graded)
         else:
-            length = Q.length()
+            power = list(dict.fromkeys(p * g for p in power for g in gens))
+            Q = M.quotient_by_polys(power) if gens else M
+            if n == 1:
+                length = Q.local_length()
+                if length is INFINITE:
+                    raise NotFiniteColength("M/IM has infinite length")
+                sums = itertools.islice(M.gb.hilbert_sums(), 1, None)
+                if M.gb.is_graded() and next(sums) == length:
+                    graded = sums
+            else:
+                length = Q.length()
         values.append(length)
         diffs = values
         for _ in range(r):

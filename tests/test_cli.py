@@ -108,6 +108,25 @@ def test_mult_builds_the_ring_basis_once(conic, capsys, monkeypatch):
     assert len(calls) == 6
 
 
+def test_mult_of_a_redundant_maximal_ideal_at_r_zero_builds_one_quotient(plane, capsys,
+                                                                       monkeypatch):
+    """m = (x, y, x + y) on the plane with --r 0: the lengths 1, 3, 6, ..
+    never settle, so after 40 entries `mult` exits 2 with NO_STABILIZATION.
+    IM = mM, so the table builds M/IM alone, not the C(n + 2, 2) products
+    that generate I^n at each later step."""
+    calls = []
+    real = fpmodules.FPModule.quotient_by_polys
+
+    def counted(self, polys):
+        calls.append(polys)
+        return real(self, polys)
+    monkeypatch.setattr(fpmodules.FPModule, "quotient_by_polys", counted)
+    assert main(["mult", plane, "--params", "x, y, x + y", "--r", "0"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: NO_STABILIZATION: ")
+    assert len(calls) == 1
+
+
 def test_warning_is_one_stderr_line(tmp_path, capsys):
     """The cusp's quotient is not homogeneous, so `mult` warns: one line
     on stderr, with no source path or code line, and stdout and the exit

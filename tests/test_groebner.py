@@ -163,9 +163,23 @@ def test_hilbert_series_counts_the_standard_terms(case):
     assert gb.dimension() == oracles.subset_dimension(leads, rank, n)
     series = gb.hilbert_series()
     assert all(series.values())
+    counts = [oracles.graded_standard_count(leads, rank, n, d) for d in range(13)]
     for d in range(13):
         expanded = sum(c * math.comb(d - k + n - 1, n - 1) for k, c in series.items() if k <= d)
-        assert expanded == oracles.graded_standard_count(leads, rank, n, d)
+        assert expanded == counts[d]
+    assert list(itertools.islice(gb.hilbert_sums(), 14)) == [sum(counts[:k]) for k in range(14)]
+
+
+def test_is_graded_reads_every_vector():
+    """Homogeneous vectors, e_p of degree 0, at ranks 1 and 2; one
+    inhomogeneous vector among homogeneous ones; and the empty basis."""
+    R = _plane()
+    x, y = R.variable("x"), R.variable("y")
+    assert buchberger(R, [x * x + x * y, y ** 3]).is_graded()
+    assert module_gb(R, [ModuleVector((x, y)), ModuleVector((y * y, R.zero()))], 2).is_graded()
+    assert not buchberger(R, [x * x + y, y ** 3]).is_graded()
+    assert not module_gb(R, [ModuleVector((x, y * y))], 2).is_graded()
+    assert buchberger(R, []).is_graded()
 
 
 def test_plateau_ring_hilbert_series_frozen():

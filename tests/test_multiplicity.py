@@ -143,6 +143,8 @@ _TABLE_CASES = st.tuples(
 @settings(max_examples=100, deadline=None)
 @example(("Q", 3, 1, [], [2], 1))
 @example(("F7", 0, 2, [(0, 1)], [0, 1, 1, 2], 2))
+@example(("Q", 0, 2, [(0, 1), (1, 2)], [7, 2], 1))
+@example(("F7", 1, 2, [(0, 4)], [3, 1, 2], 2))
 @given(_TABLE_CASES)
 def test_one_loop_table_matches_the_stepwise_route(case):
     """The one loop, I^n from I^(n-1), gives the (e, table), or the error
@@ -161,6 +163,28 @@ def test_one_loop_table_matches_the_stepwise_route(case):
     with mock.patch.object(oracles.multiplicity_module, "STABILIZATION_CAP", 10):
         assert (_outcome(multiplicity_data, M, gens, r)
                 == _outcome(oracles.stepwise_multiplicity, M, gens, r))
+
+
+def test_graded_m_adic_table_builds_one_quotient(monkeypatch):
+    """The plane's m-adic table: its first entry, ℓ(R/mR) = 1, is the
+    degree-0 value of the plane's Hilbert function, so R/mR is the only
+    quotient built and every later entry is a partial sum of that function.
+    The cusp's quotient is not homogeneous, so its m-adic table builds one
+    quotient per entry."""
+    calls = []
+    real = FPModule.quotient_by_polys
+
+    def counted(self, polys):
+        calls.append(polys)
+        return real(self, polys)
+    monkeypatch.setattr(FPModule, "quotient_by_polys", counted)
+    assert multiplicity_data(FREE, [X, Y], 2) == (1, (1, 3, 6, 10, 15))
+    assert len(calls) == 1
+    calls.clear()
+    A = _cusp()
+    with pytest.warns(UserWarning):
+        e, table = multiplicity_data(FPModule.free(A, 1), [A.variable("x"), A.variable("y")], 1)
+    assert (e, len(calls)) == (2, len(table))
 
 
 def test_homology_lengths():

@@ -381,11 +381,12 @@ def test_only_the_basis_division_asks_for_a_witness():
 
 
 # The length table is one loop: only `multiplicity_data` builds the quotients
-# M/I^n M, and the only other length-at-the-origin reads in `multiplicity`
-# are the Koszul lengths and a parameter's colength, so a candidate test
-# reads its colength off H_0 in `homology_lengths` and a second table route
-# would show here.
+# M/I^n M or reads a graded table off the Hilbert series, and the only other
+# length-at-the-origin reads in `multiplicity` are the Koszul lengths and a
+# parameter's colength, so a candidate test reads its colength off H_0 in
+# `homology_lengths` and a second table route would show here.
 TABLE_CALLERS = {"quotient_by_polys": {"multiplicity_data"},
+                 "hilbert_sums": {"multiplicity_data"},
                  "local_length": {"multiplicity_data", "homology_lengths",
                                   "parameter_colength"}}
 
@@ -406,11 +407,14 @@ def test_stray_table_calls_are_found():
             "    return gb.local_length(), A.quotient_by_polys(seq)\n"
             "def parameter_colength(ring, f):\n"
             "    return buchberger(ring, [f]).local_length()\n"
-            "FREE.local_length()\n")
+            "FREE.local_length()\n"
+            "def _graded_table(M):\n"
+            "    return M.gb.hilbert_sums()\n")
     assert stray_table_calls(text) == [
         (5, "local_length", "_validate_candidate"),
         (5, "quotient_by_polys", "_validate_candidate"),
-        (8, "local_length", None)]
+        (8, "local_length", None),
+        (10, "hilbert_sums", "_graded_table")]
 
 
 def test_one_table_route_in_multiplicity():
