@@ -207,7 +207,7 @@ class FPModule:
 
     def contains(self, v: ModuleVector) -> bool:
         """True when the vector v of R^rank lies in the relation submodule."""
-        return not self.gb.reduce(v.raw)[0]
+        return not self.gb.reduce(v.raw)
 
     def length(self):
         return self.gb.length()

@@ -19,8 +19,7 @@ position, and `_copies` copies a basis into blocks. Only a query whose
 output is a generator list, syzygies or preimage generators, runs the
 tracked loop, which is that elimination stopped at the tags: input i rides
 with the term 1 at position rank + i, and a remainder led at a tag position
-is a syzygy (see `_buchberger`). The division witness serves only
-`GroebnerBasis.reduce`.
+is a syzygy (see `_buchberger`). `normal_form`'s witness rides as tags too.
 Outside this module every vector is a raw vector (see `_raw_vector`); a
 polynomial's terms are already raw terms, so `buchberger`'s inputs,
 `GroebnerBasis.generators` and `normal_form`'s results only rekey dicts by
@@ -33,12 +32,12 @@ The position sits in the top field and the order's fields below it:
 * lex: [C' - x_1, ..., C' - x_n];
 * block(s): the grevlex fields of x_1..x_s, then those of x_{s+1}..x_n.
 
-Each field holds one entry of the order's `descending_key`, negated entries
-offset by a constant (C for a degree, C' = 2^31 - 1 for a lex exponent) so
-every field is a nonnegative int, and fields compare from the top down, as
-tuples do. So ascending keys are exactly the descending position-over-term
-order that (position, `descending_key`) gives: the heap in `_reduce` holds
-the keys themselves. Every field is linear in the exponents, so key(e + s)
+Each field holds one entry of the order's `MonomialOrder.key` negated,
+plus a constant where that is negative (C for a degree, C' = 2^31 - 1 for a
+lex exponent) so every field is a nonnegative int, and fields compare from the top down, as tuples do. So ascending keys
+are exactly the descending position-over-term order: the heap in `_reduce`
+holds the keys themselves, and `_basis` sorts its inputs by their leads'
+keys. Every field is linear in the exponents, so key(e + s)
 = key(e) + key(s) - key(0): multiplying a term by x^s adds one int, and a
 reducer's shift is the single int key(term) - key(lead).
 
@@ -127,18 +126,13 @@ class GroebnerBasis:
     def contains(self, f: Polynomial) -> bool:
         return normal_form(f, self).is_zero()
 
-    def reduce(self, raw, with_witness=False):
-        """(remainder, witness) of the raw vector divided by the basis; see
-        `_reduce`. The remainder is a raw vector and witness[j] maps
-        exponent tuples to raw coefficients. raw is left as it is."""
+    def reduce(self, raw):
+        """Remainder, a raw vector, of the raw vector raw divided by the
+        basis; see `_reduce`. raw is left as it is."""
         layout = self._layout
-        rem, quot = _reduce({_pack(layout, p, e): c for (p, e), c in raw.items()},
-                            self._forms, layout, self.ring.field.raw, with_witness)
-        rem = {_unpack(layout, k): c for k, c in rem.items()}
-        if quot is not None:
-            zero = layout.zero
-            quot = [{_unpack(layout, s + zero)[1]: c for s, c in q.items()} for q in quot]
-        return rem, quot
+        rem = _reduce({_pack(layout, p, e): c for (p, e), c in raw.items()},
+                      self._forms, layout, self.ring.field.raw)
+        return {_unpack(layout, k): c for k, c in rem.items()}
 
     def hilbert_series(self) -> dict:
         """Numerator N(t) of the Hilbert series N(t)/(1-t)^n of R^rank modulo
@@ -167,12 +161,12 @@ class GroebnerBasis:
         return all(len({sum(e) for _, e in v}) == 1 for v in self.raws)
 
     def _order_at_one(self):
-        """(j, N^(j)(1)) for the least j with N^(j)(1) nonzero, N being
-        `hilbert_series`, so the pole order at t = 1 is n - j; (n + 1, 0)
-        for the zero quotient."""
+        """(j, (-1)^j N^(j)(1) / j!) for the least j with N^(j)(1) nonzero, N
+        being `hilbert_series`, so the pole order at t = 1 is n - j; (n + 1,
+        0) for the zero quotient. N^(j)(1) / j! = Σ_d N_d C(d, j)."""
         series, n = self.hilbert_series(), self.ring.nvars
-        values = (sum(c * math.perm(d, j) for d, c in series.items()) for j in range(n + 1))
-        return next(((j, v) for j, v in enumerate(values) if v), (n + 1, 0))
+        values = (sum(c * math.comb(d, j) for d, c in series.items()) for j in range(n + 1))
+        return next(((j, (-1) ** j * v) for j, v in enumerate(values) if v), (n + 1, 0))
 
     def dimension(self) -> int:
         """Dimension of R^rank modulo the submodule, -1 for the zero quotient:
@@ -180,11 +174,17 @@ class GroebnerBasis:
         coefficients are positive, so positions cannot cancel."""
         return self.ring.nvars - self._order_at_one()[0]
 
+    def hilbert_degree(self) -> int:
+        """h(1) for the Hilbert series h(t)/(1-t)^d, d the dimension, 0 for
+        the zero quotient: where the d-th differences of n -> Σ_{j<n} H(j)
+        settle, e(m) of a graded quotient (Bruns-Herzog, Ch. 4)."""
+        return self._order_at_one()[1]
+
     def length(self):
         """Dimension over k of R^rank modulo the submodule: the Hilbert series
-        at t = 1, (-1)^n N^(n)(1) / n!, or INFINITE where it has a pole."""
-        j, value = self._order_at_one()
-        return INFINITE if j < self.ring.nvars else (-1) ** j * value // math.factorial(j)
+        at t = 1, which is the degree, or INFINITE where it has a pole."""
+        j, degree = self._order_at_one()
+        return INFINITE if j < self.ring.nvars else degree
 
     def is_unit_ideal(self) -> bool:
         """True when the quotient is zero: every position has a unit lead."""
@@ -205,7 +205,7 @@ class GroebnerBasis:
         for i in range(n):
             power = tuple(length if j == i else 0 for j in range(n))
             for p in range(self.rank):
-                if self.reduce({(p, power): one})[0]:
+                if self.reduce({(p, power): one}):
                     raise SupportNotAtOrigin("the module is supported away from the origin")
         return length
 
@@ -449,26 +449,23 @@ def _submul(work, tail, shift, c, ops, guard):
     return fresh
 
 
-def _reduce(work, forms, layout, ops, with_witness=False):
+def _reduce(work, forms, layout, ops):
     """Full division of the packed vector work by reducer forms; consumes work.
 
     The leading term of work comes off a heap of packed keys; keys of terms
     cancelled meanwhile stay in the heap and are skipped when popped. The
     first reducer, in list order, at the same position whose lead divides
     it cancels it: only the reducer's tail, scaled, is subtracted. A leading
-    term no reducer divides moves to the remainder. Returns (remainder,
-    witness): the remainder is a packed vector in descending term order,
-    and witness[j] (None without with_witness) maps quotient shifts (key(q)
-    - key(0)) to raw coefficients, so that work == sum(witness[j] * reducer
-    j) + remainder.
+    term no reducer divides moves to the remainder, a packed vector in
+    descending term order, which is returned. Quotients ride as tags (see
+    `normal_form`).
 
     The step on a lead c takes the quotient q from `ops.quotient` and
     subtracts q * x^shift * tail. Over a field that is plain division, one
     call per step. Over a domain (the integers, F_p[t]) it is
     pseudo-division: the table first has `scale` multiply work and the
     remainder by a nonzero element, and the remainder, made primitive on the
-    way out, is a nonzero multiple of the remainder over the fraction field;
-    the witness ignores the scales, so only a field's table gives one.
+    way out, is a nonzero multiple of the remainder over the fraction field.
     """
     quotient, guard, target, shift = ops.quotient, layout.guard, layout.target, layout.pos_shift
     heap = list(work)
@@ -481,25 +478,20 @@ def _reduce(work, forms, layout, ops, with_witness=False):
             for t, x in v.items():
                 v[t] = mul(x, s)
 
-    witness = [{} for _ in forms] if with_witness else None
     while heap:
         k = heapq.heappop(heap)
         c = work.pop(k, None)
         if c is None:
             continue
         p = k >> shift
-        for j, f in enumerate(forms):
+        for f in forms:
             if f[0] == p and (k + f[1]) & guard == target:
-                u = k - f[2]
-                q = quotient(c, f[4], scale)
-                for t in _submul(work, f[5], u, q, ops, guard):
+                for t in _submul(work, f[5], k - f[2], quotient(c, f[4], scale), ops, guard):
                     heapq.heappush(heap, t)
-                if witness is not None:
-                    witness[j][u] = q
                 break
         else:
             rem[k] = c
-    return ops.primitive(rem), witness
+    return ops.primitive(rem)
 
 
 def _reduce_basis(forms, layout, ops):
@@ -525,7 +517,7 @@ def _reduce_basis(forms, layout, ops):
         v = {f[2]: f[3]}
         v.update(f[5][0])
         # no other lead divides this lead, so it stays the lead
-        r, _ = _reduce(v, kept, layout, ops)
+        r = _reduce(v, kept, layout, ops)
         vecs.append(r)
         kept.append(_reducer_form(r, layout, ops))
     div = ops.div
@@ -644,7 +636,7 @@ def _buchberger(ring: RingSpec, raws, rank, track=False):
                              and (min(b, k), max(b, k)) not in pending
                              for k in at[leads[a][0]]):
             continue
-        add(_reduce(_s_vector(forms[a], forms[b], lcm, ops, guard), forms, layout, ops)[0])
+        add(_reduce(_s_vector(forms[a], forms[b], lcm, ops, guard), forms, layout, ops))
     if track:
         kept = {}
         for v in syz:
@@ -663,19 +655,18 @@ def _basis(ring: RingSpec, raws, rank) -> GroebnerBasis:
     """Reduced Groebner basis of the submodule of R^rank that the raw vectors
     and J*e_p for every position p generate, J being ring.quotient.
 
-    The distinct nonzero inputs enter `_buchberger` ascending by lead, equal
-    leads in input order.
+    The distinct nonzero inputs enter `_buchberger` ascending by lead, that
+    is descending by the packed key of the lead, equal leads in input order.
     """
-    dkey = ring.order.descending_key
+    layout = _layout(ring.order, ring.nvars)
     work = list(raws)
     for q in ring.quotient:
         work.extend({(p, e): c for e, c in q.terms.items()} for p in range(rank))
     inputs = {}
     for raw in sorted((r for r in work if r),
-                      key=lambda r: min((p, dkey(e)) for p, e in r), reverse=True):
+                      key=lambda r: min(_pack(layout, p, e) for p, e in r), reverse=True):
         inputs.setdefault(frozenset(raw.items()), raw)
     basis, _ = _buchberger(ring, list(inputs.values()), rank)
-    layout = _layout(ring.order, ring.nvars)
     return GroebnerBasis(ring, [{_unpack(layout, k): c for k, c in v.items()} for v in basis],
                          rank, basis)
 
@@ -729,10 +720,10 @@ def _self_check(basis, inputs, layout, ops):
                and tuple(map(max, e, ea)) != lcm and tuple(map(max, e, eb)) != lcm
                for f, (p, e) in zip(forms, leads)):
             continue
-        if _reduce(_s_vector(fa, fb, key, ops, guard), forms, layout, ops)[0]:
+        if _reduce(_s_vector(fa, fb, key, ops, guard), forms, layout, ops):
             raise AssertionError("S-vector self-check failed: not a Groebner basis")
     for v in inputs:
-        if _reduce(dict(primitive(v)), forms, layout, ops)[0]:
+        if _reduce(dict(primitive(v)), forms, layout, ops):
             raise AssertionError("input does not reduce to zero")
 
 
@@ -762,20 +753,25 @@ def normal_form(f: Polynomial, gb: GroebnerBasis, with_witness: bool = False):
     """Unique remainder of f modulo the reduced basis; optional cofactors.
 
     With with_witness, returns (remainder, witness) satisfying
-    f == sum(witness[i] * gb.generators[i]) + remainder exactly.
+    f == sum(witness[i] * gb.generators[i]) + remainder exactly: f is
+    divided by a copy of the basis whose element i carries the tag 1 at
+    position 1 + i. No lead sits there, so the steps are the same, and the
+    remainder holds -witness[i] at position 1 + i.
     """
     gb.ring.check_member(f)
-    field, nvars = f.field, f.nvars
-    rem, quot = gb.reduce(_raw_vector((f,)), with_witness=with_witness)
-    r = _raw_components(field, nvars, 1, rem)[0]
-    if with_witness:
-        witness = [Polynomial(field, nvars, q) for q in quot]
-        acc = Polynomial.zero(field, nvars)
-        for w, g in zip(witness, gb.generators):
-            acc = acc + w * g
-        assert acc + r == f, "division witness identity failed"
-        return r, witness
-    return r
+    field, nvars, n = f.field, f.nvars, len(gb.raws)
+    if not with_witness:
+        return _raw_components(field, nvars, 1, gb.reduce(_raw_vector((f,))))[0]
+    origin = (0,) * nvars
+    tagged = GroebnerBasis(gb.ring, [{**v, (1 + i, origin): field.raw.one}
+                                     for i, v in enumerate(gb.raws)], 1 + n)
+    r, *tags = _raw_components(field, nvars, 1 + n, tagged.reduce(_raw_vector((f,))))
+    witness = [-q for q in tags]
+    acc = Polynomial.zero(field, nvars)
+    for w, g in zip(witness, gb.generators):
+        acc = acc + w * g
+    assert acc + r == f, "division witness identity failed"
+    return r, witness
 
 
 def standard_monomials(gb: GroebnerBasis):

@@ -110,7 +110,7 @@ def multiplicity_data(M: FPModule, gens, r: int):
     term order a homogeneous submodule and its lead submodule have the same
     Hilbert function (Macaulay's theorem), so the basis's `hilbert_sums`
     gives those partial sums from one Hilbert series per table. Both routes
-    give the same numbers, so the stopping rule below sees the same table.
+    give the same numbers.
 
     The loop stops when three consecutive r-th differences agree; that
     common value is e. e(M, r) = 0 when r exceeds the support dimension,
@@ -118,8 +118,13 @@ def multiplicity_data(M: FPModule, gens, r: int):
     can stop short of the limit (k[x]/(x^10) with I = (x) gives 1, 1, 1
     before the lengths level off, and k[x,y]/(x^3, y^3) with I = (x, y) and
     r = 2 gives -1, -1, -1), so a nonzero e is replaced by 0 when r exceeds
-    dim Supp M, which the dimension theorem certifies; a negative value that
-    remains raises NoStabilization.
+    d = dim Supp M, which the dimension theorem certifies; a negative value
+    that remains raises NoStabilization. On the graded route the table is
+    a polynomial of degree d in n from some n on, so its r-th differences
+    settle at the series' `hilbert_degree` for r = d and never for r < d;
+    for r <= d three equal ones stop the loop only where they settle, so a
+    plateau of the Hilbert function (1, 2, 2, 2, 1, 1, .. of
+    k[x,y]/(x^2, x*y^3)) no longer gives a wrong e.
     """
     gens = list(gens)
     if r < 0:
@@ -130,6 +135,7 @@ def multiplicity_data(M: FPModule, gens, r: int):
     power = [M.ring.one()]
     values = []
     graded = None  # ℓ(M/m^n M) for n = 2, 3, .. once IM = mM is certified
+    settle = None  # then, for r <= d, where the r-th differences settle
     for n in range(1, STABILIZATION_CAP + 1):
         if graded is not None:
             length = next(graded)
@@ -143,13 +149,17 @@ def multiplicity_data(M: FPModule, gens, r: int):
                 sums = itertools.islice(M.gb.hilbert_sums(), 1, None)
                 if M.gb.is_graded() and next(sums) == length:
                     graded = sums
+                    d = M.support_dimension()
+                    if r <= d:
+                        settle = M.gb.hilbert_degree() if r == d else INFINITE
             else:
                 length = Q.length()
         values.append(length)
         diffs = values
         for _ in range(r):
             diffs = [b - a for a, b in zip(diffs, diffs[1:])]
-        if len(diffs) >= 3 and diffs[-1] == diffs[-2] == diffs[-3]:
+        if (len(diffs) >= 3 and diffs[-1] == diffs[-2] == diffs[-3]
+                and (settle is None or settle == diffs[-1])):
             e = diffs[-1]
             if e and r > M.support_dimension():
                 e = 0
@@ -173,7 +183,12 @@ def evaluate_multiplicity(V: VirtualModule, gens, r: int) -> int:
 
 
 def homology_lengths(x, M: FPModule):
-    """[ℓ H_0, .., ℓ H_n] for the sequence x; [ℓ(M)] when x is empty."""
+    """[ℓ H_0, .., ℓ H_n] for the sequence x; [ℓ(M)] when x is empty.
+
+    Only H_0 = M/(x)M takes the origin-support check: (x) kills every H_i,
+    a subquotient of copies of M, so Supp H_i ⊆ Supp M ∩ V(x) = Supp H_0,
+    and once H_0 passes, each H_i's `length()` is its local length.
+    """
     x = list(x)
     if not x:
         l = M.local_length()
@@ -182,7 +197,8 @@ def homology_lengths(x, M: FPModule):
         return [l]
     out = []
     for i in range(len(x) + 1):
-        l = koszul_homology(x, M, i).local_length()
+        H = koszul_homology(x, M, i)
+        l = H.local_length() if i == 0 else H.length()
         if l is INFINITE:
             raise InfiniteHomology(f"H_{i} has infinite length", degree=i)
         out.append(l)

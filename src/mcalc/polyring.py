@@ -60,10 +60,6 @@ def _grevlex_key(exps):
     return (sum(exps), tuple(-e for e in reversed(exps)))
 
 
-def _grevlex_descending_key(exps):
-    return (-sum(exps), exps[::-1])
-
-
 @dataclass(frozen=True)
 class MonomialOrder:
     """A global monomial order; larger key means larger monomial."""
@@ -98,17 +94,6 @@ class MonomialOrder:
             return exps
         s = self.split
         return (_grevlex_key(exps[:s]), _grevlex_key(exps[s:]))
-
-    def descending_key(self, exps: tuple):
-        """Sort key on an exponent tuple that puts larger monomials first:
-        every entry of `key` negated, so it ascends exactly where `key`
-        descends."""
-        if self.kind is OrderKind.GREVLEX:
-            return _grevlex_descending_key(exps)
-        if self.kind is OrderKind.LEX:
-            return tuple(-e for e in exps)
-        s = self.split
-        return (_grevlex_descending_key(exps[:s]), _grevlex_descending_key(exps[s:]))
 
     def __str__(self):
         if self.kind is OrderKind.BLOCK:

@@ -162,6 +162,35 @@ def first_divisor_division(f, reducers, key):
     return rem, quotients
 
 
+def packed_first_divisor_division(work, forms, layout, ops):
+    """`first_divisor_division` on a packed vector and reducer forms of
+    `groebner`, with no heap: every step takes the least key left, the
+    leading term, and the first form at its position whose lead divides it
+    cancels it, with the field's own division; a leading term no form
+    divides moves to the remainder. Returns (remainder, quotients), packed:
+    quotients[j] maps the shift key(term) - key(lead) of each step of form j
+    to its raw coefficient. work is left as it is."""
+    guard, target, shift = layout.guard, layout.target, layout.pos_shift
+    work, rem, quotients = dict(work), {}, [{} for _ in forms]
+    while work:
+        k = min(work)
+        c = work.pop(k)
+        for j, f in enumerate(forms):
+            if f[0] == k >> shift and (k + f[1]) & guard == target:
+                u, q = k - f[2], ops.div(c, f[3])
+                quotients[j][u] = q
+                for t, v in f[5][0]:
+                    s = ops.sub(work.get(t + u, ops.zero), ops.mul(q, v))
+                    if ops.is_zero(s):
+                        work.pop(t + u, None)
+                    else:
+                        work[t + u] = s
+                break
+        else:
+            rem[k] = c
+    return rem, quotients
+
+
 def _lead_multiple(leads, p, t):
     return any(q == p and all(map(operator.le, e, t)) for q, e in leads)
 
@@ -246,8 +275,9 @@ def tracked_saturation(M, f):
 
 # The route tracked syzygies took before the inputs carried tags: each
 # element keeps its expression on the inputs beside it, and every reduction
-# replays the S-vector's two steps and the division witness on those
-# expressions.
+# replays the S-vector's two steps and the quotients of its division on
+# those expressions. The division is `packed_first_divisor_division`, so
+# this route shares no division code with the kernel.
 
 def witness_syzygies(ring, vectors):
     """Syzygies of the ModuleVectors vectors, as `syzygies` returns them:
@@ -289,8 +319,8 @@ def witness_syzygies(ring, vectors):
         for j, u, k in steps:
             groebner._submul(sv, forms[j][5], u, k, ops, guard)
             groebner._submul(rep, reps[j], u, k, ops, guard)
-        r, witness = groebner._reduce(sv, forms, layout, ops, with_witness=True)
-        for j, q in enumerate(witness):
+        r, quotients = packed_first_divisor_division(sv, forms, layout, ops)
+        for j, q in enumerate(quotients):
             for u, k in q.items():
                 groebner._submul(rep, reps[j], u, k, ops, guard)
         if r:
@@ -324,7 +354,7 @@ def fixpoint_interreduction(forms, layout, ops):
     while changed:
         changed = False
         for i in range(len(vecs)):
-            r, _ = groebner._reduce(dict(vecs[i]), kept[:i] + kept[i + 1:], layout, ops)
+            r = groebner._reduce(dict(vecs[i]), kept[:i] + kept[i + 1:], layout, ops)
             if r != vecs[i]:
                 vecs[i] = r
                 kept[i] = groebner._reducer_form(r, layout, ops)

@@ -549,12 +549,13 @@ def test_output_does_not_depend_on_the_hash_seed(conic):
         assert one.stdout and one.stdout == two.stdout
 
 
-# Wrong answers of the three-equal-differences stopping rule, pinned with
-# their true values: the Hilbert-Samuel function of these rings has a
-# plateau, and the rule stops on it. On A = Q[x,y]/(x^2, x*y^4) the lengths
-# l(A/y^n A) are 2, 4, 6, 8, 9, 10, 11, ..., so e((y), A) = 1, which is also
-# the Koszul side 2 - 1 of Serre's formula; on Q[x,y]/(x^2, x*y^3) the
-# Hilbert function is 1, 2, 2, 2, 1, 1, ..., so e(m, A) = 1.
+# Plateaus of the Hilbert-Samuel function, where the three-equal-differences
+# stopping rule alone stops too early, pinned with their true values. On A =
+# Q[x,y]/(x^2, x*y^4) the lengths l(A/y^n A) are 2, 4, 6, 8, 9, 10, 11, ...,
+# so e((y), A) = 1, which is also the Koszul side 2 - 1 of Serre's formula;
+# the rule still stops there (the strict xfails). On Q[x,y]/(x^2, x*y^3) the
+# Hilbert function is 1, 2, 2, 2, 1, 1, ..., so e(m, A) = 1: that m-adic
+# table is graded, and its Hilbert series certifies e.
 PLATEAU_Y4 = "field = Q\nvars = x, y\nquotient = [x^2, x*y^4]\n"
 PLATEAU_Y3 = "field = Q\nvars = x, y\nquotient = [x^2, x*y^3]\n"
 PLATEAU = pytest.mark.xfail(strict=True, raises=AssertionError,
@@ -592,13 +593,13 @@ def test_search_finds_a_parameter_past_a_plateau(plateau_y4, capsys):
     assert record["result"]["e"] == 1
 
 
-@PLATEAU
 def test_maximal_ideal_multiplicity_past_a_plateau(tmp_path, capsys):
     p = tmp_path / "plateau-y3.ring"
     p.write_text(PLATEAU_Y3, encoding="utf-8")
     code, record = _json_run(capsys, ["mult", str(p), "--params", "x, y"])
     assert code == 0
     assert record["result"]["e"] == 1
+    assert record["certificate"]["length_table"] == [1, 3, 5, 7, 8, 9, 10]
 
 
 # Serre's formula holds on every Artinian module: e = 0 because r > 0 = dim,

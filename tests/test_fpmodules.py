@@ -3,7 +3,8 @@
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import tracked_saturation, two_step_presentation, witness_syzygies
+from oracles import (packed_first_divisor_division, tracked_saturation, two_step_presentation,
+                     witness_syzygies)
 
 from mcalc import fpmodules, groebner
 from mcalc.errors import (ImageNotInKernel, MapNotWellDefined, RingMismatch,
@@ -13,7 +14,7 @@ from mcalc.fpmodules import (FPModule, ModuleMap, ModuleVector, gamma_saturation
                              subquotient, syzygies, unit_vectors)
 from mcalc.groebner import GroebnerBasis
 from mcalc.parsing import parse_polynomial
-from mcalc.polyring import INFINITE, Polynomial, RingSpec
+from mcalc.polyring import INFINITE, MonomialOrder, Polynomial, RingSpec
 from mcalc.scalars import FieldSpec
 
 Q = FieldSpec.rationals()
@@ -57,11 +58,58 @@ def _basis_vectors(gb):
 
 def _divide(gb, v):
     """Division of v by the basis elements, first divisor in list order:
-    (remainder, cofactor polynomials)."""
-    ring = gb.ring
-    rem, quot = gb.reduce(v.raw, with_witness=True)
-    return (ModuleVector._from_raw(ring.field, ring.nvars, gb.rank, rem),
-            [Polynomial(ring.field, ring.nvars, q) for q in quot])
+    (remainder, cofactor polynomials), off a copy of the basis in which
+    element j carries the tag 1 at position rank + j: no lead sits there,
+    so the division takes the same steps, and its remainder holds minus
+    cofactor j at position rank + j."""
+    ring, g = gb.ring, gb.rank
+    ops, origin = ring.field.raw, (0,) * ring.nvars
+    tagged = GroebnerBasis(ring, [{**w, (g + j, origin): ops.one} for j, w in enumerate(gb.raws)],
+                           g + len(gb.raws))
+    rem = tagged.reduce(v.raw)
+    cofactors = [{} for _ in gb.raws]
+    for (p, e), c in rem.items():
+        if p >= g:
+            cofactors[p - g][e] = ops.sub(ops.zero, c)
+    return (ModuleVector._from_raw(ring.field, ring.nvars, g,
+                                   {k: c for k, c in rem.items() if k[0] < g}),
+            [Polynomial(ring.field, ring.nvars, q) for q in cofactors])
+
+
+@st.composite
+def _module_division_problems(draw):
+    """A ring on 2 or 3 variables over F_7 or Q under grevlex, lex or
+    block(1), 1..4 nonzero reducer vectors of a rank 1..3, which need not
+    be a Groebner basis, and a vector of that rank to divide."""
+    field = draw(st.sampled_from([F7, Q]))
+    nvars = draw(st.integers(2, 3))
+    order = draw(st.sampled_from([MonomialOrder.grevlex(), MonomialOrder.lex(),
+                                  MonomialOrder.block(1)]))
+    rank = draw(st.integers(1, 3))
+    term = st.tuples(st.tuples(*[st.integers(0, 2)] * nvars), st.integers(-3, 3))
+    poly = st.lists(term, max_size=4).map(lambda ts: sum(
+        (Polynomial.term(field, nvars, e, field.from_int(c)) for e, c in ts),
+        Polynomial.zero(field, nvars)))
+    vectors = st.lists(poly, min_size=rank, max_size=rank).map(ModuleVector)
+    reducers = draw(st.lists(vectors.filter(lambda v: not v.is_zero()), min_size=1, max_size=4))
+    ring = RingSpec(field, ("x", "y", "z")[:nvars], order)
+    return GroebnerBasis(ring, [v.raw for v in reducers], rank), draw(vectors)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_module_division_problems())
+def test_tagged_division_matches_the_packed_oracle(problem):
+    """At ranks 1..3, the remainder and cofactors read off the tagged copy
+    are those of heap-free first-divisor division on the packed forms."""
+    gb, v = problem
+    layout = gb._layout
+    rem, quotients = packed_first_divisor_division(
+        {groebner._pack(layout, p, e): c for (p, e), c in v.raw.items()}, gb._forms, layout,
+        gb.ring.field.raw)
+    r, cofactors = _divide(gb, v)
+    assert r.raw == {groebner._unpack(layout, k): c for k, c in rem.items()}
+    assert [c.terms for c in cofactors] == [
+        {groebner._unpack(layout, u + layout.zero)[1]: c for u, c in q.items()} for q in quotients]
 
 
 def test_module_gb_ideal_case():
@@ -119,11 +167,11 @@ def test_syzygy_identity_check_runs_on_packed_inputs(monkeypatch):
     position, past position 0 for these rank-1 inputs."""
     real = groebner._reduce
 
-    def drop_last_tag(work, forms, layout, ops, with_witness=False):
-        rem, quot = real(work, forms, layout, ops, with_witness)
+    def drop_last_tag(work, forms, layout, ops):
+        rem = real(work, forms, layout, ops)
         if rem and max(rem) >> layout.pos_shift >= 1:
             del rem[max(rem)]
-        return rem, quot
+        return rem
 
     monkeypatch.setattr(groebner, "_reduce", drop_last_tag)
     # S(x, x + y) = -y reduces by the third input to the tags e_1 - e_2 + e_3

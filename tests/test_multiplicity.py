@@ -1,6 +1,8 @@
 """Hilbert-Samuel multiplicities, identity checks, parameter search."""
 
+import itertools
 import json
+import math
 import random
 from unittest import mock
 
@@ -13,14 +15,15 @@ from mcalc.errors import (EngineError, HypothesisFails, InfiniteHomology, NoStab
                           NotDimensionOne, NotFiniteColength, NotParameter,
                           SupportNotAtOrigin)
 from mcalc.fpmodules import FPModule, ModuleVector
-from mcalc.koszul import VirtualModule, phi_apply
+from mcalc.koszul import VirtualModule, koszul_homology, phi_apply
 from mcalc.multiplicity import (REFUTED, VERIFIED, Report, _random_candidate,
                                 _validate_candidate, evaluate_multiplicity,
                                 homology_lengths, multiplicity, multiplicity_data,
                                 ord_check, parameter_colength, search_parameters,
                                 serre_alternating_sum, verify_factorization,
                                 verify_serre, verify_serre2, verify_vanish)
-from mcalc.polyring import INFINITE, RingSpec
+from mcalc.parsing import parse_polynomial
+from mcalc.polyring import INFINITE, Polynomial, RingSpec
 from mcalc.scalars import FieldSpec
 
 Q = FieldSpec.rationals()
@@ -127,7 +130,9 @@ def _plane_polys(ring):
 
 # quotients of the plane: none, the axes, the cusp, and k[x,y]/(x^2, x*y^4),
 # where (y) has the table 2, 4, 6, 8 and e = 2 though e((y)) = 1 (ROADMAP
-# item 2)
+# item 2), and m the graded plateau 1, 3, 5, 7, 9 of first differences 2,
+# though e(m) = 1; on R + R/(x^2, y^2), of dimension 2, m has the table 2,
+# 6, 10, 14 at r = 1, whose differences grow past the plateau
 _TABLE_QUOTIENTS = (lambda x, y: (), lambda x, y: (x * y,), lambda x, y: (y * y - x ** 3,),
                     lambda x, y: (x * x, x * y ** 4))
 
@@ -145,13 +150,19 @@ _TABLE_CASES = st.tuples(
 @example(("F7", 0, 2, [(0, 1)], [0, 1, 1, 2], 2))
 @example(("Q", 0, 2, [(0, 1), (1, 2)], [7, 2], 1))
 @example(("F7", 1, 2, [(0, 4)], [3, 1, 2], 2))
+@example(("Q", 3, 1, [], [1, 2], 1))
+@example(("Q", 0, 2, [(1, 5), (1, 6)], [1, 2], 1))
 @given(_TABLE_CASES)
 def test_one_loop_table_matches_the_stepwise_route(case):
     """The one loop, I^n from I^(n-1), gives the (e, table), or the error
     class, message, values and r, of the route through all n-fold products
-    with its own colength check: plateau answers included. Both routes read
-    the cap at call time; 10 entries, not 40, keep a draw that never
-    settles cheap, since I^n from three forms has O(n^2) generators."""
+    with its own colength check: plateau answers included, except where the
+    graded route's Hilbert series refutes one. There r <= d = dim Supp M,
+    the stepwise route's table is a proper prefix of the loop's, and the
+    loop reads on to the series' e (r = d) or raises NoStabilization at the
+    cap. Both
+    routes read the cap at call time; 10 entries, not 40, keep a draw that
+    never settles cheap, since I^n from three forms has O(n^2) generators."""
     field, q, rank, rels, picks, r = case
     plane = RingSpec({"F7": F7, "Q": Q}[field], ("x", "y"))
     ring = RingSpec(plane.field, ("x", "y"),
@@ -161,8 +172,51 @@ def test_one_loop_table_matches_the_stepwise_route(case):
                               for p, i in rels])
     gens = [polys[i] for i in picks]
     with mock.patch.object(oracles.multiplicity_module, "STABILIZATION_CAP", 10):
-        assert (_outcome(multiplicity_data, M, gens, r)
-                == _outcome(oracles.stepwise_multiplicity, M, gens, r))
+        got = _outcome(multiplicity_data, M, gens, r)
+        want = _outcome(oracles.stepwise_multiplicity, M, gens, r)
+    if got != want:
+        e, table = want
+        d = M.support_dimension()
+        assert M.gb.is_graded() and r <= d
+        assert r < d or e != M.gb.hilbert_degree()
+        if got[0] is NoStabilization:
+            values = got[2]["values"]
+        else:
+            assert r == d and got[0] == M.gb.hilbert_degree()
+            values = list(got[1])
+        assert len(values) > len(table) and tuple(values[:len(table)]) == table
+
+
+# monomial quotients of k[x, y] and k[x, y, z]: 1..3 generators of degree
+# 1..3, as exponent tuples
+_MONOMIAL_QUOTIENTS = st.integers(2, 3).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.tuples(*[st.integers(0, 3)] * n).filter(lambda e: 0 < sum(e) <= 3),
+                         min_size=1, max_size=3)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(field=st.sampled_from([Q, F7]), quotient=_MONOMIAL_QUOTIENTS)
+@example(field=Q, quotient=(2, [(2, 0), (1, 3)]))
+def test_maximal_ideal_multiplicity_matches_the_standard_count(field, quotient):
+    """With I = m and r = d, the dimension, e is the d-th difference of the
+    partial sums Σ_{j<n} H(j) of the Hilbert function H, counted from the
+    standard monomials, taken at n past (number of variables) × (largest
+    generator degree) + 1, where the partial sums of a monomial quotient's
+    Hilbert function are already a polynomial in n. The example is the
+    plateau 1, 2, 2, 2, 1, 1, .. of k[x,y]/(x^2, x*y^3), whose first
+    differences 2, 2, 2 are not e = 1."""
+    nvars, exps = quotient
+    names = ("x", "y", "z")[:nvars]
+    gens = tuple(Polynomial.term(field, nvars, e, field.raw.one) for e in exps)
+    ring = RingSpec(field, names, quotient=gens)
+    leads = [(0, e) for e in exps]
+    d = oracles.subset_dimension(leads, 1, nvars)
+    start = nvars * max(map(sum, exps)) + 2
+    sums = list(itertools.accumulate(oracles.graded_standard_count(leads, 1, nvars, j)
+                                     for j in range(start + d)))
+    want = sum((-1) ** (d - k) * math.comb(d, k) * sums[start - 1 + k] for k in range(d + 1))
+    e, _ = multiplicity_data(FPModule.free(ring, 1), [ring.variable(v) for v in names], d)
+    assert e == want
 
 
 def test_graded_m_adic_table_builds_one_quotient(monkeypatch):
@@ -194,6 +248,43 @@ def test_homology_lengths():
         homology_lengths([X], FREE)
     with pytest.raises(InfiniteHomology):
         homology_lengths([], FREE)
+
+
+def test_homology_lengths_check_the_origin_once(monkeypatch):
+    """Only H_0 takes the origin-support check; H_1 and H_2 are read with
+    `length`."""
+    calls = []
+    real = FPModule.local_length
+
+    def counted(self):
+        calls.append(self)
+        return real(self)
+    monkeypatch.setattr(FPModule, "local_length", counted)
+    A = FPModule.free(_conic(), 1)
+    x, y = A.ring.variable("x"), A.ring.variable("y")
+    assert homology_lengths([x, y], A) == [1, 1, 0]
+    assert len(calls) == 1
+
+
+_KOSZUL_ELEMENTS = ["x", "y", "x + y", "x^2", "x*y", "x - y^2"]
+
+
+@settings(max_examples=30, deadline=None)
+@given(field=st.sampled_from([Q, F2]), a=st.integers(1, 4), b=st.integers(1, 4),
+       mixed=st.none() | st.tuples(st.integers(1, 3), st.integers(1, 3)),
+       picks=st.lists(st.sampled_from(_KOSZUL_ELEMENTS), min_size=1, max_size=3))
+def test_higher_koszul_lengths_are_local(field, a, b, mixed, picks):
+    """On Artinian monomial quotients of the plane every H_i, i >= 1, is
+    supported at the origin, so its global length is its local one."""
+    plane = RingSpec(field, ("x", "y"))
+    x, y = plane.variable("x"), plane.variable("y")
+    gens = [x ** a, y ** b] + ([x ** mixed[0] * y ** mixed[1]] if mixed else [])
+    ring = RingSpec(field, ("x", "y"), quotient=tuple(gens))
+    seq = [parse_polynomial(ring, f) for f in picks]
+    A = FPModule.free(ring, 1)
+    for i in range(1, len(seq) + 1):
+        H = koszul_homology(seq, A, i)
+        assert H.length() == H.local_length()
 
 
 def test_alternating_sums():

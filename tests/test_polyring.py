@@ -135,14 +135,6 @@ def test_orders_are_multiplicative_and_global(order, m, m1, m2):
     assert not _larger(order, (0, 0), m)
 
 
-@given(st.sampled_from([GREVLEX, LEX, MonomialOrder.block(1)]),
-       _monomials(), _monomials())
-def test_descending_key_reverses_key(order, m1, m2):
-    d1, d2 = order.descending_key(m1), order.descending_key(m2)
-    assert (d1 < d2) == _larger(order, m1, m2)
-    assert (d1 == d2) == (m1 == m2)
-
-
 def _polys(field):
     coeff = st.integers(min_value=-3, max_value=3)
     term = st.tuples(_monomials(max_exp=2), coeff)

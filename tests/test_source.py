@@ -343,50 +343,15 @@ def test_only_pinned_generator_lists_take_tracked_preimages():
     assert not found, "tracked preimages outside the pinned generator lists:\n" + "\n".join(found)
 
 
-# The loop carries its expressions on the inputs as tags inside its own
-# vectors, so the division witness, a second expression format, serves only
-# the basis's own division: no other caller of the kernel asks for it.
-WITNESS_CALLERS = {("groebner.py", "reduce")}
-
-
-def passes_witness(call):
-    """True when a call to `_reduce` may pass with_witness: a fifth
-    positional argument, the keyword, or a starred argument."""
-    return (len(call.args) >= 5 or any(isinstance(a, ast.Starred) for a in call.args)
-            or any(k.arg in ("with_witness", None) for k in call.keywords))
-
-
-def test_witness_requests_are_found():
-    text = ("from . import groebner\n"
-            "from .groebner import _reduce as divide\n"
-            "class GroebnerBasis:\n"
-            "    def reduce(self, raw, with_witness=False):\n"
-            "        return _reduce(raw, forms, layout, ops, with_witness)\n"
-            "def _buchberger(sv, forms, layout, ops):\n"
-            "    r, _ = _reduce(sv, forms, layout, ops)\n"
-            "    return divide(sv, forms, layout, ops, with_witness=True)\n"
-            "def _self_check(args, options):\n"
-            "    return groebner._reduce(*args), groebner._reduce(**options)\n")
-    assert call_sites(text, "_reduce", keep=passes_witness) == [
-        (5, "reduce"), (8, "_buchberger"), (10, "_self_check"), (10, "_self_check")]
-
-
-def test_only_the_basis_division_asks_for_a_witness():
-    found = [f"{path.name}:{line}: {function}"
-             for path in sorted(SRC.glob("*.py"))
-             for line, function in call_sites(path.read_text(encoding="utf-8"), "_reduce",
-                                               str(path), keep=passes_witness)
-             if (path.name, function) not in WITNESS_CALLERS]
-    assert not found, "division witnesses outside GroebnerBasis.reduce:\n" + "\n".join(found)
-
-
 # The length table is one loop: only `multiplicity_data` builds the quotients
-# M/I^n M or reads a graded table off the Hilbert series, and the only other
-# length-at-the-origin reads in `multiplicity` are the Koszul lengths and a
-# parameter's colength, so a candidate test reads its colength off H_0 in
-# `homology_lengths` and a second table route would show here.
+# M/I^n M or reads a graded table, and the e it certifies, off the Hilbert
+# series, and the only other length-at-the-origin reads in `multiplicity` are
+# the Koszul lengths (H_0 alone) and a parameter's colength, so a candidate
+# test reads its colength off H_0 in `homology_lengths` and a second table
+# route would show here.
 TABLE_CALLERS = {"quotient_by_polys": {"multiplicity_data"},
                  "hilbert_sums": {"multiplicity_data"},
+                 "hilbert_degree": {"multiplicity_data"},
                  "local_length": {"multiplicity_data", "homology_lengths",
                                   "parameter_colength"}}
 
@@ -409,11 +374,12 @@ def test_stray_table_calls_are_found():
             "    return buchberger(ring, [f]).local_length()\n"
             "FREE.local_length()\n"
             "def _graded_table(M):\n"
-            "    return M.gb.hilbert_sums()\n")
+            "    return M.gb.hilbert_sums(), M.gb.hilbert_degree()\n")
     assert stray_table_calls(text) == [
         (5, "local_length", "_validate_candidate"),
         (5, "quotient_by_polys", "_validate_candidate"),
         (8, "local_length", None),
+        (10, "hilbert_degree", "_graded_table"),
         (10, "hilbert_sums", "_graded_table")]
 
 
