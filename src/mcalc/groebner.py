@@ -59,6 +59,11 @@ call.
 Each basis element's reducer form is built once, when the element joins a
 basis, never once per division.
 
+The loop skips a pair only by a theorem, proved where it is applied, and
+`_self_check` certifies every untracked basis. An untracked run at rank 1
+follows signatures, packed as terms (see `_buchberger`), so almost no
+S-vector reduces to zero there; the other runs take pairs in lcm order.
+
 The kernel takes its arithmetic from a `RawArithmetic` table. An untracked
 basis (the loop, `_reduce_basis` and `_self_check`) runs on the table of
 `FieldSpec.fraction_free`: over Q primitive integer vectors, over F_p(t)
@@ -449,7 +454,7 @@ def _submul(work, tail, shift, c, ops, guard):
     return fresh
 
 
-def _reduce(work, forms, layout, ops):
+def _reduce(work, forms, layout, ops, bound=None):
     """Full division of the packed vector work by reducer forms; consumes work.
 
     The leading term of work comes off a heap of packed keys; keys of terms
@@ -459,6 +464,12 @@ def _reduce(work, forms, layout, ops):
     term no reducer divides moves to the remainder, a packed vector in
     descending term order, which is returned. Quotients ride as tags (see
     `normal_form`).
+
+    With a signature bound, the signature key of work (see `_buchberger`),
+    every form carries its element's signature key as a seventh entry, and
+    only regular steps are taken: the first reducer whose multiple has a
+    smaller signature than work, a larger key than bound, cancels a term.
+    So the remainder keeps the signature bound.
 
     The step on a lead c takes the quotient q from `ops.quotient` and
     subtracts q * x^shift * tail. Over a field that is plain division, one
@@ -485,13 +496,32 @@ def _reduce(work, forms, layout, ops):
             continue
         p = k >> shift
         for f in forms:
-            if f[0] == p and (k + f[1]) & guard == target:
+            if f[0] == p and (k + f[1]) & guard == target and (
+                    bound is None or _regular(f, k, bound, layout)):
                 for t in _submul(work, f[5], k - f[2], quotient(c, f[4], scale), ops, guard):
                     heapq.heappush(heap, t)
                 break
         else:
             rem[k] = c
     return ops.primitive(rem)
+
+
+def _regular(form, k, bound, layout):
+    """True when the multiple of a signed reducer form whose lead is the
+    term k has a smaller signature than the key bound (see `_reduce`):
+    always when the form's signature is of an earlier input. Raises
+    ExponentTooLarge when an exponent of the multiple's signature reaches
+    the cap, where keys stop comparing as the order does."""
+    shift = layout.pos_shift
+    if form[6] >> shift > bound >> shift:
+        return True
+    s = form[6] + k - form[2]
+    if s & layout.guard:
+        raise ExponentTooLarge(_SIGNATURE_CAP)
+    return s > bound
+
+
+_SIGNATURE_CAP = "a signature of the computation has an exponent of 2^31 or more"
 
 
 def _reduce_basis(forms, layout, ops):
@@ -542,15 +572,10 @@ def _s_vector(fa, fb, lcm, ops, guard):
 def _buchberger(ring: RingSpec, raws, rank, track=False):
     """Buchberger's algorithm on raw vectors in R^rank (an ideal is rank 1).
 
-    Pairs are formed only at the same position. They wait in a heap keyed
-    once, when the pair is formed, by (lcm degree, order key of the lcm,
-    a, b): the next pair has the smallest lcm by degree then order, ties
-    broken by the index pair. That order decides which syzygies come out,
-    so it is part of the output contract. The order key is the negated
-    packed key of the lcm at position 0, which sorts exactly as
-    `MonomialOrder.key` does.
-
     Returns (basis, syzygies), the basis as packed vectors (see `_pack`).
+    Pairs are formed only at the same position and wait in one heap. The
+    loop runs on packed vectors, each input packed once.
+
     With track=True the loop runs on the field's own arithmetic and every
     pair is formed and reduced. Input i enters with a tag, the term 1 at
     position rank + i, so every vector of the loop carries its expression
@@ -568,38 +593,94 @@ def _buchberger(ring: RingSpec, raws, rank, track=False):
     With track=False the loop, the basis reduction and the certificate run
     on `field.fraction_free`: over Q on primitive integer vectors and over
     F_p(t) on primitive vectors over F_p[t], which span the same submodule
-    over the field as the inputs. Two criteria act when a
-    pair is formed, so the pair never enters the heap: a new single-term
-    element pairs only with the elements that have a tail (the S-vector of
-    two single terms is zero), and at rank 1 only, leads that are coprime
-    form no pair (the product criterion; at higher rank the S-vector need
-    not reduce to zero). The chain criterion acts when a pair is popped: it
-    is skipped when a third lead at the same position divides the lcm and
-    neither side pair is still queued. A pair never queued counts as
-    treated, because its S-vector already has a standard representation,
-    zero or by the product criterion: forming and dropping it at once is one
-    selection order of the improved Buchberger algorithm (Cox-Little-O'Shea,
-    *Ideals, Varieties, and Algorithms*, Ch. 2 §10; Gebauer-Moeller 1988).
-    The basis is reduced, ascending by lead, and there are no syzygies. The
-    reduced basis is then certified by `_self_check`, whose pair skips need
-    no pair order: its chain criterion is the strict form, not this loop's
-    queued-pairs one. In a tracked run every element carries its tag in its
-    tail and the product criterion is off, so no criterion applies.
+    over the field as the inputs. The basis is reduced, ascending by lead,
+    there are no syzygies, and `_self_check` certifies it. The reduced
+    basis is unique, so a criterion below that skipped a pair wrongly could
+    only fail the certificate, never change the basis.
 
-    The loop runs on packed vectors, each input packed once.
+    Tracked runs and untracked runs at rank > 1 take the pair with the
+    smallest lcm, by degree then order, ties broken by the index pair: the
+    heap is keyed once, when the pair is formed, by (lcm degree, order key
+    of the lcm, a, b), the order key being the negated packed key of the
+    lcm at position 0. That order decides which syzygies come out, so it is
+    part of the output contract. An untracked run at rank > 1 forms no pair
+    of two single terms (the S-vector is zero), and skips a popped pair
+    when a third lead at the same position divides the lcm and neither
+    side pair is still queued: the chain criterion, a pair never queued
+    counting as treated, in one selection order of the improved Buchberger
+    algorithm (Cox-Little-O'Shea, *Ideals, Varieties, and Algorithms*,
+    Ch. 2 §10; Gebauer-Moeller 1988). In a tracked run every element
+    carries its tag in its tail, so no criterion applies. Modules keep the
+    lcm order: two vectors, unlike two polynomials, give no principal
+    syzygy, so signatures would skip less there.
+
+    An untracked run at rank 1 follows signatures: Faugere's F5 criteria
+    (ISSAC 2002) in the rewrite-basis form of Eder-Faugere (*J. Symb.
+    Comp.* 2017). An element's signature is the leading term t*e_i of an
+    expression of it on the n inputs, position over term with later inputs
+    larger, packed as the term t at position n - 1 - i (a larger signature
+    is a smaller key). Input i enters the heap with the signature e_i, a
+    pair with T = max(u_a sig(a), u_b sig(b)), u being a lead's cofactor in
+    the lcm, and no pair is formed when the two are equal; the smallest
+    signature comes off first. An input whose lead an element divides, and
+    each S-vector, is reduced regularly (see `_reduce`), so it keeps its
+    signature. A nonzero remainder joins the basis, even when singular
+    top-reducible: the rewrite criterion needs an element for each
+    signature reduced, and dropping one lost a basis element. A zero one
+    adds its signature to the known syzygy signatures of input i, with
+    lead(a) e_i for each element a of an earlier input (F5's criterion),
+    and T for a pair of two single terms (its S-vector is zero) or of
+    coprime leads (T is its principal syzygy's), neither of which is
+    queued. Recording the principal syzygies of other pairs skipped no pair
+    on any workload, so it is not done, and two single terms are paired
+    only once a pair of their input is popped. A popped pair is skipped
+    when a known syzygy signature divides T (the syzygy criterion), or when
+    an element of input i newer than the pair's side of signature T has a
+    signature dividing T (the rewrite criterion). A signature key past the
+    exponent cap raises ExponentTooLarge: past it keys stop comparing as
+    the order does.
     """
     layout = _layout(ring.order, ring.nvars)
-    guard, target, shift = layout.guard, layout.target, layout.pos_shift
+    guard, target, shift, offset = layout.guard, layout.target, layout.pos_shift, layout.offset
     ops = ring.field.raw if track else ring.field.fraction_free
     forms, leads, syz, inputs = [], [], [], []
     at = {}          # position -> indices of the elements whose lead is there
     tailed = {}      # position -> those of them with a tail
     pending = set()  # (a, b) queued and not yet popped, for the chain criterion
-    queue = []       # heap of (lcm degree, order key, a, b, packed lcm)
+    # heap of (lcm degree, order key, a, b, packed lcm), or when signed of
+    # (-T, a, b, packed lcm), a's side having the signature T, and of
+    # (-e_i, -1, i, None) for input i
+    queue = []
     tags = rank << shift
-    product = rank == 1 and not track  # the product criterion holds
+    signed = rank == 1 and not track
+    known = []    # signed: divisor tests, offset - s, of the syzygy signatures s at this input
+    newest = []   # signed: (element, divisor test of its signature) of this input's elements
+    singles = []  # signed: the single-term elements, paired with each other only on demand
+    paired = 0    # signed: singles[:paired] are paired with each other
 
-    def add(vec):
+    def pair(a, b):
+        """Queue the signed pair (a, b), a < b, or record its syzygy signature."""
+        fa, fb, ea, eb = forms[a], forms[b], leads[a][1], leads[b][1]
+        lcm = tuple(map(max, ea, eb))
+        key = _pack(layout, 0, lcm)
+        # b has the larger signature, so its side has too unless a is of this input
+        t, g, h = fb[6] + key - fb[2], b, a
+        if fa[6] >> shift == fb[6] >> shift:
+            sa = fa[6] + key - fa[2]
+            if sa & guard:
+                raise ExponentTooLarge(_SIGNATURE_CAP)
+            if sa == t:
+                return
+            if sa < t:
+                t, g, h = sa, a, b
+        if t & guard:
+            raise ExponentTooLarge(_SIGNATURE_CAP)
+        if not (fa[5][0] or fb[5][0]) or sum(lcm) == sum(ea) + sum(eb):
+            known.append(offset - t)
+        else:
+            heapq.heappush(queue, (-t, g, h, key))
+
+    def add(vec, sig=None):
         if not vec:
             return
         if min(vec) >= tags:
@@ -608,17 +689,24 @@ def _buchberger(ring: RingSpec, raws, rank, track=False):
         new = len(forms)
         form = _reducer_form(vec, layout, ops)
         p, e = _unpack(layout, form[2])
-        forms.append(form)
-        leads.append((p, e))
         there, with_tail = at.setdefault(p, []), tailed.setdefault(p, [])
-        for k in there if form[5][0] else with_tail:
-            lcm = tuple(map(max, leads[k][1], e))
-            degree = sum(lcm)
-            if product and degree == sum(leads[k][1]) + sum(e):
-                continue
-            key = _pack(layout, 0, lcm)
-            heapq.heappush(queue, (degree, -key, k, new, key + (p << shift)))
-            pending.add((k, new))
+        partners = there if form[5][0] else with_tail
+        if signed:
+            forms.append(form + (sig,))
+            leads.append((p, e))
+            for k in partners:
+                pair(k, new)
+            newest.append((new, offset - sig))
+            if not form[5][0]:
+                singles.append(new)
+        else:
+            for k in partners:
+                lcm = tuple(map(max, leads[k][1], e))
+                key = _pack(layout, 0, lcm)
+                heapq.heappush(queue, (sum(lcm), -key, k, new, key + (p << shift)))
+                pending.add((k, new))
+            forms.append(form)
+            leads.append((p, e))
         there.append(new)
         if form[5][0]:
             with_tail.append(new)
@@ -626,9 +714,43 @@ def _buchberger(ring: RingSpec, raws, rank, track=False):
     for i, raw in enumerate(raws):
         vec = {_pack(layout, p, e): c for (p, e), c in ops.primitive(raw).items()}
         inputs.append(vec)
-        add({**vec, layout.zero + tags + (i << shift): ops.one} if track else vec)
+        if signed:
+            heapq.heappush(queue, (-(layout.zero + ((len(raws) - 1 - i) << shift)), -1, i, None))
+        else:
+            add({**vec, layout.zero + tags + (i << shift): ops.one} if track else vec)
 
     while queue:
+        if signed:
+            t, a, b, lcm = heapq.heappop(queue)
+            t = -t
+            if a < 0:
+                # input b: every element so far is of an earlier input, so
+                # every step is regular and every lead a syzygy signature;
+                # the pairs of single terms left unpaired are of earlier inputs
+                known[:] = map(itemgetter(1), forms)
+                newest.clear()
+                paired = len(singles)
+                vec = inputs[b]
+                if vec:
+                    lead = min(vec)
+                    for f in forms:
+                        if (lead + f[1]) & guard == target:
+                            vec = _reduce(dict(vec), forms, layout, ops, t)
+                            break
+                add(vec, t)
+                continue
+            for j in range(paired, len(singles)):
+                for k in singles[:j]:
+                    pair(k, singles[j])
+            paired = len(singles)
+            if not (any((t + z) & guard == target for z in known)
+                    or any(k > a and (t + z) & guard == target for k, z in newest)):
+                r = _reduce(_s_vector(forms[a], forms[b], lcm, ops, guard), forms, layout, ops, t)
+                if r:
+                    add(r, t)
+                else:
+                    known.append(offset - t)
+            continue
         _, _, a, b, lcm = heapq.heappop(queue)
         pending.discard((a, b))
         if not track and any(k != a and k != b and (lcm + forms[k][1]) & guard == target
@@ -685,18 +807,26 @@ def _self_check(basis, inputs, layout, ops):
     more: the basis {1} passes for any inputs. The reverse inclusion holds
     for `_buchberger`'s basis by construction, each element being a
     remainder of a combination of inputs and earlier elements, so there the
-    basis is one of exactly the input submodule. A pair is divided out
-    unless a theorem gives its representation. Two are the criteria that
-    `_buchberger` applies when it forms a pair: both elements are single
-    terms (the S-vector is zero); or every basis term is at position 0, so
-    the elements are polynomials, and their leads are coprime (the product
-    criterion; at higher rank the S-vector need not reduce to zero). The
-    third is the chain criterion in its strict form, where the loop uses
-    its queued-pairs form: a third lead at the same position divides lcm(a,
-    b) and its lcms with both leads are proper divisors of lcm(a, b). By
-    induction on the lcm in the well-ordered term order, the two smaller
-    pairs of a chain have representations, so the skipped one does too; no
-    pair order is needed.
+    basis is one of exactly the input submodule.
+
+    A pair (a, b) is certified when its S-vector S(a, b) is a combination
+    of basis elements times terms, all below L = lcm(a, b), the lcm of the
+    leads; the basis is a Groebner basis exactly when every pair at one
+    position is (Cox-Little-O'Shea, *Ideals, Varieties, and Algorithms*,
+    Ch. 2 §10; for modules the proof runs at each position). Two kinds of
+    pair lean on no other: two single terms (the S-vector is zero) and,
+    when every basis term is at position 0, coprime leads (the product
+    criterion; at higher rank the S-vector need not reduce to zero), so
+    they are certified first. The rest are taken in one
+    pass, in ascending lcm order, ties by index, and each is certified by
+    dividing its S-vector out to zero, or by the chain criterion in its
+    processed-pairs form: a third lead k at the position divides L, and
+    (a, k) and (b, k) are certified already. Then S(a, b) is, up to
+    nonzero scalars, (L / lcm(a, k)) S(a, k) - (L / lcm(b, k)) S(b, k),
+    each side's representation times its cofactor lies below L, and so
+    S(a, b) has one. Each skip leans only on pairs certified before it, so
+    by induction on the pass every pair is certified; the ascending order
+    just puts first the side pairs, whose lcms divide L.
 
     Basis and inputs are packed vectors in layout, left as they are and
     checked as `ops.primitive` vectors. Over a domain (the integers, F_p[t])
@@ -708,20 +838,27 @@ def _self_check(basis, inputs, layout, ops):
     forms = [_reducer_form(primitive(v), layout, ops) for v in basis]
     leads = [_unpack(layout, f[2]) for f in forms]
     polys = all(k >> shift == 0 for v in basis for k in v)
-    for (fa, (pa, ea)), (fb, (pb, eb)) in itertools.combinations(zip(forms, leads), 2):
-        if pa != pb or not fa[5][0] and not fb[5][0]:
-            continue
-        lcm = tuple(map(max, ea, eb))
-        if polys and sum(lcm) == sum(ea) + sum(eb):
-            continue
-        key = _pack(layout, pa, lcm)
-        # a and b themselves fail the proper-divisor test
-        if any(p == pa and (key + f[1]) & guard == target
-               and tuple(map(max, e, ea)) != lcm and tuple(map(max, e, eb)) != lcm
-               for f, (p, e) in zip(forms, leads)):
-            continue
-        if _reduce(_s_vector(fa, fb, key, ops, guard), forms, layout, ops):
+    at = {}
+    for i, (p, _) in enumerate(leads):
+        at.setdefault(p, []).append(i)
+    certified, pairs = set(), []
+    for p, there in at.items():
+        for a, b in itertools.combinations(there, 2):
+            ea, eb = leads[a][1], leads[b][1]
+            if not (forms[a][5][0] or forms[b][5][0]) or polys and not any(map(min, ea, eb)):
+                certified.add((a, b))
+            else:
+                # ascending lcm is descending packed key
+                pairs.append((-_pack(layout, p, tuple(map(max, ea, eb))), a, b))
+    pairs.sort()
+    for key, a, b in pairs:
+        key = -key
+        # (a, a) is never certified, so k is neither a nor b
+        if not any((key + forms[k][1]) & guard == target and (min(a, k), max(a, k)) in certified
+                   and (min(b, k), max(b, k)) in certified for k in at[leads[a][0]]) \
+                and _reduce(_s_vector(forms[a], forms[b], key, ops, guard), forms, layout, ops):
             raise AssertionError("S-vector self-check failed: not a Groebner basis")
+        certified.add((a, b))
     for v in inputs:
         if _reduce(dict(primitive(v)), forms, layout, ops):
             raise AssertionError("input does not reduce to zero")

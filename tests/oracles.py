@@ -12,9 +12,9 @@ series: they check `GroebnerBasis.dimension`, `length` and
 `hilbert_series`.
 
 The rest, `two_step_presentation`, `tracked_saturation`,
-`witness_syzygies`, `fixpoint_interreduction`, `stepwise_multiplicity` and
-`stepwise_candidate`, do run the package's engine, but by another route
-than the code they check.
+`witness_syzygies`, `fixpoint_interreduction`, `lcm_ordered_basis`,
+`stepwise_multiplicity` and `stepwise_candidate`, do run the package's
+engine, but by another route than the code they check.
 """
 
 import heapq
@@ -361,6 +361,60 @@ def fixpoint_interreduction(forms, layout, ops):
                 changed = True
     return [{k: ops.div(c, f[3]) for k, c in v.items()}
             for f, v in sorted(zip(kept, vecs), key=lambda fv: fv[0][2], reverse=True)]
+
+
+# The route the untracked loop took before it was signature-based: pairs
+# taken in ascending lcm order (degree, then the order), the two
+# pair-formation criteria (two single terms; coprime leads at rank 1) and
+# the chain criterion in its queued-pairs form, inputs added unreduced.
+
+def lcm_ordered_basis(ring, raws, rank=1):
+    """The reduced Groebner basis, as raw vectors ascending by lead, of the
+    submodule of R^rank that the raw vectors raws and J*e_p for every
+    position p generate, J being ring.quotient: `groebner._basis` by the
+    lcm-ordered untracked loop, on the field's fraction-free table and the
+    package's division kernel, S-vectors and basis reduction, with no
+    certificate."""
+    layout = groebner._layout(ring.order, ring.nvars)
+    guard, target, shift = layout.guard, layout.target, layout.pos_shift
+    ops = ring.field.fraction_free
+    work = list(raws) + [{(p, e): c for e, c in q.terms.items()}
+                         for q in ring.quotient for p in range(rank)]
+    forms, leads, at, tailed, pending, queue = [], [], {}, {}, set(), []
+
+    def add(vec):
+        if not vec:
+            return
+        new = len(forms)
+        form = groebner._reducer_form(vec, layout, ops)
+        p, e = groebner._unpack(layout, form[2])
+        forms.append(form)
+        leads.append((p, e))
+        there, with_tail = at.setdefault(p, []), tailed.setdefault(p, [])
+        for k in there if form[5][0] else with_tail:
+            lcm = tuple(map(max, leads[k][1], e))
+            if rank == 1 and sum(lcm) == sum(leads[k][1]) + sum(e):
+                continue
+            key = groebner._pack(layout, 0, lcm)
+            heapq.heappush(queue, (sum(lcm), -key, k, new, key + (p << shift)))
+            pending.add((k, new))
+        there.append(new)
+        if form[5][0]:
+            with_tail.append(new)
+
+    for raw in work:
+        add({groebner._pack(layout, p, e): c for (p, e), c in ops.primitive(raw).items()})
+    while queue:
+        _, _, a, b, lcm = heapq.heappop(queue)
+        pending.discard((a, b))
+        if any(k != a and k != b and (lcm + forms[k][1]) & guard == target
+               and (min(a, k), max(a, k)) not in pending and (min(b, k), max(b, k)) not in pending
+               for k in at[leads[a][0]]):
+            continue
+        add(groebner._reduce(groebner._s_vector(forms[a], forms[b], lcm, ops, guard),
+                             forms, layout, ops))
+    return [{groebner._unpack(layout, k): c for k, c in v.items()}
+            for v in groebner._reduce_basis(forms, layout, ops)]
 
 
 # The route the length table took before it was one loop: I^n as all n-fold

@@ -433,6 +433,18 @@ def test_exponents_past_the_cap_exit_two(tmp_path, capsys, session, message):
         assert message in _coded_exit(capsys, [command, str(p)], "EXPONENT_TOO_LARGE")
 
 
+def test_signature_past_the_cap_exits_two(tmp_path, capsys):
+    """x^N and x*y^N - 1, N = 2^30, generate the unit ideal, but their
+    basis steps the power of x down by one per S-pair. The signatures, the
+    cofactors of those steps, pass 2^31 within a few pairs, though no term
+    does: the run stops with a coded error, fast, and no traceback."""
+    p = tmp_path / "plane.ring"
+    p.write_text("field = Q\nvars = x, y\n", encoding="utf-8")
+    err = _coded_exit(capsys, ["gb", str(p), "--gens", "x^1073741824, x*y^1073741824 - 1"],
+                      "EXPONENT_TOO_LARGE")
+    assert "a signature of the computation has an exponent of 2^31 or more" in err
+
+
 @pytest.mark.parametrize("command", [["dim"], ["length"], ["koszul", "--seq", "x"], ["gb"],
                                      ["mult", "--params", "x,y"]],
                          ids=["dim", "length", "koszul", "gb", "mult"])

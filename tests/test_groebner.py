@@ -6,7 +6,7 @@ from fractions import Fraction
 from operator import le
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from mcalc.errors import SupportNotAtOrigin, UnitIdeal
@@ -433,10 +433,12 @@ def test_self_check_uses_no_product_criterion_on_vectors():
         _check(basis, basis, R, F7.raw)
 
 
-def test_self_check_uses_only_the_strict_chain_criterion():
+def test_self_check_chain_criterion_needs_certified_sides():
     """All three pairwise lcms of the leads xy, yz, xz are xyz, so each
-    third lead divides the lcm but with no proper side lcm; the reduced
-    basis of this ideal has six elements."""
+    third lead divides every lcm. The chain criterion may skip a pair only
+    once both its side pairs are certified, so at most the last of the
+    three is skipped; this is no basis (the reduced one has six elements),
+    and dividing the first two finds it."""
     x, y, z = (R3.variable(v) for v in "xyz")
     gens = [x * y - z * z, y * z + x, x * z + y]
     assert len(buchberger(R3, gens).raws) == 6
@@ -598,40 +600,181 @@ def _monomials_and_fermat(rank):
     return ring, raws
 
 
+def _trivial_signatures(loop, layout):
+    """(T, index of the later element, whether either has a tail) for each
+    pair of the signed loop forms loop that the loop does not queue: two
+    single terms, or coprime leads; T is the pair's signature."""
+    shift = layout.pos_shift
+    leads = [_unpack(layout, f[2])[1] for f in loop]
+    for a, b in itertools.combinations(range(len(loop)), 2):
+        fa, fb = loop[a], loop[b]
+        if (fa[5][0] or fb[5][0]) and any(map(min, leads[a], leads[b])):
+            continue
+        key = _pack(layout, 0, tuple(map(max, leads[a], leads[b])))
+        sa, sb = fa[6] + key - fa[2], fb[6] + key - fb[2]
+        if fa[6] >> shift != fb[6] >> shift:
+            yield sb, b, bool(fa[5][0] or fb[5][0])
+        elif sa != sb:
+            yield min(sa, sb), b, bool(fa[5][0] or fb[5][0])
+
+
 @pytest.mark.parametrize("rank", [1, 2])
 def test_loop_queues_no_trivial_pair(rank, monkeypatch):
     """Every pair the untracked loop pushes on its heap has an element with a
     tail and, at rank 1, leads that are not coprime: the loop's elements
     are the first reducer forms built in a `_buchberger` call, in index
-    order, and a queued pair carries its index pair (a, b)."""
-    forms, pairs = [], []
-    real_form, real_heapq = groebner._reducer_form, groebner.heapq
+    order, and a queued pair carries its index pair (a, b) after its key,
+    at rank 1 the one int -T (an input carries -1 there). At rank 1 the
+    signature T of every such pair is recorded as a syzygy's instead: no
+    input or S-vector reduced once both elements exist has a signature T
+    divides. The signatures are the seventh entries of the loop's forms,
+    which reach `_reduce` with a signature bound. The second rank-1 case
+    reduces one more S-vector, of such a signature, when T is not
+    recorded."""
+    forms, pairs, bounds, signed = [], [], [], []
+    real_form, real_heapq, real_reduce = groebner._reducer_form, groebner.heapq, groebner._reduce
 
     def recorded(*args):
         forms.append(real_form(*args))
         return forms[-1]
+
+    def reduce(work, loop_forms, layout, ops, bound=None):
+        if bound is not None:
+            signed[:] = [loop_forms]
+            bounds.append((bound, len(loop_forms)))
+        return real_reduce(work, loop_forms, layout, ops, bound)
 
     class Heap:
         heappop, heapify = real_heapq.heappop, real_heapq.heapify
 
         @staticmethod
         def heappush(heap, item):
-            if type(item) is tuple:  # a pair, not a division key
-                pairs.append(item[2:4])
+            if type(item) is tuple:  # an input or a pair, not a division key
+                pair = item[1:3] if rank == 1 else item[2:4]
+                if pair[0] >= 0:
+                    pairs.append(pair)
             real_heapq.heappush(heap, item)
 
     monkeypatch.setattr(groebner, "_reducer_form", recorded)
+    monkeypatch.setattr(groebner, "_reduce", reduce)
     monkeypatch.setattr(groebner, "heapq", Heap)
-    ring, raws = _monomials_and_fermat(rank)
-    _buchberger(ring, raws, rank)
-    layout = _layout(ring.order, ring.nvars)
-    leads = [_unpack(layout, f[2]) for f in forms]
-    assert pairs
-    for a, b in pairs:
-        assert leads[a][0] == leads[b][0]
-        assert forms[a][5][0] or forms[b][5][0]
+    cases = [_monomials_and_fermat(rank)]
+    if rank == 1:
+        one = F7.raw.one
+        cases.append((R3, [{(0, (2, 2, 3)): one}, {(0, (1, 3, 2)): one, (0, (1, 3, 0)): one}]))
+    for ring, raws in cases:
+        forms.clear(), pairs.clear(), bounds.clear()
+        _buchberger(ring, raws, rank)
+        layout = _layout(ring.order, ring.nvars)
+        leads = [_unpack(layout, f[2]) for f in forms]
+        assert pairs
+        for a, b in pairs:
+            assert leads[a][0] == leads[b][0]
+            assert forms[a][5][0] or forms[b][5][0]
+            if rank == 1:
+                assert any(map(min, leads[a][1], leads[b][1]))
         if rank == 1:
-            assert any(map(min, leads[a][1], leads[b][1]))
+            checked = set()
+            for t, b, tailed in _trivial_signatures(signed[0], layout):
+                for bound, known in bounds:
+                    if known > b and bound >> layout.pos_shift == t >> layout.pos_shift:
+                        assert (bound + layout.offset - t) & layout.guard != layout.target
+                        checked.add(tailed)
+            assert checked
+
+
+# -- the rank-1 loop is signature-based -------------------------------------------
+
+F32003 = FieldSpec.prime_field(32003)
+_ONE = Q.raw.one
+
+_KATSURA_3 = (("x0", "x1", "x2", "x3"),
+              ["x0 + 2*x1 + 2*x2 + 2*x3 - 1",
+               "x0^2 + 2*x1^2 + 2*x2^2 + 2*x3^2 - x0",
+               "2*x0*x1 + 2*x1*x2 + 2*x2*x3 - x1",
+               "2*x0*x2 + x1^2 + 2*x1*x3 - x2"])
+_CYCLIC_4 = (("a", "b", "c", "d"),
+             ["a + b + c + d", "a*b + b*c + c*d + d*a", "a*b*c + b*c*d + c*d*a + d*a*b",
+              "a*b*c*d - 1"])
+
+
+def _system(field, system):
+    """(ring, raw vectors) of a named system over field."""
+    names, texts = system
+    ring = RingSpec(field, names)
+    return ring, [_raw_vector((parse_polynomial(ring, t),)) for t in texts]
+
+
+@pytest.mark.parametrize("system", [_CYCLIC_4, _KATSURA_3], ids=["cyclic-4", "katsura-3"])
+def test_loop_reduces_at_most_one_s_vector_to_zero(system, monkeypatch):
+    """The syzygy and rewrite criteria skip almost every pair whose
+    S-vector reduces to zero: over F_32003 cyclic-4 and katsura-3 reduce
+    at most one each to zero in the loop, and at most four S-vectors in
+    all (the lcm-ordered loop reduced 11 and 10, five each to zero; with
+    no rewrite criterion cyclic-4 reduces six). The S-vectors are the
+    dicts `_s_vector` returns, and a loop reduction carries a signature
+    bound; the certificate's carry none."""
+    made, zero = set(), []
+    real_s_vector, real_reduce = groebner._s_vector, groebner._reduce
+
+    def s_vector(*args):
+        v = real_s_vector(*args)
+        made.add(id(v))
+        return v
+
+    def reduce(work, forms, layout, ops, bound=None):
+        loop_s_vector = bound is not None and id(work) in made
+        r = real_reduce(work, forms, layout, ops, bound)
+        if loop_s_vector:
+            zero.append(r == {})
+        return r
+
+    monkeypatch.setattr(groebner, "_s_vector", s_vector)
+    monkeypatch.setattr(groebner, "_reduce", reduce)
+    ring, raws = _system(F32003, system)
+    _basis(ring, raws, 1)
+    assert zero and sum(zero) <= 1 and len(zero) <= 4
+
+
+@st.composite
+def _rank_one_cases(draw):
+    """A field, a quotient J (maybe empty) of the plane, and polynomial
+    inputs as raw vectors: zero, single-term and repeated ones among them,
+    and now and then 1, for the unit ideal. Over F_5(t) the exponents stay
+    below 3 and there are at most three inputs (see `_coefficients`)."""
+    field = draw(st.sampled_from([F7, Q, F5T]))
+    coeff = _coefficients(field)
+    top, most = (2, 3) if field is F5T else (3, 5)
+    mono = st.tuples(st.integers(0, top), st.integers(0, top))
+    term = st.tuples(st.just(0), mono)
+    raws = draw(st.lists(st.one_of(st.just({}), st.dictionaries(term, coeff, min_size=1, max_size=1),
+                                   st.dictionaries(term, coeff, min_size=2, max_size=4)),
+                         min_size=1, max_size=most))
+    raws += draw(st.lists(st.sampled_from(raws), max_size=1))
+    if draw(st.integers(0, 9)) == 0:
+        raws.append({(0, (0, 0)): field.raw.one})
+    quotient = draw(st.lists(st.dictionaries(mono.filter(any), coeff, min_size=1, max_size=2),
+                             max_size=2))
+    ring = RingSpec(field, ("x", "y"), quotient=tuple(Polynomial(field, 2, q) for q in quotient))
+    return ring, raws
+
+
+@settings(max_examples=80, deadline=None)
+@given(_rank_one_cases())
+@example(_system(F5T, (_KATSURA_3[0], [_KATSURA_3[1][0].replace("- 1", "- t")]
+                       + _KATSURA_3[1][1:])))
+@example(_system(Q, _CYCLIC_4))
+@example((RingSpec(Q, ("x", "y"), quotient=(Polynomial(Q, 2, {(0, 2): _ONE, (0, 3): _ONE}),)),
+          [{(0, (0, 0)): _ONE, (0, (2, 0)): _ONE, (0, (3, 0)): _ONE},
+           {(0, (0, 0)): _ONE, (0, (3, 2)): _ONE}]))
+def test_rank_one_basis_matches_the_lcm_ordered_oracle(case):
+    """The signature-based loop and the lcm-ordered loop it replaced
+    (`oracles.lcm_ordered_basis`) give the same reduced basis: the reduced
+    basis is unique, so no criterion may lose an element. The last example
+    is the unit ideal; dropping its one singular top-reducible remainder,
+    at the signature x*y e_2, lost the 1 that a later pair makes."""
+    ring, raws = case
+    assert list(_basis(ring, raws, 1).raws) == oracles.lcm_ordered_basis(ring, raws)
 
 
 # -- over Q the untracked loop runs on primitive integer vectors ------------------
