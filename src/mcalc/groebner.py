@@ -8,10 +8,11 @@ for ideals and submodules of R^rank alike: the Buchberger loop
 `_buchberger`, its certificate `_self_check`, the division kernel `_reduce`,
 the basis reduction `_reduce_basis`, the one input path `_basis` and the one
 basis object `GroebnerBasis`, which answers every quotient query: division,
-and dimension and lengths from one Hilbert series of its leads; only
-`standard_monomials` enumerates standard terms. `fpmodules` builds its bases
-through `_basis`, its syzygies through `_buchberger` and its map images
-through `_linear_combination`, and reads no reducer form. A query for a
+and dimension and lengths from one Hilbert series of its leads, read by
+`read_hilbert_series`; only `_standard_terms` enumerates standard terms.
+`fpmodules` builds its bases through `_basis`, its syzygies through
+`_buchberger` and its map images through `_linear_combination`, and reads
+no reducer form. A query for a
 submodule takes one certified untracked basis, and a presentation takes its
 relations straight off such a basis, with no second Buchberger run:
 `GroebnerBasis._block` keeps the elements of an elimination basis led past a
@@ -141,23 +142,27 @@ class GroebnerBasis:
 
     def hilbert_series(self) -> dict:
         """Numerator N(t) of the Hilbert series N(t)/(1-t)^n of R^rank modulo
-        the lead submodule, standard grading, summed over positions, as
-        {degree: nonzero coefficient}; {} for the zero quotient."""
-        out = {}
-        for p in range(self.rank):
-            _add_shifted(out, _hilbert_numerator([e for q, e in self._leads if q == p]), 0)
-        return out
+        the lead submodule, standard grading: `graded_series` with every
+        variable graded; {} for the zero quotient."""
+        return self.graded_series(self.ring.nvars)
 
-    def hilbert_sums(self):
-        """Endless: Σ_{j<n} H(j) for n = 0, 1, 2, .., H being the Hilbert
-        function of `hilbert_series`, so the n-th value is the length of
-        R^rank modulo the leads and every term of degree n or more. With N
-        the numerator and v the number of variables it is Σ_{d<n} N_d
-        C(n - 1 - d + v, v), since Σ_{d<=j<n} C(j - d + v - 1, v - 1) is
-        that binomial. The series is computed once, on the first value."""
-        series, v = self.hilbert_series(), self.ring.nvars
-        for n in itertools.count():
-            yield sum(c * math.comb(n - 1 - d + v, v) for d, c in series.items() if d < n)
+    def graded_series(self, graded, cells=0) -> dict:
+        """`hilbert_series` graded by the first `graded` variables alone, the
+        rest of degree 0; for cells > 0 only over the terms holding one of
+        the next cells variables, to the first power, and no other. Each
+        standard term of degree 0, which must be finitely many, adds the
+        numerator of the graded parts of the leads that divide it."""
+        out, head = {}, graded + cells
+        for p in range(self.rank):
+            for c in range(cells) or [None]:
+                cell = tuple(int(q == c) for q in range(cells))
+                leads = [(e[head:], e[:graded]) for q, e in self._leads
+                         if q == p and all(map(le, e[graded:head], cell))]
+                for b in _standard_terms([x for x, y in leads if not any(y)],
+                                         self.ring.nvars - head):
+                    _add_shifted(out, _hilbert_numerator([y for x, y in leads
+                                                          if all(map(le, x, b))]), 0)
+        return out
 
     def is_graded(self) -> bool:
         """True when every vector is homogeneous in the standard grading, each
@@ -165,31 +170,17 @@ class GroebnerBasis:
         empty basis is."""
         return all(len({sum(e) for _, e in v}) == 1 for v in self.raws)
 
-    def _order_at_one(self):
-        """(j, (-1)^j N^(j)(1) / j!) for the least j with N^(j)(1) nonzero, N
-        being `hilbert_series`, so the pole order at t = 1 is n - j; (n + 1,
-        0) for the zero quotient. N^(j)(1) / j! = Σ_d N_d C(d, j)."""
-        series, n = self.hilbert_series(), self.ring.nvars
-        values = (sum(c * math.comb(d, j) for d, c in series.items()) for j in range(n + 1))
-        return next(((j, (-1) ** j * v) for j, v in enumerate(values) if v), (n + 1, 0))
-
     def dimension(self) -> int:
         """Dimension of R^rank modulo the submodule, -1 for the zero quotient:
         the pole order at t = 1 of the Hilbert series. Its leading
         coefficients are positive, so positions cannot cancel."""
-        return self.ring.nvars - self._order_at_one()[0]
-
-    def hilbert_degree(self) -> int:
-        """h(1) for the Hilbert series h(t)/(1-t)^d, d the dimension, 0 for
-        the zero quotient: where the d-th differences of n -> Σ_{j<n} H(j)
-        settle, e(m) of a graded quotient (Bruns-Herzog, Ch. 4)."""
-        return self._order_at_one()[1]
+        return read_hilbert_series(self.hilbert_series(), self.ring.nvars)[0]
 
     def length(self):
         """Dimension over k of R^rank modulo the submodule: the Hilbert series
         at t = 1, which is the degree, or INFINITE where it has a pole."""
-        j, degree = self._order_at_one()
-        return INFINITE if j < self.ring.nvars else degree
+        d, e, _ = read_hilbert_series(self.hilbert_series(), self.ring.nvars)
+        return INFINITE if d > 0 else e
 
     def is_unit_ideal(self) -> bool:
         """True when the quotient is zero: every position has a unit lead."""
@@ -282,6 +273,20 @@ def _hilbert_numerator(gens):
     _add_shifted(out, _hilbert_numerator([g[:i] + (max(g[i] - e, 0),) + g[i + 1:]
                                           for g in minimal]), e)
     return out
+
+
+def read_hilbert_series(series, v):
+    """(d, e, sums) of the Hilbert series N(t)/(1-t)^v, series being N: the
+    pole order d at t = 1, the dimension; e = h(1) for N = h(t)(1-t)^(v-d),
+    the degree, which is (-1)^j N^(j)(1)/j! = (-1)^j Σ_k N_k C(k, j) for j =
+    v - d, the least j where that sum is nonzero; (-1, 0) for N = 0; and
+    the endless Σ_{i<n} H(i) for n = 1, 2, .., H the Hilbert function, that
+    is Σ_{k<n} N_k C(n - 1 - k + v, v) (Bruns-Herzog, Ch. 4)."""
+    values = (sum(c * math.comb(k, j) for k, c in series.items()) for j in range(v + 1))
+    j, e = next(((j, (-1) ** j * c) for j, c in enumerate(values) if c), (v + 1, 0))
+    sums = (sum(c * math.comb(n - 1 - k + v, v) for k, c in series.items() if k < n)
+            for n in itertools.count(1))
+    return v - j, e, sums
 
 
 # -- the division kernel -------------------------------------------------------
@@ -914,24 +919,27 @@ def normal_form(f: Polynomial, gb: GroebnerBasis, with_witness: bool = False):
 def standard_monomials(gb: GroebnerBasis):
     """Exponent tuples of the standard terms of R^rank modulo the submodule,
     positions dropped (at rank 1 a monomial basis of R/(ideal) over k), or
-    INFINITE: ascending in the position-over-term order, last position first.
-
-    A position whose leads include a unit contributes nothing. Otherwise the
-    count is finite exactly when every variable has a pure power among the
-    position's leads; then all exponents below those bounds are enumerated.
-    """
+    INFINITE: ascending in the position-over-term order, last position first."""
     out = []
     for p in reversed(range(gb.rank)):
-        exps = [e for q, e in gb._leads if q == p]
-        if any(not any(e) for e in exps):
-            continue
-        bounds = [min((e[i] for e in exps if e[i] and sum(e) == e[i]), default=None)
-                  for i in range(gb.ring.nvars)]
-        if None in bounds:
+        terms = _standard_terms([e for q, e in gb._leads if q == p], gb.ring.nvars)
+        if terms is INFINITE:
             return INFINITE
-        out += sorted((t for t in itertools.product(*(range(b) for b in bounds))
-                       if not any(all(map(le, e, t)) for e in exps)), key=gb.ring.order.key)
+        out += sorted(terms, key=gb.ring.order.key)
     return out
+
+
+def _standard_terms(exps, n):
+    """The exponent tuples of length n that no tuple of exps lies below: none
+    if exps holds 0, else INFINITE if a variable has no pure power there."""
+    if any(not any(e) for e in exps):
+        return []
+    bounds = [min((e[i] for e in exps if e[i] and sum(e) == e[i]), default=None)
+              for i in range(n)]
+    if None in bounds:
+        return INFINITE
+    return [t for t in itertools.product(*map(range, bounds))
+            if not any(all(map(le, e, t)) for e in exps)]
 
 
 def krull_dimension(gb: GroebnerBasis) -> int:

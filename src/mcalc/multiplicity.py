@@ -3,14 +3,10 @@
 Lengths here are k-vector-space dimensions of quotients; they agree with
 local lengths at the origin exactly when the finite-length quotient is
 supported there, which the entry points check before trusting a number.
-Multiplicities come out of stabilized finite differences of the length
-table, never from fitting. The table is one loop, `multiplicity_data`: it
-builds the generators of I^n from those of I^(n-1), and its first entry,
-ℓ(M/IM), is checked finite and supported at the origin. When M's relation
-basis is homogeneous and that entry equals ℓ(M/mM), the degree-0 value of
-M's Hilbert function, then IM = mM, and every later entry ℓ(M/m^n M) is a
-partial sum of that Hilbert function, read off M's own relation basis
-with no further basis (the argument is in `multiplicity_data`).
+`multiplicity_data` reads e and the whole length table off one Hilbert
+series, with no stopping rule to guess at: M's own when M is graded and
+IM = mM, else that of the associated graded module gr_I(M), which
+`_rees_series` counts off a basis of the Rees module.
 
 `search_parameters` reads no table: a candidate whose first d - 1 elements
 drop the dimension step by step is a system of parameters exactly when H_0
@@ -30,15 +26,13 @@ from .errors import (HypothesisFails, InfiniteHomology, NoStabilization,
                      NotDimensionOne, NotFiniteColength, NotParameter,
                      OutOfRange, SupportNotAtOrigin)
 from .fpmodules import FPModule, ModuleVector
-from .groebner import buchberger, krull_dimension
+from .groebner import buchberger, krull_dimension, read_hilbert_series
 from .koszul import VirtualModule, koszul_homology, phi_apply
-from .polyring import INFINITE, Polynomial, RingSpec
+from .polyring import INFINITE, MonomialOrder, Polynomial, RingSpec
 
 VERIFIED = "VERIFIED"
 REFUTED = "REFUTED"
 INCONCLUSIVE = "INCONCLUSIVE"
-
-STABILIZATION_CAP = 40
 
 
 def _jsonable(v):
@@ -89,42 +83,23 @@ def _warn_if_inhomogeneous(ring: RingSpec, gens):
 
 
 def multiplicity_data(M: FPModule, gens, r: int):
-    """(e, length table) where e is the stabilized r-th finite difference.
+    """(e, length table) off one Hilbert series, that of gr_I(M) = ⊕ I^n M
+    / I^(n+1) M (Bruns-Herzog, Ch. 4).
 
-    The table is one loop over n = 1, 2, .. that builds the generators of
-    I^n from those of I^(n-1) (products, without repeats) and reads
-    ℓ(M/I^n M) off one basis per entry. The first entry is ℓ(M/IM), checked
-    finite and supported at the origin (NotFiniteColength,
-    SupportNotAtOrigin). Later entries need no check, since M/I^n M has the
-    support of M/IM.
+    ℓ(M/IM) is checked finite and supported at the origin
+    (NotFiniteColength, SupportNotAtOrigin), so each M/I^n M is, and
+    ℓ(M/I^n M) = Σ_{j<n} H(j) for H the Hilbert function of gr_I(M). If M's
+    relation basis is homogeneous (each e_p of degree 0) and ℓ(M/IM) =
+    H_M(0) = ℓ(M/mM), then IM = mM (if I ⊆ m, both have that colength; a
+    unit at the origin in I makes M/IM = 0 = M/mM, and M = 0 by graded
+    Nakayama), so I^n M = M_{≥n} and gr_I(M) has the series of M's leads
+    (Macaulay's theorem). Otherwise `_rees_series` gives it.
 
-    Later entries build no basis when every vector of M's relation basis is
-    homogeneous (standard grading, each e_p of degree 0) and the first
-    entry equals ℓ(M/mM), the degree-0 value H_M(0) of M's Hilbert
-    function. Then IM = mM: if I ⊆ m, then IM ⊆ mM, and two submodules of
-    the same finite colength are equal; if I holds an element that is a
-    unit at the origin, it acts invertibly on M/IM, which is supported at
-    the origin, so M/IM = 0, hence M/mM = 0 and M = 0 by graded Nakayama.
-    By induction I^n M = I(m^(n-1) M) = m^n M, and m^n M = M_{≥n} because
-    every generator has degree 0, so ℓ(M/I^n M) = Σ_{j<n} H_M(j). Under any
-    term order a homogeneous submodule and its lead submodule have the same
-    Hilbert function (Macaulay's theorem), so the basis's `hilbert_sums`
-    gives those partial sums from one Hilbert series per table. Both routes
-    give the same numbers.
-
-    The loop stops when three consecutive r-th differences agree; that
-    common value is e. e(M, r) = 0 when r exceeds the support dimension,
-    and the r = 0 value of the empty ideal is ℓ(M). Three equal differences
-    can stop short of the limit (k[x]/(x^10) with I = (x) gives 1, 1, 1
-    before the lengths level off, and k[x,y]/(x^3, y^3) with I = (x, y) and
-    r = 2 gives -1, -1, -1), so a nonzero e is replaced by 0 when r exceeds
-    d = dim Supp M, which the dimension theorem certifies; a negative value
-    that remains raises NoStabilization. On the graded route the table is
-    a polynomial of degree d in n from some n on, so its r-th differences
-    settle at the series' `hilbert_degree` for r = d and never for r < d;
-    for r <= d three equal ones stop the loop only where they settle, so a
-    plateau of the Hilbert function (1, 2, 2, 2, 1, 1, .. of
-    k[x,y]/(x^2, x*y^3)) no longer gives a wrong e.
+    The series gives d, the dimension of M at the origin, and its degree
+    e, the d-th differences of the table from some n on. So e(M, r) is e at
+    r = d and 0 at r > d; at r < d NoStabilization is raised before any
+    table is read. The table runs to the first n where the last three r-th
+    differences agree, and equal e when r = d.
     """
     gens = list(gens)
     if r < 0:
@@ -132,44 +107,61 @@ def multiplicity_data(M: FPModule, gens, r: int):
     for g in gens:
         M.ring.check_member(g)
     _warn_if_inhomogeneous(M.ring, gens)
-    power = [M.ring.one()]
+    length = (M.quotient_by_polys(gens) if gens else M).local_length()
+    if length is INFINITE:
+        raise NotFiniteColength("M/IM has infinite length")
+    series, v = M.gb.hilbert_series(), M.ring.nvars
+    if not (M.gb.is_graded() and series.get(0, 0) == length):
+        series, v = _rees_series(M, gens), len(gens)
+    d, e, sums = read_hilbert_series(series, v)
+    if r < d:
+        raise NoStabilization(f"order-{r} differences never settle: M has dimension {d} "
+                              f"at the origin", r=r, dimension=d)
     values = []
-    graded = None  # ℓ(M/m^n M) for n = 2, 3, .. once IM = mM is certified
-    settle = None  # then, for r <= d, where the r-th differences settle
-    for n in range(1, STABILIZATION_CAP + 1):
-        if graded is not None:
-            length = next(graded)
-        else:
-            power = list(dict.fromkeys(p * g for p in power for g in gens))
-            Q = M.quotient_by_polys(power) if gens else M
-            if n == 1:
-                length = Q.local_length()
-                if length is INFINITE:
-                    raise NotFiniteColength("M/IM has infinite length")
-                sums = itertools.islice(M.gb.hilbert_sums(), 1, None)
-                if M.gb.is_graded() and next(sums) == length:
-                    graded = sums
-                    d = M.support_dimension()
-                    if r <= d:
-                        settle = M.gb.hilbert_degree() if r == d else INFINITE
-            else:
-                length = Q.length()
-        values.append(length)
+    for value in sums:
+        values.append(value)
         diffs = values
         for _ in range(r):
             diffs = [b - a for a, b in zip(diffs, diffs[1:])]
         if (len(diffs) >= 3 and diffs[-1] == diffs[-2] == diffs[-3]
-                and (settle is None or settle == diffs[-1])):
-            e = diffs[-1]
-            if e and r > M.support_dimension():
-                e = 0
-            if e < 0:
-                raise NoStabilization(f"order-{r} differences settled at {e} < 0",
-                                      values=list(values), r=r)
-            return e, tuple(values)
-    raise NoStabilization(
-        f"no three equal order-{r} differences within {STABILIZATION_CAP} steps",
-        values=list(values), r=r)
+                and (r > d or diffs[-1] == e)):
+            return (e if r == d else 0), tuple(values)
+
+
+def _rees_series(M: FPModule, gens):
+    """Numerator, over r = len(gens) variables, of the Hilbert series of
+    gr_I(M), for M/IM of finite length.
+
+    At rank 1, M = R/U, the first basis, under block(1) on k[t, T_1..T_r,
+    x], is of U and the T_i - f_i t. Its elements free of t generate the
+    ideal K of the Rees module ⊕ I^n M t^n in k[T, x], and K + (f) that of
+    gr_I(M) (Eisenbud, 15.10). At rank g > 1, M is the part of degree 1 in
+    e of k[e_1..e_g, x] modulo the e_p e_q and the Σ u_p e_p for relations
+    u (Nagata's idealization). All is homogeneous in T and in e, so
+    `graded_series` counts by T-degree the standard terms of the second
+    basis, of K + (f) on k[T, e, x]. The auxiliary names are longer than
+    the session's, so none is one of them or the t of F_p(t).
+    """
+    ring, r = M.ring, len(gens)
+    cells = M.rank if M.rank > 1 else 0
+    pad = "_" * max(map(len, ring.variables))
+    names = [f"T{i}{pad}" for i in range(r)] + [f"e{p}{pad}" for p in range(cells)]
+    S = RingSpec(ring.field, [f"t{pad}", *names, *ring.variables], MonomialOrder.block(1))
+
+    def lift(terms):  # the raw terms (p, x): c, times e_p at rank > 1
+        return Polynomial(S.field, S.nvars, {
+            (0,) * (1 + r) + tuple(int(q == p) for q in range(cells)) + x: c
+            for (p, x), c in terms})
+
+    f = [lift(((None, x), c) for x, c in h.terms.items()) for h in gens]
+    e = [S.variable(1 + r + p) for p in range(cells)]
+    squares = itertools.combinations_with_replacement(e, 2)
+    first = buchberger(S, [lift(u.items()) for u in M.gb.raws] + [a * b for a, b in squares]
+                       + [S.variable(1 + i) - S.variable(0) * h for i, h in enumerate(f)])
+    G = RingSpec(ring.field, [*names, *ring.variables])
+    second = buchberger(G, [Polynomial(G.field, G.nvars, {x[1:]: c for x, c in h.terms.items()})
+                            for h in [*first.generators, *f] if not any(x[0] for x in h.terms)])
+    return second.graded_series(r, cells)
 
 
 def multiplicity(M: FPModule, gens, r: int) -> int:

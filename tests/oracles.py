@@ -18,7 +18,6 @@ engine, but by another route than the code they check.
 """
 
 import heapq
-import importlib
 import itertools
 import operator
 
@@ -28,9 +27,6 @@ from mcalc.errors import (NoStabilization, NotFiniteColength, OutOfRange,
 from mcalc.fpmodules import (SATURATION_CAP, FPModule, ModuleVector, preimage_submodule,
                              subquotient)
 from mcalc.polyring import INFINITE
-
-# the package's `multiplicity` function hides the module of that name
-multiplicity_module = importlib.import_module("mcalc.multiplicity")
 
 
 def _grevlex_key(exps):
@@ -236,6 +232,18 @@ def graded_standard_count(leads, rank, nvars, degree):
     return sum(1 for p in range(rank) for t in terms if not _lead_multiple(leads, p, t))
 
 
+def partially_graded_standard_count(leads, rank, graded, cells, nvars, degree, bound):
+    """Number of standard terms, over all positions, of R^rank modulo a
+    submodule with these leads whose first `graded` exponents sum to
+    degree, whose next `cells` exponents are one unit vector (all of them
+    none when cells is 0), and whose other exponents are below bound."""
+    heads = [h for h in itertools.product(range(degree + 1), repeat=graded) if sum(h) == degree]
+    units = [tuple(int(i == j) for j in range(cells)) for i in range(cells)] or [()]
+    tails = list(itertools.product(range(bound), repeat=nvars - graded - cells))
+    return sum(1 for p in range(rank) for h in heads for u in units for t in tails
+               if not _lead_multiple(leads, p, h + u + t))
+
+
 # The route subquotient presentations took before they came off one
 # elimination basis: a tracked syzygy computation for the preimage, then a
 # second basis for its reduced form. Unlike the references above it runs the
@@ -417,11 +425,17 @@ def lcm_ordered_basis(ring, raws, rank=1):
             for v in groebner._reduce_basis(forms, layout, ops)]
 
 
-# The route the length table took before it was one loop: I^n as all n-fold
-# products of the generators, a colength check of its own for M/IM, and the
-# r-th differences of the whole table recomputed at every entry; and the
-# search candidate test that built the basis of all d elements for its own
-# colength check before the table.
+# The route the length table took before it was read off one Hilbert series:
+# I^n as all n-fold products of the generators, a colength check of its own
+# for M/IM, and the r-th differences of the whole table recomputed at every
+# entry, stopping at the first three equal ones; and the search candidate
+# test that built the basis of all d elements for its own colength check
+# before the table.
+
+# entries at most: I^n from three forms has O(n^2) generators, so a table
+# that never settles stays cheap
+STEPWISE_CAP = 10
+
 
 def _ideal_power(gens, n):
     out = []
@@ -456,15 +470,17 @@ def _differences(values, r):
 
 
 def stepwise_multiplicity(M, gens, r):
-    """`multiplicity.multiplicity_data` with I^n from `_ideal_power`: the
-    same stopping rule, e = 0 guard and cap, the cap read from
-    `mcalc.multiplicity` at call time; no homogeneity warning."""
+    """The length table with I^n from `_ideal_power`, stopped at the first
+    three equal r-th differences, that value being e, replaced by 0 when r
+    exceeds dim Supp M; a negative e raises NoStabilization, as does a
+    table with no three equal differences in `STEPWISE_CAP` entries. A
+    plateau of the Hilbert-Samuel function stops it early with a wrong e.
+    No homogeneity warning."""
     gens = list(gens)
     if r < 0:
         raise OutOfRange("difference order must be nonnegative")
-    cap = multiplicity_module.STABILIZATION_CAP
     values = []
-    for v in itertools.islice(_stepwise_lengths(M, gens), cap):
+    for v in itertools.islice(_stepwise_lengths(M, gens), STEPWISE_CAP):
         values.append(v)
         diffs = _differences(values, r)
         if len(diffs) >= 3 and diffs[-1] == diffs[-2] == diffs[-3]:
@@ -475,7 +491,7 @@ def stepwise_multiplicity(M, gens, r):
                 raise NoStabilization(f"order-{r} differences settled at {e} < 0",
                                       values=list(values), r=r)
             return e, tuple(values)
-    raise NoStabilization(f"no three equal order-{r} differences within {cap} steps",
+    raise NoStabilization(f"no three equal order-{r} differences within {STEPWISE_CAP} steps",
                           values=list(values), r=r)
 
 

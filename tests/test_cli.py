@@ -3,6 +3,8 @@
 import json
 import os
 import pathlib
+import re
+import shlex
 import subprocess
 import sys
 import warnings
@@ -14,8 +16,8 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from mcalc import fpmodules, groebner
 from mcalc.cli import _VERIFIERS, main
 
-SCHEMA = json.loads((pathlib.Path(__file__).resolve().parent.parent
-                     / "docs" / "report-schema.json").read_text())
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SCHEMA = json.loads((ROOT / "docs" / "report-schema.json").read_text())
 
 CONIC = """\
 field = F2
@@ -51,6 +53,22 @@ def _json_run(capsys, argv):
     record = json.loads(capsys.readouterr().out)
     jsonschema.validate(record, SCHEMA)
     return code, record
+
+
+def test_readme_quick_start_transcript(tmp_path, capsys):
+    """README's quick start, its session file and each `$ mcalc` line of the
+    transcript under it, run through `main`: the output is the text under
+    that line byte for byte, with nothing on stderr and exit 0."""
+    blocks = re.findall(r"^```.*?\n(.*?)^```", (ROOT / "README.md").read_text(encoding="utf-8"),
+                        re.S | re.M)
+    session = next(b for b in blocks if b.startswith("# cone.mc"))
+    transcript = next(b for b in blocks if b.startswith("$ mcalc"))
+    (tmp_path / "cone.mc").write_text(session, encoding="utf-8")
+    runs = re.findall(r"^\$ mcalc (.*)\n((?:.+\n)*)", transcript, re.M)
+    assert [shlex.split(argv)[0] for argv, _ in runs] == ["gb", "mult", "verify"]
+    for argv, want in runs:
+        code = main([str(tmp_path / a) if a == "cone.mc" else a for a in shlex.split(argv)])
+        assert (code, capsys.readouterr()) == (0, (want, ""))
 
 
 def test_gb_human_output(conic, capsys):
@@ -92,28 +110,33 @@ def test_mult_defaults_r_to_dimension(conic, capsys):
     assert record["certificate"]["length_table"][:3] == [2, 4, 6]
 
 
-def test_mult_builds_the_ring_basis_once(conic, capsys, monkeypatch):
-    """`mult --params x` on the conic, with neither --module nor --r: the
-    session's module M once when the session is read, the free module once
-    for both the ring's dimension r and the multiplicity, and A/x^n A for
-    n = 1..4 (the table stops at four entries)."""
+def _count_bases(monkeypatch):
+    """The list of the arguments of every `_basis` call from now on."""
     calls = []
     for module in (groebner, fpmodules):
         def counted(*args, real=module._basis):
             calls.append(args)
             return real(*args)
         monkeypatch.setattr(module, "_basis", counted)
+    return calls
+
+
+def test_mult_builds_the_ring_basis_once(conic, capsys, monkeypatch):
+    """`mult --params x` on the conic, with neither --module nor --r: the
+    session's module M once when the session is read, the free module once
+    for both the ring's dimension r and the multiplicity, A/xA once, and
+    the two Rees bases, since ℓ(A/xA) = 2 is not ℓ(A/mA) = 1."""
+    calls = _count_bases(monkeypatch)
     code, record = _json_run(capsys, ["mult", conic, "--params", "x"])
     assert code == 0 and record["result"] == {"e": 2, "r": 1}
-    assert len(calls) == 6
+    assert len(calls) == 5
 
 
 def test_mult_of_a_redundant_maximal_ideal_at_r_zero_builds_one_quotient(plane, capsys,
                                                                        monkeypatch):
-    """m = (x, y, x + y) on the plane with --r 0: the lengths 1, 3, 6, ..
-    never settle, so after 40 entries `mult` exits 2 with NO_STABILIZATION.
-    IM = mM, so the table builds M/IM alone, not the C(n + 2, 2) products
-    that generate I^n at each later step."""
+    """m = (x, y, x + y) on the plane with --r 0: IM = mM, so the plane's
+    own Hilbert series gives the dimension 2 > 0 at the origin, and `mult`
+    exits 2 with NO_STABILIZATION after building M/IM alone."""
     calls = []
     real = fpmodules.FPModule.quotient_by_polys
 
@@ -125,6 +148,18 @@ def test_mult_of_a_redundant_maximal_ideal_at_r_zero_builds_one_quotient(plane, 
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: NO_STABILIZATION: ")
     assert len(calls) == 1
+
+
+def test_mult_below_the_dimension_raises_after_a_fixed_count_of_bases(plane, capsys,
+                                                                      monkeypatch):
+    """(x^2, y^2, x^2 + x*y + y^2) on the plane with --r 0: the free module,
+    M/IM and the two Rees bases, whose series gives the dimension 2 > 0 at
+    the origin, and exit 2 with no table read."""
+    calls = _count_bases(monkeypatch)
+    assert main(["mult", plane, "--params", "x^2, y^2, x^2 + x*y + y^2", "--r", "0"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: NO_STABILIZATION: ")
+    assert len(calls) == 4
 
 
 def test_warning_is_one_stderr_line(tmp_path, capsys):
@@ -561,18 +596,15 @@ def test_output_does_not_depend_on_the_hash_seed(conic):
         assert one.stdout and one.stdout == two.stdout
 
 
-# Plateaus of the Hilbert-Samuel function, where the three-equal-differences
-# stopping rule alone stops too early, pinned with their true values. On A =
+# Plateaus of the Hilbert-Samuel function, where three equal differences
+# come before the table settles, pinned with their true values. On A =
 # Q[x,y]/(x^2, x*y^4) the lengths l(A/y^n A) are 2, 4, 6, 8, 9, 10, 11, ...,
 # so e((y), A) = 1, which is also the Koszul side 2 - 1 of Serre's formula;
-# the rule still stops there (the strict xfails). On Q[x,y]/(x^2, x*y^3) the
-# Hilbert function is 1, 2, 2, 2, 1, 1, ..., so e(m, A) = 1: that m-adic
-# table is graded, and its Hilbert series certifies e.
+# the series of gr_(y)(A) certifies it. On Q[x,y]/(x^2, x*y^3) the Hilbert
+# function is 1, 2, 2, 2, 1, 1, ..., so e(m, A) = 1: that m-adic table is
+# graded, and A's own Hilbert series certifies e.
 PLATEAU_Y4 = "field = Q\nvars = x, y\nquotient = [x^2, x*y^4]\n"
 PLATEAU_Y3 = "field = Q\nvars = x, y\nquotient = [x^2, x*y^3]\n"
-PLATEAU = pytest.mark.xfail(strict=True, raises=AssertionError,
-                            reason="the stopping rule stops on a plateau of the "
-                                   "Hilbert function and prints e = 2")
 
 
 @pytest.fixture
@@ -582,14 +614,13 @@ def plateau_y4(tmp_path):
     return str(p)
 
 
-@PLATEAU
 def test_multiplicity_past_a_plateau(plateau_y4, capsys):
     code, record = _json_run(capsys, ["mult", plateau_y4, "--params", "y"])
     assert code == 0
     assert record["result"]["e"] == 1
+    assert record["certificate"]["length_table"] == [2, 4, 6, 8, 9, 10, 11]
 
 
-@PLATEAU
 def test_serre_verified_past_a_plateau(plateau_y4, capsys):
     code, record = _json_run(capsys, ["verify", "serre", plateau_y4, "--seq", "y"])
     assert (code, record["verdict"]) == (0, "VERIFIED")

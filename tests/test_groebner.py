@@ -15,7 +15,7 @@ from mcalc import groebner
 from mcalc.groebner import (GroebnerBasis, _basis, _buchberger, _layout, _pack, _raw_vector,
                             _reduce, _reduce_basis, _reducer_form, _s_vector,
                             _self_check, _unpack, buchberger, krull_dimension,
-                            normal_form, standard_monomials)
+                            normal_form, read_hilbert_series, standard_monomials)
 from mcalc.parsing import parse_polynomial
 from mcalc.polyring import INFINITE, MonomialOrder, OrderKind, Polynomial, RingSpec
 from mcalc.scalars import FieldSpec
@@ -167,7 +167,31 @@ def test_hilbert_series_counts_the_standard_terms(case):
     for d in range(13):
         expanded = sum(c * math.comb(d - k + n - 1, n - 1) for k, c in series.items() if k <= d)
         assert expanded == counts[d]
-    assert list(itertools.islice(gb.hilbert_sums(), 14)) == [sum(counts[:k]) for k in range(14)]
+    sums = read_hilbert_series(series, n)[2]
+    assert list(itertools.islice(sums, 13)) == [sum(counts[:k]) for k in range(1, 14)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_graded_series_counts_the_standard_terms_by_partial_degree(data):
+    """`graded_series(g, c)`, expanded to degree 8, counts degree by degree
+    in the first g variables the standard terms holding exactly one of the
+    next c variables, to the first power (none of them for c = 0); pure
+    powers below 4 of the other variables at every position keep each
+    degree finite."""
+    g, c, rest, rank = (data.draw(st.integers(lo, hi))
+                        for lo, hi in ((1, 2), (0, 2), (1, 2), (1, 2)))
+    n = g + c + rest
+    leads = data.draw(st.lists(st.tuples(st.integers(0, rank - 1),
+                                         st.tuples(*[st.integers(0, 3)] * n)), max_size=6))
+    leads += [(p, tuple(data.draw(st.integers(1, 3)) if j == i else 0 for j in range(n)))
+              for p in range(rank) for i in range(g + c, n)]
+    gb = _monomial_basis(RingSpec(F7, tuple("xyzwuv"[:n])), leads, rank)
+    series = gb.graded_series(g, c)
+    assert all(series.values())
+    for d in range(9):
+        expanded = sum(k * math.comb(d - j + g - 1, g - 1) for j, k in series.items() if j <= d)
+        assert expanded == oracles.partially_graded_standard_count(leads, rank, g, c, n, d, 4)
 
 
 def test_is_graded_reads_every_vector():
@@ -193,7 +217,7 @@ def test_plateau_ring_hilbert_series_frozen():
     assert [sum(c * (d - k + 1) for k, c in series.items() if k <= d) for d in range(9)] == [
         1, 2, 2, 2, 2, 1, 1, 1, 1]
     assert gb.dimension() == 1
-    assert gb.hilbert_degree() == 1
+    assert read_hilbert_series(series, 2)[:2] == (1, 1)
 
 
 def test_hilbert_series_at_the_exponent_cap():

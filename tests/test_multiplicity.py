@@ -4,7 +4,6 @@ import itertools
 import json
 import math
 import random
-from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -94,18 +93,6 @@ def test_no_stabilization_at_wrong_order():
         multiplicity(FREE, [X, Y], 0)
 
 
-def test_negative_settled_difference_raises(monkeypatch):
-    """Three equal negative first differences where r = 1 does not exceed
-    dim Supp = 2: no multiplicity is negative, so no e is printed. The table
-    reads its first entry through `local_length` and the rest through
-    `length`."""
-    later = iter([4, 3, 2])
-    monkeypatch.setattr(FPModule, "local_length", lambda self: 5)
-    monkeypatch.setattr(FPModule, "length", lambda self: next(later))
-    with pytest.raises(NoStabilization):
-        multiplicity(FREE, [X], 1)
-
-
 def test_colength_preconditions():
     with pytest.raises(NotFiniteColength):
         multiplicity(FREE, [X], 1)
@@ -154,15 +141,15 @@ _TABLE_CASES = st.tuples(
 @example(("Q", 0, 2, [(1, 5), (1, 6)], [1, 2], 1))
 @given(_TABLE_CASES)
 def test_one_loop_table_matches_the_stepwise_route(case):
-    """The one loop, I^n from I^(n-1), gives the (e, table), or the error
-    class, message, values and r, of the route through all n-fold products
-    with its own colength check: plateau answers included, except where the
-    graded route's Hilbert series refutes one. There r <= d = dim Supp M,
-    the stepwise route's table is a proper prefix of the loop's, and the
-    loop reads on to the series' e (r = d) or raises NoStabilization at the
-    cap. Both
-    routes read the cap at call time; 10 entries, not 40, keep a draw that
-    never settles cheap, since I^n from three forms has O(n^2) generators."""
+    """The table read off one Hilbert series gives the (e, table), or the
+    error class, message and data, of the route through all n-fold products
+    with its own colength check, wherever that route's e is right. Where
+    the two part, the stepwise route stopped on a plateau, raised at a
+    negative settled value, or found no three equal differences within its
+    cap. Then every table entry is the stepwise ℓ(M/I^n M) and the last
+    three r-th differences agree, equal to e when e is not 0, or
+    NoStabilization says that r is below the dimension of M at the origin,
+    at most dim Supp M."""
     field, q, rank, rels, picks, r = case
     plane = RingSpec({"F7": F7, "Q": Q}[field], ("x", "y"))
     ring = RingSpec(plane.field, ("x", "y"),
@@ -171,60 +158,111 @@ def test_one_loop_table_matches_the_stepwise_route(case):
     M = FPModule(ring, rank, [ModuleVector.unit(ring.field, ring.nvars, rank, p % rank, polys[i])
                               for p, i in rels])
     gens = [polys[i] for i in picks]
-    with mock.patch.object(oracles.multiplicity_module, "STABILIZATION_CAP", 10):
-        got = _outcome(multiplicity_data, M, gens, r)
-        want = _outcome(oracles.stepwise_multiplicity, M, gens, r)
-    if got != want:
-        e, table = want
-        d = M.support_dimension()
-        assert M.gb.is_graded() and r <= d
-        assert r < d or e != M.gb.hilbert_degree()
-        if got[0] is NoStabilization:
-            values = got[2]["values"]
-        else:
-            assert r == d and got[0] == M.gb.hilbert_degree()
-            values = list(got[1])
-        assert len(values) > len(table) and tuple(values[:len(table)]) == table
+    got = _outcome(multiplicity_data, M, gens, r)
+    want = _outcome(oracles.stepwise_multiplicity, M, gens, r)
+    if got == want:
+        return
+    if got[0] is NoStabilization:
+        assert r == got[2]["r"] < got[2]["dimension"] <= M.support_dimension()
+        return
+    e, table = got
+    lengths = oracles._stepwise_lengths(M, gens)
+    assert list(table) == [next(lengths) for _ in table]
+    diffs = oracles._differences(table, r)
+    assert len(diffs) >= 3 and diffs[-1] == diffs[-2] == diffs[-3]
+    assert e == 0 or diffs[-1] == e
 
 
-# monomial quotients of k[x, y] and k[x, y, z]: 1..3 generators of degree
-# 1..3, as exponent tuples
-_MONOMIAL_QUOTIENTS = st.integers(2, 3).flatmap(lambda n: st.tuples(
-    st.just(n), st.lists(st.tuples(*[st.integers(0, 3)] * n).filter(lambda e: 0 < sum(e) <= 3),
+# monomial quotients of k[x, y] and k[x, y, z], 1..3 generators of degree
+# 1..3, and an ideal I: m (None) or 1..3 squarefree monomials of degree 1..2,
+# as exponent tuples
+_MONOMIAL_CASES = st.integers(2, 3).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.tuples(*[st.integers(0, 3)] * n).filter(lambda e: 0 < sum(e) <= 3),
+             min_size=1, max_size=3),
+    st.none() | st.lists(st.tuples(*[st.integers(0, 1)] * n).filter(lambda e: 0 < sum(e) <= 2),
                          min_size=1, max_size=3)))
 
 
+def _monomial_power(exps, n):
+    """Exponent tuples of the n-fold products of monomials among exps."""
+    return {tuple(map(sum, zip(*combo))) for combo in
+            itertools.combinations_with_replacement(exps, n)}
+
+
 @settings(max_examples=40, deadline=None)
-@given(field=st.sampled_from([Q, F7]), quotient=_MONOMIAL_QUOTIENTS)
-@example(field=Q, quotient=(2, [(2, 0), (1, 3)]))
-def test_maximal_ideal_multiplicity_matches_the_standard_count(field, quotient):
-    """With I = m and r = d, the dimension, e is the d-th difference of the
-    partial sums Σ_{j<n} H(j) of the Hilbert function H, counted from the
-    standard monomials, taken at n past (number of variables) × (largest
-    generator degree) + 1, where the partial sums of a monomial quotient's
-    Hilbert function are already a polynomial in n. The example is the
-    plateau 1, 2, 2, 2, 1, 1, .. of k[x,y]/(x^2, x*y^3), whose first
-    differences 2, 2, 2 are not e = 1."""
-    nvars, exps = quotient
+@given(field=st.sampled_from([Q, F7]), case=_MONOMIAL_CASES)
+@example(field=Q, case=(2, [(2, 0), (1, 3)], None))
+@example(field=Q, case=(2, [(2, 0), (1, 4)], [(0, 1)]))
+def test_maximal_ideal_multiplicity_matches_the_standard_count(field, case):
+    """On a monomial quotient R/J with I = m or a monomial ideal, and r =
+    d, the dimension: each entry ℓ(R/(I^n + J)) of the table is the count
+    of standard monomials of the monomial ideal I^n + J, and e is the d-th
+    difference of those counts taken at n past the table's end and past
+    (number of variables) × (largest generator degree) + 1, where the
+    lengths of a monomial quotient's m-adic table are already a polynomial
+    in n. Where I + J has infinite colength, NotFiniteColength. The
+    examples are the plateaus 1, 2, 2, 2, 1, 1, .. of the Hilbert function
+    of k[x,y]/(x^2, x*y^3), whose first differences 2, 2, 2 are not e = 1,
+    and the lengths 2, 4, 6, 8, 9, 10, .. of k[x,y]/(x^2, x*y^4) modulo
+    y^n, whose e((y)) is 1, not 2."""
+    nvars, exps, ideal = case
     names = ("x", "y", "z")[:nvars]
-    gens = tuple(Polynomial.term(field, nvars, e, field.raw.one) for e in exps)
-    ring = RingSpec(field, names, quotient=gens)
+    ring = RingSpec(field, names, quotient=tuple(
+        Polynomial.term(field, nvars, e, field.raw.one) for e in exps))
+    if ideal is None:
+        ideal = [tuple(int(i == j) for j in range(nvars)) for i in range(nvars)]
+    gens = [Polynomial.term(field, nvars, e, field.raw.one) for e in ideal]
     leads = [(0, e) for e in exps]
+
+    def length(n):
+        return oracles.box_standard_count(leads + [(0, e) for e in _monomial_power(ideal, n)],
+                                          1, nvars)
     d = oracles.subset_dimension(leads, 1, nvars)
-    start = nvars * max(map(sum, exps)) + 2
-    sums = list(itertools.accumulate(oracles.graded_standard_count(leads, 1, nvars, j)
-                                     for j in range(start + d)))
-    want = sum((-1) ** (d - k) * math.comb(d, k) * sums[start - 1 + k] for k in range(d + 1))
-    e, _ = multiplicity_data(FPModule.free(ring, 1), [ring.variable(v) for v in names], d)
-    assert e == want
+    if length(1) is None:
+        with pytest.raises(NotFiniteColength):
+            multiplicity_data(FPModule.free(ring, 1), gens, d)
+        return
+    e, table = multiplicity_data(FPModule.free(ring, 1), gens, d)
+    start = max(len(table), nvars * max(map(sum, exps + ideal)) + 2)
+    lengths = [length(n) for n in range(1, start + d + 1)]
+    assert list(table) == lengths[:len(table)]
+    assert e == sum((-1) ** (d - k) * math.comb(d, k) * lengths[start - 1 + k]
+                    for k in range(d + 1))
+
+
+@pytest.mark.filterwarnings("ignore:non-homogeneous defining polynomials")
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([F7, Q]), st.integers(0, len(_TABLE_QUOTIENTS) - 1),
+       st.lists(st.integers(0, 8), min_size=2, max_size=2))
+@example(Q, 3, [2, 2])
+def test_parameter_multiplicity_is_the_koszul_sum(field, q, picks):
+    """On the plane and its quotients, with I generated by d elements, d the
+    dimension: where M/IM has finite length at the origin they are a system
+    of parameters and e(I, A, d) is Serre's χ, which fails exactly where
+    the table does. The example is (y) on k[x,y]/(x^2, x*y^4), whose table
+    has a plateau."""
+    plane = RingSpec(field, ("x", "y"))
+    ring = RingSpec(field, ("x", "y"),
+                    quotient=_TABLE_QUOTIENTS[q](plane.variable("x"), plane.variable("y")))
+    A = FPModule.free(ring, 1)
+    d = A.support_dimension()
+    gens = [_plane_polys(ring)[i] for i in picks[:d]]
+    got = _outcome(multiplicity_data, A, gens, d)
+    chi = _outcome(serre_alternating_sum, gens, A)
+    if isinstance(chi, int):
+        assert got[0] == chi
+    else:
+        assert got[0] in (NotFiniteColength, SupportNotAtOrigin)
+        assert chi[0] is {NotFiniteColength: InfiniteHomology}.get(got[0], got[0])
 
 
 def test_graded_m_adic_table_builds_one_quotient(monkeypatch):
     """The plane's m-adic table: its first entry, ℓ(R/mR) = 1, is the
     degree-0 value of the plane's Hilbert function, so R/mR is the only
     quotient built and every later entry is a partial sum of that function.
-    The cusp's quotient is not homogeneous, so its m-adic table builds one
-    quotient per entry."""
+    The cusp's quotient is not homogeneous, so its m-adic table is read off
+    the series of gr_m, whose Rees bases are no quotients either."""
     calls = []
     real = FPModule.quotient_by_polys
 
@@ -237,8 +275,8 @@ def test_graded_m_adic_table_builds_one_quotient(monkeypatch):
     calls.clear()
     A = _cusp()
     with pytest.warns(UserWarning):
-        e, table = multiplicity_data(FPModule.free(A, 1), [A.variable("x"), A.variable("y")], 1)
-    assert (e, len(calls)) == (2, len(table))
+        table = multiplicity_data(FPModule.free(A, 1), [A.variable("x"), A.variable("y")], 1)
+    assert (table, len(calls)) == ((2, (1, 3, 5, 7)), 1)
 
 
 def test_homology_lengths():

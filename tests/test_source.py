@@ -343,15 +343,17 @@ def test_only_pinned_generator_lists_take_tracked_preimages():
     assert not found, "tracked preimages outside the pinned generator lists:\n" + "\n".join(found)
 
 
-# The length table is one loop: only `multiplicity_data` builds the quotients
-# M/I^n M or reads a graded table, and the e it certifies, off the Hilbert
-# series, and the only other length-at-the-origin reads in `multiplicity` are
-# the Koszul lengths (H_0 alone) and a parameter's colength, so a candidate
-# test reads its colength off H_0 in `homology_lengths` and a second table
-# route would show here.
+# The length table is one reading of one Hilbert series: only
+# `multiplicity_data` builds the quotient M/IM, reads a series, and reads
+# e and the table off it, only `_rees_series` counts the series of gr_I(M)
+# off its second basis, and the only other length-at-the-origin reads in
+# `multiplicity` are the Koszul lengths (H_0 alone) and a parameter's
+# colength, so a candidate test reads its colength off H_0 in
+# `homology_lengths` and a second table route would show here.
 TABLE_CALLERS = {"quotient_by_polys": {"multiplicity_data"},
-                 "hilbert_sums": {"multiplicity_data"},
-                 "hilbert_degree": {"multiplicity_data"},
+                 "hilbert_series": {"multiplicity_data"},
+                 "graded_series": {"_rees_series"},
+                 "read_hilbert_series": {"multiplicity_data"},
                  "local_length": {"multiplicity_data", "homology_lengths",
                                   "parameter_colength"}}
 
@@ -374,13 +376,13 @@ def test_stray_table_calls_are_found():
             "    return buchberger(ring, [f]).local_length()\n"
             "FREE.local_length()\n"
             "def _graded_table(M):\n"
-            "    return M.gb.hilbert_sums(), M.gb.hilbert_degree()\n")
+            "    return read_hilbert_series(M.gb.graded_series(2), 2)\n")
     assert stray_table_calls(text) == [
         (5, "local_length", "_validate_candidate"),
         (5, "quotient_by_polys", "_validate_candidate"),
         (8, "local_length", None),
-        (10, "hilbert_degree", "_graded_table"),
-        (10, "hilbert_sums", "_graded_table")]
+        (10, "graded_series", "_graded_table"),
+        (10, "read_hilbert_series", "_graded_table")]
 
 
 def test_one_table_route_in_multiplicity():
