@@ -8,11 +8,10 @@ for ideals and submodules of R^rank alike: the Buchberger loop
 `_buchberger`, its certificate `_self_check`, the division kernel `_reduce`,
 the basis reduction `_reduce_basis`, the one input path `_basis` and the one
 basis object `GroebnerBasis`, which answers every quotient query: division,
-and dimension and lengths from one Hilbert series of its leads, read by
-`read_hilbert_series`; only `_standard_terms` enumerates standard terms.
-`fpmodules` builds its bases through `_basis`, its syzygies through
-`_buchberger` and its map images through `_linear_combination`, and reads
-no reducer form. A query for a
+and dimension and lengths from one Hilbert series of its leads; only
+`standard_monomials` enumerates standard terms. `fpmodules` builds its bases
+through `_basis`, its syzygies through `_buchberger` and its map images
+through `_linear_combination`, and reads no reducer form. A query for a
 submodule takes one certified untracked basis, and a presentation takes its
 relations straight off such a basis, with no second Buchberger run:
 `GroebnerBasis._block` keeps the elements of an elimination basis led past a
@@ -147,21 +146,24 @@ class GroebnerBasis:
         return self.graded_series(self.ring.nvars)
 
     def graded_series(self, graded, cells=0) -> dict:
-        """`hilbert_series` graded by the first `graded` variables alone, the
-        rest of degree 0; for cells > 0 only over the terms holding one of
-        the next cells variables, to the first power, and no other. Each
-        standard term of degree 0, which must be finitely many, adds the
-        numerator of the graded parts of the leads that divide it."""
+        """`hilbert_series` graded by the first `graded` variables T alone, the
+        other n, x, of degree 0, each degree finite; for cells > 0 only over
+        the terms holding one of the next cells variables, to the first power.
+        The leads' numerator N(s, u) bigraded by T- and x-degree is N(t^w, t)
+        for their T-exponents scaled by w > every x-degree of N (k[T, x] is
+        free over k[T^w, x]). N_j(u) = [s^j]N is (1-u)^n q_j(u), and the
+        result is Σ_j q_j(1) s^j, q_j(1) = (-1)^n Σ_b N_jb C(b, n)."""
         out, head = {}, graded + cells
+        n = self.ring.nvars - head
         for p in range(self.rank):
             for c in range(cells) or [None]:
                 cell = tuple(int(q == c) for q in range(cells))
-                leads = [(e[head:], e[:graded]) for q, e in self._leads
+                leads = [(e[:graded], e[head:]) for q, e in self._leads
                          if q == p and all(map(le, e[graded:head], cell))]
-                for b in _standard_terms([x for x, y in leads if not any(y)],
-                                         self.ring.nvars - head):
-                    _add_shifted(out, _hilbert_numerator([y for x, y in leads
-                                                          if all(map(le, x, b))]), 0)
+                w = 1 + sum(map(max, zip(*(x for _, x in leads))))
+                for k, a in _hilbert_numerator([tuple(w * i for i in y) + x
+                                                for y, x in leads]).items():
+                    _add_shifted(out, {k // w: (-1) ** n * a * math.comb(k % w, n)}, 0)
         return out
 
     def is_graded(self) -> bool:
@@ -919,27 +921,24 @@ def normal_form(f: Polynomial, gb: GroebnerBasis, with_witness: bool = False):
 def standard_monomials(gb: GroebnerBasis):
     """Exponent tuples of the standard terms of R^rank modulo the submodule,
     positions dropped (at rank 1 a monomial basis of R/(ideal) over k), or
-    INFINITE: ascending in the position-over-term order, last position first."""
+    INFINITE: ascending in the position-over-term order, last position first.
+
+    A position whose leads include a unit contributes nothing. Otherwise the
+    count is finite exactly when every variable has a pure power among the
+    position's leads; then all exponents below those bounds are enumerated.
+    """
     out = []
     for p in reversed(range(gb.rank)):
-        terms = _standard_terms([e for q, e in gb._leads if q == p], gb.ring.nvars)
-        if terms is INFINITE:
+        exps = [e for q, e in gb._leads if q == p]
+        if any(not any(e) for e in exps):
+            continue
+        bounds = [min((e[i] for e in exps if e[i] and sum(e) == e[i]), default=None)
+                  for i in range(gb.ring.nvars)]
+        if None in bounds:
             return INFINITE
-        out += sorted(terms, key=gb.ring.order.key)
+        out += sorted((t for t in itertools.product(*(range(b) for b in bounds))
+                       if not any(all(map(le, e, t)) for e in exps)), key=gb.ring.order.key)
     return out
-
-
-def _standard_terms(exps, n):
-    """The exponent tuples of length n that no tuple of exps lies below: none
-    if exps holds 0, else INFINITE if a variable has no pure power there."""
-    if any(not any(e) for e in exps):
-        return []
-    bounds = [min((e[i] for e in exps if e[i] and sum(e) == e[i]), default=None)
-              for i in range(n)]
-    if None in bounds:
-        return INFINITE
-    return [t for t in itertools.product(*map(range, bounds))
-            if not any(all(map(le, e, t)) for e in exps)]
 
 
 def krull_dimension(gb: GroebnerBasis) -> int:

@@ -99,7 +99,9 @@ def multiplicity_data(M: FPModule, gens, r: int):
     e, the d-th differences of the table from some n on. So e(M, r) is e at
     r = d and 0 at r > d; at r < d NoStabilization is raised before any
     table is read. The table runs to the first n where the last three r-th
-    differences agree, and equal e when r = d.
+    differences agree, and equal e when r = d. It is a polynomial in n from
+    n0 = max(1, D - v + 1) on, D the degree of the numerator over (1-t)^v,
+    so it ends by n0 + r + 2.
     """
     gens = list(gens)
     if r < 0:
@@ -120,11 +122,10 @@ def multiplicity_data(M: FPModule, gens, r: int):
     values = []
     for value in sums:
         values.append(value)
-        diffs = values
+        diffs = values[-r - 3:]
         for _ in range(r):
             diffs = [b - a for a, b in zip(diffs, diffs[1:])]
-        if (len(diffs) >= 3 and diffs[-1] == diffs[-2] == diffs[-3]
-                and (r > d or diffs[-1] == e)):
+        if len(diffs) == 3 and len(set(diffs)) == 1 and (r > d or diffs[0] == e):
             return (e if r == d else 0), tuple(values)
 
 

@@ -162,6 +162,31 @@ def test_mult_below_the_dimension_raises_after_a_fixed_count_of_bases(plane, cap
     assert len(calls) == 4
 
 
+@pytest.mark.parametrize("quotient, table", [
+    ("", [9000000, 27000000, 54000000, 90000000, 135000000]),
+    ("quotient = [x*y]\n", [5999, 11999, 17999, 23999])])
+def test_mult_of_large_pure_powers_reads_few_numerators(tmp_path, capsys, monkeypatch,
+                                                        quotient, table):
+    """(x^3000, y^3000) on the plane and on k[x,y]/(xy): IM is not mM, so
+    the series of gr_I(M) is read, whose standard terms of T-degree 0 number
+    9*10^6 and 5999. It takes a handful of Hilbert numerators, recursive
+    calls included, however large the powers; more than 50 fail the test
+    at once rather than run on."""
+    calls = []
+    real = groebner._hilbert_numerator
+
+    def counted(gens):
+        calls.append(gens)
+        assert len(calls) <= 50, "Hilbert numerators grow with the powers"
+        return real(gens)
+    monkeypatch.setattr(groebner, "_hilbert_numerator", counted)
+    ring = tmp_path / "r.ring"
+    ring.write_text(PLANE + quotient, encoding="utf-8")
+    code, record = _json_run(capsys, ["mult", str(ring), "--params", "x^3000, y^3000"])
+    assert code == 0 and record["certificate"]["length_table"] == table
+    assert len(calls) <= 10
+
+
 def test_warning_is_one_stderr_line(tmp_path, capsys):
     """The cusp's quotient is not homogeneous, so `mult` warns: one line
     on stderr, with no source path or code line, and stdout and the exit

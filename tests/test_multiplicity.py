@@ -144,12 +144,19 @@ def test_one_loop_table_matches_the_stepwise_route(case):
     """The table read off one Hilbert series gives the (e, table), or the
     error class, message and data, of the route through all n-fold products
     with its own colength check, wherever that route's e is right. Where
-    the two part, the stepwise route stopped on a plateau, raised at a
-    negative settled value, or found no three equal differences within its
-    cap. Then every table entry is the stepwise ℓ(M/I^n M) and the last
-    three r-th differences agree, equal to e when e is not 0, or
-    NoStabilization says that r is below the dimension of M at the origin,
-    at most dim Supp M."""
+    the two part, the stepwise route's e is wrong, for one of three
+    reasons: it raised NoStabilization (no three equal differences within
+    its cap, or a negative settled value), its table is a strict prefix of
+    the new one (it stopped on a plateau), or it kept a nonzero e at r
+    above the dimension d at the origin, the new e being 0. Every new
+    table entry is the stepwise ℓ(M/I^n M), and its last three r-th
+    differences agree, equal to e when e is not 0. A NoStabilization says
+    r < d = dim Supp M, the global dimension read off M's own basis: a raise
+    needs d ≥ 1, and a component of Supp M missing the origin is here the
+    line x = 1 or a point, while one of dimension 2 is a free summand over
+    the plane, through the origin. Beside such a raise the stepwise route
+    may still stop on a plateau of r-th differences, as on R + R/(x^2, y^2)
+    with m at r = 1 (4, 4, 4, then 5), but no e exists at r < d."""
     field, q, rank, rels, picks, r = case
     plane = RingSpec({"F7": F7, "Q": Q}[field], ("x", "y"))
     ring = RingSpec(plane.field, ("x", "y"),
@@ -163,7 +170,7 @@ def test_one_loop_table_matches_the_stepwise_route(case):
     if got == want:
         return
     if got[0] is NoStabilization:
-        assert r == got[2]["r"] < got[2]["dimension"] <= M.support_dimension()
+        assert r == got[2]["r"] < got[2]["dimension"] == M.support_dimension()
         return
     e, table = got
     lengths = oracles._stepwise_lengths(M, gens)
@@ -171,6 +178,10 @@ def test_one_loop_table_matches_the_stepwise_route(case):
     diffs = oracles._differences(table, r)
     assert len(diffs) >= 3 and diffs[-1] == diffs[-2] == diffs[-3]
     assert e == 0 or diffs[-1] == e
+    if want[0] is not NoStabilization:
+        old_e, old_table = want
+        assert old_table == table[:len(old_table)]
+        assert len(old_table) < len(table) or e == 0 != old_e
 
 
 # monomial quotients of k[x, y] and k[x, y, z], 1..3 generators of degree
@@ -277,6 +288,23 @@ def test_graded_m_adic_table_builds_one_quotient(monkeypatch):
     with pytest.warns(UserWarning):
         table = multiplicity_data(FPModule.free(A, 1), [A.variable("x"), A.variable("y")], 1)
     assert (table, len(calls)) == ((2, (1, 3, 5, 7)), 1)
+
+
+@pytest.mark.parametrize("step", [1, 2])
+def test_table_ends_by_the_series_bound(step):
+    """On k[x,y]/(x^400) with I = (x, y^step) at r = 1, the lengths
+    Σ_{a<min(n,400)} step(n - a) grow as triangular numbers up to n = 400
+    and linearly after, so the first differences settle at e = 400 step
+    only there. The series of M (step 1) and of gr_I(M) (step 2) have the
+    numerators step(1 - t^400) over (1-t)^2, of degree D = 400 in v = 2
+    variables, so the table ends by max(1, D - v + 1) + r + 2 = 402
+    entries, as it does."""
+    A = RingSpec(Q, ("x", "y"), quotient=(X ** 400,))
+    gens = [A.variable("x"), A.variable("y") ** step]
+    e, table = multiplicity_data(FPModule.free(A, 1), gens, 1)
+    assert e == 400 * step
+    assert list(table) == [sum(step * (n - a) for a in range(min(n, 400)))
+                           for n in range(1, 403)]
 
 
 def test_homology_lengths():
