@@ -156,7 +156,7 @@ def cmd_search(args):
     result = {"status": res.status, "ideal": ideal, "e": res.e,
               "tried": res.tried}
     cert = {"table": table, "dimension": res.dimension,
-            "prime": res.prime, "seed": res.seed, "budget": res.budget}
+            "prime": args.prime, "seed": args.seed, "budget": args.budget}
     record = _record("search", text,
                      {"prime": args.prime, "budget": args.budget,
                       "seed": args.seed}, result, cert, None)

@@ -605,14 +605,20 @@ def _buchberger(ring: RingSpec, raws, rank, track=False):
     basis is unique, so a criterion below that skipped a pair wrongly could
     only fail the certificate, never change the basis.
 
-    Tracked runs and untracked runs at rank > 1 take the pair with the
-    smallest lcm, by degree then order, ties broken by the index pair: the
-    heap is keyed once, when the pair is formed, by (lcm degree, order key
-    of the lcm, a, b), the order key being the negated packed key of the
-    lcm at position 0. That order decides which syzygies come out, so it is
-    part of the output contract. An untracked run at rank > 1 forms no pair
-    of two single terms (the S-vector is zero), and skips a popped pair
-    when a third lead at the same position divides the lcm and neither
+    Tracked runs take the pair with the smallest lcm, by degree then order,
+    ties broken by the index pair: the heap is keyed once, when the pair is
+    formed, by (0, lcm degree, order key of the lcm, a, b), the order key
+    being the negated packed key of the lcm at position 0. That order
+    decides which syzygies come out, so it is part of the output contract.
+    Untracked runs at rank > 1 put the pair's sugar first (Giovini, Mora,
+    Niesi, Robbiano and Traverso, ISSAC 1991): an input's sugar is its
+    largest total degree, a pair's is max(sugar(a) + deg u_a, sugar(b) +
+    deg u_b), u being a lead's cofactor in the lcm, and a remainder takes
+    its pair's. So a pair of small lcm whose elements came from inputs of
+    high degree waits as it would for homogeneous inputs; taken early, such
+    pairs swell coefficients over Q. An untracked run at rank > 1 forms no
+    pair of two single terms (the S-vector is zero), and skips a popped
+    pair when a third lead at the same position divides the lcm and neither
     side pair is still queued: the chain criterion, a pair never queued
     counting as treated, in one selection order of the improved Buchberger
     algorithm (Cox-Little-O'Shea, *Ideals, Varieties, and Algorithms*,
@@ -654,9 +660,9 @@ def _buchberger(ring: RingSpec, raws, rank, track=False):
     at = {}          # position -> indices of the elements whose lead is there
     tailed = {}      # position -> those of them with a tail
     pending = set()  # (a, b) queued and not yet popped, for the chain criterion
-    # heap of (lcm degree, order key, a, b, packed lcm), or when signed of
-    # (-T, a, b, packed lcm), a's side having the signature T, and of
-    # (-e_i, -1, i, None) for input i
+    # heap of (sugar, lcm degree, order key, a, b, packed lcm), or when
+    # signed of (-T, a, b, packed lcm), a's side having the signature T, and
+    # of (-e_i, -1, i, None) for input i
     queue = []
     tags = rank << shift
     signed = rank == 1 and not track
@@ -687,7 +693,9 @@ def _buchberger(ring: RingSpec, raws, rank, track=False):
         else:
             heapq.heappush(queue, (-t, g, h, key))
 
-    def add(vec, sig=None):
+    def add(vec, label):
+        """Join vec, of signature key label when signed, else of sugar
+        label, to the loop and queue its pairs."""
         if not vec:
             return
         if min(vec) >= tags:
@@ -698,22 +706,24 @@ def _buchberger(ring: RingSpec, raws, rank, track=False):
         p, e = _unpack(layout, form[2])
         there, with_tail = at.setdefault(p, []), tailed.setdefault(p, [])
         partners = there if form[5][0] else with_tail
+        # seventh entry: the signature key, or the sugar less the lead's
+        # degree, so that a pair's sugar is its lcm's degree plus the larger
+        # of its two
+        forms.append(form + (label if signed else label - sum(e),))
+        leads.append((p, e))
         if signed:
-            forms.append(form + (sig,))
-            leads.append((p, e))
             for k in partners:
                 pair(k, new)
-            newest.append((new, offset - sig))
+            newest.append((new, offset - label))
             if not form[5][0]:
                 singles.append(new)
         else:
             for k in partners:
                 lcm = tuple(map(max, leads[k][1], e))
-                key = _pack(layout, 0, lcm)
-                heapq.heappush(queue, (sum(lcm), -key, k, new, key + (p << shift)))
+                key, degree = _pack(layout, 0, lcm), sum(lcm)
+                sugar = 0 if track else degree + max(forms[k][6], forms[new][6])
+                heapq.heappush(queue, (sugar, degree, -key, k, new, key + (p << shift)))
                 pending.add((k, new))
-            forms.append(form)
-            leads.append((p, e))
         there.append(new)
         if form[5][0]:
             with_tail.append(new)
@@ -724,7 +734,8 @@ def _buchberger(ring: RingSpec, raws, rank, track=False):
         if signed:
             heapq.heappush(queue, (-(layout.zero + ((len(raws) - 1 - i) << shift)), -1, i, None))
         else:
-            add({**vec, layout.zero + tags + (i << shift): ops.one} if track else vec)
+            add({**vec, layout.zero + tags + (i << shift): ops.one} if track else vec,
+                max((sum(e) for _, e in raw), default=0))
 
     while queue:
         if signed:
@@ -758,14 +769,14 @@ def _buchberger(ring: RingSpec, raws, rank, track=False):
                 else:
                     known.append(offset - t)
             continue
-        _, _, a, b, lcm = heapq.heappop(queue)
+        sugar, _, _, a, b, lcm = heapq.heappop(queue)
         pending.discard((a, b))
         if not track and any(k != a and k != b and (lcm + forms[k][1]) & guard == target
                              and (min(a, k), max(a, k)) not in pending
                              and (min(b, k), max(b, k)) not in pending
                              for k in at[leads[a][0]]):
             continue
-        add(_reduce(_s_vector(forms[a], forms[b], lcm, ops, guard), forms, layout, ops))
+        add(_reduce(_s_vector(forms[a], forms[b], lcm, ops, guard), forms, layout, ops), sugar)
     if track:
         kept = {}
         for v in syz:

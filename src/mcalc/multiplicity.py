@@ -8,10 +8,11 @@ series, with no stopping rule to guess at: M's own when M is graded and
 IM = mM, else that of the associated graded module gr_I(M), which
 `_rees_series` counts off a basis of the Rees module.
 
-`search_parameters` reads no table: a candidate whose first d - 1 elements
-drop the dimension step by step is a system of parameters exactly when H_0
-of its Koszul complex has finite length at the origin, and then its e is
-Serre's Koszul alternating sum χ, read from certified local lengths.
+`search_parameters` reads no table and no dimension of a candidate: a
+candidate counts as a system of parameters when H_0 of its Koszul complex
+has finite length supported at the origin, and then its e is Serre's Koszul
+alternating sum χ, read from certified local lengths. A component of the
+ring away from the origin plays no part.
 """
 
 from __future__ import annotations
@@ -350,9 +351,6 @@ class SearchResult:
     table: tuple                # (ideal tuple, e) pairs actually evaluated
     tried: int
     dimension: int
-    prime: int
-    seed: int
-    budget: int
 
 
 def _phase_one_forms(ring: RingSpec):
@@ -392,18 +390,19 @@ def _random_candidate(ring: RingSpec, rng: random.Random, d: int):
     return tuple(seq)
 
 
-def _validate_candidate(A: FPModule, seq, d: int):
-    """System-of-parameters test in A, the ring as a free module: the
-    dimension drops by one with each of the first d - 1 elements, and H_0 =
-    A/(seq)A of the Koszul complex has finite length at the origin. Returns
-    e or None. There e((seq), A) is Serre's alternating sum χ(seq, A) of
-    the Koszul homology lengths (Serre, *Algèbre locale, multiplicités*,
-    Ch. IV), each one certified, with no stopping rule."""
+def _validate_candidate(A: FPModule, seq):
+    """e((seq), A, len(seq)) when seq, none of it zero or with a constant
+    term, cuts A down to finite length at the origin, else None.
+
+    That is the whole test: H_0 = A/(seq)A of the Koszul complex must have
+    finite length supported at the origin, and then e is Serre's
+    alternating sum χ(seq, A) of the Koszul homology lengths (Serre,
+    *Algèbre locale, multiplicités*, Ch. IV: χ = e whenever ℓ(A/(seq)A) is
+    finite), each one certified, with no stopping rule. It is 0 when seq is
+    longer than A's dimension at the origin. No dimension is counted, so a
+    component of A away from the origin does not reject seq."""
     for f in seq:
         if f.is_zero() or not A.ring.field.raw.is_zero(f.constant_coefficient()):
-            return None
-    for i in range(1, d):
-        if krull_dimension(buchberger(A.ring, list(seq[:i]))) != d - i:
             return None
     try:
         return serre_alternating_sum(list(seq), A)
@@ -414,41 +413,23 @@ def _validate_candidate(A: FPModule, seq, d: int):
 def search_parameters(ring: RingSpec, p: int, budget: int, seed: int = 0) -> SearchResult:
     """First parameter sequence whose multiplicity is prime to p.
 
-    Deterministic under the seed: exhaustive small linear forms first, then
-    seeded random linear combinations with occasional quadratic terms. Every
-    generated candidate counts against the budget; the table keeps the ones
-    that were genuine parameter systems together with their multiplicities.
+    Deterministic under the seed: one stream of d-element candidates, d the
+    ring's Krull dimension, cut after budget of them (none for a budget
+    below 1): exhaustive small linear forms first, then seeded random linear
+    combinations with occasional quadratic terms (none when d = 0, where ()
+    is the only candidate). The table keeps each candidate that
+    `_validate_candidate` accepts, with its e.
     """
     A = FPModule.free(ring, 1)
     d = krull_dimension(A.gb)
     rng = random.Random(seed)
-    table = []
-    tried = 0
-
-    def consider(seq):
-        nonlocal tried
-        tried += 1
-        e = _validate_candidate(A, seq, d)
-        if e is None:
-            return None
-        table.append((tuple(seq), e))
-        if math.gcd(e, p) == 1:
-            return e
-        return None
-
-    phase_one = itertools.product(_phase_one_forms(ring), repeat=d)
-    for seq in phase_one:
-        if tried >= budget:
-            break
-        e = consider(tuple(seq))
+    draws = (_random_candidate(ring, rng, d) for _ in itertools.count()) if d else ()
+    stream = itertools.chain(itertools.product(_phase_one_forms(ring), repeat=d), draws)
+    table, tried = [], 0
+    for tried, seq in enumerate(itertools.islice(stream, max(budget, 0)), 1):
+        e = _validate_candidate(A, seq)
         if e is not None:
-            return SearchResult("FOUND", tuple(seq), e, tuple(table), tried,
-                                d, p, seed, budget)
-    # on a zero-dimensional ring phase one has tried the only candidate, ()
-    while d and tried < budget:
-        seq = _random_candidate(ring, rng, d)
-        e = consider(seq)
-        if e is not None:
-            return SearchResult("FOUND", seq, e, tuple(table), tried,
-                                d, p, seed, budget)
-    return SearchResult("EXHAUSTED", (), 0, tuple(table), tried, d, p, seed, budget)
+            table.append((seq, e))
+            if math.gcd(e, p) == 1:
+                return SearchResult("FOUND", seq, e, tuple(table), tried, d)
+    return SearchResult("EXHAUSTED", (), 0, tuple(table), tried, d)

@@ -128,7 +128,7 @@ def _run_search(ring_text, p, budget, seed, expect_status, expect_ideal,
             {"status": res.status, "ideal": found, "e": res.e},
             {"status": expect_status, "ideal": expect_ideal, "e": expect_e},
             _verdict(ok),
-            {"tried": res.tried, "budget": res.budget, "seed": res.seed,
+            {"tried": res.tried, "budget": budget, "seed": seed,
              "table": [{"ideal": [ring.poly_to_str(f) for f in seq], "e": e}
                        for seq, e in res.table]})
     return run

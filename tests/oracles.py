@@ -500,7 +500,9 @@ def stepwise_candidate(A, seq, d):
     drop checked at every one of the d steps, a unit-ideal test at each, the
     colength of all d elements checked on their basis, and e read from
     `stepwise_multiplicity`'s table, not from Serre's alternating sum, so a
-    plateau of the Hilbert function gives the table's wrong e."""
+    plateau of the Hilbert function gives the table's wrong e. The
+    dimension drops are global, so a prefix that vanishes on a component
+    away from the origin rejects a candidate that cuts out the origin."""
     ring = A.ring
     for f in seq:
         if f.is_zero() or not ring.field.raw.is_zero(f.constant_coefficient()):

@@ -357,6 +357,13 @@ def test_search_on_a_zero_dimensional_ring_tries_the_empty_sequence_once(tmp_pat
     assert capsys.readouterr().out == "EXHAUSTED after 1 candidates\n  (): e = 4\n"
 
 
+def test_search_with_a_negative_budget_tries_nothing(conic, capsys):
+    """A budget below 0 cuts the candidate stream at 0, as a budget of 0
+    does: no candidate, no error."""
+    assert main(["search", conic, "--prime", "2", "--budget", "-1"]) == 0
+    assert capsys.readouterr().out == "EXHAUSTED after 0 candidates\n"
+
+
 def test_json_output_is_byte_identical(conic, capsys):
     argv = ["search", conic, "--prime", "2", "--budget", "25",
             "--seed", "11", "--json"]

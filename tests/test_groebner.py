@@ -674,7 +674,7 @@ def test_loop_queues_no_trivial_pair(rank, monkeypatch):
         @staticmethod
         def heappush(heap, item):
             if type(item) is tuple:  # an input or a pair, not a division key
-                pair = item[1:3] if rank == 1 else item[2:4]
+                pair = item[1:3] if rank == 1 else item[3:5]
                 if pair[0] >= 0:
                     pairs.append(pair)
             real_heapq.heappush(heap, item)
@@ -799,6 +799,85 @@ def test_rank_one_basis_matches_the_lcm_ordered_oracle(case):
     at the signature x*y e_2, lost the 1 that a later pair makes."""
     ring, raws = case
     assert list(_basis(ring, raws, 1).raws) == oracles.lcm_ordered_basis(ring, raws)
+
+
+@st.composite
+def _module_cases(draw):
+    """(ring, raws, rank): a rank from 2 to 5, F_7 or Q, a quotient J (maybe
+    empty) of the plane, and raw vectors of that rank, zero, single-term
+    and repeated ones among them. Exponents stay below 3 and there are at
+    most four vectors of at most three terms: the lcm-ordered oracle lets
+    coefficients over Q swell, and on larger draws it took seconds."""
+    field = draw(st.sampled_from([F7, Q]))
+    rank = draw(st.integers(2, 5))
+    coeff = _coefficients(field)
+    mono = st.tuples(st.integers(0, 2), st.integers(0, 2))
+    term = st.tuples(st.integers(0, rank - 1), mono)
+    raws = draw(st.lists(st.one_of(st.just({}), st.dictionaries(term, coeff, min_size=1, max_size=1),
+                                   st.dictionaries(term, coeff, min_size=2, max_size=3)),
+                         min_size=1, max_size=4))
+    raws += draw(st.lists(st.sampled_from(raws), max_size=1))
+    quotient = draw(st.lists(st.dictionaries(mono.filter(any), coeff, min_size=1, max_size=2),
+                             max_size=1))
+    ring = RingSpec(field, ("x", "y"), quotient=tuple(Polynomial(field, 2, q) for q in quotient))
+    return ring, raws, rank
+
+
+@settings(max_examples=60, deadline=None)
+@given(_module_cases())
+def test_module_basis_matches_the_lcm_ordered_oracle(case):
+    """The sugar-ordered loop at rank > 1 and the lcm-ordered loop it
+    replaced (`oracles.lcm_ordered_basis`) give the same reduced basis: the
+    order of the pairs may change the work, never the unique reduced
+    basis."""
+    ring, raws, rank = case
+    assert list(_basis(ring, raws, rank).raws) == oracles.lcm_ordered_basis(ring, raws, rank)
+
+
+# eight vectors of Q[x, y]^5 from a subquotient's elimination: terms
+# (position, exponents, coefficient)
+_SWELLING_INPUTS = (
+    ((1, (0, 2), 1), (1, (1, 0), -1), (4, (0, 0), 1)),
+    ((1, (1, 2), 1), (1, (2, 0), -2), (1, (0, 1), -1)),
+    ((0, (0, 0), 1), (1, (1, 0), 2), (1, (0, 1), -1), (2, (0, 0), 1)),
+    ((0, (0, 2), 1), (0, (1, 0), -1), (1, (0, 0), 1)),
+    ((0, (1, 1), 1), (1, (1, 0), 1), (1, (0, 0), -1), (3, (0, 0), 1)),
+    ((0, (2, 0), 1), (0, (0, 1), 1), (1, (1, 0), 1)),
+    ((0, (2, 0), -2), (0, (2, 1), 1), (0, (1, 2), 2), (0, (0, 3), -1), (0, (3, 0), 1),
+     (0, (1, 1), 1), (1, (3, 0), 1), (1, (2, 1), -4), (1, (1, 1), 1), (1, (0, 2), -2),
+     (1, (2, 0), 2), (1, (0, 0), 1), (1, (2, 2), 1), (1, (0, 3), 1), (1, (3, 2), 1),
+     (1, (4, 0), -2), (1, (1, 3), 1), (1, (0, 1), -1), (1, (1, 0), -1)),
+    ((0, (1, 0), 2), (0, (0, 0), -1), (0, (1, 1), 1), (0, (1, 2), 1), (0, (2, 0), -1),
+     (0, (4, 0), 1), (0, (2, 1), 2), (1, (2, 0), 3), (1, (1, 1), -1), (1, (0, 1), 2),
+     (1, (0, 0), -2), (1, (0, 2), -1), (1, (2, 2), 1), (1, (3, 0), -1), (1, (1, 0), 1)))
+
+
+def test_sugar_order_keeps_module_coefficients_small(monkeypatch):
+    """On `_SWELLING_INPUTS` the lcm order reduced 143 S-vectors in the
+    loop, and its remainders reached coefficients of 20826 bits: a pair of
+    small lcm came from elements of high degree. Under the sugar order the
+    loop reduces 64, none with a coefficient past 39 bits. The loop's
+    reductions are the `_reduce` calls before `_reduce_basis`."""
+    bits, looping = [], [True]
+    real_reduce, real_reduce_basis = groebner._reduce, groebner._reduce_basis
+
+    def reduce(work, forms, layout, ops, bound=None):
+        r = real_reduce(work, forms, layout, ops, bound)
+        if looping[0]:
+            bits.append(max((abs(c).bit_length() for c in r.values()), default=0))
+        return r
+
+    def reduce_basis(*args):
+        looping[0] = False
+        return real_reduce_basis(*args)
+
+    monkeypatch.setattr(groebner, "_reduce", reduce)
+    monkeypatch.setattr(groebner, "_reduce_basis", reduce_basis)
+    raws = [{(p, e): Fraction(c) for p, e, c in v} for v in _SWELLING_INPUTS]
+    gb = _basis(_plane(), raws, 5)
+    assert len(gb.raws) == 5
+    assert len(bits) <= 80
+    assert max(bits) <= 64
 
 
 # -- over Q the untracked loop runs on primitive integer vectors ------------------

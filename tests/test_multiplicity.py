@@ -500,8 +500,8 @@ def test_search_candidate_builds_each_basis_once(monkeypatch):
     """One candidate (x) on the cusp over F7: the free module once, for the
     ring's dimension; H_0 = M/xM once, for its colength check and its
     length; and one elimination basis for H_1 (`subquotient`). e is Serre's
-    alternating sum, so no table and no power x^n M is built. A one-element
-    candidate has no dimension drop to check."""
+    alternating sum, so no table and no power x^n M is built, and no basis
+    of a prefix of the candidate is built for a dimension count."""
     calls = []
 
     def counting(module):
@@ -523,7 +523,7 @@ def test_search_candidate_builds_each_basis_once(monkeypatch):
 
 
 # the F2 cone, the Q cusp and k[x,y]/(x^2, x*y), all of dimension 1, and
-# the F7 plane, where a candidate has a dimension drop to check
+# the F7 plane, where the stepwise route checks a dimension drop
 _CANDIDATE_RINGS = (_conic(), _cusp(), RingSpec(Q, ("x", "y"), quotient=(X * X, X * Y)),
                     RingSpec(F7, ("x", "y")))
 
@@ -537,8 +537,10 @@ def test_candidate_check_matches_the_stepwise_route(k, seeded, seed, picks):
     stepwise check on the basis of all d elements does, and Serre's χ is
     the table's e: the same e or None, on search's own random candidates
     and on drawn ones (zero, repeated, or with a constant term). None of
-    these rings gives a candidate whose table stops on a plateau, so the
-    two routes agree exactly; `test_candidate_e_past_a_plateau` pins where
+    these rings gives a candidate whose table stops on a plateau or has a
+    component away from the origin, so the two routes agree exactly;
+    `test_candidate_e_past_a_plateau` and
+    `test_candidate_cuts_out_the_origin_beside_a_far_component` pin where
     they part."""
     ring = _CANDIDATE_RINGS[k]
     A = FPModule.free(ring, 1)
@@ -548,7 +550,7 @@ def test_candidate_check_matches_the_stepwise_route(k, seeded, seed, picks):
     else:
         polys = _plane_polys(ring)
         seq = tuple(polys[i] for i in picks[:d])
-    assert (_outcome(_validate_candidate, A, seq, d)
+    assert (_outcome(_validate_candidate, A, seq)
             == _outcome(oracles.stepwise_candidate, A, seq, d))
 
 
@@ -560,8 +562,23 @@ def test_candidate_e_past_a_plateau():
     A = FPModule.free(ring, 1)
     for f in (Y, X + Y, X + Y * 2):
         seq = (f,)
-        assert _validate_candidate(A, seq, 1) == 1
+        assert _validate_candidate(A, seq) == 1
         assert oracles.stepwise_candidate(A, seq, 1) == 2
+
+
+def test_candidate_cuts_out_the_origin_beside_a_far_component():
+    """Q[x,y,z]/(z^2 - z) is the plane z = 0 through the origin and the plane
+    z = 1 away from it. (x - x*z, y + z - y*z) cuts out the origin alone,
+    where it is (x, y) up to units, so χ = e = 1. Its prefix x - x*z
+    vanishes on the whole plane z = 1, so the global dimension does not
+    drop and the stepwise route rejects the candidate."""
+    z = RingSpec(Q, ("x", "y", "z")).variable("z")
+    ring = RingSpec(Q, ("x", "y", "z"), quotient=(z * z - z,))
+    x, y, z = (ring.variable(v) for v in "xyz")
+    A = FPModule.free(ring, 1)
+    seq = (x - x * z, y + z - y * z)
+    assert _validate_candidate(A, seq) == 1
+    assert oracles.stepwise_candidate(A, seq, 2) is None
 
 
 def test_ord_additivity_conic():

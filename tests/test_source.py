@@ -358,10 +358,11 @@ TABLE_CALLERS = {"quotient_by_polys": {"multiplicity_data"},
                                   "parameter_colength"}}
 
 
-def stray_table_calls(text, filename="<source>"):
-    """(line, name, function) of each call to a TABLE_CALLERS name from a
-    function that is not pinned for it, in line order."""
-    return sorted((line, name, function) for name, allowed in TABLE_CALLERS.items()
+def stray_calls(text, callers, filename="<source>"):
+    """(line, name, function) of each call to a name of callers, a map from
+    names to the functions pinned for them, from a function that is not
+    pinned for it, in line order."""
+    return sorted((line, name, function) for name, allowed in callers.items()
                   for line, function in call_sites(text, name, filename)
                   if function not in allowed)
 
@@ -377,7 +378,7 @@ def test_stray_table_calls_are_found():
             "FREE.local_length()\n"
             "def _graded_table(M):\n"
             "    return read_hilbert_series(M.gb.graded_series(2), 2)\n")
-    assert stray_table_calls(text) == [
+    assert stray_calls(text, TABLE_CALLERS) == [
         (5, "local_length", "_validate_candidate"),
         (5, "quotient_by_polys", "_validate_candidate"),
         (8, "local_length", None),
@@ -388,9 +389,41 @@ def test_stray_table_calls_are_found():
 def test_one_table_route_in_multiplicity():
     path = SRC / "multiplicity.py"
     found = [f"{path.name}:{line}: {name} in {function}"
-             for line, name, function in stray_table_calls(path.read_text(encoding="utf-8"),
-                                                           str(path))]
+             for line, name, function in stray_calls(path.read_text(encoding="utf-8"),
+                                                     TABLE_CALLERS, str(path))]
     assert not found, "length-table calls outside the pinned functions:\n" + "\n".join(found)
+
+
+# A candidate is a system of parameters when H_0 of its Koszul complex has
+# finite length at the origin, which `homology_lengths` reads, and that is
+# the whole test (Serre). So `multiplicity` reads a global dimension only
+# for the length of `search_parameters`'s candidates and for `ord_check`'s
+# dimension-one hypothesis, and a global prefilter beside the H_0 test, on
+# a basis or on a module, would show here.
+DIMENSION_CALLERS = {"krull_dimension": {"search_parameters", "ord_check"},
+                     "dimension": set(), "support_dimension": set()}
+
+
+def test_stray_dimension_calls_are_found():
+    text = ("def search_parameters(ring):\n"
+            "    return krull_dimension(FPModule.free(ring, 1).gb)\n"
+            "def _validate_candidate(A, seq):\n"
+            "    if krull_dimension(buchberger(A.ring, seq[:1])) != 1:\n"
+            "        return A.quotient_by_polys(seq).support_dimension()\n"
+            "def ord_check(ring):\n"
+            "    return krull_dimension(buchberger(ring, [])), buchberger(ring, []).dimension()\n")
+    assert stray_calls(text, DIMENSION_CALLERS) == [
+        (4, "krull_dimension", "_validate_candidate"),
+        (5, "support_dimension", "_validate_candidate"),
+        (7, "dimension", "ord_check")]
+
+
+def test_only_search_and_ord_check_read_a_global_dimension():
+    path = SRC / "multiplicity.py"
+    found = [f"{path.name}:{line}: {name} in {function}"
+             for line, name, function in stray_calls(path.read_text(encoding="utf-8"),
+                                                     DIMENSION_CALLERS, str(path))]
+    assert not found, "dimension reads outside the pinned functions:\n" + "\n".join(found)
 
 
 # The F_p(t) value format, numerator and denominator coefficient tuples, is
