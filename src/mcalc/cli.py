@@ -21,7 +21,6 @@ import argparse
 import functools
 import json
 import sys
-import warnings
 
 from .errors import EngineError
 from .groebner import buchberger, krull_dimension
@@ -327,10 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _show_warning(message, category, filename, lineno, file=None, line=None):
-    print(f"warning: {message}", file=sys.stderr)
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -338,11 +333,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        with warnings.catch_warnings():
-            # the filters stay as they are; a warning they let through is one
-            # stderr line, with no source path
-            warnings.showwarning = _show_warning
-            return args.func(args)
+        return args.func(args)
     except EngineError as exc:
         print(f"error: {exc.code}: {exc}", file=sys.stderr)
         return 2

@@ -196,14 +196,14 @@ class FPModule:
         return cls(ring, 1, rels)
 
     def quotient_by_polys(self, polys) -> "FPModule":
-        """M / (f_1, .., f_k)M."""
-        rels = list(self.relations)
-        for f in polys:
-            self.ring.check_member(f)
-            for i in range(self.rank):
-                rels.append(ModuleVector.unit(self.ring.field, self.ring.nvars,
-                                              self.rank, i, f))
-        return FPModule(self.ring, self.rank, rels)
+        """M / (f_1, .., f_k)M, which is M itself for no f."""
+        ring = self.ring
+        polys = [ring.check_member(f) for f in polys]
+        if not polys:
+            return self
+        return FPModule(ring, self.rank, list(self.relations) + [
+            ModuleVector.unit(ring.field, ring.nvars, self.rank, i, f)
+            for f in polys for i in range(self.rank)])
 
     def contains(self, v: ModuleVector) -> bool:
         """True when the vector v of R^rank lies in the relation submodule."""

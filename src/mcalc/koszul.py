@@ -60,11 +60,10 @@ def _differential_columns(x, M: FPModule, i: int):
 
 def koszul_homology(x, M: FPModule, i: int) -> FPModule:
     """H_i(x, M) = ker d_i / im d_{i+1}, presented on its kernel generators;
-    H_0 = M/(x)M, presented on M's generators."""
+    H_0 = M/(x)M, presented on M's generators, which is M itself for the
+    empty sequence."""
     x = _check_sequence(x, M.ring)
     n = len(x)
-    if not x:
-        raise RingMismatch("koszul_homology needs a nonempty sequence")
     if not 0 <= i <= n:
         raise OutOfRange(f"homology degree {i} out of range 0..{n}")
     if i == 0:
@@ -121,21 +120,11 @@ class VirtualModule:
 
 
 def phi_apply(x, V: VirtualModule) -> VirtualModule:
-    """Alternating sum of Koszul homology, term by term.
-
-    The empty sequence acts as the identity operator.
-    """
+    """Alternating sum of Koszul homology, term by term; the empty sequence,
+    with H_0 = M alone, acts as the identity."""
     x = _check_sequence(x, V.ring)
-    if not x:
-        return V
-    n = len(x)
-    out = []
-    for coeff, mod in V.terms:
-        for i in range(n + 1):
-            h = koszul_homology(x, mod, i)
-            if not h.is_zero():
-                out.append((coeff * (-1) ** i, h))
-    return VirtualModule(V.ring, out)
+    return VirtualModule(V.ring, [(coeff * (-1) ** i, koszul_homology(x, mod, i))
+                                  for coeff, mod in V.terms for i in range(len(x) + 1)])
 
 
 def reduce_class(x, M: FPModule) -> FPModule:

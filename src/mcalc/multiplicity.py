@@ -20,7 +20,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-import warnings
 from dataclasses import dataclass
 
 from .errors import (HypothesisFails, InfiniteHomology, NoStabilization,
@@ -73,16 +72,6 @@ class Report:
         }
 
 
-def _warn_if_inhomogeneous(ring: RingSpec, gens):
-    bad = [p for p in list(ring.quotient) + list(gens)
-           if not p.is_zero() and not p.is_homogeneous()]
-    if bad:
-        warnings.warn(
-            "non-homogeneous defining polynomials: length counts are local "
-            "lengths only because the origin-support check passes",
-            stacklevel=3)
-
-
 def multiplicity_data(M: FPModule, gens, r: int):
     """(e, length table) off one Hilbert series, that of gr_I(M) = ⊕ I^n M
     / I^(n+1) M (Bruns-Herzog, Ch. 4).
@@ -107,10 +96,7 @@ def multiplicity_data(M: FPModule, gens, r: int):
     gens = list(gens)
     if r < 0:
         raise OutOfRange("difference order must be nonnegative")
-    for g in gens:
-        M.ring.check_member(g)
-    _warn_if_inhomogeneous(M.ring, gens)
-    length = (M.quotient_by_polys(gens) if gens else M).local_length()
+    length = M.quotient_by_polys(gens).local_length()
     if length is INFINITE:
         raise NotFiniteColength("M/IM has infinite length")
     series, v = M.gb.hilbert_series(), M.ring.nvars
@@ -184,11 +170,6 @@ def homology_lengths(x, M: FPModule):
     and once H_0 passes, each H_i's `length()` is its local length.
     """
     x = list(x)
-    if not x:
-        l = M.local_length()
-        if l is INFINITE:
-            raise InfiniteHomology("module itself has infinite length")
-        return [l]
     out = []
     for i in range(len(x) + 1):
         H = koszul_homology(x, M, i)
@@ -234,8 +215,8 @@ def verify_factorization(M: FPModule, x, y) -> Report:
     left = _alternating_sum(left_lengths)
     right = 0
     rows = []
-    for q in range(len(y) + 1) if y else [0]:
-        Hq = koszul_homology(y, M, q) if y else M
+    for q in range(len(y) + 1):
+        Hq = koszul_homology(y, M, q)
         if Hq.is_zero():
             rows.append({"q": q, "outer_lengths": []})
             continue

@@ -6,8 +6,12 @@ Grammar (explicit '*' required, '/' only by constants):
     term   := factor (('*' | '/') factor)*
     factor := '-' factor | atom ('^' INT)*
     atom   := INT | NAME | '(' expr ')'
+    items  := (item (',' item)*)?       up to ']' or the end of input
+    list   := '[' items ']'
 
 NAME is a declared variable, or 't' over a rational function field.
+'(' and unary '-' together nest at most MAX_NESTING deep, so that the
+descent stays well inside the interpreter's recursion limit.
 """
 
 from __future__ import annotations
@@ -17,6 +21,8 @@ import re
 from .errors import ParseError, UnknownFieldKind
 from .polyring import Polynomial, RingSpec
 from .scalars import FieldKind, FieldSpec
+
+MAX_NESTING = 100
 
 _TOKEN = re.compile(r"\s*(?:(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<int>[0-9]+)"
                     r"|(?P<op>[-+*/^(),\[\]]))")
@@ -47,13 +53,14 @@ def tokenize(text: str, line: int = None):
 
 
 class ExpressionParser:
-    """Recursive-descent parser over a fixed ring."""
+    """Recursive-descent parser of one text over a fixed ring."""
 
-    def __init__(self, ring: RingSpec, tokens, line: int = None):
+    def __init__(self, ring: RingSpec, text: str, line: int = None):
         self.ring = ring
-        self.tokens = tokens
+        self.tokens = tokenize(text, line=line)
         self.i = 0
         self.line = line
+        self.depth = 0
         self.names = {v: k for k, v in enumerate(ring.variables)}
 
     def peek(self):
@@ -70,15 +77,45 @@ class ExpressionParser:
         col = tok[2] if tok else (self.tokens[-1][2] + 1 if self.tokens else 1)
         raise ParseError(message, line=self.line, column=col)
 
-    def expect_op(self, op):
-        tok = self.next()
-        if tok is None or tok[0] != "op" or tok[1] != op:
-            self.i -= 1 if tok is not None else 0
-            self.fail(f"expected {op!r}")
+    def expect(self, kind, value, message):
+        """The value of the next token, which must be of kind and, unless
+        value is None, equal to value."""
+        tok = self.peek()
+        if tok is None or tok[0] != kind or value not in (None, tok[1]):
+            self.fail(message)
+        self.i += 1
+        return tok[1]
 
     def at_op(self, *ops):
         tok = self.peek()
         return tok is not None and tok[0] == "op" and tok[1] in ops
+
+    def items(self, item):
+        """item (',' item)*, or none when ']' or the end of input is next."""
+        if self.peek() is None or self.at_op("]"):
+            return []
+        out = [item()]
+        while self.at_op(","):
+            self.next()
+            out.append(item())
+        return out
+
+    def bracketed(self, item):
+        self.expect("op", "[", "expected '['")
+        out = self.items(item)
+        self.expect("op", "]", "expected ']'")
+        return out
+
+    def nested(self, rule):
+        """rule() after the next token, '(' or unary '-', one level deeper;
+        at most MAX_NESTING levels down."""
+        if self.depth == MAX_NESTING:
+            self.fail(f"nesting deeper than {MAX_NESTING} levels")
+        self.next()
+        self.depth += 1
+        p = rule()
+        self.depth -= 1
+        return p
 
     def expression(self) -> Polynomial:
         p = self.term()
@@ -104,16 +141,11 @@ class ExpressionParser:
 
     def factor(self) -> Polynomial:
         if self.at_op("-"):
-            self.next()
-            return -self.factor()
+            return -self.nested(self.factor)
         p = self.atom()
         while self.at_op("^"):
             self.next()
-            tok = self.next()
-            if tok is None or tok[0] != "int":
-                self.i -= 1 if tok is not None else 0
-                self.fail("expected a nonnegative integer exponent")
-            p = p ** tok[1]
+            p = p ** self.expect("int", None, "expected a nonnegative integer exponent")
         return p
 
     def atom(self) -> Polynomial:
@@ -134,56 +166,33 @@ class ExpressionParser:
             raise ParseError(f"unknown name {value!r}", line=self.line,
                              column=col)
         if kind == "op" and value == "(":
-            self.next()
-            p = self.expression()
-            self.expect_op(")")
+            p = self.nested(self.expression)
+            self.expect("op", ")", "expected ')'")
             return p
         self.fail(f"unexpected token {value!r}")
 
 
-def _parse_with(ring: RingSpec, tokens, line, produce):
-    parser = ExpressionParser(ring, tokens, line=line)
-    result = produce(parser)
+def parse_whole(ring: RingSpec, text: str, line, rule):
+    """rule(parser) over all of text: input left after it is an error."""
+    parser = ExpressionParser(ring, text, line=line)
+    result = rule(parser)
     if parser.peek() is not None:
-        parser.fail("trailing input after expression")
+        parser.fail("trailing input")
     return result
 
 
 def parse_polynomial(ring: RingSpec, text: str, line: int = None) -> Polynomial:
-    tokens = tokenize(text, line=line)
-    if not tokens:
-        raise ParseError("empty polynomial", line=line, column=1)
-    return _parse_with(ring, tokens, line, lambda p: p.expression())
+    return parse_whole(ring, text, line, ExpressionParser.expression)
 
 
 def parse_polynomial_list(ring: RingSpec, text: str, line: int = None):
     """Comma-separated polynomials; empty input is the empty list."""
-    tokens = tokenize(text, line=line)
-    if not tokens:
-        return []
-
-    def produce(parser):
-        out = [parser.expression()]
-        while parser.at_op(","):
-            parser.next()
-            out.append(parser.expression())
-        return out
-    return _parse_with(ring, tokens, line, produce)
+    return parse_whole(ring, text, line, lambda p: p.items(p.expression))
 
 
 def parse_bracketed_list(parser: ExpressionParser):
-    """'[' expr (',' expr)* ']' or '[]' consumed from the current position."""
-    parser.expect_op("[")
-    out = []
-    if parser.at_op("]"):
-        parser.next()
-        return out
-    out.append(parser.expression())
-    while parser.at_op(","):
-        parser.next()
-        out.append(parser.expression())
-    parser.expect_op("]")
-    return out
+    """'[' expr, .. ']' or '[]' consumed from the current position."""
+    return parser.bracketed(parser.expression)
 
 
 _FIELD_RE = re.compile(r"^F([0-9]+)(\(t\))?$")

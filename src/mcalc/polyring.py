@@ -162,9 +162,6 @@ class Polynomial:
         """The raw coefficient of the term 1, zero included."""
         return self.terms.get((0,) * self.nvars, self.field.raw.zero)
 
-    def is_homogeneous(self) -> bool:
-        return len({sum(e) for e in self.terms}) <= 1
-
     def sorted_terms(self, order: MonomialOrder):
         """(exponents, raw coefficient) pairs, largest monomial first."""
         return sorted(self.terms.items(), key=lambda ec: order.key(ec[0]), reverse=True)

@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 
 from .errors import BadVariables, ParseError
 from .fpmodules import FPModule, ModuleVector
-from .parsing import (ExpressionParser, parse_bracketed_list, parse_field,
-                      parse_polynomial_list, tokenize)
+from .parsing import (parse_bracketed_list, parse_field, parse_polynomial_list,
+                      parse_whole)
 from .polyring import MonomialOrder, RingSpec
 
 
@@ -129,11 +129,7 @@ def parse_session_text(text: str) -> SessionData:
     quotient = ()
     if "quotient" in headers:
         line_no, value = headers["quotient"]
-        parser = ExpressionParser(bare, tokenize(value, line=line_no),
-                                  line=line_no)
-        quotient = tuple(parse_bracketed_list(parser))
-        if parser.peek() is not None:
-            parser.fail("trailing input after quotient list")
+        quotient = tuple(parse_whole(bare, value, line_no, parse_bracketed_list))
     ring = RingSpec(fspec, names, order=order, quotient=quotient)
 
     session = SessionData(ring)
@@ -147,11 +143,8 @@ def parse_session_text(text: str) -> SessionData:
             if name in session.sequences:
                 raise ParseError(f"duplicate seq {name!r}", line=line_no,
                                  column=1)
-            parser = ExpressionParser(ring, tokenize(value, line=line_no),
-                                      line=line_no)
-            session.sequences[name] = parse_bracketed_list(parser)
-            if parser.peek() is not None:
-                parser.fail("trailing input after sequence")
+            session.sequences[name] = parse_whole(ring, value, line_no,
+                                                  parse_bracketed_list)
         else:
             if name in session.modules:
                 raise ParseError(f"duplicate module {name!r}", line=line_no,
@@ -161,42 +154,18 @@ def parse_session_text(text: str) -> SessionData:
 
 
 def _parse_module(ring: RingSpec, value: str, line_no: int) -> FPModule:
-    tokens = tokenize(value, line=line_no)
-    parser = ExpressionParser(ring, tokens, line=line_no)
+    def presentation(parser):
+        parser.expect("name", "rank", "expected 'rank'")
+        rank = parser.expect("int", None, "expected a nonnegative rank")
+        parser.expect("name", "relations", "expected 'relations'")
+        return rank, parser.bracketed(lambda: parse_bracketed_list(parser))
 
-    def expect_word(word):
-        tok = parser.next()
-        if tok is None or tok[0] != "name" or tok[1] != word:
-            raise ParseError(f"expected {word!r}", line=line_no,
-                             column=tok[2] if tok else 1)
-
-    expect_word("rank")
-    tok = parser.next()
-    if tok is None or tok[0] != "int" or tok[1] < 0:
-        raise ParseError("expected a nonnegative rank", line=line_no,
-                         column=tok[2] if tok else 1)
-    rank = tok[1]
-    expect_word("relations")
-    parser.expect_op("[")
-    relations = []
-    if parser.at_op("]"):
-        parser.next()
-    else:
-        while True:
-            comps = parse_bracketed_list(parser)
-            if len(comps) != rank:
-                raise ParseError(
-                    f"relation has {len(comps)} entries, rank is {rank}",
-                    line=line_no, column=1)
-            relations.append(ModuleVector(tuple(comps)))
-            if parser.at_op(","):
-                parser.next()
-                continue
-            parser.expect_op("]")
-            break
-    if parser.peek() is not None:
-        parser.fail("trailing input after module presentation")
-    return FPModule(ring, rank, relations)
+    rank, rows = parse_whole(ring, value, line_no, presentation)
+    for comps in rows:
+        if len(comps) != rank:
+            raise ParseError(f"relation has {len(comps)} entries, rank is {rank}",
+                             line=line_no, column=1)
+    return FPModule(ring, rank, [ModuleVector(tuple(comps)) for comps in rows])
 
 
 def parse_session(path: str) -> SessionData:

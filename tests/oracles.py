@@ -474,8 +474,7 @@ def stepwise_multiplicity(M, gens, r):
     three equal r-th differences, that value being e, replaced by 0 when r
     exceeds dim Supp M; a negative e raises NoStabilization, as does a
     table with no three equal differences in `STEPWISE_CAP` entries. A
-    plateau of the Hilbert-Samuel function stops it early with a wrong e.
-    No homogeneity warning."""
+    plateau of the Hilbert-Samuel function stops it early with a wrong e."""
     gens = list(gens)
     if r < 0:
         raise OutOfRange("difference order must be nonnegative")

@@ -10,8 +10,6 @@ import json
 import random
 import time
 
-import pytest
-
 from mcalc.cli import main
 from mcalc.fpmodules import ModuleVector, syzygies
 from mcalc.groebner import buchberger, normal_form, standard_monomials
@@ -33,8 +31,6 @@ def _run_prefix(prefix):
     return {sid: run_scenario(sid) for sid in ids}
 
 
-# the cusp instances legitimately warn about non-homogeneous quotients
-@pytest.mark.filterwarnings("ignore:non-homogeneous defining polynomials")
 def test_serre_formula_suite():
     start = time.perf_counter()
     reports = _run_prefix("serre-")
@@ -107,7 +103,6 @@ def test_order_additivity():
             "two one-dimensional reduced rings, five parameter pairs each")
 
 
-@pytest.mark.filterwarnings("ignore:non-homogeneous defining polynomials")
 def test_multiplicity_degenerate_and_regular():
     above = [run_scenario(f"mult-above-dim-{name}")
              for name in ("conic", "cusp", "fat")]

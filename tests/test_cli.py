@@ -7,7 +7,7 @@ import re
 import shlex
 import subprocess
 import sys
-import warnings
+import time
 
 import jsonschema
 import pytest
@@ -15,6 +15,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from mcalc import fpmodules, groebner
 from mcalc.cli import _VERIFIERS, main
+from mcalc.parsing import MAX_NESTING
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SCHEMA = json.loads((ROOT / "docs" / "report-schema.json").read_text())
@@ -187,27 +188,6 @@ def test_mult_of_large_pure_powers_reads_few_numerators(tmp_path, capsys, monkey
     assert len(calls) <= 10
 
 
-def test_warning_is_one_stderr_line(tmp_path, capsys):
-    """The cusp's quotient is not homogeneous, so `mult` warns: one line
-    on stderr, with no source path or code line, and stdout and the exit
-    code as without the warning."""
-    cusp = tmp_path / "cusp.ring"
-    cusp.write_text("field = Q\nvars = x, y\nquotient = [x^2 - y^3]\n", encoding="utf-8")
-    argv = ["mult", str(cusp), "--params", "x, y"]
-    with warnings.catch_warnings():
-        warnings.simplefilter("always")
-        code = main(argv)
-    out, err = capsys.readouterr()
-    assert code == 0
-    assert out == "multiplicity: 2 (difference order 1)\nlength table: [1, 3, 5, 7]\n"
-    assert err == ("warning: non-homogeneous defining polynomials: length counts are local "
-                   "lengths only because the origin-support check passes\n")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        assert main(argv) == 0
-    assert capsys.readouterr() == (out, "")
-
-
 def test_koszul_full_profile(conic, capsys):
     code, record = _json_run(capsys, ["koszul", conic, "--seq", "@s"])
     assert code == 0
@@ -219,6 +199,12 @@ def test_koszul_single_degree(conic, capsys):
                                       "--degree", "1"])
     assert code == 0
     assert record["result"] == {"degree": 1, "length": 1}
+
+
+def test_koszul_of_the_empty_sequence_is_the_module(conic, capsys):
+    """K(∅; M) is M in degree 0, so `--seq ''` prints ℓ(M): 2 for M = A/(x)."""
+    assert main(["koszul", conic, "--seq", "", "--module", "M"]) == 0
+    assert capsys.readouterr().out == "H_0: length 2\n"
 
 
 def test_verify_serre_plane(plane, capsys):
@@ -699,3 +685,77 @@ def test_serre_holds_on_artinian_monomial_quotients(tmp_path, capsys, field, a, 
     assert "Traceback" not in out + err
     assert code == 0, err
     assert "verdict: VERIFIED" in out
+
+
+# The front end: whatever the text of a generator list or a quotient line,
+# the answer is exit 0, or exit 2 with a coded error, never a traceback, and
+# exit 1 stays reserved for REFUTED. Nesting past MAX_NESTING levels of '('
+# and unary '-' is a PARSE_ERROR, found at once, not a RecursionError.
+_DEEP = "(" * 250 + "x" + ")" * 250
+
+
+@pytest.mark.parametrize("session, argv", [
+    (PLANE, ["gb", "--gens", _DEEP]),
+    (PLANE + f"quotient = [{_DEEP}]\n", ["dim"]),
+    (PLANE, ["gb", "--gens=" + "-" * 1000 + "x"]),
+])
+def test_deep_nesting_exits_two(tmp_path, capsys, session, argv):
+    p = tmp_path / "deep.ring"
+    p.write_text(session, encoding="utf-8")
+    start = time.perf_counter()
+    err = _coded_exit(capsys, argv[:1] + [str(p)] + argv[1:], "PARSE_ERROR")
+    assert time.perf_counter() - start < 1.0
+    assert f"nesting deeper than {MAX_NESTING} levels" in err
+
+
+_FRONT_TOKENS = ["x", "y", "0", "1", "2", "3", "+", "-", "*", "/", "^", "(", ")", "[", "]",
+                 ",", "(" * (MAX_NESTING + 1), "-" * (MAX_NESTING + 1)]
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(field=st.sampled_from(["Q", "F7"]),
+       tokens=st.lists(st.sampled_from(_FRONT_TOKENS), max_size=15))
+def test_front_end_exits_zero_or_two(tmp_path, capsys, field, tokens):
+    text = " ".join(tokens)
+    p = tmp_path / "front.ring"
+    header = f"field = {field}\nvars = x, y\n"
+    for session, argv in ((header, ["gb", str(p), "--gens=" + text]),
+                          (header + f"quotient = [{text}]\n", ["gb", str(p)])):
+        p.write_text(session, encoding="utf-8")
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code in (0, 2), err
+        assert "Traceback" not in err
+        if code == 2:
+            assert re.match(r"error: [A-Z_]+: ", err), err
+
+
+# Q[x,y]/(x*y - x, y^2 - y) is the origin plus the line y = 1, so its local
+# ring at the origin is k, of dimension 0 and multiplicity 1. Both commands
+# below read the global dimension 1 instead.
+GLOBAL_DIMENSION_ONE = "field = Q\nvars = x, y\nquotient = [x*y - x, y^2 - y]\n"
+
+
+@pytest.fixture
+def point_and_line(tmp_path):
+    p = tmp_path / "point-and-line.ring"
+    p.write_text(GLOBAL_DIMENSION_ONE, encoding="utf-8")
+    return str(p)
+
+
+@pytest.mark.xfail(strict=True, reason="mult defaults r to the global dimension 1, so e = 0")
+def test_mult_defaults_r_to_the_local_dimension(point_and_line, capsys):
+    code, record = _json_run(capsys, ["mult", point_and_line, "--params", "x, y"])
+    assert code == 0
+    assert record["result"] == {"e": 1, "r": 0}
+
+
+@pytest.mark.xfail(strict=True, reason="search draws candidates of the global dimension's "
+                                       "length 1 and never tries the empty system")
+def test_search_tries_the_empty_system_at_local_dimension_zero(point_and_line, capsys):
+    code, record = _json_run(capsys, ["search", point_and_line, "--prime", "2",
+                                      "--budget", "6"])
+    assert code == 0
+    assert (record["result"]["status"], record["result"]["ideal"],
+            record["result"]["e"]) == ("FOUND", [], 1)

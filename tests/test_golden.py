@@ -7,15 +7,11 @@ answers are not checked: the benchmark reports them apart."""
 import pathlib
 import sys
 
-import pytest
-
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "perfbench"))
 
 import workloads  # noqa: E402
 
 
-# the benchmark ignores warnings; some jobs reach the inhomogeneity warning
-@pytest.mark.filterwarnings("ignore::UserWarning")
 def test_cli_mix_jobs_match_their_references_and_the_golden_records(tmp_path):
     jobs = workloads.build("cli-mix", 0, str(tmp_path), workloads.load_golden())
     problems = []

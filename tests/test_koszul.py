@@ -108,8 +108,11 @@ def test_zero_entries_are_allowed():
 
 
 def test_homology_input_validation():
-    with pytest.raises(RingMismatch):
-        koszul_homology((), FREE, 0)
+    # K(∅; M) is M in degree 0 and nothing else
+    M = FPModule.cyclic(R, [X * X])
+    assert koszul_homology((), M, 0) is M
+    with pytest.raises(ValueError):
+        koszul_homology((), M, 1)
     with pytest.raises(ValueError):
         koszul_homology((X,), FREE, 2)
     with pytest.raises(RingMismatch):
@@ -143,8 +146,9 @@ def test_phi_on_conic():
 
 
 def test_phi_empty_sequence_is_identity():
-    V = VirtualModule.of_module(FPModule.cyclic(R, [X, Y]))
-    assert phi_apply([], V) is V
+    M, N = FPModule.cyclic(R, [X, Y]), FPModule.cyclic(R, [X, Y * Y])
+    V = VirtualModule(R, [(2, M), (-1, N)])
+    assert phi_apply([], V).terms == V.terms
 
 
 def test_reduce_class_regular():

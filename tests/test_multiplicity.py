@@ -96,7 +96,7 @@ def test_no_stabilization_at_wrong_order():
 def test_colength_preconditions():
     with pytest.raises(NotFiniteColength):
         multiplicity(FREE, [X], 1)
-    with pytest.warns(UserWarning), pytest.raises(SupportNotAtOrigin):
+    with pytest.raises(SupportNotAtOrigin):
         multiplicity(FREE, [X - R.one(), Y], 2)
 
 
@@ -131,7 +131,6 @@ _TABLE_CASES = st.tuples(
     st.lists(st.integers(0, 8), max_size=3), st.integers(0, 3))
 
 
-@pytest.mark.filterwarnings("ignore:non-homogeneous defining polynomials")
 @settings(max_examples=100, deadline=None)
 @example(("Q", 3, 1, [], [2], 1))
 @example(("F7", 0, 2, [(0, 1)], [0, 1, 1, 2], 2))
@@ -242,7 +241,6 @@ def test_maximal_ideal_multiplicity_matches_the_standard_count(field, case):
                     for k in range(d + 1))
 
 
-@pytest.mark.filterwarnings("ignore:non-homogeneous defining polynomials")
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from([F7, Q]), st.integers(0, len(_TABLE_QUOTIENTS) - 1),
        st.lists(st.integers(0, 8), min_size=2, max_size=2))
@@ -285,8 +283,7 @@ def test_graded_m_adic_table_builds_one_quotient(monkeypatch):
     assert len(calls) == 1
     calls.clear()
     A = _cusp()
-    with pytest.warns(UserWarning):
-        table = multiplicity_data(FPModule.free(A, 1), [A.variable("x"), A.variable("y")], 1)
+    table = multiplicity_data(FPModule.free(A, 1), [A.variable("x"), A.variable("y")], 1)
     assert (table, len(calls)) == ((2, (1, 3, 5, 7)), 1)
 
 
@@ -379,8 +376,7 @@ def test_verify_serre_above_dimension():
 
 def test_verify_serre_curve_parameter():
     B = _cusp()
-    with pytest.warns(UserWarning):
-        rep = verify_serre(FPModule.free(B, 1), [B.variable("x")])
+    rep = verify_serre(FPModule.free(B, 1), [B.variable("x")])
     assert rep.verdict == VERIFIED
     assert rep.left == rep.right == 2
 
@@ -528,7 +524,6 @@ _CANDIDATE_RINGS = (_conic(), _cusp(), RingSpec(Q, ("x", "y"), quotient=(X * X, 
                     RingSpec(F7, ("x", "y")))
 
 
-@pytest.mark.filterwarnings("ignore:non-homogeneous defining polynomials")
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, len(_CANDIDATE_RINGS) - 1), st.booleans(), st.integers(0, 2 ** 32),
        st.lists(st.integers(0, 8), min_size=2, max_size=2))

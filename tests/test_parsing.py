@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mcalc.errors import BadCharacteristic, ParseError, UnknownFieldKind
-from mcalc.parsing import (parse_field, parse_polynomial,
+from mcalc.parsing import (MAX_NESTING, parse_field, parse_polynomial,
                            parse_polynomial_list)
 from mcalc.polyring import MonomialOrder, Polynomial, RingSpec
 from mcalc.scalars import FieldSpec
@@ -60,6 +60,17 @@ def test_huge_exponent_parses_at_once():
     p = parse_polynomial(R, "x^20000000")
     assert time.perf_counter() - start < 2.0
     assert p == Polynomial.variable(Q, 2, 0, 20_000_000)
+
+
+@pytest.mark.parametrize("opening, closing", [("(", ")"), ("-", ""), ("-(", ")")])
+def test_nesting_is_bounded(opening, closing):
+    """'(' and unary '-' share one bound: at MAX_NESTING levels an expression
+    parses, one level more is a ParseError, not a RecursionError."""
+    levels = MAX_NESTING // len(opening)
+    text = opening * levels + "x" + closing * levels
+    assert parse_polynomial(R, text) == (-X if levels * opening.count("-") % 2 else X)
+    with pytest.raises(ParseError, match="nesting deeper than"):
+        parse_polynomial(R, "-" + text)
 
 
 def test_power_requires_integer():

@@ -1,9 +1,9 @@
 """Source hygiene: no module of the package imports a name it never uses,
 no module but `groebner` reads a Groebner basis's reducer forms, no module
-but `scalars` uses Fraction, no private module-level function or class goes
-unreferenced, and every public function or class, and every public method
-or property of an exported class, has a caller in the package or the
-benchmark."""
+but `scalars` uses Fraction, no module but `parsing` builds a parser, no
+module warns, no private module-level function or class goes unreferenced,
+and every public function or class, and every public method or property of
+an exported class, has a caller in the package or the benchmark."""
 
 import ast
 import functools
@@ -424,6 +424,65 @@ def test_only_search_and_ord_check_read_a_global_dimension():
              for line, name, function in stray_calls(path.read_text(encoding="utf-8"),
                                                      DIMENSION_CALLERS, str(path))]
     assert not found, "dimension reads outside the pinned functions:\n" + "\n".join(found)
+
+
+# Expression text is tokenized and parsed only in `parsing`: the session
+# reader and the command line hand it a whole text and a rule, so a second
+# token loop elsewhere would show here.
+PARSER_BUILDERS = ("ExpressionParser", "tokenize")
+
+
+def parser_builds(text, filename="<source>"):
+    """(line, name) of each call to a name of PARSER_BUILDERS, in line order."""
+    return sorted((line, name) for name in PARSER_BUILDERS
+                  for line, _ in call_sites(text, name, filename))
+
+
+def test_parser_builds_are_found():
+    text = ("from .parsing import ExpressionParser as P, tokenize\n"
+            "from . import parsing\n"
+            "def _parse_module(ring, value):\n"
+            "    return P(ring, tokenize(value))\n"
+            "parsing.ExpressionParser(None, '')\n")
+    assert parser_builds(text) == [(4, "ExpressionParser"), (4, "tokenize"),
+                                   (5, "ExpressionParser")]
+
+
+def test_only_parsing_builds_parsers():
+    found = [f"{path.name}:{line}: {name}"
+             for path in sorted(SRC.glob("*.py")) if path.name != "parsing.py"
+             for line, name in parser_builds(path.read_text(encoding="utf-8"), str(path))]
+    assert not found, "parsers built outside parsing:\n" + "\n".join(found)
+
+
+# A number mcalc prints is certified, or the run ends with a coded error:
+# there is no third channel, so no module warns.
+def imports_of(text, module, filename="<source>"):
+    """Line of each import of module, whole or by name, in line order."""
+    found = []
+    for node in ast.walk(ast.parse(text, filename=filename)):
+        if isinstance(node, ast.Import):
+            found += [node.lineno for a in node.names if a.name.split(".")[0] == module]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 \
+                and node.module.split(".")[0] == module:
+            found.append(node.lineno)
+    return sorted(found)
+
+
+def test_imports_of_a_module_are_found():
+    text = ("import os, warnings\n"
+            "from warnings import warn as w\n"
+            "# import warnings, in a comment, is no import\n"
+            "import warnings_extra\n"
+            "from .warnings import x\n")
+    assert imports_of(text, "warnings") == [1, 2]
+
+
+def test_no_module_warns():
+    found = [f"{path.name}:{line}"
+             for path in sorted(SRC.glob("*.py"))
+             for line in imports_of(path.read_text(encoding="utf-8"), "warnings", str(path))]
+    assert not found, "warnings imported:\n" + "\n".join(found)
 
 
 # The F_p(t) value format, numerator and denominator coefficient tuples, is
