@@ -26,7 +26,7 @@ from .errors import EngineError
 from .groebner import buchberger, krull_dimension
 from .koszul import koszul_homology
 from .multiplicity import (REFUTED, VERIFIED, _jsonable, _verdict,
-                           multiplicity_data, ord_check, search_parameters,
+                           hilbert_samuel, ord_check, search_parameters,
                            verify_factorization, verify_serre, verify_serre2,
                            verify_vanish)
 from .parsing import parse_polynomial, parse_polynomial_list
@@ -101,14 +101,8 @@ def cmd_length(args):
 
 def cmd_mult(args):
     session, text = _load(args)
-    ring = session.ring
     M = session.module(args.module)
-    params = session.sequence(args.params)
-    r = args.r
-    if r is None:
-        # without --module, M is the ring as a free module: its basis is J's
-        r = krull_dimension(M.gb if args.module is None else buchberger(ring, []))
-    e, table = multiplicity_data(M, params, r)
+    r, e, table = hilbert_samuel(M, session.sequence(args.params), args.r)
     record = _record("mult", text,
                      {"params": args.params, "r": args.r,
                       "module": args.module},

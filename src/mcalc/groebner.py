@@ -139,16 +139,17 @@ class GroebnerBasis:
                       self._forms, layout, self.ring.field.raw)
         return {_unpack(layout, k): c for k, c in rem.items()}
 
-    def hilbert_series(self) -> dict:
+    def hilbert_series(self, shifts=None) -> dict:
         """Numerator N(t) of the Hilbert series N(t)/(1-t)^n of R^rank modulo
         the lead submodule, standard grading: `graded_series` with every
         variable graded; {} for the zero quotient."""
-        return self.graded_series(self.ring.nvars)
+        return self.graded_series(self.ring.nvars, shifts=shifts)
 
-    def graded_series(self, graded, cells=0) -> dict:
+    def graded_series(self, graded, cells=0, shifts=None) -> dict:
         """`hilbert_series` graded by the first `graded` variables T alone, the
         other n, x, of degree 0, each degree finite; for cells > 0 only over
         the terms holding one of the next cells variables, to the first power.
+        e_p has degree shifts[p] when shifts are given, else 0.
         The leads' numerator N(s, u) bigraded by T- and x-degree is N(t^w, t)
         for their T-exponents scaled by w > every x-degree of N (k[T, x] is
         free over k[T^w, x]). N_j(u) = [s^j]N is (1-u)^n q_j(u), and the
@@ -156,6 +157,7 @@ class GroebnerBasis:
         out, head = {}, graded + cells
         n = self.ring.nvars - head
         for p in range(self.rank):
+            shift = shifts[p] if shifts else 0
             for c in range(cells) or [None]:
                 cell = tuple(int(q == c) for q in range(cells))
                 leads = [(e[:graded], e[head:]) for q, e in self._leads
@@ -163,7 +165,7 @@ class GroebnerBasis:
                 w = 1 + sum(map(max, zip(*(x for _, x in leads))))
                 for k, a in _hilbert_numerator([tuple(w * i for i in y) + x
                                                 for y, x in leads]).items():
-                    _add_shifted(out, {k // w: (-1) ** n * a * math.comb(k % w, n)}, 0)
+                    _add_shifted(out, {k // w: (-1) ** n * a * math.comb(k % w, n)}, shift)
         return out
 
     def is_graded(self) -> bool:

@@ -6,15 +6,21 @@ subsets S of the sequence positions, with
     d(e_S (x) m) = sum_j (-1)^{pos(j, S)} x_j e_{S \\ j} (x) m.
 
 Homology in one degree touches only the two neighbouring differentials.
+`koszul_homology` presents H_i on the kernel generators of d_i, a tracked
+run. When only lengths are wanted and the complex is graded,
+`graded_lengths` reads them off the Hilbert series of the cokernels of the
+d_i instead, one untracked basis each.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 
 from .errors import DimensionDropViolated, OutOfRange, RingMismatch
 from .fpmodules import FPModule, ModuleVector, gamma_saturation, preimage_submodule, subquotient
+from .groebner import _basis, read_hilbert_series
 from .polyring import INFINITE, RingSpec
 
 
@@ -74,6 +80,50 @@ def koszul_homology(x, M: FPModule, i: int) -> FPModule:
                                   _differential_columns(x, M, i))
     img_gens = [] if i == n else _differential_columns(x, M, i + 1)
     return subquotient(ker_gens, img_gens, _koszul_term(x, M, i))
+
+
+def graded_lengths(x, M: FPModule, H0: FPModule):
+    """[ℓ H_1, .., ℓ H_n] off Hilbert series of cokernels, for H0 = M/(x)M
+    of finite length; None unless M's basis is graded and every x_j is
+    nonzero and homogeneous, of degree δ_j.
+
+    Then C_i = ⊕_{|S|=i} M(-δ_S) and every d_i has degree 0. With K_i =
+    coker d_i (K_1 = H_0, K_{n+1} = C_n), the exact sequences 0 -> ker d_i
+    -> C_i -> C_(i-1) -> K_i -> 0 and 0 -> im d_(i+1) -> C_i -> K_(i+1) -> 0
+    give HS(H_i) = HS(K_i) + HS(K_(i+1)) - HS(C_(i-1)) (Bruns-Herzog, Ch. 4).
+    For 2 <= i <= n, K_i is R^(rank C_(i-1)) modulo C_(i-1)'s relations and
+    d_i's columns, one untracked basis, graded by δ_S on block S. H_i is a
+    subquotient of C_i killed by (x), so Supp H_i ⊆ Supp H_0 and its series
+    has no pole: its value at t = 1 is the length, at the origin too.
+    """
+    degrees = [{sum(e) for e in f.terms} for f in x]
+    if not (M.gb.is_graded() and all(len(d) == 1 for d in degrees)):
+        return None
+    n, g, delta = len(x), M.rank, [min(d) for d in degrees]
+    shifts = [[sum(delta[j] for j in S) for S in _subsets(n, i)] for i in range(n + 1)]
+    series = M.gb.hilbert_series()
+    C = [Counter() for _ in shifts]  # HS(C_i) = HS(M) * Σ_S t^δ_S
+    for c, block in zip(C, shifts):
+        for k, a in series.items():
+            for s in block:
+                c[k + s] += a
+
+    def cokernel(i):  # HS(K_i) for 2 <= i <= n
+        copies = M.gb._copies(len(shifts[i - 1]))
+        gb = _basis(M.ring, [*copies.raws, *(v.raw for v in _differential_columns(x, M, i))],
+                    copies.rank)
+        return gb.hilbert_series([s for s in shifts[i - 1] for _ in range(g)])
+
+    K = [H0.gb.hilbert_series(), *map(cokernel, range(2, n + 1)), C[n]]  # K_1 .. K_(n+1)
+    out = []
+    for i in range(1, n + 1):
+        h = Counter(K[i - 1])
+        h.update(K[i])
+        h.subtract(C[i - 1])
+        d, e, _ = read_hilbert_series(h, M.ring.nvars)
+        assert d <= 0, f"H_{i} has a pole, though Supp H_{i} lies in Supp H_0"
+        out.append(e)
+    return out
 
 
 class VirtualModule:

@@ -3,7 +3,7 @@
 Lengths here are k-vector-space dimensions of quotients; they agree with
 local lengths at the origin exactly when the finite-length quotient is
 supported there, which the entry points check before trusting a number.
-`multiplicity_data` reads e and the whole length table off one Hilbert
+`hilbert_samuel` reads e and the whole length table off one Hilbert
 series, with no stopping rule to guess at: M's own when M is graded and
 IM = mM, else that of the associated graded module gr_I(M), which
 `_rees_series` counts off a basis of the Rees module.
@@ -27,7 +27,7 @@ from .errors import (HypothesisFails, InfiniteHomology, NoStabilization,
                      OutOfRange, SupportNotAtOrigin)
 from .fpmodules import FPModule, ModuleVector
 from .groebner import buchberger, krull_dimension, read_hilbert_series
-from .koszul import VirtualModule, koszul_homology, phi_apply
+from .koszul import VirtualModule, graded_lengths, koszul_homology, phi_apply
 from .polyring import INFINITE, MonomialOrder, Polynomial, RingSpec
 
 VERIFIED = "VERIFIED"
@@ -72,9 +72,10 @@ class Report:
         }
 
 
-def multiplicity_data(M: FPModule, gens, r: int):
-    """(e, length table) off one Hilbert series, that of gr_I(M) = ⊕ I^n M
-    / I^(n+1) M (Bruns-Herzog, Ch. 4).
+def hilbert_samuel(M: FPModule, gens, r=None):
+    """(r, e, length table) off one Hilbert series, that of gr_I(M) = ⊕ I^n M
+    / I^(n+1) M (Bruns-Herzog, Ch. 4); r None is the dimension of M at the
+    origin, or 0 for M zero there.
 
     ℓ(M/IM) is checked finite and supported at the origin
     (NotFiniteColength, SupportNotAtOrigin), so each M/I^n M is, and
@@ -94,7 +95,7 @@ def multiplicity_data(M: FPModule, gens, r: int):
     so it ends by n0 + r + 2.
     """
     gens = list(gens)
-    if r < 0:
+    if r is not None and r < 0:
         raise OutOfRange("difference order must be nonnegative")
     length = M.quotient_by_polys(gens).local_length()
     if length is INFINITE:
@@ -103,6 +104,7 @@ def multiplicity_data(M: FPModule, gens, r: int):
     if not (M.gb.is_graded() and series.get(0, 0) == length):
         series, v = _rees_series(M, gens), len(gens)
     d, e, sums = read_hilbert_series(series, v)
+    r = max(d, 0) if r is None else r
     if r < d:
         raise NoStabilization(f"order-{r} differences never settle: M has dimension {d} "
                               f"at the origin", r=r, dimension=d)
@@ -113,7 +115,12 @@ def multiplicity_data(M: FPModule, gens, r: int):
         for _ in range(r):
             diffs = [b - a for a, b in zip(diffs, diffs[1:])]
         if len(diffs) == 3 and len(set(diffs)) == 1 and (r > d or diffs[0] == e):
-            return (e if r == d else 0), tuple(values)
+            return r, (e if r == d else 0), tuple(values)
+
+
+def multiplicity_data(M: FPModule, gens, r: int):
+    """(e, length table) of `hilbert_samuel` at difference order r."""
+    return hilbert_samuel(M, gens, r)[1:]
 
 
 def _rees_series(M: FPModule, gens):
@@ -162,22 +169,28 @@ def evaluate_multiplicity(V: VirtualModule, gens, r: int) -> int:
     return sum(c * multiplicity(m, gens, r) for c, m in V.terms)
 
 
-def homology_lengths(x, M: FPModule):
+def homology_lengths(x, M: FPModule, by_kernels=False):
     """[ℓ H_0, .., ℓ H_n] for the sequence x; [ℓ(M)] when x is empty.
 
     Only H_0 = M/(x)M takes the origin-support check: (x) kills every H_i,
     a subquotient of copies of M, so Supp H_i ⊆ Supp M ∩ V(x) = Supp H_0,
-    and once H_0 passes, each H_i's `length()` is its local length.
+    and once H_0 passes, each later length is a local length. On a graded
+    complex they come off the cokernels' Hilbert series (`graded_lengths`);
+    otherwise, or with by_kernels, each H_i's presentation gives its
+    `length()`.
     """
     x = list(x)
-    out = []
-    for i in range(len(x) + 1):
-        H = koszul_homology(x, M, i)
-        l = H.local_length() if i == 0 else H.length()
-        if l is INFINITE:
-            raise InfiniteHomology(f"H_{i} has infinite length", degree=i)
-        out.append(l)
-    return out
+    H0 = koszul_homology(x, M, 0)
+    out = [H0.local_length()]
+    if out[0] is INFINITE:
+        raise InfiniteHomology("H_0 has infinite length", degree=0)
+    rest = None if by_kernels else graded_lengths(x, M, H0)
+    if rest is None:
+        rest = [koszul_homology(x, M, i).length() for i in range(1, len(x) + 1)]
+    if INFINITE in rest:
+        i = rest.index(INFINITE) + 1
+        raise InfiniteHomology(f"H_{i} has infinite length", degree=i)
+    return out + rest
 
 
 def _alternating_sum(lengths) -> int:
@@ -197,7 +210,9 @@ def verify_serre(M: FPModule, x) -> Report:
     x = list(x)
     r = len(x)
     e, table = multiplicity_data(M, x, r)
-    lengths = homology_lengths(x, M)
+    # the graded route's χ telescopes to a value read off M's own series,
+    # which is where e comes from when IM = mM: count the kernels instead
+    lengths = homology_lengths(x, M, by_kernels=True)
     chi = _alternating_sum(lengths)
     names = [M.ring.poly_to_str(f) for f in x]
     return Report(

@@ -28,8 +28,9 @@ _TOKEN = re.compile(r"\s*(?:(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<int>[0-9]+)"
                     r"|(?P<op>[-+*/^(),\[\]]))")
 
 
-def tokenize(text: str, line: int = None):
-    """List of (kind, value, column) with 1-based columns."""
+def tokenize(text: str, line: int = None, offset: int = 0):
+    """List of (kind, value, column) with 1-based columns, counted from
+    offset columns before the text."""
     out = []
     pos = 0
     while pos < len(text):
@@ -38,10 +39,10 @@ def tokenize(text: str, line: int = None):
             rest = text[pos:].lstrip()
             if not rest:
                 break
-            col = len(text) - len(rest) + 1
+            col = offset + len(text) - len(rest) + 1
             raise ParseError(f"unexpected character {rest[0]!r}",
                              line=line, column=col)
-        col = m.start(m.lastgroup) + 1
+        col = offset + m.start(m.lastgroup) + 1
         if m.lastgroup == "name":
             out.append(("name", m.group("name"), col))
         elif m.lastgroup == "int":
@@ -55,11 +56,12 @@ def tokenize(text: str, line: int = None):
 class ExpressionParser:
     """Recursive-descent parser of one text over a fixed ring."""
 
-    def __init__(self, ring: RingSpec, text: str, line: int = None):
+    def __init__(self, ring: RingSpec, text: str, line: int = None, offset: int = 0):
         self.ring = ring
-        self.tokens = tokenize(text, line=line)
+        self.tokens = tokenize(text, line=line, offset=offset)
         self.i = 0
         self.line = line
+        self.offset = offset
         self.depth = 0
         self.names = {v: k for k, v in enumerate(ring.variables)}
 
@@ -74,7 +76,7 @@ class ExpressionParser:
 
     def fail(self, message):
         tok = self.peek()
-        col = tok[2] if tok else (self.tokens[-1][2] + 1 if self.tokens else 1)
+        col = tok[2] if tok else (self.tokens[-1][2] + 1 if self.tokens else self.offset + 1)
         raise ParseError(message, line=self.line, column=col)
 
     def expect(self, kind, value, message):
@@ -172,9 +174,10 @@ class ExpressionParser:
         self.fail(f"unexpected token {value!r}")
 
 
-def parse_whole(ring: RingSpec, text: str, line, rule):
-    """rule(parser) over all of text: input left after it is an error."""
-    parser = ExpressionParser(ring, text, line=line)
+def parse_whole(ring: RingSpec, text: str, line, rule, offset=0):
+    """rule(parser) over all of text, which starts offset columns into its
+    line: input left after it is an error."""
+    parser = ExpressionParser(ring, text, line=line, offset=offset)
     result = rule(parser)
     if parser.peek() is not None:
         parser.fail("trailing input")

@@ -64,20 +64,22 @@ _ORDER_RE = re.compile(r"^(grevlex|lex|block\(([0-9]+)\))$")
 
 def _split_lines(text: str):
     """(line_number, content) for lines that still mean something after
-    stripping comments."""
+    stripping comments; content keeps its indentation."""
     out = []
     for i, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].strip()
-        if stripped:
-            out.append((i, stripped))
+        content = raw.split("#", 1)[0].rstrip()
+        if content.strip():
+            out.append((i, content))
     return out
 
 
 def _key_value(line_no, content):
+    """(key, value, offset), offset the number of columns before value."""
     if "=" not in content:
         raise ParseError("expected 'key = value'", line=line_no, column=1)
     key, value = content.split("=", 1)
-    return key.strip(), value.strip()
+    value = value.lstrip()
+    return key.strip(), value, len(content) - len(value)
 
 
 def _parse_order(value, line_no):
@@ -95,16 +97,16 @@ def parse_session_text(text: str) -> SessionData:
     headers = {}
     bodies = []
     for line_no, content in lines:
-        key, value = _key_value(line_no, content)
+        key, value, offset = _key_value(line_no, content)
         head = key.split()[0] if key else ""
         if head in ("module", "seq"):
-            bodies.append((line_no, head, key, value))
+            bodies.append((line_no, head, key, value, offset))
             continue
         if key not in ("field", "vars", "order", "quotient"):
             raise ParseError(f"unknown key {key!r}", line=line_no, column=1)
         if key in headers:
             raise ParseError(f"duplicate key {key!r}", line=line_no, column=1)
-        headers[key] = (line_no, value)
+        headers[key] = (line_no, value, offset)
 
     for required in ("field", "vars"):
         if required not in headers:
@@ -112,7 +114,7 @@ def parse_session_text(text: str) -> SessionData:
                              column=1)
 
     fspec = parse_field(headers["field"][1], line=headers["field"][0])
-    var_line, var_value = headers["vars"]
+    var_line, var_value, _ = headers["vars"]
     names = tuple(v.strip() for v in var_value.split(","))
     for v in names:
         if not _NAME_RE.match(v):
@@ -128,12 +130,12 @@ def parse_session_text(text: str) -> SessionData:
         raise ParseError(str(exc), line=var_line, column=1) from None
     quotient = ()
     if "quotient" in headers:
-        line_no, value = headers["quotient"]
-        quotient = tuple(parse_whole(bare, value, line_no, parse_bracketed_list))
+        line_no, value, offset = headers["quotient"]
+        quotient = tuple(parse_whole(bare, value, line_no, parse_bracketed_list, offset))
     ring = RingSpec(fspec, names, order=order, quotient=quotient)
 
     session = SessionData(ring)
-    for line_no, head, key, value in bodies:
+    for line_no, head, key, value, offset in bodies:
         parts = key.split()
         if len(parts) != 2 or not _NAME_RE.match(parts[1]):
             raise ParseError(f"expected '{head} NAME = ...'", line=line_no,
@@ -144,23 +146,23 @@ def parse_session_text(text: str) -> SessionData:
                 raise ParseError(f"duplicate seq {name!r}", line=line_no,
                                  column=1)
             session.sequences[name] = parse_whole(ring, value, line_no,
-                                                  parse_bracketed_list)
+                                                  parse_bracketed_list, offset)
         else:
             if name in session.modules:
                 raise ParseError(f"duplicate module {name!r}", line=line_no,
                                  column=1)
-            session.modules[name] = _parse_module(ring, value, line_no)
+            session.modules[name] = _parse_module(ring, value, line_no, offset)
     return session
 
 
-def _parse_module(ring: RingSpec, value: str, line_no: int) -> FPModule:
+def _parse_module(ring: RingSpec, value: str, line_no: int, offset: int) -> FPModule:
     def presentation(parser):
         parser.expect("name", "rank", "expected 'rank'")
         rank = parser.expect("int", None, "expected a nonnegative rank")
         parser.expect("name", "relations", "expected 'relations'")
         return rank, parser.bracketed(lambda: parse_bracketed_list(parser))
 
-    rank, rows = parse_whole(ring, value, line_no, presentation)
+    rank, rows = parse_whole(ring, value, line_no, presentation, offset)
     for comps in rows:
         if len(comps) != rank:
             raise ParseError(f"relation has {len(comps)} entries, rank is {rank}",

@@ -133,6 +133,20 @@ def test_mult_builds_the_ring_basis_once(conic, capsys, monkeypatch):
     assert len(calls) == 5
 
 
+def test_mult_defaults_r_to_the_module_dimension(tmp_path, capsys, monkeypatch):
+    """With --module and no --r, r is M's dimension at the origin, read off
+    the series that gives e: T = R/(x^2, y^3) has dimension 0, not the
+    plane's 2, so e = ℓ(T) = 6. T when the session is read and T/mT are
+    the only bases; no basis of the ring is built for its dimension."""
+    p = tmp_path / "t.ring"
+    p.write_text(PLANE + "module T = rank 1 relations [[x^2], [y^3]]\n", encoding="utf-8")
+    calls = _count_bases(monkeypatch)
+    code, record = _json_run(capsys, ["mult", str(p), "--params", "x, y", "--module", "T"])
+    assert code == 0 and record["result"] == {"e": 6, "r": 0}
+    assert record["certificate"]["length_table"] == [1, 3, 5, 6, 6, 6]
+    assert len(calls) == 2
+
+
 def test_mult_of_a_redundant_maximal_ideal_at_r_zero_builds_one_quotient(plane, capsys,
                                                                        monkeypatch):
     """m = (x, y, x + y) on the plane with --r 0: IM = mM, so the plane's
@@ -744,7 +758,6 @@ def point_and_line(tmp_path):
     return str(p)
 
 
-@pytest.mark.xfail(strict=True, reason="mult defaults r to the global dimension 1, so e = 0")
 def test_mult_defaults_r_to_the_local_dimension(point_and_line, capsys):
     code, record = _json_run(capsys, ["mult", point_and_line, "--params", "x, y"])
     assert code == 0

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
-from mcalc import fpmodules, groebner
+from mcalc import fpmodules, groebner, koszul
 from mcalc.errors import (EngineError, HypothesisFails, InfiniteHomology, NoStabilization,
                           NotDimensionOne, NotFiniteColength, NotParameter,
                           SupportNotAtOrigin)
@@ -327,6 +327,90 @@ def test_homology_lengths_check_the_origin_once(monkeypatch):
     x, y = A.ring.variable("x"), A.ring.variable("y")
     assert homology_lengths([x, y], A) == [1, 1, 0]
     assert len(calls) == 1
+
+
+def _graded_case(draw):
+    """A graded module over the plane, with an optional homogeneous quotient,
+    and a sequence of forms."""
+    field = draw(st.sampled_from([Q, F7]))
+    plane = RingSpec(field, ("x", "y"))
+    x, y = plane.variable("x"), plane.variable("y")
+
+    def form(degree):  # with a nonzero x^degree term, so never zero
+        coeffs = [draw(st.integers(1, 6))] + draw(st.lists(st.integers(0, 6), min_size=degree,
+                                                           max_size=degree))
+        return sum((x ** (degree - k) * y ** k * c for k, c in enumerate(coeffs) if c),
+                   plane.zero())
+
+    quotient = tuple(form(d) for d in draw(st.lists(st.integers(2, 3), max_size=1)))
+    ring = RingSpec(field, ("x", "y"), quotient=quotient)
+    rank = draw(st.integers(1, 3))
+    relations = []
+    for _ in range(draw(st.integers(0, 3))):
+        degree = draw(st.integers(1, 2))
+        # a zero entry is homogeneous of every degree, so the vector is graded
+        relations.append(ModuleVector(tuple(form(degree) if draw(st.booleans()) else ring.zero()
+                                            for _ in range(rank))))
+    seq = [form(d) for d in draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))]
+    return FPModule(ring, rank, relations), [ring.check_member(f) for f in seq]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_graded_lengths_match_the_kernel_route(data):
+    """On a graded M and a homogeneous sequence the cokernel series give the
+    lengths, or the error, that the kernel presentations give."""
+    M, seq = _graded_case(data.draw)
+    graded = _outcome(homology_lengths, seq, M)
+    assert graded == _outcome(lambda x, N: homology_lengths(x, N, by_kernels=True), seq, M)
+    if isinstance(graded, list):
+        assert koszul.graded_lengths(seq, M, koszul_homology(seq, M, 0)) == graded[1:]
+
+
+def _count_engine(monkeypatch):
+    """(untracked `_basis` calls, tracked `_buchberger` calls) from now on."""
+    bases, tracked = [], []
+    for module in (groebner, fpmodules, koszul):
+        def counted(*args, real=module._basis):
+            bases.append(args)
+            return real(*args)
+        monkeypatch.setattr(module, "_basis", counted)
+    for module in (groebner, fpmodules):
+        def counted_run(*args, real=module._buchberger, **kwargs):
+            if kwargs.get("track"):
+                tracked.append(args)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, "_buchberger", counted_run)
+    return bases, tracked
+
+
+def test_graded_lengths_take_one_untracked_basis_per_element(monkeypatch):
+    """H_0 and K_2 .. K_n are one basis each; no kernel is presented."""
+    field = FieldSpec.prime_field(32003)
+    A = RingSpec(field, ("x", "y", "z"),
+                 quotient=(parse_polynomial(RingSpec(field, ("x", "y", "z")), "x*z - y^2"),))
+    x, y, z = (A.variable(v) for v in "xyz")
+    M = FPModule(A, 2, [ModuleVector((x, y)), ModuleVector((y, z))])
+    conic = FPModule.free(_conic(), 1)
+    cases = [([x, y, z], M, [2, 2, 0, 0]), ([x * x, y * y, z], M, [4, 4, 0, 0]),
+             ([conic.ring.variable("x"), conic.ring.variable("y")], conic, [1, 1, 0])]
+    bases, tracked = _count_engine(monkeypatch)
+    for seq, N, lengths in cases:
+        bases.clear()
+        assert homology_lengths(seq, N) == lengths
+        assert len(bases) == len(seq)
+    assert tracked == []
+
+
+def test_verify_serre_counts_kernels_on_a_graded_module(monkeypatch):
+    """On the conic with (x, y), e is read off the ring's own series (IM =
+    mM), which the cokernel series telescope to, so `verify_serre` presents
+    the kernels instead: the tracked loop runs."""
+    A = _conic()
+    _, tracked = _count_engine(monkeypatch)
+    rep = verify_serre(FPModule.free(A, 1), [A.variable("x"), A.variable("y")])
+    assert rep.certificate["homology_lengths"] == [1, 1, 0]
+    assert len(tracked) >= 1
 
 
 _KOSZUL_ELEMENTS = ["x", "y", "x + y", "x^2", "x*y", "x - y^2"]

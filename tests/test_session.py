@@ -126,6 +126,17 @@ def test_expression_errors_carry_position():
     assert "column" in str(err)
 
 
+@pytest.mark.parametrize("line, column", [
+    ("quotient = [x^]", 15),
+    ("seq s = [x, y +]", 16),
+    ("  module M = rank 1 relations [[x], [y $]]", 40),
+    ("module M = rank 1 [[x]]", 19),
+    ("quotient =", 11)])
+def test_expression_error_columns_count_from_the_line_start(line, column):
+    err = _fails_with("field = Q\nvars = x, y\n" + line + "\n", "")
+    assert f"(line 3, column {column})" in str(err)
+
+
 def test_field_errors_propagate():
     with pytest.raises(BadCharacteristic):
         parse_session_text("field = F4\nvars = x\n")

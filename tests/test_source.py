@@ -344,17 +344,17 @@ def test_only_pinned_generator_lists_take_tracked_preimages():
 
 
 # The length table is one reading of one Hilbert series: only
-# `multiplicity_data` builds the quotient M/IM, reads a series, and reads
-# e and the table off it, only `_rees_series` counts the series of gr_I(M)
+# `hilbert_samuel` builds the quotient M/IM, reads a series, and reads
+# d, e and the table off it, only `_rees_series` counts the series of gr_I(M)
 # off its second basis, and the only other length-at-the-origin reads in
 # `multiplicity` are the Koszul lengths (H_0 alone) and a parameter's
 # colength, so a candidate test reads its colength off H_0 in
 # `homology_lengths` and a second table route would show here.
-TABLE_CALLERS = {"quotient_by_polys": {"multiplicity_data"},
-                 "hilbert_series": {"multiplicity_data"},
+TABLE_CALLERS = {"quotient_by_polys": {"hilbert_samuel"},
+                 "hilbert_series": {"hilbert_samuel"},
                  "graded_series": {"_rees_series"},
-                 "read_hilbert_series": {"multiplicity_data"},
-                 "local_length": {"multiplicity_data", "homology_lengths",
+                 "read_hilbert_series": {"hilbert_samuel"},
+                 "local_length": {"hilbert_samuel", "homology_lengths",
                                   "parameter_colength"}}
 
 
@@ -368,7 +368,7 @@ def stray_calls(text, callers, filename="<source>"):
 
 
 def test_stray_table_calls_are_found():
-    text = ("def multiplicity_data(M, gens):\n"
+    text = ("def hilbert_samuel(M, gens):\n"
             "    return M.quotient_by_polys(gens).local_length()\n"
             "def _validate_candidate(A, seq):\n"
             "    gb = buchberger(A.ring, seq)\n"
