@@ -28,7 +28,10 @@ criterion, and every basis is then certified by `groebner._self_check`,
 whose criteria need no pair order. Over
 Q a `module_gb` basis is computed on primitive integer vectors, over F_p(t)
 on primitive vectors over F_p[t], and syzygies on the field's own values,
-as the `groebner` module describes.
+as the `groebner` module describes. A basis that extends one a module
+already holds takes that one as `known` (M/(f)M's extends M's, both of
+`subquotient`'s extend the ambient module's): at rank > 1 the loop never
+pairs its vectors with each other (see `groebner._basis`).
 
 Preimages of a submodule under a map of free modules ("modulo" in
 Greuel-Pfister, *A Singular Introduction to Commutative Algebra*, 2.8) take
@@ -120,9 +123,10 @@ def _raws(vectors, rank):
     return [v.raw for v in vectors]
 
 
-def module_gb(ring: RingSpec, vectors, rank: int) -> GroebnerBasis:
-    """Reduced Groebner basis of the given vectors plus J*e_i for every position."""
-    return _basis(ring, _raws(vectors, rank), rank)
+def module_gb(ring: RingSpec, vectors, rank: int, known: GroebnerBasis = None) -> GroebnerBasis:
+    """Reduced Groebner basis of the given vectors plus J*e_i for every
+    position, and the held basis known, extended as `groebner._basis` does."""
+    return _basis(ring, _raws(vectors, rank), rank, known)
 
 
 def syzygies(ring: RingSpec, vectors):
@@ -196,14 +200,15 @@ class FPModule:
         return cls(ring, 1, rels)
 
     def quotient_by_polys(self, polys) -> "FPModule":
-        """M / (f_1, .., f_k)M, which is M itself for no f."""
+        """M / (f_1, .., f_k)M, which is M itself for no f: the f_j * e_i
+        extend M's basis, held as `known`."""
         ring = self.ring
         polys = [ring.check_member(f) for f in polys]
         if not polys:
             return self
-        return FPModule(ring, self.rank, list(self.relations) + [
+        return FPModule._of_basis(module_gb(ring, [
             ModuleVector.unit(ring.field, ring.nvars, self.rank, i, f)
-            for f in polys for i in range(self.rank)])
+            for f in polys for i in range(self.rank)], self.rank, known=self.gb))
 
     def contains(self, v: ModuleVector) -> bool:
         """True when the vector v of R^rank lies in the relation submodule."""
@@ -281,18 +286,20 @@ def subquotient(ker_gens, img_gens, ambient: FPModule) -> FPModule:
     len(ker_gens), they come off one untracked basis on R^b + R^a, of the
     (ker_gens[i], e_(b+i)) and the (l, 0) for l in img_gens and the
     relations: its elements led at position b or later, shifted down by b,
-    are the preimage's reduced basis (see `GroebnerBasis._block`).
+    are the preimage's reduced basis (see `GroebnerBasis._block`). Both
+    bases, this one and the check that img_gens lie in span(ker_gens) +
+    relations, extend ambient's basis, held as `known`.
     """
     ring, b = ambient.ring, ambient.rank
     ker_gens, img_gens = list(ker_gens), list(img_gens)
     kers, img = _raws(ker_gens, b), _raws(img_gens, b)
     if img:
-        check = FPModule(ring, b, ker_gens + list(ambient.relations))
-        if not all(map(check.contains, img_gens)):
+        check = module_gb(ring, ker_gens, b, known=ambient.gb)
+        if any(map(check.reduce, img)):
             raise ImageNotInKernel("image generator outside the kernel span")
     one, origin = ring.field.raw.one, (0,) * ring.nvars
     inputs = [{**k, (b + i, origin): one} for i, k in enumerate(kers)]
-    gb = _basis(ring, inputs + img + [v.raw for v in ambient.relations], b + len(kers))
+    gb = _basis(ring, inputs + img, b + len(kers), known=ambient.gb)
     return FPModule._of_basis(gb._block(b))
 
 

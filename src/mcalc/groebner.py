@@ -64,6 +64,15 @@ The loop skips a pair only by a theorem, proved where it is applied, and
 follows signatures, packed as terms (see `_buchberger`), so almost no
 S-vector reduces to zero there; the other runs take pairs in lcm order.
 
+A basis often extends one its caller already holds: M/(f)M extends M's
+basis, a subquotient's bases extend the ambient module's, a Koszul
+cokernel extends a copied basis. `_basis` takes that basis as `known`,
+and at rank > 1 its vectors enter the loop as seeds, whose pairs with each
+other are never formed: they have standard representations already
+(Buchberger's criterion). Every `GroebnerBasis` that `_basis`, `_copies`
+and `_block` make holds J*R^rank, so J enters only at the positions past
+known's rank.
+
 The kernel takes its arithmetic from a `RawArithmetic` table. An untracked
 basis (the loop, `_reduce_basis` and `_self_check`) runs on the table of
 `FieldSpec.fraction_free`: over Q primitive integer vectors, over F_p(t)
@@ -215,7 +224,8 @@ class GroebnerBasis:
         term before position start, and of a reduced basis they are the
         reduced basis of the submodule's intersection with 0 + R^(rank -
         start), ascending by lead (the elimination property;
-        Adams-Loustaunau, Ch. 3)."""
+        Adams-Loustaunau, Ch. 3). It holds J*e_p at every position, as
+        `_basis` leans on: the submodule holds J*e_(p + start)."""
         return self._moved([(j, -start) for j, (p, _) in enumerate(self._leads) if p >= start],
                            self.rank - start)
 
@@ -224,7 +234,8 @@ class GroebnerBasis:
         submodule: every element copied into each block of rank positions,
         last block first. No S-pair crosses blocks and no lead divides a term
         of another block, so this is the reduced basis, ascending by lead,
-        that `_basis` computes from the copied elements."""
+        that `_basis` computes from the copied elements. Each block holds
+        J*R^rank, so the sum does, as `_basis` leans on."""
         g = self.rank
         return self._moved([(j, s * g) for s in reversed(range(n)) for j in range(len(self.raws))],
                            n * g)
@@ -578,7 +589,7 @@ def _s_vector(fa, fb, lcm, ops, guard):
     return sv
 
 
-def _buchberger(ring: RingSpec, raws, rank, track=False):
+def _buchberger(ring: RingSpec, raws, rank, track=False, seeds=()):
     """Buchberger's algorithm on raw vectors in R^rank (an ideal is rank 1).
 
     Returns (basis, syzygies), the basis as packed vectors (see `_pack`).
@@ -598,6 +609,24 @@ def _buchberger(ring: RingSpec, raws, rank, track=False):
     repeats (first occurrences kept, in order), each checked to combine the
     untagged inputs to zero; the basis is the loop's, unreduced, its tags
     dropped.
+
+    Seeds are the raw vectors of a Groebner basis, of the same ring and
+    order, that the caller holds (see `_basis`). They enter an untracked
+    run at rank > 1 before the inputs, each packed and made primitive as an
+    input is, with its sugar, and are inputs of the certificate, but no
+    pair of two seeds is queued: its S-vector has a standard representation
+    over the seeds, and so over every superset of them (Buchberger's
+    criterion; Cox-Little-O'Shea, Ch. 2 §10), so it counts as treated by
+    the chain criterion below, as every pair never queued does. A seed
+    pairs with every later element as an input does. `_self_check` runs on
+    the result as on any other, so a wrong seed could only fail it; the
+    one thing it cannot see is a generator missing from the inputs, which
+    is why `_basis` leans on its `known` holding J*R^rank. Tracked runs
+    take no seeds: a tracked element carries its expression on the inputs,
+    and a seed has none. Nor does the signed loop at rank 1: every element
+    there needs a signature, on which its criteria already skip almost
+    every pair whose S-vector reduces to zero, so `_basis` passes a rank-1
+    basis as inputs.
 
     With track=False the loop, the basis reduction and the certificate run
     on `field.fraction_free`: over Q on primitive integer vectors and over
@@ -658,6 +687,8 @@ def _buchberger(ring: RingSpec, raws, rank, track=False):
     layout = _layout(ring.order, ring.nvars)
     guard, target, shift, offset = layout.guard, layout.target, layout.pos_shift, layout.offset
     ops = ring.field.raw if track else ring.field.fraction_free
+    signed = rank == 1 and not track
+    assert not (seeds and (track or signed)), "seeds enter only untracked runs at rank > 1"
     forms, leads, syz, inputs = [], [], [], []
     at = {}          # position -> indices of the elements whose lead is there
     tailed = {}      # position -> those of them with a tail
@@ -667,7 +698,6 @@ def _buchberger(ring: RingSpec, raws, rank, track=False):
     # of (-e_i, -1, i, None) for input i
     queue = []
     tags = rank << shift
-    signed = rank == 1 and not track
     known = []    # signed: divisor tests, offset - s, of the syzygy signatures s at this input
     newest = []   # signed: (element, divisor test of its signature) of this input's elements
     singles = []  # signed: the single-term elements, paired with each other only on demand
@@ -695,9 +725,9 @@ def _buchberger(ring: RingSpec, raws, rank, track=False):
         else:
             heapq.heappush(queue, (-t, g, h, key))
 
-    def add(vec, label):
+    def add(vec, label, seed=False):
         """Join vec, of signature key label when signed, else of sugar
-        label, to the loop and queue its pairs."""
+        label, to the loop and queue its pairs; a seed queues none."""
         if not vec:
             return
         if min(vec) >= tags:
@@ -707,7 +737,7 @@ def _buchberger(ring: RingSpec, raws, rank, track=False):
         form = _reducer_form(vec, layout, ops)
         p, e = _unpack(layout, form[2])
         there, with_tail = at.setdefault(p, []), tailed.setdefault(p, [])
-        partners = there if form[5][0] else with_tail
+        partners = () if seed else there if form[5][0] else with_tail
         # seventh entry: the signature key, or the sugar less the lead's
         # degree, so that a pair's sugar is its lcm's degree plus the larger
         # of its two
@@ -730,6 +760,10 @@ def _buchberger(ring: RingSpec, raws, rank, track=False):
         if form[5][0]:
             with_tail.append(new)
 
+    for raw in seeds:
+        vec = {_pack(layout, p, e): c for (p, e), c in ops.primitive(raw).items()}
+        inputs.append(vec)
+        add(vec, max(sum(e) for _, e in raw), True)
     for i, raw in enumerate(raws):
         vec = {_pack(layout, p, e): c for (p, e), c in ops.primitive(raw).items()}
         inputs.append(vec)
@@ -793,22 +827,33 @@ def _buchberger(ring: RingSpec, raws, rank, track=False):
     return basis, syz
 
 
-def _basis(ring: RingSpec, raws, rank) -> GroebnerBasis:
+def _basis(ring: RingSpec, raws, rank, known=None) -> GroebnerBasis:
     """Reduced Groebner basis of the submodule of R^rank that the raw vectors
-    and J*e_p for every position p generate, J being ring.quotient.
+    and J*e_p for every position p generate, J being ring.quotient, and the
+    vectors of known, a `GroebnerBasis` of rank at most rank, when given.
 
     The distinct nonzero inputs enter `_buchberger` ascending by lead, that
     is descending by the packed key of the lead, equal leads in input order.
+    At rank > 1 known's vectors enter as seeds (see `_buchberger`), whose
+    pairs with each other are never formed, and J*e_p only for p >=
+    known.rank. That leans on a contract: every `GroebnerBasis` that
+    `_basis`, `_copies` and `_block` make holds J*R^rank, so known already
+    holds J*e_p for p < known.rank. At rank 1 known's vectors go first among
+    the plain inputs, where the signed loop takes them.
     """
     layout = _layout(ring.order, ring.nvars)
-    work = list(raws)
+    work, seeds, start = list(raws), (), 0
+    if known is not None and rank > 1:
+        seeds, start = known.raws, known.rank
+    elif known is not None:
+        work[:0] = known.raws
     for q in ring.quotient:
-        work.extend({(p, e): c for e, c in q.terms.items()} for p in range(rank))
+        work.extend({(p, e): c for e, c in q.terms.items()} for p in range(start, rank))
     inputs = {}
     for raw in sorted((r for r in work if r),
                       key=lambda r: min(_pack(layout, p, e) for p, e in r), reverse=True):
         inputs.setdefault(frozenset(raw.items()), raw)
-    basis, _ = _buchberger(ring, list(inputs.values()), rank)
+    basis, _ = _buchberger(ring, list(inputs.values()), rank, seeds=seeds)
     return GroebnerBasis(ring, [{_unpack(layout, k): c for k, c in v.items()} for v in basis],
                          rank, basis)
 

@@ -92,7 +92,8 @@ def graded_lengths(x, M: FPModule, H0: FPModule):
     -> C_i -> C_(i-1) -> K_i -> 0 and 0 -> im d_(i+1) -> C_i -> K_(i+1) -> 0
     give HS(H_i) = HS(K_i) + HS(K_(i+1)) - HS(C_(i-1)) (Bruns-Herzog, Ch. 4).
     For 2 <= i <= n, K_i is R^(rank C_(i-1)) modulo C_(i-1)'s relations and
-    d_i's columns, one untracked basis, graded by δ_S on block S. H_i is a
+    d_i's columns, one untracked basis, graded by δ_S on block S, that
+    extends C_(i-1)'s copied basis, held as `known`. H_i is a
     subquotient of C_i killed by (x), so Supp H_i ⊆ Supp H_0 and its series
     has no pole: its value at t = 1 is the length, at the origin too.
     """
@@ -110,8 +111,8 @@ def graded_lengths(x, M: FPModule, H0: FPModule):
 
     def cokernel(i):  # HS(K_i) for 2 <= i <= n
         copies = M.gb._copies(len(shifts[i - 1]))
-        gb = _basis(M.ring, [*copies.raws, *(v.raw for v in _differential_columns(x, M, i))],
-                    copies.rank)
+        gb = _basis(M.ring, [v.raw for v in _differential_columns(x, M, i)], copies.rank,
+                    known=copies)
         return gb.hilbert_series([s for s in shifts[i - 1] for _ in range(g)])
 
     K = [H0.gb.hilbert_series(), *map(cokernel, range(2, n + 1)), C[n]]  # K_1 .. K_(n+1)

@@ -29,8 +29,9 @@ _TOKEN = re.compile(r"\s*(?:(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<int>[0-9]+)"
 
 
 def tokenize(text: str, line: int = None, offset: int = 0):
-    """List of (kind, value, column) with 1-based columns, counted from
-    offset columns before the text."""
+    """List of (kind, value, column, end): the 1-based columns of the
+    token's first and last characters, counted from offset columns before
+    the text."""
     out = []
     pos = 0
     while pos < len(text):
@@ -42,13 +43,13 @@ def tokenize(text: str, line: int = None, offset: int = 0):
             col = offset + len(text) - len(rest) + 1
             raise ParseError(f"unexpected character {rest[0]!r}",
                              line=line, column=col)
-        col = offset + m.start(m.lastgroup) + 1
+        col, end = offset + m.start(m.lastgroup) + 1, offset + m.end()
         if m.lastgroup == "name":
-            out.append(("name", m.group("name"), col))
+            out.append(("name", m.group("name"), col, end))
         elif m.lastgroup == "int":
-            out.append(("int", int(m.group("int")), col))
+            out.append(("int", int(m.group("int")), col, end))
         else:
-            out.append(("op", m.group("op"), col))
+            out.append(("op", m.group("op"), col, end))
         pos = m.end()
     return out
 
@@ -76,7 +77,8 @@ class ExpressionParser:
 
     def fail(self, message):
         tok = self.peek()
-        col = tok[2] if tok else (self.tokens[-1][2] + 1 if self.tokens else self.offset + 1)
+        # at the end of input, one past the last token's end
+        col = tok[2] if tok else (self.tokens[-1][3] + 1 if self.tokens else self.offset + 1)
         raise ParseError(message, line=self.line, column=col)
 
     def expect(self, kind, value, message):
@@ -154,7 +156,7 @@ class ExpressionParser:
         tok = self.peek()
         if tok is None:
             self.fail("unexpected end of expression")
-        kind, value, col = tok
+        kind, value, col, _ = tok
         if kind == "int":
             self.next()
             return self.ring.constant(value)

@@ -115,9 +115,9 @@ def _count_bases(monkeypatch):
     """The list of the arguments of every `_basis` call from now on."""
     calls = []
     for module in (groebner, fpmodules):
-        def counted(*args, real=module._basis):
+        def counted(*args, real=module._basis, **kwargs):
             calls.append(args)
-            return real(*args)
+            return real(*args, **kwargs)
         monkeypatch.setattr(module, "_basis", counted)
     return calls
 

@@ -1122,3 +1122,129 @@ def test_packed_keys_match_the_tuple_keys(case):
     assert ((kb_there + form[1]) & layout.guard == layout.target) == all(map(le, ea, eb))
     shifted = tuple(x + y for x, y in zip(ea, s))
     assert _pack(layout, pa, shifted) == ka + _pack(layout, 0, s) - _pack(layout, 0, (0,) * n)
+
+
+# -- a held basis seeds the loop ---------------------------------------------------
+
+def _holds_j(gb):
+    """True when every q * e_p, q in J and p a position of gb, reduces to
+    zero: gb holds J*R^rank."""
+    return not any(gb.reduce({(p, e): c for e, c in q.terms.items()})
+                   for q in gb.ring.quotient for p in range(gb.rank))
+
+
+@st.composite
+def _seeded_cases(draw):
+    """(ring, known, new, rank): over F_7 or Q on the plane modulo a
+    quotient J (maybe empty), a held basis known of rank 1 to 3 that
+    `_basis`, `_copies` or `_block` made, and new raw vectors at a rank from
+    known.rank to 3. Exponents stay below 3, and there are at most three
+    vectors of at most three terms per basis."""
+    field = draw(st.sampled_from([F7, Q]))
+    coeff = _coefficients(field)
+    mono = st.tuples(st.integers(0, 2), st.integers(0, 2))
+    quotient = draw(st.lists(st.dictionaries(mono.filter(any), coeff, min_size=1, max_size=2),
+                             max_size=1))
+    ring = RingSpec(field, ("x", "y"), quotient=tuple(Polynomial(field, 2, q) for q in quotient))
+
+    def vectors(rank):
+        term = st.tuples(st.integers(0, rank - 1), mono)
+        return draw(st.lists(st.dictionaries(term, coeff, min_size=1, max_size=3), max_size=3))
+
+    size = draw(st.integers(1, 3))
+    route = draw(st.sampled_from(["basis", "copies", "block"]))
+    if route == "basis":
+        known = _basis(ring, vectors(size), size)
+    elif route == "copies":
+        g = draw(st.sampled_from([d for d in (1, 2, 3) if size % d == 0]))
+        known = _basis(ring, vectors(g), g)._copies(size // g)
+    else:
+        start = draw(st.integers(1, 2))
+        known = _basis(ring, vectors(size + start), size + start)._block(start)
+    rank = draw(st.integers(size, 3))
+    return ring, known, vectors(rank), rank
+
+
+def _pinned_function_field_case():
+    """Over F_5(t)[x, y] modulo (x^2 - t*y): a rank-2 basis of two vectors
+    with coefficients in t, extended at rank 3 by two vectors."""
+    ops, one, t = F5T.raw, F5T.raw.one, _t_value([0, 1])
+    ring = RingSpec(F5T, ("x", "y"), quotient=(
+        Polynomial(F5T, 2, {(2, 0): one, (0, 1): ops.sub(ops.zero, t)}),))
+    known = _basis(ring, [{(0, (1, 0)): t, (1, (0, 1)): one},
+                          {(0, (0, 2)): one, (1, (1, 1)): _t_value([1, 1])}], 2)
+    new = [{(0, (1, 1)): one, (2, (0, 0)): t}, {(1, (2, 0)): _t_value([2]), (2, (0, 1)): one}]
+    return ring, known, new, 3
+
+
+@settings(max_examples=80, deadline=None)
+@given(_seeded_cases())
+@example(_pinned_function_field_case())
+def test_seeding_changes_no_basis(case):
+    """Seeding with a held basis gives the basis of its vectors passed as
+    plain inputs: the reduced basis is unique, so skipping the seeds' own
+    pairs and J below known.rank may change the work, never the basis."""
+    ring, known, new, rank = case
+    assert _basis(ring, new, rank, known).raws == _basis(ring, [*known.raws, *new], rank).raws
+
+
+@settings(max_examples=40, deadline=None)
+@given(_seeded_cases())
+def test_every_basis_route_holds_j_at_every_position(case):
+    """Seeding skips J*e_p below known.rank and trusts known to hold it, and
+    `_self_check` only checks that the inputs lie in the result, so it
+    cannot see a generator missing from them. So every `GroebnerBasis`
+    route, `_basis`, `_copies` and `_block`, seeded or not, holds J*R^rank:
+    each q * e_p reduces to zero."""
+    ring, known, new, rank = case
+    assert _holds_j(known)
+    assert _holds_j(_basis(ring, new, rank, known))
+
+
+def test_a_known_basis_without_j_passes_the_certificate():
+    """Why the routes must hold J: a hand-built known that lacks J*e_0 gives
+    a seeded basis that lacks it too, and the certificate passes."""
+    ring = RingSpec(F7, ("x", "y"), quotient=(Polynomial(F7, 2, {(2, 0): F7.raw.one}),))
+    gb = _basis(ring, [], 2, GroebnerBasis(ring, [], 1))
+    assert gb.raws == ({(1, (2, 0)): F7.raw.one},) and not _holds_j(gb)
+
+
+def test_seeds_enter_only_untracked_runs_above_rank_one():
+    ring, seed = _plane(F7), {(0, (1, 0)): F7.raw.one}
+    for rank, track in ((2, True), (1, False), (1, True)):
+        with pytest.raises(AssertionError, match="seeds enter only"):
+            _buchberger(ring, [], rank, track=track, seeds=[seed])
+
+
+@pytest.mark.parametrize("route", ["basis", "copies"])
+def test_a_held_basis_alone_forms_no_s_vector(route, monkeypatch):
+    """A rank > 1 call with a held basis and no new vectors queues no pair,
+    as seeds are never paired with each other, so the loop forms no
+    S-vector, and the basis is known's. Passed as plain inputs, the same
+    vectors form S-vectors again. The loop's S-vectors are those
+    `_s_vector` builds before `_reduce_basis` runs; the certificate's come
+    after."""
+    ring, raws = _monomials_and_fermat(2)
+    known = _basis(ring, raws, 2)
+    if route == "copies":
+        known = known._copies(3)
+    real_s_vector, real_reduce_basis = groebner._s_vector, groebner._reduce_basis
+
+    def loop_s_vectors(*args):
+        """(raws, loop S-vectors) of `_basis(*args)`."""
+        made, looping = [], [True]
+
+        def s_vector(*args):
+            made.append(looping[0])
+            return real_s_vector(*args)
+
+        def reduce_basis(*args):
+            looping[0] = False
+            return real_reduce_basis(*args)
+
+        monkeypatch.setattr(groebner, "_s_vector", s_vector)
+        monkeypatch.setattr(groebner, "_reduce_basis", reduce_basis)
+        return _basis(*args).raws, sum(made)
+
+    assert loop_s_vectors(ring, [], known.rank, known) == (known.raws, 0)
+    assert loop_s_vectors(ring, known.raws, known.rank)[1] > 0

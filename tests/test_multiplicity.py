@@ -371,9 +371,9 @@ def _count_engine(monkeypatch):
     """(untracked `_basis` calls, tracked `_buchberger` calls) from now on."""
     bases, tracked = [], []
     for module in (groebner, fpmodules, koszul):
-        def counted(*args, real=module._basis):
+        def counted(*args, real=module._basis, **kwargs):
             bases.append(args)
-            return real(*args)
+            return real(*args, **kwargs)
         monkeypatch.setattr(module, "_basis", counted)
     for module in (groebner, fpmodules):
         def counted_run(*args, real=module._buchberger, **kwargs):
@@ -587,9 +587,9 @@ def test_search_candidate_builds_each_basis_once(monkeypatch):
     def counting(module):
         real = module._basis
 
-        def counted(*args):
+        def counted(*args, **kwargs):
             calls.append(args)
-            return real(*args)
+            return real(*args, **kwargs)
         monkeypatch.setattr(module, "_basis", counted)
 
     counting(groebner)

@@ -131,7 +131,9 @@ def test_expression_errors_carry_position():
     ("seq s = [x, y +]", 16),
     ("  module M = rank 1 relations [[x], [y $]]", 40),
     ("module M = rank 1 [[x]]", 19),
-    ("quotient =", 11)])
+    ("quotient =", 11),
+    ("module M = rank 1 relations", 28),
+    ("seq s = [x, y^12", 17)])
 def test_expression_error_columns_count_from_the_line_start(line, column):
     err = _fails_with("field = Q\nvars = x, y\n" + line + "\n", "")
     assert f"(line 3, column {column})" in str(err)

@@ -1,9 +1,10 @@
 """Source hygiene: no module of the package imports a name it never uses,
 no module but `groebner` reads a Groebner basis's reducer forms, no module
 but `scalars` uses Fraction, no module but `parsing` builds a parser, no
-module warns, no private module-level function or class goes unreferenced,
-and every public function or class, and every public method or property of
-an exported class, has a caller in the package or the benchmark."""
+module warns, a held basis extends a new one only as `known`, no private
+module-level function or class goes unreferenced, and every public function
+or class, and every public method or property of an exported class, has a
+caller in the package or the benchmark."""
 
 import ast
 import functools
@@ -341,6 +342,52 @@ def test_only_pinned_generator_lists_take_tracked_preimages():
                                                "preimage_submodule", str(path))
              if (path.name, function) not in PREIMAGE_CALLERS]
     assert not found, "tracked preimages outside the pinned generator lists:\n" + "\n".join(found)
+
+
+# A basis a caller holds is a Groebner basis already, so it extends a new
+# basis as `known`, whose pairs are never formed again, and never goes in
+# as plain inputs. Only `_rees_series` passes a basis's vectors plainly: it
+# builds on another ring and order, where they are no Groebner basis.
+BASIS_BUILDERS = ("_basis", "module_gb", "FPModule", "buchberger")
+HELD_VECTORS = {"relations", "raws"}
+HELD_EXEMPT = {("multiplicity.py", "_rees_series")}
+
+
+def held_basis_inputs(text, filename="<source>"):
+    """(line, builder, function) of each call to a name of BASIS_BUILDERS
+    with a read of `.relations` or `.raws` in an argument other than
+    known, in line order."""
+    def plain(call):
+        args = [*call.args, *(k.value for k in call.keywords if k.arg != "known")]
+        return any(isinstance(n, ast.Attribute) and n.attr in HELD_VECTORS
+                   for a in args for n in ast.walk(a))
+    return sorted((line, name, function) for name in BASIS_BUILDERS
+                  for line, function in call_sites(text, name, filename, plain))
+
+
+def test_held_basis_inputs_are_found():
+    text = ("def quotient_by_polys(self, units):\n"
+            "    return FPModule(self.ring, self.rank, list(self.relations) + units)\n"
+            "def cokernel(i):\n"
+            "    return _basis(ring, [*copies.raws, *cols], copies.rank)\n"
+            "def subquotient(kers, img, ambient):\n"
+            "    return (_basis(ring, kers + img, b + len(kers), known=ambient.gb),\n"
+            "            module_gb(ring, [v.raw for v in ambient.relations], b))\n"
+            "def _rees_series(M):\n"
+            "    return groebner.buchberger(S, [lift(u) for u in M.gb.raws])\n")
+    assert held_basis_inputs(text) == [(2, "FPModule", "quotient_by_polys"),
+                                       (4, "_basis", "cokernel"),
+                                       (7, "module_gb", "subquotient"),
+                                       (9, "buchberger", "_rees_series")]
+
+
+def test_held_bases_go_in_as_known():
+    found = [f"{path.name}:{line}: {name} in {function}"
+             for path in sorted(SRC.glob("*.py"))
+             for line, name, function in held_basis_inputs(path.read_text(encoding="utf-8"),
+                                                           str(path))
+             if (path.name, function) not in HELD_EXEMPT]
+    assert not found, "a held basis's vectors passed as plain inputs:\n" + "\n".join(found)
 
 
 # The length table is one reading of one Hilbert series: only
