@@ -22,10 +22,9 @@ is `subquotient`'s tagged elimination, stopped at the tags. Pending pairs
 wait in a heap keyed once per pair by (lcm degree, order key of the lcm,
 index pair); the index pair breaks ties, which makes the syzygies that come
 out, and so every presentation built from them, deterministic. For
-`module_gb` the loop never queues a pair of two single terms nor, at rank 1
-only, a pair the product criterion settles, skips a popped pair by the chain
-criterion, and every basis is then certified by `groebner._self_check`,
-whose criteria need no pair order. Over
+`module_gb` the loop follows signatures at every rank and skips pairs by
+their criteria, and every basis is then certified by
+`groebner._self_check`, whose criteria need no pair order. Over
 Q a `module_gb` basis is computed on primitive integer vectors, over F_p(t)
 on primitive vectors over F_p[t], and syzygies on the field's own values,
 as the `groebner` module describes. A basis that extends one a module

@@ -60,9 +60,10 @@ Each basis element's reducer form is built once, when the element joins a
 basis, never once per division.
 
 The loop skips a pair only by a theorem, proved where it is applied, and
-`_self_check` certifies every untracked basis. An untracked run at rank 1
-follows signatures, packed as terms (see `_buchberger`), so almost no
-S-vector reduces to zero there; the other runs take pairs in lcm order.
+`_self_check` certifies every untracked basis. Every untracked run follows
+signatures, packed as terms (see `_buchberger`), at any rank, so at rank 1
+almost no S-vector reduces to zero; tracked runs, which skip no pair, take
+pairs in lcm order.
 
 A basis often extends one its caller already holds: M/(f)M extends M's
 basis, a subquotient's bases extend the ambient module's, a Koszul
@@ -610,24 +611,6 @@ def _buchberger(ring: RingSpec, raws, rank, track=False, seeds=()):
     untagged inputs to zero; the basis is the loop's, unreduced, its tags
     dropped.
 
-    Seeds are the raw vectors of a Groebner basis, of the same ring and
-    order, that the caller holds (see `_basis`). They enter an untracked
-    run at rank > 1 before the inputs, each packed and made primitive as an
-    input is, with its sugar, and are inputs of the certificate, but no
-    pair of two seeds is queued: its S-vector has a standard representation
-    over the seeds, and so over every superset of them (Buchberger's
-    criterion; Cox-Little-O'Shea, Ch. 2 §10), so it counts as treated by
-    the chain criterion below, as every pair never queued does. A seed
-    pairs with every later element as an input does. `_self_check` runs on
-    the result as on any other, so a wrong seed could only fail it; the
-    one thing it cannot see is a generator missing from the inputs, which
-    is why `_basis` leans on its `known` holding J*R^rank. Tracked runs
-    take no seeds: a tracked element carries its expression on the inputs,
-    and a seed has none. Nor does the signed loop at rank 1: every element
-    there needs a signature, on which its criteria already skip almost
-    every pair whose S-vector reduces to zero, so `_basis` passes a rank-1
-    basis as inputs.
-
     With track=False the loop, the basis reduction and the certificate run
     on `field.fraction_free`: over Q on primitive integer vectors and over
     F_p(t) on primitive vectors over F_p[t], which span the same submodule
@@ -638,76 +621,87 @@ def _buchberger(ring: RingSpec, raws, rank, track=False, seeds=()):
 
     Tracked runs take the pair with the smallest lcm, by degree then order,
     ties broken by the index pair: the heap is keyed once, when the pair is
-    formed, by (0, lcm degree, order key of the lcm, a, b), the order key
+    formed, by (lcm degree, order key of the lcm, a, b), the order key
     being the negated packed key of the lcm at position 0. That order
     decides which syzygies come out, so it is part of the output contract.
-    Untracked runs at rank > 1 put the pair's sugar first (Giovini, Mora,
-    Niesi, Robbiano and Traverso, ISSAC 1991): an input's sugar is its
-    largest total degree, a pair's is max(sugar(a) + deg u_a, sugar(b) +
-    deg u_b), u being a lead's cofactor in the lcm, and a remainder takes
-    its pair's. So a pair of small lcm whose elements came from inputs of
-    high degree waits as it would for homogeneous inputs; taken early, such
-    pairs swell coefficients over Q. An untracked run at rank > 1 forms no
-    pair of two single terms (the S-vector is zero), and skips a popped
-    pair when a third lead at the same position divides the lcm and neither
-    side pair is still queued: the chain criterion, a pair never queued
-    counting as treated, in one selection order of the improved Buchberger
-    algorithm (Cox-Little-O'Shea, *Ideals, Varieties, and Algorithms*,
-    Ch. 2 §10; Gebauer-Moeller 1988). In a tracked run every element
-    carries its tag in its tail, so no criterion applies. Modules keep the
-    lcm order: two vectors, unlike two polynomials, give no principal
-    syzygy, so signatures would skip less there.
+    Every element carries its tag in its tail, so no criterion applies.
 
-    An untracked run at rank 1 follows signatures: Faugere's F5 criteria
+    Untracked runs follow signatures, at every rank: Faugere's F5 criteria
     (ISSAC 2002) in the rewrite-basis form of Eder-Faugere (*J. Symb.
-    Comp.* 2017). An element's signature is the leading term t*e_i of an
-    expression of it on the n inputs, position over term with later inputs
-    larger, packed as the term t at position n - 1 - i (a larger signature
-    is a smaller key). Input i enters the heap with the signature e_i, a
-    pair with T = max(u_a sig(a), u_b sig(b)), u being a lead's cofactor in
-    the lcm, and no pair is formed when the two are equal; the smallest
-    signature comes off first. An input whose lead an element divides, and
-    each S-vector, is reduced regularly (see `_reduce`), so it keeps its
-    signature. A nonzero remainder joins the basis, even when singular
-    top-reducible: the rewrite criterion needs an element for each
-    signature reduced, and dropping one lost a basis element. A zero one
-    adds its signature to the known syzygy signatures of input i, with
-    lead(a) e_i for each element a of an earlier input (F5's criterion),
-    and T for a pair of two single terms (its S-vector is zero) or of
-    coprime leads (T is its principal syzygy's), neither of which is
-    queued. Recording the principal syzygies of other pairs skipped no pair
-    on any workload, so it is not done, and two single terms are paired
-    only once a pair of their input is popped. A popped pair is skipped
-    when a known syzygy signature divides T (the syzygy criterion), or when
-    an element of input i newer than the pair's side of signature T has a
-    signature dividing T (the rewrite criterion). A signature key past the
-    exponent cap raises ExponentTooLarge: past it keys stop comparing as
-    the order does.
+    Comp.* 2017), which hold for submodules of R^rank as for ideals
+    (Gao-Volny-Wang, *Math. Comp.* 2016). An element's signature is the
+    leading term t*e_i of an expression of it on the n inputs, position
+    over term with later inputs larger, packed as the term t at position
+    n - 1 - i (a larger signature is a smaller key). Input i enters the
+    heap with the signature e_i, a pair with T = max(u_a sig(a), u_b
+    sig(b)), u being a lead's cofactor in the lcm, and no pair is formed
+    when the two are equal; the smallest signature comes off first. An
+    input whose lead an element divides, and each S-vector, is reduced
+    regularly (see `_reduce`), so it keeps its signature. A nonzero
+    remainder joins the basis, even when singular top-reducible: the
+    rewrite criterion needs an element for each signature reduced, and
+    dropping one lost a basis element. A zero one adds its signature to the
+    known syzygy signatures of input i. So does T for a pair of two single
+    terms (its S-vector is zero), which is not queued; two single terms
+    are paired only at one position, and only once a pair of their input
+    is popped. A popped pair is skipped when a known syzygy signature
+    divides T (the syzygy criterion), or when an element of input i newer
+    than the pair's side of signature T has a signature dividing T (the
+    rewrite criterion). A signature key past the exponent cap raises
+    ExponentTooLarge: past it keys stop comparing as the order does.
+
+    Principal syzygies need vectors that commute. A flat vector, every term
+    at its lead's position p, is a polynomial times e_p, and two flat
+    vectors a = f e_p and b = g e_p give the syzygy g a - f b = 0. So when
+    input i is flat, lead(a) e_i is a known syzygy signature for each flat
+    element a at its position (F5's criterion), and a pair of two flat
+    elements with coprime leads is not queued, its T, its principal
+    syzygy's, being recorded. At rank 1 every vector is flat; other vectors
+    give no such syzygy: (x, 1) and (y, 0) have coprime leads and the
+    S-vector (0, y). Recording the principal syzygies of other pairs
+    skipped no pair on any workload, so it is not done.
+
+    Seeds are the raw vectors of a Groebner basis, of the same ring and
+    order, that the caller holds (see `_basis`). They enter an untracked
+    run at rank > 1 as one input before every other, of one signature
+    smaller than every input's, the term 1 at position n; each is packed
+    and made primitive as an input is, and is an input of the certificate.
+    No pair of two seeds is queued: its S-vector has a standard
+    representation over the seeds, and so over every superset of them
+    (Buchberger's criterion; Cox-Little-O'Shea, *Ideals, Varieties, and
+    Algorithms*, Ch. 2 §10). A seed pairs with every later element as an
+    earlier input's element does, and a step by a seed is always regular.
+    `_self_check` runs on the result as on any other, so a wrong seed could
+    only fail it; the one thing it cannot see is a generator missing from
+    the inputs, which is why `_basis` leans on its `known` holding
+    J*R^rank. Tracked runs take no seeds: a tracked element carries its
+    expression on the inputs, and a seed has none. Nor do rank-1 runs,
+    where `_basis` passes a held basis as plain inputs: seeded there,
+    cli-mix's rank-1 runs formed 248 S-vectors per pass, not 167.
     """
     layout = _layout(ring.order, ring.nvars)
     guard, target, shift, offset = layout.guard, layout.target, layout.pos_shift, layout.offset
     ops = ring.field.raw if track else ring.field.fraction_free
-    signed = rank == 1 and not track
-    assert not (seeds and (track or signed)), "seeds enter only untracked runs at rank > 1"
+    assert not (seeds and (track or rank == 1)), "seeds enter only untracked runs at rank > 1"
     forms, leads, syz, inputs = [], [], [], []
     at = {}          # position -> indices of the elements whose lead is there
     tailed = {}      # position -> those of them with a tail
-    pending = set()  # (a, b) queued and not yet popped, for the chain criterion
-    # heap of (sugar, lcm degree, order key, a, b, packed lcm), or when
-    # signed of (-T, a, b, packed lcm), a's side having the signature T, and
-    # of (-e_i, -1, i, None) for input i
+    # heap of (lcm degree, order key, a, b, packed lcm) when tracked, else of
+    # (-T, a, b, packed lcm), a's side having the signature T, and of (-e_i,
+    # -1, i, None) for inputs[i]
     queue = []
     tags = rank << shift
     known = []    # signed: divisor tests, offset - s, of the syzygy signatures s at this input
     newest = []   # signed: (element, divisor test of its signature) of this input's elements
     singles = []  # signed: the single-term elements, paired with each other only on demand
+    flat = set()  # signed: the elements with every term at their lead's position
     paired = 0    # signed: singles[:paired] are paired with each other
 
     def pair(a, b):
         """Queue the signed pair (a, b), a < b, or record its syzygy signature."""
-        fa, fb, ea, eb = forms[a], forms[b], leads[a][1], leads[b][1]
+        fa, fb, (p, ea), eb = forms[a], forms[b], leads[a], leads[b][1]
         lcm = tuple(map(max, ea, eb))
-        key = _pack(layout, 0, lcm)
+        key = _pack(layout, p, lcm)
         # b has the larger signature, so its side has too unless a is of this input
         t, g, h = fb[6] + key - fb[2], b, a
         if fa[6] >> shift == fb[6] >> shift:
@@ -720,14 +714,15 @@ def _buchberger(ring: RingSpec, raws, rank, track=False, seeds=()):
                 t, g, h = sa, a, b
         if t & guard:
             raise ExponentTooLarge(_SIGNATURE_CAP)
-        if not (fa[5][0] or fb[5][0]) or sum(lcm) == sum(ea) + sum(eb):
+        if not (fa[5][0] or fb[5][0]) or (
+                a in flat and b in flat and sum(lcm) == sum(ea) + sum(eb)):
             known.append(offset - t)
         else:
             heapq.heappush(queue, (-t, g, h, key))
 
-    def add(vec, label, seed=False):
-        """Join vec, of signature key label when signed, else of sugar
-        label, to the loop and queue its pairs; a seed queues none."""
+    def add(vec, label=None, seed=False):
+        """Join vec, of signature key label when untracked, to the loop
+        and queue its pairs; a seed queues none."""
         if not vec:
             return
         if min(vec) >= tags:
@@ -738,24 +733,23 @@ def _buchberger(ring: RingSpec, raws, rank, track=False, seeds=()):
         p, e = _unpack(layout, form[2])
         there, with_tail = at.setdefault(p, []), tailed.setdefault(p, [])
         partners = () if seed else there if form[5][0] else with_tail
-        # seventh entry: the signature key, or the sugar less the lead's
-        # degree, so that a pair's sugar is its lcm's degree plus the larger
-        # of its two
-        forms.append(form + (label if signed else label - sum(e),))
         leads.append((p, e))
-        if signed:
+        if track:
+            forms.append(form)
+            for k in partners:
+                lcm = tuple(map(max, leads[k][1], e))
+                key = _pack(layout, 0, lcm)
+                heapq.heappush(queue, (sum(lcm), -key, k, new, key + (p << shift)))
+        else:
+            # seventh entry: the signature key
+            forms.append(form + (label,))
+            if max(vec) >> shift == p:
+                flat.add(new)
             for k in partners:
                 pair(k, new)
             newest.append((new, offset - label))
             if not form[5][0]:
                 singles.append(new)
-        else:
-            for k in partners:
-                lcm = tuple(map(max, leads[k][1], e))
-                key, degree = _pack(layout, 0, lcm), sum(lcm)
-                sugar = 0 if track else degree + max(forms[k][6], forms[new][6])
-                heapq.heappush(queue, (sugar, degree, -key, k, new, key + (p << shift)))
-                pending.add((k, new))
         there.append(new)
         if form[5][0]:
             with_tail.append(new)
@@ -763,56 +757,53 @@ def _buchberger(ring: RingSpec, raws, rank, track=False, seeds=()):
     for raw in seeds:
         vec = {_pack(layout, p, e): c for (p, e), c in ops.primitive(raw).items()}
         inputs.append(vec)
-        add(vec, max(sum(e) for _, e in raw), True)
+        add(vec, layout.zero + (len(raws) << shift), True)
     for i, raw in enumerate(raws):
         vec = {_pack(layout, p, e): c for (p, e), c in ops.primitive(raw).items()}
-        inputs.append(vec)
-        if signed:
-            heapq.heappush(queue, (-(layout.zero + ((len(raws) - 1 - i) << shift)), -1, i, None))
+        if track:
+            add({**vec, layout.zero + tags + (i << shift): ops.one})
         else:
-            add({**vec, layout.zero + tags + (i << shift): ops.one} if track else vec,
-                max((sum(e) for _, e in raw), default=0))
+            heapq.heappush(queue, (-(layout.zero + ((len(raws) - 1 - i) << shift)), -1,
+                                   len(inputs), None))
+        inputs.append(vec)
 
     while queue:
-        if signed:
-            t, a, b, lcm = heapq.heappop(queue)
-            t = -t
-            if a < 0:
-                # input b: every element so far is of an earlier input, so
-                # every step is regular and every lead a syzygy signature;
-                # the pairs of single terms left unpaired are of earlier inputs
-                known[:] = map(itemgetter(1), forms)
-                newest.clear()
-                paired = len(singles)
-                vec = inputs[b]
-                if vec:
-                    lead = min(vec)
-                    for f in forms:
-                        if (lead + f[1]) & guard == target:
-                            vec = _reduce(dict(vec), forms, layout, ops, t)
-                            break
-                add(vec, t)
-                continue
-            for j in range(paired, len(singles)):
-                for k in singles[:j]:
-                    pair(k, singles[j])
+        if track:
+            _, _, a, b, lcm = heapq.heappop(queue)
+            add(_reduce(_s_vector(forms[a], forms[b], lcm, ops, guard), forms, layout, ops))
+            continue
+        t, a, b, lcm = heapq.heappop(queue)
+        t = -t
+        if a < 0:
+            # inputs[b]: every element so far is of an earlier input, so
+            # every step is regular and, when the input is flat, the lead of
+            # each flat element at its position a syzygy signature; the pairs
+            # of single terms left unpaired are of earlier inputs
+            vec = inputs[b]
+            known.clear()
+            newest.clear()
             paired = len(singles)
-            if not (any((t + z) & guard == target for z in known)
-                    or any(k > a and (t + z) & guard == target for k, z in newest)):
-                r = _reduce(_s_vector(forms[a], forms[b], lcm, ops, guard), forms, layout, ops, t)
-                if r:
-                    add(r, t)
-                else:
-                    known.append(offset - t)
+            if vec:
+                lead = min(vec)
+                there = at.get(lead >> shift, ())
+                if max(vec) >> shift == lead >> shift:
+                    known.extend(forms[k][1] for k in there if k in flat)
+                if any((lead + forms[k][1]) & guard == target for k in there):
+                    vec = _reduce(dict(vec), forms, layout, ops, t)
+            add(vec, t)
             continue
-        sugar, _, _, a, b, lcm = heapq.heappop(queue)
-        pending.discard((a, b))
-        if not track and any(k != a and k != b and (lcm + forms[k][1]) & guard == target
-                             and (min(a, k), max(a, k)) not in pending
-                             and (min(b, k), max(b, k)) not in pending
-                             for k in at[leads[a][0]]):
-            continue
-        add(_reduce(_s_vector(forms[a], forms[b], lcm, ops, guard), forms, layout, ops), sugar)
+        for j in range(paired, len(singles)):
+            for k in singles[:j]:
+                if leads[k][0] == leads[singles[j]][0]:
+                    pair(k, singles[j])
+        paired = len(singles)
+        if not (any((t + z) & guard == target for z in known)
+                or any(k > a and (t + z) & guard == target for k, z in newest)):
+            r = _reduce(_s_vector(forms[a], forms[b], lcm, ops, guard), forms, layout, ops, t)
+            if r:
+                add(r, t)
+            else:
+                known.append(offset - t)
     if track:
         kept = {}
         for v in syz:
@@ -839,7 +830,7 @@ def _basis(ring: RingSpec, raws, rank, known=None) -> GroebnerBasis:
     known.rank. That leans on a contract: every `GroebnerBasis` that
     `_basis`, `_copies` and `_block` make holds J*R^rank, so known already
     holds J*e_p for p < known.rank. At rank 1 known's vectors go first among
-    the plain inputs, where the signed loop takes them.
+    the plain inputs, which costs the loop fewer S-vectors there.
     """
     layout = _layout(ring.order, ring.nvars)
     work, seeds, start = list(raws), (), 0

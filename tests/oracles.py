@@ -371,7 +371,7 @@ def fixpoint_interreduction(forms, layout, ops):
             for f, v in sorted(zip(kept, vecs), key=lambda fv: fv[0][2], reverse=True)]
 
 
-# The route the untracked loop took before it was signature-based: pairs
+# The route the untracked loop took before it followed signatures: pairs
 # taken in ascending lcm order (degree, then the order), the two
 # pair-formation criteria (two single terms; coprime leads at rank 1) and
 # the chain criterion in its queued-pairs form, inputs added unreduced.
@@ -380,9 +380,10 @@ def lcm_ordered_basis(ring, raws, rank=1):
     """The reduced Groebner basis, as raw vectors ascending by lead, of the
     submodule of R^rank that the raw vectors raws and J*e_p for every
     position p generate, J being ring.quotient: `groebner._basis` by the
-    lcm-ordered untracked loop, on the field's fraction-free table and the
-    package's division kernel, S-vectors and basis reduction, with no
-    certificate."""
+    lcm-ordered untracked loop above, on the field's fraction-free table
+    and the package's division kernel, S-vectors and basis reduction, with
+    no seeds and no certificate. The signature-based loop must give the
+    same reduced basis at every rank."""
     layout = groebner._layout(ring.order, ring.nvars)
     guard, target, shift = layout.guard, layout.target, layout.pos_shift
     ops = ring.field.fraction_free

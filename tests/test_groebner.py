@@ -594,8 +594,9 @@ def _mixed_cases(draw):
 @settings(max_examples=80, deadline=None)
 @given(_mixed_cases())
 def test_pairs_never_queued_leave_the_basis_unchanged(case):
-    """The untracked loop never queues a pair of two single terms nor, at
-    rank 1, a coprime pair; the tracked loop forms every pair. So `_basis`
+    """The untracked loop never queues a pair of two single terms nor a
+    coprime pair of two flat vectors, every term at the lead's position;
+    the tracked loop forms every pair. So `_basis`
     must equal the reduced basis of the tracked run of the same inputs, J
     folded in as `_basis` folds it."""
     ring, rank, raws = case
@@ -645,10 +646,11 @@ def _trivial_signatures(loop, layout):
 @pytest.mark.parametrize("rank", [1, 2])
 def test_loop_queues_no_trivial_pair(rank, monkeypatch):
     """Every pair the untracked loop pushes on its heap has an element with a
-    tail and, at rank 1, leads that are not coprime: the loop's elements
-    are the first reducer forms built in a `_buchberger` call, in index
-    order, and a queued pair carries its index pair (a, b) after its key,
-    at rank 1 the one int -T (an input carries -1 there). At rank 1 the
+    tail and, when both are flat (every term at the lead's position, so at
+    rank 1 always), leads that are not coprime: the loop's elements are the
+    first reducer forms built in a `_buchberger` call, in index order, and
+    a queued pair carries its index pair (a, b) after its key, the one int
+    -T, at every rank (an input carries -1 there). At rank 1 the
     signature T of every such pair is recorded as a syzygy's instead: no
     input or S-vector reduced once both elements exist has a signature T
     divides. The signatures are the seventh entries of the loop's forms,
@@ -674,7 +676,7 @@ def test_loop_queues_no_trivial_pair(rank, monkeypatch):
         @staticmethod
         def heappush(heap, item):
             if type(item) is tuple:  # an input or a pair, not a division key
-                pair = item[1:3] if rank == 1 else item[3:5]
+                pair = item[1:3]
                 if pair[0] >= 0:
                     pairs.append(pair)
             real_heapq.heappush(heap, item)
@@ -691,11 +693,13 @@ def test_loop_queues_no_trivial_pair(rank, monkeypatch):
         _buchberger(ring, raws, rank)
         layout = _layout(ring.order, ring.nvars)
         leads = [_unpack(layout, f[2]) for f in forms]
+        flat = [all(t >> layout.pos_shift == p for t, _ in f[5][0])
+                for f, (p, _) in zip(forms, leads)]
         assert pairs
         for a, b in pairs:
             assert leads[a][0] == leads[b][0]
             assert forms[a][5][0] or forms[b][5][0]
-            if rank == 1:
+            if flat[a] and flat[b]:
                 assert any(map(min, leads[a][1], leads[b][1]))
         if rank == 1:
             checked = set()
@@ -826,7 +830,7 @@ def _module_cases(draw):
 @settings(max_examples=60, deadline=None)
 @given(_module_cases())
 def test_module_basis_matches_the_lcm_ordered_oracle(case):
-    """The sugar-ordered loop at rank > 1 and the lcm-ordered loop it
+    """The signature-based loop at rank > 1 and the lcm-ordered loop it
     replaced (`oracles.lcm_ordered_basis`) give the same reduced basis: the
     order of the pairs may change the work, never the unique reduced
     basis."""
@@ -852,12 +856,14 @@ _SWELLING_INPUTS = (
      (1, (0, 0), -2), (1, (0, 2), -1), (1, (2, 2), 1), (1, (3, 0), -1), (1, (1, 0), 1)))
 
 
-def test_sugar_order_keeps_module_coefficients_small(monkeypatch):
+def test_signature_order_keeps_module_coefficients_small(monkeypatch):
     """On `_SWELLING_INPUTS` the lcm order reduced 143 S-vectors in the
     loop, and its remainders reached coefficients of 20826 bits: a pair of
-    small lcm came from elements of high degree. Under the sugar order the
-    loop reduces 64, none with a coefficient past 39 bits. The loop's
-    reductions are the `_reduce` calls before `_reduce_basis`."""
+    small lcm came from elements of high degree. The sugar order that
+    followed reduced 64, with coefficients of up to 39 bits. Under the
+    signature order the loop reduces 42, none with a coefficient past 13
+    bits. The loop's reductions are the `_reduce` calls before
+    `_reduce_basis`."""
     bits, looping = [], [True]
     real_reduce, real_reduce_basis = groebner._reduce, groebner._reduce_basis
 
@@ -876,8 +882,30 @@ def test_sugar_order_keeps_module_coefficients_small(monkeypatch):
     raws = [{(p, e): Fraction(c) for p, e, c in v} for v in _SWELLING_INPUTS]
     gb = _basis(_plane(), raws, 5)
     assert len(gb.raws) == 5
-    assert len(bits) <= 80
-    assert max(bits) <= 64
+    assert len(bits) <= 50
+    assert max(bits) <= 16
+
+
+@pytest.mark.parametrize("raws, basis", [
+    ([{(0, (1, 0)): 1, (1, (0, 0)): 1}, {(0, (0, 1)): 1}],
+     [{(1, (0, 1)): 1}, {(0, (0, 1)): 1}, {(0, (1, 0)): 1, (1, (0, 0)): 1}]),
+    ([{(0, (1, 1)): 1, (1, (1, 1)): 1}, {(0, (0, 2)): 1, (0, (0, 0)): 2}],
+     [{(1, (1, 3)): 1, (1, (1, 1)): 2}, {(0, (1, 0)): 1, (1, (1, 2)): 3},
+      {(0, (0, 2)): 1, (0, (0, 0)): 2}]),
+], ids=["coprime", "lead"])
+def test_rank_one_criteria_skip_needed_pairs_of_vectors(raws, basis):
+    """Over F_7[x, y] at rank 2 the rank-1 principal syzygies are not
+    there, and either criterion that reads them would skip a needed pair.
+    (x, 1) and (y, 0) have coprime leads, and their S-vector (0, y) is a
+    new element. Of y^2 + 2 and (x*y, x*y), input 1, the S-vector (x,
+    3*x*y^2) has signature y e_1, and its pair with (x*y, x*y) the
+    signature y^2 e_1. Recording lead(y^2 + 2) e_1 = y^2 e_1 as a syzygy
+    signature, as F5's criterion does at rank 1, skips that pair, whose
+    S-vector reduces to the needed (0, x*y^3 + 2*x*y). Applied at rank 2,
+    each criterion made `_self_check` raise on its case."""
+    ring = _plane(F7)
+    assert list(_basis(ring, raws, 2).raws) == basis
+    assert basis == oracles.lcm_ordered_basis(ring, raws, 2)
 
 
 # -- over Q the untracked loop runs on primitive integer vectors ------------------
